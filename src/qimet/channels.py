@@ -26,12 +26,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import (DimensionMismatch, InvalidModel, NotHermitian,
                      UnsupportedDimension)
-from .linalg import (col_vec, hermitize, kron, matrix_from_json,
-                     matrix_to_json, numerical_rank, uncol, _clamped_psd_eig,
-                     rng)
+from .linalg import (col_vec, hermitize, matrix_from_json, matrix_to_json,
+                     numerical_rank, uncol, _clamped_psd_eig, rng)
 
 __all__ = [
     "KrausChannel",
@@ -41,10 +40,7 @@ __all__ = [
     "choi_from_kraus",
     "kraus_from_choi",
     "kraus_rank",
-    "apply_channel",
-    "superoperator",
     "is_trace_preserving",
-    "maximally_entangled",
     "weyl_operators",
     "nu_lambda",
     "is_stochastic_kraus",
@@ -95,10 +91,15 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self, rho)
-
-    def choi(self) -> "ChoiMatrix":
-        return choi_from_kraus(self)
+        """Evaluate ``sum_j K_j rho K_j†``."""
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (self.dim_in, self.dim_in):
+            raise DimensionMismatch(
+                f"state shape {rho.shape} does not match dim_in {self.dim_in}")
+        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
+        for k in self.kraus_ops:
+            out += k @ rho @ k.conj().T
+        return out
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def choi_from_kraus(channel: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(channel.dim_in, channel.dim_out, hermitize(mat))
 
 
-def kraus_from_choi(choi: ChoiMatrix, tol: Tolerances = TOL) -> KrausChannel:
+def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
     """Kraus operators from the eigendecomposition of a PSD Choi state.
 
     One operator per eigenvalue above ``rank_rel * w_max``, so the number of
@@ -169,12 +170,12 @@ def kraus_from_choi(choi: ChoiMatrix, tol: Tolerances = TOL) -> KrausChannel:
 
     :raises NotPSD: if the Choi matrix has an eigenvalue below the clamp band.
     """
-    vals, vecs = _clamped_psd_eig(choi.matrix, tol)
+    vals, vecs = _clamped_psd_eig(choi.matrix)
     top = float(vals[-1]) if vals.size else 0.0
     ops = []
     if top > 0.0:
         for w, v in zip(vals, vecs.T):
-            if w > tol.rank_rel * top:
+            if w > TOL.rank_rel * top:
                 ops.append(np.sqrt(choi.dim_in * w)
                            * uncol(v, choi.dim_out, choi.dim_in))
     if not ops:
@@ -182,48 +183,18 @@ def kraus_from_choi(choi: ChoiMatrix, tol: Tolerances = TOL) -> KrausChannel:
     return KrausChannel(choi.dim_in, choi.dim_out, tuple(ops))
 
 
-def kraus_rank(channel: KrausChannel, tol: Tolerances = TOL) -> int:
+def kraus_rank(channel: KrausChannel) -> int:
     """Minimal number of Kraus operators: the rank of the Choi state."""
-    return numerical_rank(choi_from_kraus(channel).matrix, tol)
+    return numerical_rank(choi_from_kraus(channel).matrix)
 
 
-def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_j K_j rho K_j†``."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim_in, channel.dim_in):
-        raise DimensionMismatch(
-            f"state shape {rho.shape} does not match dim_in {channel.dim_in}")
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
-    for k in channel.kraus_ops:
-        out += k @ rho @ k.conj().T
-    return out
-
-
-def superoperator(channel: KrausChannel) -> np.ndarray:
-    """Matrix acting on column-stacked states:
-    ``col_vec(E(rho)) = superoperator(E) @ col_vec(rho)``."""
-    side_out = channel.dim_out ** 2
-    side_in = channel.dim_in ** 2
-    out = np.zeros((side_out, side_in), dtype=complex)
-    for k in channel.kraus_ops:
-        out += kron(k.conj(), k)
-    return out
-
-
-def is_trace_preserving(channel: KrausChannel, tol: Tolerances = TOL) -> bool:
+def is_trace_preserving(channel: KrausChannel) -> bool:
     """True if ``sum_j K_j† K_j`` equals the identity within tolerance."""
     acc = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
     for k in channel.kraus_ops:
         acc += k.conj().T @ k
     return bool(np.max(np.abs(acc - np.eye(channel.dim_in)))
-                <= tol.trace_preserving)
-
-
-def maximally_entangled(dim: int) -> np.ndarray:
-    """Density matrix of the maximally entangled state
-    ``(1/dim) col_vec(I) col_vec(I)†`` on two ``dim``-dimensional factors."""
-    v = col_vec(np.eye(dim, dtype=complex))
-    return np.outer(v, v.conj()) / dim
+                <= TOL.trace_preserving)
 
 
 # ==================================================================
@@ -260,8 +231,10 @@ def weyl_operators(dim: int) -> dict:
 class StochasticChannel:
     """Nonnegative mixture of shift-and-phase unitaries.
 
-    ``weights`` maps ``(a, b)`` basis labels to weights ``w >= 0`` with
-    ``sum w = nu``; absent labels mean weight zero.  The map acts as
+    ``weights`` maps ``(a, b)`` basis labels to finite weights ``w >= 0``
+    with ``sum w = nu``; absent labels mean weight zero.  It may also be an
+    iterable of ``(label, weight)`` pairs, in which a repeated label is an
+    error.  The map acts as
     ``rho -> sum w_(a,b) U_(a,b) rho U_(a,b)†`` and is trace preserving
     exactly when ``nu = 1``.
     """
@@ -273,13 +246,19 @@ class StochasticChannel:
     def __post_init__(self):
         if self.dim < 1:
             raise UnsupportedDimension(f"dimension must be >= 1, got {self.dim}")
+        if not np.isfinite(self.nu):
+            raise InvalidModel(f"nu must be finite, got {self.nu!r}")
+        pairs = self.weights.items() if isinstance(self.weights, Mapping) \
+            else self.weights
         clean = {}
-        for key, w in dict(self.weights).items():
+        for key, w in pairs:
             a, b = (int(key[0]), int(key[1]))
             if not (0 <= a < self.dim and 0 <= b < self.dim):
                 raise InvalidModel(f"weight label {key} out of range for "
                                    f"dimension {self.dim}")
             w = float(w)
+            if not np.isfinite(w):
+                raise InvalidModel(f"non-finite weight {w!r} at {key}")
             if w < 0.0:
                 raise InvalidModel(f"negative weight {w!r} at {key}")
             if (a, b) in clean:
@@ -313,7 +292,7 @@ class StochasticChannel:
         return choi_from_kraus(self.as_channel())
 
 
-def nu_lambda(obj, tol: Tolerances = TOL) -> tuple:
+def nu_lambda(obj) -> tuple:
     """Extract ``(nu, lambda)`` of a square-dimension map from its Choi state.
 
     ``nu = trace(J)`` and ``nu * lambda = (1/dim) col_vec(I)† J col_vec(I)``
@@ -338,12 +317,12 @@ def nu_lambda(obj, tol: Tolerances = TOL) -> tuple:
     nu = float(choi.matrix.trace().real)
     v = col_vec(np.eye(dim, dtype=complex))
     nu_lam = float((v.conj() @ choi.matrix @ v).real) / dim
-    if nu <= tol.weight_sum:
+    if nu <= TOL.weight_sum:
         return nu, 1.0
     return nu, nu_lam / nu
 
 
-def is_stochastic_kraus(ops: Sequence[np.ndarray], tol: Tolerances = TOL):
+def is_stochastic_kraus(ops: Sequence[np.ndarray]):
     """Validate a Kraus set as a stochastic channel and return ``(nu, lambda)``.
 
     Checks that the operators act on one system, are pairwise
@@ -377,7 +356,7 @@ def is_stochastic_kraus(ops: Sequence[np.ndarray], tol: Tolerances = TOL):
     if id_count > 1:
         raise InvalidModel("more than one operator carries the identity")
     channel = KrausChannel(dim, dim, tuple(mats))
-    return nu_lambda(choi_from_kraus(channel), tol)
+    return nu_lambda(choi_from_kraus(channel))
 
 
 def random_stochastic_channel(dim: int, nu: float, seed: int,
@@ -453,8 +432,8 @@ def stochastic_from_json(obj: dict) -> StochasticChannel:
     try:
         dim = int(obj["dim"])
         nu = float(obj["nu"])
-        weights = {(int(e["a"]), int(e["b"])): float(e["w"])
-                   for e in obj["weights"]}
+        weights = [((int(e["a"]), int(e["b"])), float(e["w"]))
+                   for e in obj["weights"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed stochastic channel object: {exc}") from exc
     return StochasticChannel(dim, nu, weights)

@@ -1,14 +1,13 @@
 """Centralized numerical tolerances.
 
-Every validation threshold used by the package lives in one frozen record so
-that test runs and applications tune a single knob.  The defaults are chosen
-for double precision at the matrix sizes this package targets (Choi sides up
-to ~150).
+Every validation threshold used by the package lives in one frozen record,
+``TOL``, which the validating functions read directly.  The defaults are
+chosen for double precision at the matrix sizes the package handles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,9 +21,6 @@ class Tolerances:
     :param trace_preserving: allowed max-abs deviation of ``sum_k K_k† K_k``
         from the identity.
     :param trace_one: allowed deviation of a density matrix trace from 1.
-    :param prob_neg: how negative a Born probability may go before it is
-        considered an error rather than roundoff.
-    :param prob_sum: allowed deviation of an outcome distribution's sum from 1.
     :param projector: max-abs deviation allowed for projector idempotency and
         for support containment ``pi rho = rho``.
     :param weight_sum: allowed deviation of stochastic-channel weight sums
@@ -36,16 +32,9 @@ class Tolerances:
     rank_rel: float = 1e-10
     trace_preserving: float = 1e-9
     trace_one: float = 1e-9
-    prob_neg: float = 1e-12
-    prob_sum: float = 1e-10
     projector: float = 1e-9
     weight_sum: float = 1e-9
 
-    def with_(self, **kwargs) -> "Tolerances":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
-
-#: Default tolerances used by every function that does not take an explicit
-#: ``tol`` argument.
+#: The tolerances every validating function in the package reads.
 TOL = Tolerances()

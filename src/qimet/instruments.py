@@ -39,12 +39,11 @@ import numpy as np
 from .channels import (KrausChannel, StochasticChannel, channel_from_json,
                        channel_to_json, stochastic_from_json,
                        stochastic_to_json)
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
 from .linalg import check_density, kron, rng
 
 __all__ = [
-    "SubsystemMeasurement",
     "InstrumentImplementation",
     "UniformStochasticModel",
     "NonUniformStochasticModel",
@@ -67,35 +66,16 @@ __all__ = [
 # measurement and implementation types
 # ==================================================================
 
-@dataclass(frozen=True)
-class SubsystemMeasurement:
-    """Computational-basis measurement of the D register, idling the E register."""
+def _check_dims(D: int, E: int):
+    if D < 2 or E < 1:
+        raise UnsupportedDimension(
+            f"need D >= 2 and E >= 1, got D={D}, E={E}")
 
-    D: int
-    E: int
 
-    def __post_init__(self):
-        if self.D < 2:
-            raise UnsupportedDimension(f"measured register needs D >= 2, got {self.D}")
-        if self.E < 1:
-            raise UnsupportedDimension(f"unmeasured register needs E >= 1, got {self.E}")
-
-    def projector(self, j: int) -> np.ndarray:
-        """``pi_j = I_E ⊗ |j><j|`` on H_{ED}."""
-        if not 0 <= j < self.D:
-            raise DimensionMismatch(f"outcome {j} out of range for D={self.D}")
-        basis = np.zeros((self.D, self.D), dtype=complex)
-        basis[j, j] = 1.0
-        return kron(np.eye(self.E, dtype=complex), basis)
-
-    def projectors(self) -> list:
-        return [self.projector(j) for j in range(self.D)]
-
-    def ideal(self) -> "InstrumentImplementation":
-        branches = tuple(
-            KrausChannel(self.E * self.D, self.E * self.D, (self.projector(j),))
-            for j in range(self.D))
-        return InstrumentImplementation(self.D, self.E, branches)
+def _basis_flip(D: int, row: int, col: int) -> np.ndarray:
+    out = np.zeros((D, D), dtype=complex)
+    out[row % D, col % D] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,9 +91,7 @@ class InstrumentImplementation:
     branches: tuple
 
     def __post_init__(self):
-        if self.D < 2 or self.E < 1:
-            raise UnsupportedDimension(
-                f"need D >= 2 and E >= 1, got D={self.D}, E={self.E}")
+        _check_dims(self.D, self.E)
         branches = tuple(self.branches)
         if len(branches) != self.D:
             raise InvalidModel(
@@ -137,18 +115,26 @@ class InstrumentImplementation:
 
 def ideal_instrument(D: int, E: int) -> InstrumentImplementation:
     """The ideal subsystem measurement as an implementation (branch ``j`` is
-    the single-Kraus map ``ad_{pi_j}``)."""
-    return SubsystemMeasurement(D, E).ideal()
+    the single-Kraus map ``ad_{pi_j}`` with ``pi_j = I_E ⊗ |j><j|``)."""
+    _check_dims(D, E)
+    eye = np.eye(E, dtype=complex)
+    branches = tuple(
+        KrausChannel(E * D, E * D, (kron(eye, _basis_flip(D, j, j)),))
+        for j in range(D))
+    return InstrumentImplementation(D, E, branches)
 
 
 # ==================================================================
 # structured error models
 # ==================================================================
 
-def _validate_table(table: Mapping, D: int, E: int, labels: int) -> dict:
-    """Common table validation: key arity/range and channel dimensions."""
+def _validate_table(table, D: int, E: int, labels: int) -> dict:
+    """Common table validation: key arity/range, channel dimensions and
+    repeated keys (``table`` is a mapping or an iterable of
+    ``(key, channel)`` pairs)."""
+    pairs = table.items() if isinstance(table, Mapping) else table
     clean = {}
-    for key, channel in dict(table).items():
+    for key, channel in pairs:
         key = tuple(int(k) for k in key)
         if len(key) != labels:
             raise InvalidModel(f"table key {key} must have {labels} indices")
@@ -175,9 +161,7 @@ class UniformStochasticModel:
     table: Mapping
 
     def __post_init__(self):
-        if self.D < 2 or self.E < 1:
-            raise UnsupportedDimension(
-                f"need D >= 2 and E >= 1, got D={self.D}, E={self.E}")
+        _check_dims(self.D, self.E)
         table = _validate_table(self.table, self.D, self.E, labels=2)
         total = sum(t.nu for t in table.values())
         if abs(total - 1.0) > TOL.weight_sum:
@@ -196,9 +180,7 @@ class NonUniformStochasticModel:
     table: Mapping
 
     def __post_init__(self):
-        if self.D < 2 or self.E < 1:
-            raise UnsupportedDimension(
-                f"need D >= 2 and E >= 1, got D={self.D}, E={self.E}")
+        _check_dims(self.D, self.E)
         table = _validate_table(self.table, self.D, self.E, labels=3)
         for j in range(self.D):
             total = sum(t.nu for (a, b, jj), t in table.items() if jj == j)
@@ -206,12 +188,6 @@ class NonUniformStochasticModel:
                 raise InvalidModel(
                     f"outcome {j}: sum_(a,b) nu = {total!r} must be 1")
         object.__setattr__(self, "table", table)
-
-
-def _basis_flip(D: int, row: int, col: int) -> np.ndarray:
-    out = np.zeros((D, D), dtype=complex)
-    out[row % D, col % D] = 1.0
-    return out
 
 
 def _expand_branches(D: int, E: int, channel_at) -> tuple:
@@ -280,10 +256,10 @@ def full_channel(impl: InstrumentImplementation) -> KrausChannel:
     return KrausChannel(side, side * impl.D, tuple(ops))
 
 
-def born_probabilities(impl: InstrumentImplementation, rho: np.ndarray,
-                       tol: Tolerances = TOL) -> np.ndarray:
+def born_probabilities(impl: InstrumentImplementation,
+                       rho: np.ndarray) -> np.ndarray:
     """Outcome distribution ``p(j) = trace(M_j(rho))``."""
-    rho = check_density(rho, dim=impl.E * impl.D, tol=tol)
+    rho = check_density(rho, dim=impl.E * impl.D)
     return np.array([float(branch.apply(rho).trace().real)
                      for branch in impl.branches])
 
@@ -327,14 +303,18 @@ def extend_with_reference(impl: InstrumentImplementation,
 # random model generation
 # ==================================================================
 
-def random_uniform_model(D: int, E: int, seed: int,
-                         concentration: float = 1.0) -> UniformStochasticModel:
-    """Random uniform model: Dirichlet weights ``nu`` over the D² table slots
-    and an independent random stochastic channel in each slot."""
+def _check_generator_dims(D: int, E: int):
     if not 2 <= D <= 4:
         raise UnsupportedDimension(f"random models support D in 2..4, got {D}")
     if not 1 <= E <= 4:
         raise UnsupportedDimension(f"random models support E in 1..4, got {E}")
+
+
+def random_uniform_model(D: int, E: int, seed: int,
+                         concentration: float = 1.0) -> UniformStochasticModel:
+    """Random uniform model: Dirichlet weights ``nu`` over the D² table slots
+    and an independent random stochastic channel in each slot."""
+    _check_generator_dims(D, E)
     gen = rng(seed)
     nus = gen.dirichlet(np.full(D * D, concentration))
     table = {}
@@ -353,10 +333,7 @@ def random_nonuniform_model(D: int, E: int, seed: int,
     marginals: ``sum_a nu_(a,b,j) = mu_b`` for every ``j``, which makes the
     expanded instrument trace preserving while the channels and the
     ``a``-splits remain outcome dependent."""
-    if not 2 <= D <= 4:
-        raise UnsupportedDimension(f"random models support D in 2..4, got {D}")
-    if not 1 <= E <= 4:
-        raise UnsupportedDimension(f"random models support E in 1..4, got {E}")
+    _check_generator_dims(D, E)
     gen = rng(seed)
     mu = gen.dirichlet(np.full(D, concentration))  # report-flip marginal over b
     table = {}
@@ -381,18 +358,15 @@ def random_general_implementation(D: int, E: int, seed: int,
     normalized globally (right multiplication by ``(sum K†K)^{-1/2}``) so the
     total channel is exactly trace preserving.
     """
-    if not 2 <= D <= 4:
-        raise UnsupportedDimension(f"random models support D in 2..4, got {D}")
-    if not 1 <= E <= 4:
-        raise UnsupportedDimension(f"random models support E in 1..4, got {E}")
-    meas = SubsystemMeasurement(D, E)
+    _check_generator_dims(D, E)
     gen = rng(seed)
     side = E * D
     raw = []
     for j in range(D):
         g0 = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
         g1 = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
-        raw.append([meas.projector(j) + noise * g0 / np.sqrt(side),
+        pi_j = kron(np.eye(E, dtype=complex), _basis_flip(D, j, j))
+        raw.append([pi_j + noise * g0 / np.sqrt(side),
                     noise * g1 / np.sqrt(side)])
     acc = np.zeros((side, side), dtype=complex)
     for ops in raw:
@@ -455,12 +429,12 @@ def model_from_json(obj: dict):
         except (InvalidModel, DimensionMismatch, UnsupportedDimension) as exc:
             failures.append(str(exc))
     elif kind in ("uniform", "nonuniform"):
-        table = {}
+        table = []
         try:
             for entry in obj["table"]:
                 key = (int(entry["a"]), int(entry["b"])) if kind == "uniform" \
                     else (int(entry["a"]), int(entry["b"]), int(entry["j"]))
-                table[key] = stochastic_from_json(entry["channel"])
+                table.append((key, stochastic_from_json(entry["channel"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model object: {exc}") from exc
         except InvalidModel as exc:

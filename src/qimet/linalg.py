@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import DimensionMismatch, InvalidProjector, NotHermitian, NotPSD
 
 __all__ = [
@@ -25,11 +25,9 @@ __all__ = [
     "uncol",
     "kron",
     "trace_norm",
-    "spectral_norm",
     "singular_values",
     "numerical_rank",
     "hermitize",
-    "is_hermitian",
     "herm_eig",
     "psd_sqrt",
     "nearest_density",
@@ -89,18 +87,12 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(singular_values(mat)))
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    s = singular_values(mat)
-    return float(s[0]) if s.size else 0.0
-
-
-def numerical_rank(mat: np.ndarray, tol: Tolerances = TOL) -> int:
+def numerical_rank(mat: np.ndarray) -> int:
     """Number of singular values above ``rank_rel * s_max``."""
     s = singular_values(mat)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return int(np.count_nonzero(s > TOL.rank_rel * s[0]))
 
 
 # ==================================================================
@@ -113,67 +105,60 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def is_hermitian(mat: np.ndarray, tol: Tolerances = TOL) -> bool:
-    """True if ``max |A - A†| <= tol.herm``."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return False
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol.herm)
-
-
-def herm_eig(mat: np.ndarray, tol: Tolerances = TOL):
+def herm_eig(mat: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is checked against ``tol.herm`` and symmetrized before the
+    The input is checked against ``TOL.herm`` and symmetrized before the
     solve, so the returned eigenvalues are exactly real.  Eigenvalues come
     out in ascending order (numpy convention).
 
     :return: ``(eigenvalues, eigenvectors)`` with columns as eigenvectors.
-    :raises NotHermitian: if ``max |A - A†| > tol.herm``.
+    :raises NotHermitian: if ``max |A - A†| > TOL.herm``.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if dev > tol.herm:
-        raise NotHermitian(f"max |A - A†| = {dev:.3e} exceeds {tol.herm:.1e}")
+    if dev > TOL.herm:
+        raise NotHermitian(f"max |A - A†| = {dev:.3e} exceeds {TOL.herm:.1e}")
     vals, vecs = np.linalg.eigh(hermitize(mat))
     return vals, vecs
 
 
-def _clamped_psd_eig(mat: np.ndarray, tol: Tolerances = TOL):
+def _clamped_psd_eig(mat: np.ndarray):
     """Eigendecomposition with small negative eigenvalues clamped to zero.
 
     The clamp threshold scales with the matrix: ``psd_clamp * max(1, |w|_max)``.
     """
-    vals, vecs = herm_eig(mat, tol)
+    vals, vecs = herm_eig(mat)
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    floor = -tol.psd_clamp * scale
+    floor = -TOL.psd_clamp * scale
     if vals.size and vals[0] < floor:
         raise NotPSD(
             f"eigenvalue {vals[0]:.3e} below clamp threshold {floor:.3e}")
     return np.maximum(vals, 0.0), vecs
 
 
-def psd_sqrt(mat: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix.
 
     Symmetrizes the input, clamps eigenvalues in the roundoff band
     ``[-psd_clamp * max(1, ||A||), 0)`` to zero, and raises ``NotPSD`` for
     anything genuinely negative.
     """
-    vals, vecs = _clamped_psd_eig(mat, tol)
+    vals, vecs = _clamped_psd_eig(mat)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def nearest_density(mat: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def nearest_density(mat: np.ndarray) -> np.ndarray:
     """Project a Hermitian matrix to a density matrix.
 
     Negative eigenvalues are clipped to zero and the spectrum renormalized to
     unit trace.  Used to repair almost-feasible interior-point iterates into
     exactly valid certificates.
     """
-    vals, vecs = herm_eig(mat, tol.with_(herm=np.inf))
+    mat = np.asarray(mat, dtype=complex)
+    vals, vecs = np.linalg.eigh(hermitize(mat))
     vals = np.maximum(vals, 0.0)
     total = float(np.sum(vals))
     if total <= 0.0:
@@ -223,12 +208,11 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int],
 # states and projectors
 # ==================================================================
 
-def check_density(rho: np.ndarray, dim: int | None = None,
-                  tol: Tolerances = TOL) -> np.ndarray:
+def check_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix and return it as a complex array.
 
-    Checks Hermiticity (``tol.herm``), positivity up to the clamp band, and
-    unit trace (``tol.trace_one``).
+    Checks Hermiticity (``TOL.herm``), positivity up to the clamp band, and
+    unit trace (``TOL.trace_one``).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -236,34 +220,34 @@ def check_density(rho: np.ndarray, dim: int | None = None,
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatch(
             f"expected a {dim}x{dim} density matrix, got {rho.shape}")
-    _clamped_psd_eig(rho, tol)  # raises NotHermitian / NotPSD
+    _clamped_psd_eig(rho)  # raises NotHermitian / NotPSD
     tr = float(rho.trace().real)
-    if abs(tr - 1.0) > tol.trace_one:
-        raise ValueError(f"trace {tr!r} deviates from 1 beyond {tol.trace_one}")
+    if abs(tr - 1.0) > TOL.trace_one:
+        raise ValueError(f"trace {tr!r} deviates from 1 beyond {TOL.trace_one}")
     return rho
 
 
-def support_projector(rho: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def support_projector(rho: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix.
 
     Eigenvalues below ``rank_rel * w_max`` count as zero.
     """
-    vals, vecs = _clamped_psd_eig(rho, tol)
+    vals, vecs = _clamped_psd_eig(rho)
     top = float(vals[-1]) if vals.size else 0.0
     if top <= 0.0:
         return np.zeros_like(np.asarray(rho, dtype=complex))
-    cols = vecs[:, vals > tol.rank_rel * top]
+    cols = vecs[:, vals > TOL.rank_rel * top]
     return cols @ cols.conj().T
 
 
-def check_projector(pi: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def check_projector(pi: np.ndarray) -> np.ndarray:
     """Validate an orthogonal projector (Hermitian and idempotent)."""
     pi = np.asarray(pi, dtype=complex)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {pi.shape}")
-    if np.max(np.abs(pi - pi.conj().T)) > tol.projector:
+    if np.max(np.abs(pi - pi.conj().T)) > TOL.projector:
         raise InvalidProjector("projector is not Hermitian")
-    if np.max(np.abs(pi @ pi - pi)) > tol.projector:
+    if np.max(np.abs(pi @ pi - pi)) > TOL.projector:
         raise InvalidProjector("projector is not idempotent")
     return pi
 
@@ -327,4 +311,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"matrix entries have shape {re.shape}/{im.shape}, "
             f"expected ({rows}, {cols})")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite numbers")
     return re + 1j * im

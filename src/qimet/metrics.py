@@ -210,23 +210,19 @@ def instrument_diamond_lower_max(impl: InstrumentImplementation,
                for sigma in candidates for j in range(impl.D))
 
 
-def instrument_diamond_upper(impl: InstrumentImplementation) -> float:
-    """Upper bound on the full diamond distance to the ideal measurement:
-    ``D*E * sum_k ||J(M_k) - J(ad_pi_k)||_1``."""
-    ideal = ideal_instrument(impl.D, impl.E)
-    total = 0.0
-    for noisy, clean in zip(impl.branches, ideal.branches):
-        total += trace_norm(choi_from_kraus(noisy).matrix
-                            - choi_from_kraus(clean).matrix)
-    return impl.D * impl.E * total
-
-
 def _per_branch_trace_distances(impl: InstrumentImplementation) -> tuple:
+    """``||J(M_k) - J(ad_pi_k)||_1`` for each outcome ``k``."""
     ideal = ideal_instrument(impl.D, impl.E)
     return tuple(
         trace_norm(choi_from_kraus(noisy).matrix
                    - choi_from_kraus(clean).matrix)
         for noisy, clean in zip(impl.branches, ideal.branches))
+
+
+def instrument_diamond_upper(impl: InstrumentImplementation) -> float:
+    """Upper bound on the full diamond distance to the ideal measurement:
+    ``D*E * sum_k ||J(M_k) - J(ad_pi_k)||_1``."""
+    return impl.D * impl.E * sum(_per_branch_trace_distances(impl))
 
 
 # ==================================================================
@@ -338,12 +334,13 @@ def build_report(obj, restarts: int = 20, seed: int = 0) -> MetricsReport:
         raise TypeError(
             f"expected a stochastic model or an implementation, "
             f"got {type(obj).__name__}")
+    distances = _per_branch_trace_distances(impl)
     return MetricsReport(
         fidelity=float(fidelity),
         diamond_lower=instrument_diamond_lower_max(impl, restarts, seed),
-        diamond_upper=instrument_diamond_upper(impl),
+        diamond_upper=impl.D * impl.E * sum(distances),
         diamond_exact=diamond_exact,
         nu00=nu00,
         lambda00=lambda00,
-        per_branch_trace_distances=_per_branch_trace_distances(impl),
+        per_branch_trace_distances=distances,
     )

@@ -29,7 +29,8 @@ def _random_kraus_set(gen, dim_in, dim_out, count):
 def test_identity_choi_is_maximally_entangled():
     for dim in [2, 3, 4]:
         choi = ch.choi_from_kraus(ch.identity_channel(dim))
-        np.testing.assert_allclose(choi.matrix, ch.maximally_entangled(dim),
+        v = np.eye(dim).reshape(-1, order="F")  # column-stacked identity
+        np.testing.assert_allclose(choi.matrix, np.outer(v, v) / dim,
                                    atol=1e-14)
         assert abs(choi.matrix.trace().real - 1.0) < 1e-14
 
@@ -51,8 +52,8 @@ def test_choi_kraus_roundtrip_action():
             dim_in, dim_out, _random_kraus_set(gen, dim_in, dim_out, count))
         back = ch.kraus_from_choi(ch.choi_from_kraus(channel))
         rho = linalg.random_density(dim_in, gen)
-        np.testing.assert_allclose(ch.apply_channel(back, rho),
-                                   ch.apply_channel(channel, rho), atol=1e-12)
+        np.testing.assert_allclose(back.apply(rho), channel.apply(rho),
+                                   atol=1e-12)
 
 
 def test_kraus_rank_counts_independent_operators():
@@ -70,16 +71,6 @@ def test_kraus_rank_counts_independent_operators():
         ch.choi_from_kraus(channel)).kraus_ops) == ch.kraus_rank(channel)
 
 
-def test_apply_matches_superoperator_route():
-    gen = linalg.rng(204)
-    channel = ch.KrausChannel(3, 2, _random_kraus_set(gen, 3, 2, 2))
-    rho = linalg.random_density(3, gen)
-    direct = ch.apply_channel(channel, rho)
-    via_super = linalg.uncol(ch.superoperator(channel) @ linalg.col_vec(rho),
-                             2, 2)
-    np.testing.assert_allclose(direct, via_super, atol=1e-12)
-
-
 def test_choi_reproduces_action_via_partial_trace():
     # E(rho) = dim_in * Tr_in[ (rho^T ⊗ I) J ]
     gen = linalg.rng(205)
@@ -88,17 +79,7 @@ def test_choi_reproduces_action_via_partial_trace():
     rho = linalg.random_density(2, gen)
     lifted = linalg.kron(rho.T, np.eye(3)) @ choi.matrix
     recovered = 2 * linalg.partial_trace(lifted, [2, 3], [1])
-    np.testing.assert_allclose(recovered, ch.apply_channel(channel, rho),
-                               atol=1e-12)
-
-
-def test_maximally_entangled_marginals():
-    phi = ch.maximally_entangled(3)
-    assert abs(np.trace(phi).real - 1.0) < 1e-14
-    np.testing.assert_allclose(linalg.partial_trace(phi, [3, 3], [0]),
-                               np.eye(3) / 3, atol=1e-14)
-    np.testing.assert_allclose(linalg.partial_trace(phi, [3, 3], [1]),
-                               np.eye(3) / 3, atol=1e-14)
+    np.testing.assert_allclose(recovered, channel.apply(rho), atol=1e-12)
 
 
 def test_choi_matrix_validates():
@@ -188,6 +169,12 @@ def test_stochastic_channel_validation():
         ch.StochasticChannel(2, 0.5, {(0, 0): 0.7, (1, 1): -0.2})
     with pytest.raises(InvalidModel):
         ch.StochasticChannel(2, 1.0, {(0, 2): 1.0})  # label out of range
+    with pytest.raises(InvalidModel, match="duplicate"):
+        ch.StochasticChannel(2, 1.0, [((0, 0), 0.5), ((0, 0), 0.5)])
+    # NaN passes every "abs(x - y) > tol" check, so it is rejected up front
+    for nu, weight in [(np.nan, 0.5), (0.5, np.nan), (np.inf, np.inf)]:
+        with pytest.raises(InvalidModel, match="finite"):
+            ch.StochasticChannel(2, nu, {(0, 0): 0.5, (1, 1): weight})
 
 
 def test_identity_vector_is_choi_eigenvector():
@@ -283,6 +270,13 @@ def test_choi_json_roundtrip():
     back = ch.choi_from_json(json.loads(json.dumps(ch.choi_to_json(choi))))
     np.testing.assert_array_equal(back.matrix, choi.matrix)
     assert (back.dim_in, back.dim_out) == (2, 2)
+
+
+def test_stochastic_from_json_rejects_repeated_labels():
+    obj = {"dim": 2, "nu": 1.0,
+           "weights": [{"a": 0, "b": 0, "w": 0.5}, {"a": 0, "b": 0, "w": 0.5}]}
+    with pytest.raises(InvalidModel, match="duplicate"):
+        ch.stochastic_from_json(obj)
 
 
 def test_channel_from_json_malformed():

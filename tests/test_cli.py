@@ -121,6 +121,33 @@ def test_metrics_invalid_model(capsys, tmp_path):
     assert "error:" in err
 
 
+def _flip_entry(a, b, nu):
+    return {"a": a, "b": b, "channel": {
+        "dim": 1, "nu": nu, "weights": [{"a": 0, "b": 0, "w": nu}]}}
+
+
+def test_metrics_rejects_repeated_table_entry(capsys, tmp_path):
+    # (0,0) twice at 0.5 and (1,1) at 0.5: a listed total of 1.5
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"type": "uniform", "D": 2, "E": 1, "table": [
+        _flip_entry(0, 0, 0.5), _flip_entry(0, 0, 0.5),
+        _flip_entry(1, 1, 0.5)]}))
+    code, out, err = run_cli(capsys, "metrics", str(path))
+    assert code == 2
+    assert out == ""
+    assert "duplicate" in err
+
+
+def test_metrics_rejects_nan_weight(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"type": "uniform", "D": 2, "E": 1, "table": [
+        _flip_entry(0, 0, 1.0), _flip_entry(1, 1, float("nan"))]}))
+    code, out, err = run_cli(capsys, "metrics", str(path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_metrics_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "metrics", str(tmp_path / "nope.json"))
     assert code == 2
@@ -225,8 +252,35 @@ def test_oracle_diamond_bad_tol(capsys, tmp_path):
     assert "positive" in err
 
 
+def test_oracle_diamond_rejects_nan(capsys, tmp_path):
+    from qimet.channels import ChoiMatrix
+    obj = choi_to_json(ChoiMatrix(2, 2, np.eye(4) / 4))
+    obj["matrix"]["re"][1][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "oracle-diamond", str(path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_oracle_diamond_malformed(capsys, tmp_path):
     path = tmp_path / "delta.json"
     path.write_text(json.dumps({"dim_in": 2}))
     code, _, err = run_cli(capsys, "oracle-diamond", str(path))
     assert code == 2
+
+
+# ------------------------------------------------------------------
+# package surface
+# ------------------------------------------------------------------
+
+def test_every_public_name_resolves():
+    import qimet
+    for module_name in qimet.__all__:
+        if module_name == "__version__":
+            continue
+        module = getattr(qimet, module_name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module_name}.{name} is listed " \
+                "in __all__ but not defined"

@@ -26,8 +26,8 @@ def readout_flip_model():
 
 def test_projectors_resolve_identity():
     for D, E in [(2, 1), (2, 3), (3, 2)]:
-        meas = inst.SubsystemMeasurement(D, E)
-        pis = meas.projectors()
+        ideal = inst.ideal_instrument(D, E)
+        pis = [branch.kraus_ops[0] for branch in ideal.branches]
         total = sum(pis)
         np.testing.assert_array_equal(total, np.eye(E * D))
         for i, pi in enumerate(pis):
@@ -65,9 +65,9 @@ def test_ideal_branch_choi_trace_is_one_over_d():
 
 def test_dimension_guards():
     with pytest.raises(UnsupportedDimension):
-        inst.SubsystemMeasurement(1, 2)
+        inst.ideal_instrument(1, 2)
     with pytest.raises(UnsupportedDimension):
-        inst.SubsystemMeasurement(2, 0)
+        inst.ideal_instrument(2, 0)
 
 
 # ------------------------------------------------------------------
@@ -208,8 +208,8 @@ def test_full_channel_trace_out_outcome_is_forget_map():
     rho = linalg.random_density(E * D, gen)
     out = fc.apply(rho)
     forgotten = linalg.partial_trace(out, [E * D, D], [0])
-    meas = inst.SubsystemMeasurement(D, E)
-    expected = sum(pi @ rho @ pi for pi in meas.projectors())
+    pis = [branch.kraus_ops[0] for branch in ideal.branches]
+    expected = sum(pi @ rho @ pi for pi in pis)
     np.testing.assert_allclose(forgotten, expected, atol=1e-12)
 
 
@@ -315,6 +315,22 @@ def test_model_from_json_reports_failures():
     with pytest.raises(InvalidModel) as err:
         inst.model_from_json(obj)
     assert "sum" in str(err.value)
+
+
+def test_model_from_json_rejects_repeated_entries():
+    # D=2, E=1: (0,0) listed twice at 0.5 plus (1,1) at 0.5 lists 1.5 in total
+    def entry(a, b, **extra):
+        return dict(a=a, b=b, **extra, channel={
+            "dim": 1, "nu": 0.5, "weights": [{"a": 0, "b": 0, "w": 0.5}]})
+    uniform = {"type": "uniform", "D": 2, "E": 1,
+               "table": [entry(0, 0), entry(0, 0), entry(1, 1)]}
+    with pytest.raises(InvalidModel, match="duplicate"):
+        inst.model_from_json(uniform)
+    nonuniform = {"type": "nonuniform", "D": 2, "E": 1,
+                  "table": [entry(0, 0, j=0), entry(0, 0, j=0),
+                            entry(1, 1, j=0)]}
+    with pytest.raises(InvalidModel, match="duplicate"):
+        inst.model_from_json(nonuniform)
 
 
 def test_model_from_json_malformed_raises_value_error():

@@ -422,6 +422,20 @@ def test_report_bracket_on_random_models():
         assert rep.diamond_exact <= rep.diamond_upper + 1e-9
 
 
+def test_report_upper_is_sum_of_branch_distances():
+    # build_report derives the upper bound from the per-branch distances it
+    # reports; the sums run in the same order, so equality is exact
+    cases = [(random_uniform_model(2, 3, seed=31), expand_uniform),
+             (random_nonuniform_model(3, 2, seed=32), expand_nonuniform),
+             (random_general_implementation(2, 2, seed=33), lambda m: m)]
+    for model, expand in cases:
+        rep = build_report(model, restarts=1, seed=0)
+        impl = expand(model)
+        assert rep.diamond_upper == (impl.D * impl.E
+                                     * sum(rep.per_branch_trace_distances))
+        assert instrument_diamond_upper(impl) == rep.diamond_upper
+
+
 def test_report_json_shape():
     rep = build_report(readout_flip_model(), restarts=1, seed=0)
     obj = report_to_json(rep)
