@@ -60,6 +60,8 @@ __all__ = [
 
 def _freeze(mat: np.ndarray) -> np.ndarray:
     out = np.array(mat, dtype=complex)
+    if not np.isfinite(out).all():
+        raise ValueError("matrix entries must be finite numbers")
     out.setflags(write=False)
     return out
 
@@ -117,7 +119,7 @@ class ChoiMatrix:
 
     def __post_init__(self):
         side = self.dim_in * self.dim_out
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _freeze(self.matrix)
         if mat.shape != (side, side):
             raise DimensionMismatch(
                 f"Choi matrix shape {mat.shape} does not match side {side}")
@@ -125,7 +127,7 @@ class ChoiMatrix:
         if dev > TOL.herm:
             raise NotHermitian(
                 f"Choi matrix deviates from Hermitian by {dev:.3e}")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", mat)
 
     def _check_compatible(self, other: "ChoiMatrix"):
         if (self.dim_in, self.dim_out) != (other.dim_in, other.dim_out):

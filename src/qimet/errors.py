@@ -38,13 +38,14 @@ class UnsupportedDimension(QimetError):
 
 
 class DimensionTooLarge(QimetError):
-    """The problem size exceeds the hard limit of the dense SDP oracle."""
+    """The problem size exceeds the hard limit of the SDP oracle."""
 
 
 class Unconverged(QimetError):
     """The SDP oracle stopped with a certified gap above the requested
-    tolerance.  The partial result (with honest bounds) is attached as
-    the ``result`` attribute."""
+    tolerance.  The message names why it stopped (``max_iterations``,
+    ``step_collapse`` or ``linalg_error``); the partial result (with honest
+    bounds) is attached as the ``result`` attribute."""
 
     def __init__(self, message, result=None):
         super().__init__(message)

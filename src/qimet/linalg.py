@@ -114,10 +114,13 @@ def herm_eig(mat: np.ndarray):
 
     :return: ``(eigenvalues, eigenvectors)`` with columns as eigenvectors.
     :raises NotHermitian: if ``max |A - A†| > TOL.herm``.
+    :raises ValueError: if an entry is not finite.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite numbers")
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     if dev > TOL.herm:
         raise NotHermitian(f"max |A - A†| = {dev:.3e} exceeds {TOL.herm:.1e}")

@@ -16,11 +16,14 @@ This module therefore solves the reduced program
     minimize   t
     subject to Y - C >= 0,   Y + C >= 0,   t*I - Tr_out(Y) >= 0
 
-with a dense primal-dual path-following interior-point method using the
+with a primal-dual path-following interior-point method using the
 Nesterov-Todd scaling, specialized to the three diagonal blocks above.
-Hermitian matrix variables are realified through an orthonormal Hermitian
-basis, giving a linear system of side ``n**2 + 1`` per iteration
-(``n = dim_in * dim_out``).
+The Newton system is solved on ``n x n`` matrices (``n = dim_in * dim_out``):
+its operator ``X -> W1 X W1 + W2 X W2 + P*(W3 P(X) W3)`` with
+``P = Tr_out`` is an entrywise divide in the generalized eigenbasis of
+``(W2, W1 + W2)`` plus a rank-``dim_in**2`` correction added back by a
+Woodbury step, and the ``t`` row is eliminated by a scalar Schur step, at
+``O(dim_in**2 * n**3)`` per iteration.
 
 Certification does not trust convergence.  At every iterate two *exactly
 feasible* bounds are extracted:
@@ -44,7 +47,6 @@ independent lower bound used as a solver sanity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -62,7 +64,7 @@ __all__ = [
     "result_to_json",
 ]
 
-#: Hard cap on the Choi side dimension accepted by the dense solver.
+#: Hard cap on the Choi side dimension accepted by the solver.
 MAX_CHOI_SIDE = 144
 
 
@@ -90,101 +92,6 @@ def result_to_json(result: DiamondNormResult) -> dict:
         "gap": result.gap,
         "iterations": result.iterations,
     }
-
-
-# ==================================================================
-# orthonormal Hermitian basis bookkeeping
-# ==================================================================
-#
-# Basis of the real vector space of n x n Hermitian matrices, ordered as:
-# n diagonal elements E_pp, then (E_pq + E_qp)/sqrt(2) for p < q (row-major),
-# then i(E_qp - E_pq)/sqrt(2) for p < q.  Each element has at most two
-# nonzero entries; the (flat column-stacked index, coefficient) pairs are
-# precomputed so Schur-complement assembly can use plain fancy indexing.
-
-class _HermBasis:
-    def __init__(self, n: int):
-        self.n = n
-        self.m = n * n
-        p, q = np.triu_indices(n, k=1)
-        s = 1.0 / np.sqrt(2.0)
-        diag = np.arange(n)
-        # first support entry of each basis element: (row r1, col c1, w1)
-        self.r1 = np.concatenate([diag, p, p])
-        self.c1 = np.concatenate([diag, q, q])
-        self.w1 = np.concatenate([np.ones(n), np.full(p.size, s),
-                                  np.full(p.size, -1j * s)]).astype(complex)
-        # second support entry (duplicate of the first for diagonal elements,
-        # with zero weight so it contributes nothing)
-        self.r2 = np.concatenate([diag, q, q])
-        self.c2 = np.concatenate([diag, p, p])
-        self.w2 = np.concatenate([np.zeros(n), np.full(p.size, s),
-                                  np.full(p.size, 1j * s)]).astype(complex)
-        self._p, self._q = p, q
-
-    def to_matrix(self, y: np.ndarray) -> np.ndarray:
-        """Hermitian matrix with coordinate vector ``y``."""
-        n, p, q = self.n, self._p, self._q
-        k = p.size
-        out = np.zeros((n, n), dtype=complex)
-        out[np.arange(n), np.arange(n)] = y[:n]
-        upper = (y[n:n + k] - 1j * y[n + k:]) / np.sqrt(2.0)
-        out[p, q] = upper
-        out[q, p] = upper.conj()
-        return out
-
-    def to_coords(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates ``<H_k, M>`` of a Hermitian matrix (real vector)."""
-        n, p, q = self.n, self._p, self._q
-        s = np.sqrt(2.0)
-        return np.concatenate([
-            np.diag(mat).real,
-            s * mat[p, q].real,
-            -s * mat[p, q].imag,
-        ])
-
-
-@lru_cache(maxsize=None)
-def _herm_basis(n: int) -> _HermBasis:
-    return _HermBasis(n)
-
-
-def _schur_yy(basis: _HermBasis, a: np.ndarray) -> np.ndarray:
-    """Matrix ``M[k, l] = trace(H_k A H_l A)`` for Hermitian ``A``.
-
-    Uses ``trace(H A H' A) = sum over support entries`` with
-    ``K[(r,c), (r',c')] = A[c', c] * A[r, r']`` gathered directly from ``A``,
-    never materializing the n² x n² tensor.
-    """
-    out = np.zeros((basis.m, basis.m))
-    for rs, cs, ws in ((basis.r1, basis.c1, basis.w1),
-                       (basis.r2, basis.c2, basis.w2)):
-        for rt, ct, wt in ((basis.r1, basis.c1, basis.w1),
-                           (basis.r2, basis.c2, basis.w2)):
-            coeff = np.outer(ws.conj(), wt)
-            out += (coeff * a[ct[None, :], cs[:, None]]
-                    * a[rs[:, None], rt[None, :]]).real
-    return out
-
-
-@lru_cache(maxsize=None)
-def _traced_basis(dim_in: int, dim_out: int) -> np.ndarray:
-    """Columns ``col_vec(Tr_out H_k)`` for the full-space Hermitian basis.
-
-    Shape ``(dim_in**2, n**2)`` complex; column ``k`` encodes the partial
-    trace of basis element ``H_k`` over the output factor.
-    """
-    n = dim_in * dim_out
-    basis = _herm_basis(n)
-    q = np.zeros((dim_in * dim_in, basis.m), dtype=complex)
-    for rows, cols, ws in ((basis.r1, basis.c1, basis.w1),
-                           (basis.r2, basis.c2, basis.w2)):
-        ra, rb = rows // dim_out, rows % dim_out
-        ca, cb = cols // dim_out, cols % dim_out
-        keep = rb == cb
-        flat = ca[keep] * dim_in + ra[keep]
-        np.add.at(q, (flat, np.nonzero(keep)[0]), ws[keep])
-    return q
 
 
 # ==================================================================
@@ -231,14 +138,67 @@ def _certificates(c: np.ndarray, y: np.ndarray, z3: np.ndarray,
     return lower, upper
 
 
+def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, wi3: np.ndarray,
+                   dim_in: int, dim_out: int):
+    """Factorize the Newton system of one iteration; return its solver.
+
+    With ``P = Tr_out`` and ``G = P*(W3²) = W3² ⊗ I``, the system is
+
+        L(dY) - dt * G = R_y,    -<G, dY> + dt * tr(W3²) = r_t,
+        L(X) = W1 X W1 + W2 X W2 + P*(W3 P(X) W3).
+
+    In the generalized eigenbasis ``V† (W1 + W2) V = I``, ``V† W2 V = diag(λ)``
+    the two Kronecker terms ``L0`` are an entrywise divide by
+    ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is ``U U*`` with
+    ``U(A) = P*(h A h)``, ``h = W3^{1/2}``, and is added back by the Woodbury
+    identity with the Hermitian capacitance ``I + H``, ``H = U* L0⁻¹ U``
+    (``dim_in**2`` square, Cholesky-factorized); the ``t`` row is a scalar
+    Schur step.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``.
+
+    :raises numpy.linalg.LinAlgError: if a factorization fails.
+    """
+    n = dim_in * dim_out
+    lam, v = scipy.linalg.eigh(wi2, wi1 + wi2, check_finite=False)
+    root = np.sqrt(np.outer(1.0 - lam, 1.0 - lam)
+                   + np.outer(lam, lam)).reshape(-1)
+    w, u = np.linalg.eigh(wi3)
+    h = (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
+    # row (k, l) of f is V† U(E_kl) V = Vh_k† Vh_l divided by root, where
+    # Vh_k is row block k of (h ⊗ I) V; then H = conj(f) @ f.T
+    vh = (h @ v.reshape(dim_in, dim_out * n)).reshape(dim_in, dim_out, n)
+    f = (vh.conj().transpose(0, 2, 1)[:, None] @ vh[None, :]).reshape(
+        dim_in * dim_in, n * n) / root
+    cap = scipy.linalg.cho_factor(np.eye(dim_in * dim_in) + f.conj() @ f.T,
+                                  check_finite=False)
+
+    def l_inv(b):
+        g = (v.conj().T @ b @ v).reshape(-1) / root
+        g = g - scipy.linalg.cho_solve(cap, f.conj() @ g,
+                                       check_finite=False) @ f
+        return v @ (g / root).reshape(n, n) @ v.conj().T
+
+    # G = U(W3), so by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ W3 and the
+    # Schur complement tr(W3²) - <G, L⁻¹ G> is <W3, (I + H)⁻¹ W3>
+    c3 = scipy.linalg.cho_solve(cap, wi3.reshape(-1), check_finite=False)
+    l_g = v @ ((c3 @ f) / root).reshape(n, n) @ v.conj().T
+    schur = np.vdot(wi3, c3).real
+
+    def solve(r_y, r_t):
+        l_y = l_inv(r_y)
+        dt = (r_t + np.vdot(l_g, r_y).real) / schur
+        return hermitize(l_y + dt * l_g), dt
+
+    return solve
+
+
 def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
                max_iterations: int):
     """Path-following solve of the reduced program; returns
-    ``(lower, upper, iterations)`` with certified bounds."""
+    ``(lower, upper, iterations, reason)`` with certified bounds and
+    ``reason`` one of ``converged``, ``max_iterations``, ``step_collapse``
+    (the complementarity measure or the step length fell to zero) or
+    ``linalg_error`` (a factorization failed)."""
     n = dim_in * dim_out
-    basis = _herm_basis(n)
-    q_traced = _traced_basis(dim_in, dim_out)
-    m_y = basis.m
     n_total = 2 * n + dim_in
     eye_in = np.eye(dim_in, dtype=complex)
     eye_out = np.eye(dim_out, dtype=complex)
@@ -253,11 +213,15 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
 
     best_lower, best_upper = 0.0, np.inf
     iterations = 0
+    reason = "max_iterations"
 
     def record(lo, up):
         nonlocal best_lower, best_upper
         best_lower = max(best_lower, lo)
         best_upper = min(best_upper, up)
+
+    def slack_steps(dy, dt):
+        return dy, dy, dt * eye_in - partial_trace(dy, [dim_in, dim_out], [0])
 
     for iterations in range(1, max_iterations + 1):
         s1 = hermitize(y - c)
@@ -266,40 +230,20 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
 
         record(*_certificates(c, y, z3, dim_in, dim_out))
         if best_upper - best_lower <= tol:
-            return best_lower, best_upper, iterations - 1
+            return best_lower, best_upper, iterations - 1, "converged"
 
         try:
             mu = (np.vdot(s1, z1).real + np.vdot(s2, z2).real
                   + np.vdot(s3, z3).real) / n_total
             if mu <= 0:
+                reason = "step_collapse"
                 break
 
             wi1, wi2, wi3 = (_nt_scaling(s1, z1), _nt_scaling(s2, z2),
                              _nt_scaling(s3, z3))
+            solve = _newton_solver(wi1, wi2, wi3, dim_in, dim_out)
 
-            # Schur complement of the Newton system in the NT scaling
-            m_mat = np.empty((m_y + 1, m_y + 1))
-            m_mat[:m_y, :m_y] = _schur_yy(basis, wi1) + _schur_yy(basis, wi2)
-            k3 = np.kron(wi3.T, wi3)
-            m_mat[:m_y, :m_y] += (q_traced.conj().T @ k3 @ q_traced).real
-            col = -basis.to_coords(kron(wi3 @ wi3, eye_out))
-            m_mat[:m_y, m_y] = col
-            m_mat[m_y, :m_y] = col
-            m_mat[m_y, m_y] = float(np.trace(wi3 @ wi3).real)
-            chol = scipy.linalg.cho_factor(m_mat, check_finite=False)
-
-            def solve_direction(rhs):
-                dx = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-                dy_mat = basis.to_matrix(dx[:m_y])
-                ds1 = dy_mat
-                ds2 = dy_mat
-                ds3 = dx[m_y] * eye_in \
-                    - partial_trace(dy_mat, [dim_in, dim_out], [0])
-                return dx, (ds1, ds2, ds3)
-
-            rhs_affine = np.zeros(m_y + 1)
-            rhs_affine[m_y] = -1.0
-            dx_a, ds_a = solve_direction(rhs_affine)
+            ds_a = slack_steps(*solve(np.zeros((n, n), dtype=complex), -1.0))
             dz_a = tuple(hermitize(-z - wi @ ds @ wi) for z, wi, ds in
                          ((z1, wi1, ds_a[0]), (z2, wi2, ds_a[1]),
                           (z3, wi3, ds_a[2])))
@@ -321,13 +265,11 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
                 inv = scipy.linalg.solve_triangular(
                     ch, np.eye(s.shape[0], dtype=complex), lower=True)
                 s_invs.append(hermitize(inv.conj().T @ inv))
-            rhs = sigma * mu * np.concatenate([
-                basis.to_coords(s_invs[0] + s_invs[1]
-                                - kron(s_invs[2], eye_out)),
-                [float(np.trace(s_invs[2]).real)],
-            ])
-            rhs[m_y] -= 1.0
-            dx, ds = solve_direction(rhs)
+            dy, dt = solve(
+                sigma * mu * (s_invs[0] + s_invs[1]
+                              - kron(s_invs[2], eye_out)),
+                sigma * mu * float(np.trace(s_invs[2]).real) - 1.0)
+            ds = slack_steps(dy, dt)
             dz = tuple(hermitize(sigma * mu * si - z - wi @ d @ wi)
                        for si, z, wi, d in
                        ((s_invs[0], z1, wi1, ds[0]),
@@ -340,19 +282,21 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             alpha_d = min(1.0, tau * min(_max_step(z, d)
                                          for z, d in zip((z1, z2, z3), dz)))
             if min(alpha_p, alpha_d) < 1e-12:
+                reason = "step_collapse"
                 break
 
-            y = hermitize(y + alpha_p * basis.to_matrix(dx[:m_y]))
-            t = t + alpha_p * dx[m_y]
+            y = hermitize(y + alpha_p * dy)
+            t = t + alpha_p * dt
             z1 = hermitize(z1 + alpha_d * dz[0])
             z2 = hermitize(z2 + alpha_d * dz[1])
             z3 = hermitize(z3 + alpha_d * dz[2])
         except np.linalg.LinAlgError:
+            reason = "linalg_error"
             break
 
     # final certificates from the last completed state
     record(*_certificates(c, y, z3, dim_in, dim_out))
-    return best_lower, best_upper, iterations
+    return best_lower, best_upper, iterations, reason
 
 
 def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
@@ -364,13 +308,14 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
     :param tol: requested absolute certification gap on the returned value.
     :return: result with ``gap <= tol`` on success.
     :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE``.
-    :raises Unconverged: if the certified gap is still above ``tol`` after
-        ``max_iterations`` (the partial result rides on the exception).
+    :raises Unconverged: if the certified gap is still above ``tol`` when
+        the solver stops; the message names the reason it stopped and the
+        partial result rides on the exception.
     """
     n = delta.dim_in * delta.dim_out
     if n > MAX_CHOI_SIDE:
         raise DimensionTooLarge(
-            f"Choi side {n} exceeds the dense-solver limit {MAX_CHOI_SIDE}")
+            f"Choi side {n} exceeds the solver limit {MAX_CHOI_SIDE}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     # ChoiMatrix guarantees Hermiticity; symmetrize residual roundoff
@@ -383,7 +328,7 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
         v = abs(float(c[0, 0].real))
         return DiamondNormResult(v, v, v, 0.0, 0)
 
-    lower, upper, iterations = _solve_sdp(
+    lower, upper, iterations, reason = _solve_sdp(
         c / scale, delta.dim_in, delta.dim_out, tol / scale, max_iterations)
     lower *= scale
     upper = min(upper * scale, _trivial_upper(c))
@@ -394,7 +339,7 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
     if gap > tol:
         raise Unconverged(
             f"certified gap {gap:.3e} exceeds tolerance {tol:.1e} "
-            f"after {iterations} iterations", result)
+            f"after {iterations} iterations (stopped: {reason})", result)
     return result
 
 

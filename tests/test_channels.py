@@ -87,6 +87,11 @@ def test_choi_matrix_validates():
         ch.ChoiMatrix(2, 1, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         ch.ChoiMatrix(2, 2, np.eye(3))
+    for bad in (np.nan, np.inf):
+        m = np.eye(4) / 4
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ch.ChoiMatrix(2, 2, m)
 
 
 def test_choi_difference_arithmetic():

@@ -70,6 +70,15 @@ def test_dimension_guards():
         inst.ideal_instrument(2, 0)
 
 
+def test_implementation_rejects_non_finite_kraus():
+    ideal = inst.ideal_instrument(2, 1)
+    bad = np.array(ideal.branches[0].kraus_ops[0])
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        inst.InstrumentImplementation(2, 1, (
+            ch.KrausChannel(2, 2, (bad,)), ideal.branches[1]))
+
+
 # ------------------------------------------------------------------
 # uniform expansion
 # ------------------------------------------------------------------

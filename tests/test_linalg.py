@@ -121,6 +121,11 @@ def test_numerical_rank():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # NaN fails every "deviation > tol" comparison, so it is rejected first
+    nan = np.array([[1.0, 0.0], [0.0, np.nan]])
+    for call in (linalg.herm_eig, linalg.psd_sqrt, linalg.check_density):
+        with pytest.raises(ValueError, match="finite"):
+            call(nan)
 
 
 def test_herm_eig_reconstructs():

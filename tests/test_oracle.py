@@ -5,8 +5,10 @@ from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             nu_lambda, random_stochastic_channel,
                             weyl_operators)
 from qimet.errors import DimensionTooLarge, NotHermitian, Unconverged
-from qimet.linalg import hermitize, rng, trace_norm
-from qimet.oracle import (DiamondNormResult, diamond_lower_hillclimb,
+from qimet.linalg import (col_vec, hermitize, partial_trace, rng, trace_norm,
+                          uncol)
+from qimet.oracle import (DiamondNormResult, _newton_solver,
+                          diamond_lower_hillclimb,
                           diamond_lower_hillclimb_state, diamond_norm,
                           result_to_json)
 
@@ -72,6 +74,12 @@ def test_scalar_input_side_is_trace_norm():
     assert abs(res.value - trace_norm(delta.matrix)) < 1e-7
 
 
+def test_solves_a_map_at_the_side_limit():
+    delta = random_hermitian_choi(12, 12, seed=3)
+    res = diamond_norm(delta, tol=1e-7)
+    assert res.gap <= 1e-7
+
+
 def test_one_by_one():
     res = diamond_norm(ChoiMatrix(1, 1, np.array([[-0.7]])))
     assert res.value == pytest.approx(0.7)
@@ -124,6 +132,7 @@ def test_unconverged_keeps_valid_bounds():
         diamond_norm(delta, tol=1e-9, max_iterations=3)
     partial = info.value.result
     assert partial.gap > 1e-9
+    assert "max_iterations" in str(info.value)
     full = diamond_norm(delta, tol=1e-7)
     assert partial.primal_bound <= full.value + 1e-9
     assert full.value <= partial.dual_bound + 1e-9
@@ -153,6 +162,50 @@ def test_result_json_roundtrip():
     assert set(obj) == {"value", "primal_bound", "dual_bound", "gap",
                         "iterations"}
     assert obj["value"] == res.value
+
+
+# ------------------------------------------------------------------
+# Newton direction against a dense reference
+# ------------------------------------------------------------------
+
+def random_pd(side, cond, gen):
+    a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
+    q, _ = np.linalg.qr(a)
+    return hermitize((q * np.logspace(0.0, -np.log10(cond), side))
+                     @ q.conj().T)
+
+
+def dense_newton_system(w1, w2, w3, dim_in, dim_out):
+    """The complex (n**2 + 1) Newton matrix on ``(col_vec(dY), dt)``."""
+    n = dim_in * dim_out
+    traced = np.stack([col_vec(partial_trace(uncol(e, n, n),
+                                             [dim_in, dim_out], [0]))
+                       for e in np.eye(n * n)], axis=1)
+    g = col_vec(np.kron(w3 @ w3, np.eye(dim_out)))
+    m = np.empty((n * n + 1, n * n + 1), dtype=complex)
+    m[:-1, :-1] = (np.kron(w1.T, w1) + np.kron(w2.T, w2)
+                   + traced.conj().T @ np.kron(w3.T, w3) @ traced)
+    m[:-1, -1] = -g
+    m[-1, :-1] = -g.conj()
+    m[-1, -1] = np.trace(w3 @ w3)
+    return m
+
+
+@pytest.mark.parametrize("dim_in, dim_out", [(2, 2), (2, 3), (3, 3)])
+def test_newton_solve_matches_dense_system(dim_in, dim_out):
+    n = dim_in * dim_out
+    gen = rng(1000 + n)
+    for cond in (1.0, 1e2, 1e4):
+        w1, w2 = random_pd(n, cond, gen), random_pd(n, cond, gen)
+        w3 = random_pd(dim_in, cond, gen)
+        r_y = random_hermitian_choi(dim_in, dim_out, seed=n).matrix
+        r_t = float(gen.normal())
+        dy, dt = _newton_solver(w1, w2, w3, dim_in, dim_out)(r_y, r_t)
+        ref = np.linalg.solve(dense_newton_system(w1, w2, w3, dim_in, dim_out),
+                              np.append(col_vec(r_y), r_t))
+        ref_dy = uncol(ref[:-1], n, n)
+        assert np.linalg.norm(dy - ref_dy) <= 1e-9 * np.linalg.norm(ref_dy)
+        assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
 
 
 # ------------------------------------------------------------------
