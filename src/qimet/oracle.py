@@ -66,6 +66,9 @@ __all__ = [
 
 #: Hard cap on the Choi side dimension accepted by the solver.
 MAX_CHOI_SIDE = 144
+#: Hard cap on ``dim_in`` times the side: the Newton solve's Woodbury factor
+#: has ``(dim_in * side)**2`` complex entries (635 MB peak for 24 x 6).
+MAX_DIM_IN_TIMES_SIDE = 3456
 
 
 @dataclass(frozen=True)
@@ -98,25 +101,27 @@ def result_to_json(result: DiamondNormResult) -> dict:
 # interior-point machinery
 # ==================================================================
 
-def _nt_scaling(s: np.ndarray, z: np.ndarray):
-    """Inverse Nesterov-Todd scaling point: W^{-1} with W Z W = S."""
-    ws, us = np.linalg.eigh(hermitize(s))
-    ws = np.maximum(ws, 1e-300)
-    root = (us * np.sqrt(ws)) @ us.conj().T
-    inv_root = (us * (1.0 / np.sqrt(ws))) @ us.conj().T
-    g = hermitize(root @ z @ root)
-    wg, ug = np.linalg.eigh(g)
-    wg = np.maximum(wg, 1e-300)
-    w_inv = inv_root @ (ug * np.sqrt(wg)) @ ug.conj().T @ inv_root
-    return hermitize(w_inv)
+def _cholesky_inverse(m: np.ndarray):
+    """``(L, L⁻¹)`` with ``m = L L†``; raises ``LinAlgError`` unless m > 0."""
+    chol = np.linalg.cholesky(m)
+    return chol, scipy.linalg.solve_triangular(
+        chol, np.eye(len(m), dtype=complex), lower=True, check_finite=False)
 
 
-def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Largest alpha with S + alpha*dS positive definite (inf if unbounded)."""
-    chol = np.linalg.cholesky(hermitize(s))
-    t = scipy.linalg.solve_triangular(chol, ds, lower=True)
-    t = scipy.linalg.solve_triangular(chol, t.conj().T, lower=True)
-    lam = float(np.linalg.eigvalsh(hermitize(t)).min())
+def _nt_scaling(chol: np.ndarray, chol_inv: np.ndarray, z: np.ndarray):
+    """Inverse Nesterov-Todd scaling point ``W⁻¹ = L⁻† (L† Z L)^{1/2} L⁻¹``,
+    the solution of ``W Z W = S``, from the Cholesky factor ``S = L L†``."""
+    wg, ug = np.linalg.eigh(hermitize(chol.conj().T @ z @ chol))
+    # W⁻¹ = M M† with M = L⁻† U Λ^{1/4}, where L† Z L = U Λ U†
+    half = chol_inv.conj().T @ (ug * np.maximum(wg, 1e-300) ** 0.25)
+    return hermitize(half @ half.conj().T)
+
+
+def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha with ``L L† + alpha*d`` positive definite (inf if
+    unbounded), given ``L⁻¹``: ``-1 / lambda_min(L⁻¹ d L⁻†)``."""
+    lam = float(np.linalg.eigvalsh(
+        hermitize(chol_inv @ d @ chol_inv.conj().T)).min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -197,19 +202,22 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     ``(lower, upper, iterations, reason)`` with certified bounds and
     ``reason`` one of ``converged``, ``max_iterations``, ``step_collapse``
     (the complementarity measure or the step length fell to zero) or
-    ``linalg_error`` (a factorization failed)."""
+    ``linalg_error`` (a factorization failed).  Each iteration factorizes
+    every slack ``s_k`` and dual ``z_k`` once and shares the factors."""
     n = dim_in * dim_out
     n_total = 2 * n + dim_in
     eye_in = np.eye(dim_in, dtype=complex)
     eye_out = np.eye(dim_out, dtype=complex)
 
+    def tr_out(x):
+        return partial_trace(x, [dim_in, dim_out], [0])
+
     # exactly feasible start: scaled identity blocks
     eta = 1.25  # > ||C||_2 = 1 after normalization
     y = eta * np.eye(n, dtype=complex)
     t = eta * dim_out + 1.0
-    z1 = np.eye(n, dtype=complex) / (2.0 * dim_in)
-    z2 = z1.copy()
-    z3 = eye_in / dim_in
+    z = [np.eye(n, dtype=complex) / (2.0 * dim_in),
+         np.eye(n, dtype=complex) / (2.0 * dim_in), eye_in / dim_in]
 
     best_lower, best_upper = 0.0, np.inf
     iterations = 0
@@ -220,82 +228,61 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
         best_lower = max(best_lower, lo)
         best_upper = min(best_upper, up)
 
-    def slack_steps(dy, dt):
-        return dy, dy, dt * eye_in - partial_trace(dy, [dim_in, dim_out], [0])
-
     for iterations in range(1, max_iterations + 1):
-        s1 = hermitize(y - c)
-        s2 = hermitize(y + c)
-        s3 = hermitize(t * eye_in - partial_trace(y, [dim_in, dim_out], [0]))
+        s = [hermitize(y - c), hermitize(y + c),
+             hermitize(t * eye_in - tr_out(y))]
 
-        record(*_certificates(c, y, z3, dim_in, dim_out))
+        record(*_certificates(c, y, z[2], dim_in, dim_out))
         if best_upper - best_lower <= tol:
             return best_lower, best_upper, iterations - 1, "converged"
 
         try:
-            mu = (np.vdot(s1, z1).real + np.vdot(s2, z2).real
-                  + np.vdot(s3, z3).real) / n_total
+            mu = sum(np.vdot(sk, zk).real for sk, zk in zip(s, z)) / n_total
             if mu <= 0:
                 reason = "step_collapse"
                 break
 
-            wi1, wi2, wi3 = (_nt_scaling(s1, z1), _nt_scaling(s2, z2),
-                             _nt_scaling(s3, z3))
-            solve = _newton_solver(wi1, wi2, wi3, dim_in, dim_out)
+            chols, chol_invs = zip(*map(_cholesky_inverse, s))
+            z_chol_invs = [_cholesky_inverse(zk)[1] for zk in z]
+            w_invs = list(map(_nt_scaling, chols, chol_invs, z))
+            s_invs = [hermitize(l_inv.conj().T @ l_inv) for l_inv in chol_invs]
+            solve = _newton_solver(*w_invs, dim_in, dim_out)
 
-            ds_a = slack_steps(*solve(np.zeros((n, n), dtype=complex), -1.0))
-            dz_a = tuple(hermitize(-z - wi @ ds @ wi) for z, wi, ds in
-                         ((z1, wi1, ds_a[0]), (z2, wi2, ds_a[1]),
-                          (z3, wi3, ds_a[2])))
-            alpha_p = min(1.0, 0.99 * min(_max_step(s, ds)
-                                          for s, ds in zip((s1, s2, s3), ds_a)))
-            alpha_d = min(1.0, 0.99 * min(_max_step(z, dz)
-                                          for z, dz in zip((z1, z2, z3), dz_a)))
-            mu_affine = sum(np.vdot(s + alpha_p * ds, z + alpha_d * dz).real
-                            for s, ds, z, dz in
-                            ((s1, ds_a[0], z1, dz_a[0]),
-                             (s2, ds_a[1], z2, dz_a[1]),
-                             (s3, ds_a[2], z3, dz_a[2]))) / n_total
+            def step(target, tau):
+                # Newton step toward S Z = target * I, cut back to a fraction
+                # tau of the distance to each cone's boundary
+                dy, dt = solve(target * (s_invs[0] + s_invs[1]
+                                         - kron(s_invs[2], eye_out)),
+                               target * float(np.trace(s_invs[2]).real) - 1.0)
+                ds = [dy, dy, dt * eye_in - tr_out(dy)]
+                dz = [hermitize(target * s_inv - zk - w_inv @ d @ w_inv)
+                      for s_inv, zk, w_inv, d in zip(s_invs, z, w_invs, ds)]
+                alpha_p = min(1.0, tau * min(map(_max_step, chol_invs, ds)))
+                alpha_d = min(1.0, tau * min(map(_max_step, z_chol_invs, dz)))
+                return dy, dt, ds, dz, alpha_p, alpha_d
+
+            # affine-scaling predictor sets the centering parameter
+            _, _, ds, dz, alpha_p, alpha_d = step(0.0, 0.99)
+            mu_affine = sum(np.vdot(sk + alpha_p * d, zk + alpha_d * e).real
+                            for sk, d, zk, e in zip(s, ds, z, dz)) / n_total
             sigma = min(max((max(mu_affine, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
 
             # centering-corrector step toward sigma * mu
-            s_invs = []
-            for s in (s1, s2, s3):
-                ch = np.linalg.cholesky(s)
-                inv = scipy.linalg.solve_triangular(
-                    ch, np.eye(s.shape[0], dtype=complex), lower=True)
-                s_invs.append(hermitize(inv.conj().T @ inv))
-            dy, dt = solve(
-                sigma * mu * (s_invs[0] + s_invs[1]
-                              - kron(s_invs[2], eye_out)),
-                sigma * mu * float(np.trace(s_invs[2]).real) - 1.0)
-            ds = slack_steps(dy, dt)
-            dz = tuple(hermitize(sigma * mu * si - z - wi @ d @ wi)
-                       for si, z, wi, d in
-                       ((s_invs[0], z1, wi1, ds[0]),
-                        (s_invs[1], z2, wi2, ds[1]),
-                        (s_invs[2], z3, wi3, ds[2])))
-
-            tau = 0.9 if mu > 1e-4 else 0.98
-            alpha_p = min(1.0, tau * min(_max_step(s, d)
-                                         for s, d in zip((s1, s2, s3), ds)))
-            alpha_d = min(1.0, tau * min(_max_step(z, d)
-                                         for z, d in zip((z1, z2, z3), dz)))
+            dy, dt, _, dz, alpha_p, alpha_d = step(
+                sigma * mu, 0.9 if mu > 1e-4 else 0.98)
             if min(alpha_p, alpha_d) < 1e-12:
                 reason = "step_collapse"
                 break
 
             y = hermitize(y + alpha_p * dy)
             t = t + alpha_p * dt
-            z1 = hermitize(z1 + alpha_d * dz[0])
-            z2 = hermitize(z2 + alpha_d * dz[1])
-            z3 = hermitize(z3 + alpha_d * dz[2])
+            z = [hermitize(zk + alpha_d * d) for zk, d in zip(z, dz)]
         except np.linalg.LinAlgError:
             reason = "linalg_error"
             break
 
     # final certificates from the last completed state
-    record(*_certificates(c, y, z3, dim_in, dim_out))
+    record(*_certificates(c, y, z[2], dim_in, dim_out))
     return best_lower, best_upper, iterations, reason
 
 
@@ -307,7 +294,8 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
         Choi states).
     :param tol: requested absolute certification gap on the returned value.
     :return: result with ``gap <= tol`` on success.
-    :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE``.
+    :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
+        ``dim_in`` times the side exceeds ``MAX_DIM_IN_TIMES_SIDE``.
     :raises Unconverged: if the certified gap is still above ``tol`` when
         the solver stops; the message names the reason it stopped and the
         partial result rides on the exception.
@@ -316,22 +304,27 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
     if n > MAX_CHOI_SIDE:
         raise DimensionTooLarge(
             f"Choi side {n} exceeds the solver limit {MAX_CHOI_SIDE}")
+    if delta.dim_in * n > MAX_DIM_IN_TIMES_SIDE:
+        raise DimensionTooLarge(
+            f"input dimension {delta.dim_in} times Choi side {n} exceeds "
+            f"the solver limit {MAX_DIM_IN_TIMES_SIDE}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     # ChoiMatrix guarantees Hermiticity; symmetrize residual roundoff
     c = hermitize(np.asarray(delta.matrix, dtype=complex)) * delta.dim_in
 
-    scale = float(np.linalg.norm(c, 2)) if n > 1 else abs(float(c[0, 0].real))
-    if scale == 0.0:
-        return DiamondNormResult(0.0, 0.0, 0.0, 0.0, 0)
     if n == 1:
         v = abs(float(c[0, 0].real))
         return DiamondNormResult(v, v, v, 0.0, 0)
+    scale = float(np.linalg.norm(c, 2))
+    if scale == 0.0:
+        return DiamondNormResult(0.0, 0.0, 0.0, 0.0, 0)
 
     lower, upper, iterations, reason = _solve_sdp(
         c / scale, delta.dim_in, delta.dim_out, tol / scale, max_iterations)
     lower *= scale
-    upper = min(upper * scale, _trivial_upper(c))
+    # ||Delta||_diamond <= ||C||_1 always holds
+    upper = min(upper * scale, trace_norm(c))
     lower = min(lower, upper)  # roundoff guard; bounds stay ordered
     gap = max(upper - lower, 0.0)
     result = DiamondNormResult(0.5 * (lower + upper), lower, upper,
@@ -341,11 +334,6 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
             f"certified gap {gap:.3e} exceeds tolerance {tol:.1e} "
             f"after {iterations} iterations (stopped: {reason})", result)
     return result
-
-
-def _trivial_upper(c: np.ndarray) -> float:
-    """Cheap always-valid upper bound: ||Delta||_diamond <= ||C||_1."""
-    return trace_norm(c)
 
 
 # ==================================================================

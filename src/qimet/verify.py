@@ -111,10 +111,16 @@ def _direct_choi_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return root * root
 
 
-def _instrument_delta(impl) -> ChoiMatrix:
+def _full_chois(impl):
+    """Full-channel Choi matrices of ``impl`` and of the ideal instrument."""
     ideal = ideal_instrument(impl.D, impl.E)
-    return (choi_from_kraus(full_channel(impl))
-            - choi_from_kraus(full_channel(ideal)))
+    return (choi_from_kraus(full_channel(impl)),
+            choi_from_kraus(full_channel(ideal)))
+
+
+def _instrument_delta(impl) -> ChoiMatrix:
+    actual, ideal = _full_chois(impl)
+    return actual - ideal
 
 
 # ------------------------------------------------------------------
@@ -133,28 +139,26 @@ def _check_stochastic_diamond(seed, D, E, tol):
                  abs(closed - oracle), tol)
 
 
+def _check_fidelity(theorem_id, generate, closed_form, expand,
+                    seed, D, E, tol):
+    # closed-form model fidelity vs the direct Choi-matrix fidelity
+    model = generate(D, E, seed=seed)
+    closed = closed_form(model)
+    actual, ideal = _full_chois(expand(model))
+    oracle = _direct_choi_fidelity(ideal.matrix, actual.matrix)
+    return _make(theorem_id, seed, closed, oracle, abs(closed - oracle), tol)
+
+
 def _check_uniform_fidelity(seed, D, E, tol):
-    model = random_uniform_model(D, E, seed=seed)
-    closed = metrics.fidelity_uniform_closed(model)
-    impl = expand_uniform(model)
-    ideal = ideal_instrument(D, E)
-    oracle = _direct_choi_fidelity(
-        choi_from_kraus(full_channel(ideal)).matrix,
-        choi_from_kraus(full_channel(impl)).matrix)
-    return _make("cor-uniform-fidelity", seed, closed, oracle,
-                 abs(closed - oracle), tol)
+    return _check_fidelity("cor-uniform-fidelity", random_uniform_model,
+                           metrics.fidelity_uniform_closed, expand_uniform,
+                           seed, D, E, tol)
 
 
 def _check_nonuniform_fidelity(seed, D, E, tol):
-    model = random_nonuniform_model(D, E, seed=seed)
-    closed = metrics.fidelity_nonuniform_closed(model)
-    impl = expand_nonuniform(model)
-    ideal = ideal_instrument(D, E)
-    oracle = _direct_choi_fidelity(
-        choi_from_kraus(full_channel(ideal)).matrix,
-        choi_from_kraus(full_channel(impl)).matrix)
-    return _make("cor-nonuniform-fidelity", seed, closed, oracle,
-                 abs(closed - oracle), tol)
+    return _check_fidelity("cor-nonuniform-fidelity", random_nonuniform_model,
+                           metrics.fidelity_nonuniform_closed,
+                           expand_nonuniform, seed, D, E, tol)
 
 
 def _check_instrument_bounds(seed, D, E, tol):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             nu_lambda, random_stochastic_channel,
@@ -7,8 +8,8 @@ from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
 from qimet.errors import DimensionTooLarge, NotHermitian, Unconverged
 from qimet.linalg import (col_vec, hermitize, partial_trace, rng, trace_norm,
                           uncol)
-from qimet.oracle import (DiamondNormResult, _newton_solver,
-                          diamond_lower_hillclimb,
+from qimet.oracle import (DiamondNormResult, _cholesky_inverse, _max_step,
+                          _newton_solver, _nt_scaling, diamond_lower_hillclimb,
                           diamond_lower_hillclimb_state, diamond_norm,
                           result_to_json)
 
@@ -80,6 +81,16 @@ def test_solves_a_map_at_the_side_limit():
     assert res.gap <= 1e-7
 
 
+def test_wide_map_at_the_input_limit_keeps_a_bracket():
+    # 24 x 6 sits exactly at MAX_DIM_IN_TIMES_SIDE; two iterations suffice to
+    # show it runs and certifies a bracket
+    delta = random_hermitian_choi(24, 6, seed=3)
+    with pytest.raises(Unconverged) as info:
+        diamond_norm(delta, tol=1e-7, max_iterations=2)
+    partial = info.value.result
+    assert partial.primal_bound <= partial.dual_bound
+
+
 def test_one_by_one():
     res = diamond_norm(ChoiMatrix(1, 1, np.array([[-0.7]])))
     assert res.value == pytest.approx(0.7)
@@ -139,8 +150,12 @@ def test_unconverged_keeps_valid_bounds():
 
 
 def test_dimension_cap():
-    with pytest.raises(DimensionTooLarge):
-        diamond_norm(ChoiMatrix(29, 5, np.eye(145)))
+    # side 145 exceeds MAX_CHOI_SIDE; 36 x 4 is side 144 but exceeds
+    # MAX_DIM_IN_TIMES_SIDE
+    for dim_in, dim_out in ((29, 5), (36, 4)):
+        side = dim_in * dim_out
+        with pytest.raises(DimensionTooLarge):
+            diamond_norm(ChoiMatrix(dim_in, dim_out, np.eye(side) / side))
 
 
 def test_non_hermitian_rejected_at_the_type():
@@ -165,7 +180,7 @@ def test_result_json_roundtrip():
 
 
 # ------------------------------------------------------------------
-# Newton direction against a dense reference
+# interior-point helpers against dense references
 # ------------------------------------------------------------------
 
 def random_pd(side, cond, gen):
@@ -206,6 +221,31 @@ def test_newton_solve_matches_dense_system(dim_in, dim_out):
         ref_dy = uncol(ref[:-1], n, n)
         assert np.linalg.norm(dy - ref_dy) <= 1e-9 * np.linalg.norm(ref_dy)
         assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_nt_scaling_maps_z_to_s(cond):
+    gen = rng(2000)
+    for side in (2, 6, 24):
+        s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
+        w_inv = _nt_scaling(*_cholesky_inverse(s), z)
+        assert (np.linalg.norm(w_inv @ s @ w_inv - z)
+                <= 1e-9 * np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_max_step_is_the_generalized_eigenvalue_bound(cond):
+    gen = rng(3000)
+    for side in (2, 6, 24):
+        s = random_pd(side, cond, gen)
+        _, chol_inv = _cholesky_inverse(s)
+        a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
+        d = hermitize(a + a.conj().T)
+        ref = -1.0 / scipy.linalg.eigh(d, s, eigvals_only=True).min()
+        assert _max_step(chol_inv, d) == pytest.approx(ref, rel=1e-9)
+        # a positive semidefinite direction never leaves the cone
+        assert _max_step(chol_inv, a @ a.conj().T) == np.inf
+        assert _max_step(chol_inv, np.zeros((side, side))) == np.inf
 
 
 # ------------------------------------------------------------------
