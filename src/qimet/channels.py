@@ -22,7 +22,7 @@ equal to the entanglement fidelity with the identity scaled by ``nu``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .config import TOL
 from .errors import (DimensionMismatch, InvalidModel, NotHermitian,
                      UnsupportedDimension)
 from .linalg import (col_vec, hermitize, matrix_from_json, matrix_to_json,
-                     numerical_rank, uncol, _clamped_psd_eig, rng)
+                     numerical_rank, rng)
 
 __all__ = [
     "KrausChannel",
@@ -38,12 +38,9 @@ __all__ = [
     "StochasticChannel",
     "identity_channel",
     "choi_from_kraus",
-    "kraus_from_choi",
     "kraus_rank",
-    "is_trace_preserving",
     "weyl_operators",
     "nu_lambda",
-    "is_stochastic_kraus",
     "random_stochastic_channel",
     "channel_to_json",
     "channel_from_json",
@@ -71,8 +68,8 @@ class KrausChannel:
     """A completely positive map given by its Kraus operators.
 
     Operators have shape ``(dim_out, dim_in)``.  The map need not be trace
-    preserving (subnormalized branches of instruments are represented this
-    way too); use :func:`is_trace_preserving` to check.
+    preserving: subnormalized branches of instruments are represented this
+    way too.
     """
 
     dim_in: int
@@ -129,19 +126,12 @@ class ChoiMatrix:
                 f"Choi matrix deviates from Hermitian by {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
 
-    def _check_compatible(self, other: "ChoiMatrix"):
+    def __sub__(self, other: "ChoiMatrix") -> "ChoiMatrix":
         if (self.dim_in, self.dim_out) != (other.dim_in, other.dim_out):
             raise DimensionMismatch(
                 f"Choi matrices on different spaces: "
                 f"({self.dim_in},{self.dim_out}) vs ({other.dim_in},{other.dim_out})")
-
-    def __sub__(self, other: "ChoiMatrix") -> "ChoiMatrix":
-        self._check_compatible(other)
         return ChoiMatrix(self.dim_in, self.dim_out, self.matrix - other.matrix)
-
-    def __add__(self, other: "ChoiMatrix") -> "ChoiMatrix":
-        self._check_compatible(other)
-        return ChoiMatrix(self.dim_in, self.dim_out, self.matrix + other.matrix)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -164,39 +154,9 @@ def choi_from_kraus(channel: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(channel.dim_in, channel.dim_out, hermitize(mat))
 
 
-def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
-    """Kraus operators from the eigendecomposition of a PSD Choi state.
-
-    One operator per eigenvalue above ``rank_rel * w_max``, so the number of
-    returned operators equals the Kraus rank.
-
-    :raises NotPSD: if the Choi matrix has an eigenvalue below the clamp band.
-    """
-    vals, vecs = _clamped_psd_eig(choi.matrix)
-    top = float(vals[-1]) if vals.size else 0.0
-    ops = []
-    if top > 0.0:
-        for w, v in zip(vals, vecs.T):
-            if w > TOL.rank_rel * top:
-                ops.append(np.sqrt(choi.dim_in * w)
-                           * uncol(v, choi.dim_out, choi.dim_in))
-    if not ops:
-        ops = [np.zeros((choi.dim_out, choi.dim_in), dtype=complex)]
-    return KrausChannel(choi.dim_in, choi.dim_out, tuple(ops))
-
-
 def kraus_rank(channel: KrausChannel) -> int:
     """Minimal number of Kraus operators: the rank of the Choi state."""
     return numerical_rank(choi_from_kraus(channel).matrix)
-
-
-def is_trace_preserving(channel: KrausChannel) -> bool:
-    """True if ``sum_j K_j† K_j`` equals the identity within tolerance."""
-    acc = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
-    for k in channel.kraus_ops:
-        acc += k.conj().T @ k
-    return bool(np.max(np.abs(acc - np.eye(channel.dim_in)))
-                <= TOL.trace_preserving)
 
 
 # ==================================================================
@@ -294,71 +254,24 @@ class StochasticChannel:
         return choi_from_kraus(self.as_channel())
 
 
-def nu_lambda(obj) -> tuple:
-    """Extract ``(nu, lambda)`` of a square-dimension map from its Choi state.
+def nu_lambda(channel: StochasticChannel) -> tuple:
+    """Extract ``(nu, lambda)`` of a stochastic channel from its Choi state.
 
     ``nu = trace(J)`` and ``nu * lambda = (1/dim) col_vec(I)† J col_vec(I)``
     (the weight of the identity component, i.e. ``nu`` times the entanglement
     fidelity with the identity).  By convention ``lambda = 1`` when ``nu = 0``.
-
-    Accepts a :class:`StochasticChannel`, :class:`KrausChannel` or
-    :class:`ChoiMatrix`.
     """
-    if isinstance(obj, StochasticChannel):
-        choi = obj.choi()
-    elif isinstance(obj, KrausChannel):
-        choi = choi_from_kraus(obj)
-    elif isinstance(obj, ChoiMatrix):
-        choi = obj
-    else:
-        raise TypeError(f"cannot extract nu/lambda from {type(obj).__name__}")
-    if choi.dim_in != choi.dim_out:
-        raise DimensionMismatch(
-            "nu/lambda extraction needs equal input and output dimensions")
-    dim = choi.dim_in
+    if not isinstance(channel, StochasticChannel):
+        raise TypeError(
+            f"cannot extract nu/lambda from {type(channel).__name__}")
+    choi = channel.choi()
+    dim = channel.dim
     nu = float(choi.matrix.trace().real)
     v = col_vec(np.eye(dim, dtype=complex))
     nu_lam = float((v.conj() @ choi.matrix @ v).real) / dim
     if nu <= TOL.weight_sum:
         return nu, 1.0
     return nu, nu_lam / nu
-
-
-def is_stochastic_kraus(ops: Sequence[np.ndarray]):
-    """Validate a Kraus set as a stochastic channel and return ``(nu, lambda)``.
-
-    Checks that the operators act on one system, are pairwise
-    Hilbert-Schmidt orthogonal, and that the identity direction is carried by
-    a single operator proportional to ``I`` (all others traceless).
-
-    :raises InvalidModel: if any structural requirement fails.
-    """
-    mats = [np.asarray(k, dtype=complex) for k in ops]
-    if not mats:
-        raise InvalidModel("empty Kraus set")
-    dim = mats[0].shape[0]
-    for k in mats:
-        if k.shape != (dim, dim):
-            raise InvalidModel(f"operator shape {k.shape} != ({dim}, {dim})")
-    scale = max(float(np.max(np.abs(k))) for k in mats)
-    thresh = 1e-10 * max(1.0, scale) ** 2 * dim
-    id_count = 0
-    for i, ki in enumerate(mats):
-        for kj in mats[i + 1:]:
-            if abs(np.trace(ki.conj().T @ kj)) > thresh:
-                raise InvalidModel(
-                    "Kraus operators are not pairwise orthogonal")
-        tr = np.trace(ki)
-        if abs(tr) > np.sqrt(thresh):
-            # the operator carrying the identity direction must *be* ~ I
-            if np.max(np.abs(ki - (tr / dim) * np.eye(dim))) > np.sqrt(thresh):
-                raise InvalidModel(
-                    "an operator with nonzero trace is not proportional to I")
-            id_count += 1
-    if id_count > 1:
-        raise InvalidModel("more than one operator carries the identity")
-    channel = KrausChannel(dim, dim, tuple(mats))
-    return nu_lambda(choi_from_kraus(channel))
 
 
 def random_stochastic_channel(dim: int, nu: float, seed: int,

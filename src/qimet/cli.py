@@ -7,17 +7,17 @@ Commands
 ``verify``          run randomized theorem checks with deterministic seeds
 ``oracle-diamond``  certified diamond norm of a Choi-matrix JSON file
 
-Outputs are deterministic byte-for-byte for identical invocations.  Exit
-codes: 0 success, 1 verification failure (or an unconverged oracle), 2
-usage or parse errors.  ``QIMET_THREADS`` optionally sets the worker count
-for verification trials; records are always emitted in trial order.
+Outputs are deterministic byte-for-byte for identical invocations; CSV
+columns follow the fields of ``MetricsReport`` and ``VerificationRecord``.
+Exit codes: 0 success, 1 verification failure (or an unconverged oracle), 2
+usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 from .channels import choi_from_json
@@ -25,17 +25,15 @@ from .errors import QimetError, Unconverged
 from .instruments import (model_from_json, model_to_json,
                           random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
-from .metrics import build_report, report_to_json
+from .metrics import MetricsReport, build_report, report_to_json
 from .oracle import diamond_norm, result_to_json
-from .verify import THEOREM_IDS, record_to_json, run_trials, summarize
+from .verify import (THEOREM_IDS, VerificationRecord, record_to_json,
+                     run_trials, summarize)
 
 __all__ = ["main"]
 
-_REPORT_FIELDS = ("fidelity", "diamond_lower", "diamond_upper",
-                  "diamond_exact", "nu00", "lambda00",
-                  "per_branch_trace_distances")
-_RECORD_FIELDS = ("theorem_id", "trial_seed", "closed_form", "oracle_value",
-                  "abs_error", "passed")
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsReport))
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(VerificationRecord))
 
 
 def _dumps(obj) -> str:
@@ -102,10 +100,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = int(os.environ.get("QIMET_THREADS", "1"))
     records = run_trials(args.theorem_id, args.trials, args.seed,
-                         dim_d=args.dim_d, dim_e=args.dim_e, tol=args.tol,
-                         threads=max(threads, 1))
+                         dim_d=args.dim_d, dim_e=args.dim_e, tol=args.tol)
     rows = [record_to_json(r) for r in records]
     summary = dict(summarize(records), theorem_id=args.theorem_id)
     if args.format == "csv":

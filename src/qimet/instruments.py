@@ -41,7 +41,7 @@ from .channels import (KrausChannel, StochasticChannel, channel_from_json,
                        stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import check_density, kron, rng
+from .linalg import kron, rng
 
 __all__ = [
     "InstrumentImplementation",
@@ -51,8 +51,6 @@ __all__ = [
     "expand_uniform",
     "expand_nonuniform",
     "full_channel",
-    "born_probabilities",
-    "average_over_outcomes",
     "extend_with_reference",
     "random_uniform_model",
     "random_nonuniform_model",
@@ -240,7 +238,7 @@ def expand_nonuniform(model: NonUniformStochasticModel) -> InstrumentImplementat
 
 
 # ==================================================================
-# derived channels and probabilities
+# derived channels
 # ==================================================================
 
 def full_channel(impl: InstrumentImplementation) -> KrausChannel:
@@ -254,32 +252,6 @@ def full_channel(impl: InstrumentImplementation) -> KrausChannel:
         for k in branch.kraus_ops:
             ops.append(kron(k, ket))
     return KrausChannel(side, side * impl.D, tuple(ops))
-
-
-def born_probabilities(impl: InstrumentImplementation,
-                       rho: np.ndarray) -> np.ndarray:
-    """Outcome distribution ``p(j) = trace(M_j(rho))``."""
-    rho = check_density(rho, dim=impl.E * impl.D)
-    return np.array([float(branch.apply(rho).trace().real)
-                     for branch in impl.branches])
-
-
-def average_over_outcomes(model: NonUniformStochasticModel) -> UniformStochasticModel:
-    """Collapse an outcome-dependent table by averaging:
-    ``T_(a,b) = (1/D) sum_j T_(a,b,j)`` (weights averaged entrywise)."""
-    table = {}
-    for a in range(model.D):
-        for b in range(model.D):
-            weights = {}
-            for j in range(model.D):
-                entry = model.table.get((a, b, j))
-                if entry is None:
-                    continue
-                for key, w in entry.weights.items():
-                    weights[key] = weights.get(key, 0.0) + w / model.D
-            if weights:
-                table[(a, b)] = StochasticChannel.from_weights(model.E, weights)
-    return UniformStochasticModel(model.D, model.E, table)
 
 
 def extend_with_reference(impl: InstrumentImplementation,
@@ -310,51 +282,50 @@ def _check_generator_dims(D: int, E: int):
         raise UnsupportedDimension(f"random models support E in 1..4, got {E}")
 
 
-def random_uniform_model(D: int, E: int, seed: int,
-                         concentration: float = 1.0) -> UniformStochasticModel:
-    """Random uniform model: Dirichlet weights ``nu`` over the D² table slots
-    and an independent random stochastic channel in each slot."""
+def random_uniform_model(D: int, E: int, seed: int) -> UniformStochasticModel:
+    """Random uniform model: flat Dirichlet weights ``nu`` over the D² table
+    slots and an independent random stochastic channel in each slot."""
     _check_generator_dims(D, E)
     gen = rng(seed)
-    nus = gen.dirichlet(np.full(D * D, concentration))
+    nus = gen.dirichlet(np.ones(D * D))
     table = {}
     for a in range(D):
         for b in range(D):
-            probs = gen.dirichlet(np.full(E * E, concentration))
+            probs = gen.dirichlet(np.ones(E * E))
             weights = {(x, y): nus[a * D + b] * probs[x * E + y]
                        for x in range(E) for y in range(E)}
             table[(a, b)] = StochasticChannel.from_weights(E, weights)
     return UniformStochasticModel(D, E, table)
 
 
-def random_nonuniform_model(D: int, E: int, seed: int,
-                            concentration: float = 1.0) -> NonUniformStochasticModel:
+def random_nonuniform_model(D: int, E: int, seed: int) -> NonUniformStochasticModel:
     """Random non-uniform model with outcome-independent report-flip
     marginals: ``sum_a nu_(a,b,j) = mu_b`` for every ``j``, which makes the
     expanded instrument trace preserving while the channels and the
     ``a``-splits remain outcome dependent."""
     _check_generator_dims(D, E)
     gen = rng(seed)
-    mu = gen.dirichlet(np.full(D, concentration))  # report-flip marginal over b
+    mu = gen.dirichlet(np.ones(D))  # report-flip marginal over b
     table = {}
     for j in range(D):
         for b in range(D):
-            splits = gen.dirichlet(np.full(D, concentration))  # over a
+            splits = gen.dirichlet(np.ones(D))  # over a
             for a in range(D):
                 nu = mu[b] * splits[a]
-                probs = gen.dirichlet(np.full(E * E, concentration))
+                probs = gen.dirichlet(np.ones(E * E))
                 weights = {(x, y): nu * probs[x * E + y]
                            for x in range(E) for y in range(E)}
                 table[(a, b, j)] = StochasticChannel.from_weights(E, weights)
     return NonUniformStochasticModel(D, E, table)
 
 
-def random_general_implementation(D: int, E: int, seed: int,
-                                  noise: float = 0.15) -> InstrumentImplementation:
+def random_general_implementation(D: int, E: int,
+                                  seed: int) -> InstrumentImplementation:
     """Random unstructured implementation near the ideal instrument.
 
     Each branch gets the ideal projector perturbed by a random operator plus
-    one extra random low-weight Kraus operator; the collection is then
+    one extra random low-weight Kraus operator, both Gaussian with entries of
+    scale ``0.15 / sqrt(E*D)``; the collection is then
     normalized globally (right multiplication by ``(sum K†K)^{-1/2}``) so the
     total channel is exactly trace preserving.
     """
@@ -366,8 +337,8 @@ def random_general_implementation(D: int, E: int, seed: int,
         g0 = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
         g1 = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
         pi_j = kron(np.eye(E, dtype=complex), _basis_flip(D, j, j))
-        raw.append([pi_j + noise * g0 / np.sqrt(side),
-                    noise * g1 / np.sqrt(side)])
+        raw.append([pi_j + 0.15 * g0 / np.sqrt(side),
+                    0.15 * g1 / np.sqrt(side)])
     acc = np.zeros((side, side), dtype=complex)
     for ops in raw:
         for k in ops:

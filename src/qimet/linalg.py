@@ -25,10 +25,8 @@ __all__ = [
     "uncol",
     "kron",
     "trace_norm",
-    "singular_values",
     "numerical_rank",
     "hermitize",
-    "herm_eig",
     "psd_sqrt",
     "nearest_density",
     "partial_trace",
@@ -77,19 +75,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # norms, spectra
 # ==================================================================
 
-def singular_values(mat: np.ndarray) -> np.ndarray:
-    """Singular values of ``mat`` in descending order."""
-    return np.linalg.svd(np.asarray(mat), compute_uv=False)
-
-
 def trace_norm(mat: np.ndarray) -> float:
     """Trace norm (Schatten 1-norm): the sum of singular values."""
-    return float(np.sum(singular_values(mat)))
+    return float(np.sum(np.linalg.svd(np.asarray(mat), compute_uv=False)))
 
 
 def numerical_rank(mat: np.ndarray) -> int:
     """Number of singular values above ``rank_rel * s_max``."""
-    s = singular_values(mat)
+    s = np.linalg.svd(np.asarray(mat), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > TOL.rank_rel * s[0]))
@@ -105,15 +98,17 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def herm_eig(mat: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
+def _clamped_psd_eig(mat: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix with small negative
+    eigenvalues clamped to zero.
 
     The input is checked against ``TOL.herm`` and symmetrized before the
-    solve, so the returned eigenvalues are exactly real.  Eigenvalues come
-    out in ascending order (numpy convention).
+    solve.  Eigenvalues come out in ascending order (numpy convention).  The
+    clamp threshold scales with the matrix: ``psd_clamp * max(1, |w|_max)``.
 
     :return: ``(eigenvalues, eigenvectors)`` with columns as eigenvectors.
     :raises NotHermitian: if ``max |A - A†| > TOL.herm``.
+    :raises NotPSD: if an eigenvalue lies below the clamp threshold.
     :raises ValueError: if an entry is not finite.
     """
     mat = np.asarray(mat, dtype=complex)
@@ -125,15 +120,6 @@ def herm_eig(mat: np.ndarray):
     if dev > TOL.herm:
         raise NotHermitian(f"max |A - A†| = {dev:.3e} exceeds {TOL.herm:.1e}")
     vals, vecs = np.linalg.eigh(hermitize(mat))
-    return vals, vecs
-
-
-def _clamped_psd_eig(mat: np.ndarray):
-    """Eigendecomposition with small negative eigenvalues clamped to zero.
-
-    The clamp threshold scales with the matrix: ``psd_clamp * max(1, |w|_max)``.
-    """
-    vals, vecs = herm_eig(mat)
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
     floor = -TOL.psd_clamp * scale
     if vals.size and vals[0] < floor:

@@ -46,7 +46,7 @@ independent lower bound used as a solver sanity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -88,13 +88,7 @@ class DiamondNormResult:
 
 
 def result_to_json(result: DiamondNormResult) -> dict:
-    return {
-        "value": result.value,
-        "primal_bound": result.primal_bound,
-        "dual_bound": result.dual_bound,
-        "gap": result.gap,
-        "iterations": result.iterations,
-    }
+    return asdict(result)
 
 
 # ==================================================================
@@ -308,7 +302,7 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
         raise DimensionTooLarge(
             f"input dimension {delta.dim_in} times Choi side {n} exceeds "
             f"the solver limit {MAX_DIM_IN_TIMES_SIDE}")
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     # ChoiMatrix guarantees Hermiticity; symmetrize residual roundoff
     c = hermitize(np.asarray(delta.matrix, dtype=complex)) * delta.dim_in

@@ -14,8 +14,7 @@ which the bracket is violated (zero when the chain holds).
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,57 +26,17 @@ from .instruments import (NonUniformStochasticModel, expand_nonuniform,
                           expand_uniform, extend_with_reference, full_channel,
                           ideal_instrument, random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
-from .linalg import (psd_sqrt, random_density, random_pure, rng,
-                     support_projector, trace_norm)
+from .linalg import (random_density, random_pure, rng, support_projector,
+                     trace_norm)
 from .oracle import diamond_lower_hillclimb_state, diamond_norm
 
 __all__ = [
     "THEOREM_IDS",
-    "TOLERANCES",
     "VerificationRecord",
     "run_trial",
     "run_trials",
     "summarize",
 ]
-
-THEOREM_IDS = (
-    "t-stochastic-diamond-identity",
-    "cor-uniform-fidelity",
-    "cor-nonuniform-fidelity",
-    "thm-instrument-bounds",
-    "thm-uniform-diamond",
-    "sec7-counterexample",
-    "fvg-appendix",
-    "lemma-orthogonality",
-    "kraus-rank",
-)
-
-#: Per-check pass tolerances (the acceptance thresholds).
-TOLERANCES = {
-    "t-stochastic-diamond-identity": 1e-5,
-    "cor-uniform-fidelity": 1e-8,
-    "cor-nonuniform-fidelity": 1e-8,
-    "thm-instrument-bounds": 1e-6,
-    "thm-uniform-diamond": 1e-4,
-    "sec7-counterexample": 1e-4,
-    "fvg-appendix": 1e-10,
-    "lemma-orthogonality": 1e-10,
-    "kraus-rank": 0.0,
-}
-
-#: Default (D, E) per check when the caller does not override them.
-DEFAULT_DIMS = {
-    "t-stochastic-diamond-identity": (2, 2),
-    "cor-uniform-fidelity": (2, 2),
-    "cor-nonuniform-fidelity": (2, 2),
-    "thm-instrument-bounds": (2, 2),
-    "thm-uniform-diamond": (2, 2),
-    "sec7-counterexample": (2, 2),
-    "fvg-appendix": (2, 3),
-    "lemma-orthogonality": (2, 6),
-    "kraus-rank": (2, 3),
-}
-
 
 @dataclass(frozen=True)
 class VerificationRecord:
@@ -90,25 +49,12 @@ class VerificationRecord:
 
 
 def record_to_json(record: VerificationRecord) -> dict:
-    return {
-        "theorem_id": record.theorem_id,
-        "trial_seed": record.trial_seed,
-        "closed_form": record.closed_form,
-        "oracle_value": record.oracle_value,
-        "abs_error": record.abs_error,
-        "passed": record.passed,
-    }
+    return asdict(record)
 
 
 def _make(theorem_id, seed, closed, oracle, err, tol) -> VerificationRecord:
     return VerificationRecord(theorem_id, seed, float(closed), float(oracle),
                               float(err), bool(err <= tol))
-
-
-def _direct_choi_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    # raw linalg route, independent of the metrics closed forms
-    root = trace_norm(psd_sqrt(a) @ psd_sqrt(b))
-    return root * root
 
 
 def _full_chois(impl):
@@ -141,11 +87,12 @@ def _check_stochastic_diamond(seed, D, E, tol):
 
 def _check_fidelity(theorem_id, generate, closed_form, expand,
                     seed, D, E, tol):
-    # closed-form model fidelity vs the direct Choi-matrix fidelity
+    # closed-form model fidelity vs the Choi-matrix fidelity of the
+    # expanded instrument, ||sqrt(J_ideal) sqrt(J_actual)||_1^2
     model = generate(D, E, seed=seed)
     closed = closed_form(model)
     actual, ideal = _full_chois(expand(model))
-    oracle = _direct_choi_fidelity(ideal.matrix, actual.matrix)
+    oracle = metrics.process_fidelity(ideal, actual)
     return _make(theorem_id, seed, closed, oracle, abs(closed - oracle), tol)
 
 
@@ -259,17 +206,21 @@ def _check_kraus_rank(seed, D, E, tol):
                  abs(r - measured), tol)
 
 
-_RUNNERS = {
-    "t-stochastic-diamond-identity": _check_stochastic_diamond,
-    "cor-uniform-fidelity": _check_uniform_fidelity,
-    "cor-nonuniform-fidelity": _check_nonuniform_fidelity,
-    "thm-instrument-bounds": _check_instrument_bounds,
-    "thm-uniform-diamond": _check_uniform_diamond,
-    "sec7-counterexample": _check_sec7,
-    "fvg-appendix": _check_fvg,
-    "lemma-orthogonality": _check_orthogonality,
-    "kraus-rank": _check_kraus_rank,
+#: theorem id -> (runner, pass tolerance, default (D, E)); the tolerances
+#: are the acceptance thresholds.
+_CHECKS = {
+    "t-stochastic-diamond-identity": (_check_stochastic_diamond, 1e-5, (2, 2)),
+    "cor-uniform-fidelity": (_check_uniform_fidelity, 1e-8, (2, 2)),
+    "cor-nonuniform-fidelity": (_check_nonuniform_fidelity, 1e-8, (2, 2)),
+    "thm-instrument-bounds": (_check_instrument_bounds, 1e-6, (2, 2)),
+    "thm-uniform-diamond": (_check_uniform_diamond, 1e-4, (2, 2)),
+    "sec7-counterexample": (_check_sec7, 1e-4, (2, 2)),
+    "fvg-appendix": (_check_fvg, 1e-10, (2, 3)),
+    "lemma-orthogonality": (_check_orthogonality, 1e-10, (2, 6)),
+    "kraus-rank": (_check_kraus_rank, 0.0, (2, 3)),
 }
+
+THEOREM_IDS = tuple(_CHECKS)
 
 
 # ------------------------------------------------------------------
@@ -280,33 +231,26 @@ def run_trial(theorem_id: str, trial_seed: int, dim_d: int | None = None,
               dim_e: int | None = None,
               tol: float | None = None) -> VerificationRecord:
     """Run a single randomized check of ``theorem_id`` at ``trial_seed``."""
-    if theorem_id not in _RUNNERS:
+    if theorem_id not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"choose one of {', '.join(THEOREM_IDS)}")
-    d_default, e_default = DEFAULT_DIMS[theorem_id]
-    return _RUNNERS[theorem_id](
+    runner, default_tol, (d_default, e_default) = _CHECKS[theorem_id]
+    return runner(
         trial_seed,
         d_default if dim_d is None else dim_d,
         e_default if dim_e is None else dim_e,
-        TOLERANCES[theorem_id] if tol is None else tol,
+        default_tol if tol is None else tol,
     )
 
 
 def run_trials(theorem_id: str, trials: int, seed: int,
                dim_d: int | None = None, dim_e: int | None = None,
-               tol: float | None = None, threads: int = 1) -> list:
-    """Run ``trials`` independent checks seeded ``seed + i``.
-
-    Records come back in trial-index order regardless of ``threads``.
-    """
+               tol: float | None = None) -> list:
+    """Run ``trials`` independent checks seeded ``seed + i``, in that order."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    seeds = [seed + i for i in range(trials)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as tp:
-            return list(tp.map(
-                lambda s: run_trial(theorem_id, s, dim_d, dim_e, tol), seeds))
-    return [run_trial(theorem_id, s, dim_d, dim_e, tol) for s in seeds]
+    return [run_trial(theorem_id, seed + i, dim_d, dim_e, tol)
+            for i in range(trials)]
 
 
 def summarize(records) -> dict:

@@ -8,10 +8,15 @@ import pytest
 from qimet import channels as ch
 from qimet import linalg
 from qimet.errors import (DimensionMismatch, InvalidModel, NotHermitian,
-                          NotPSD, UnsupportedDimension)
+                          UnsupportedDimension)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _assert_trace_preserving(channel):
+    total = sum(k.conj().T @ k for k in channel.kraus_ops)
+    np.testing.assert_allclose(total, np.eye(channel.dim_in), atol=1e-12)
 
 
 def _random_kraus_set(gen, dim_in, dim_out, count):
@@ -40,20 +45,9 @@ def test_choi_trace_one_for_trace_preserving():
     for dim_in, dim_out, count in [(2, 2, 3), (3, 2, 2), (2, 4, 5)]:
         kraus = _random_kraus_set(gen, dim_in, dim_out, count)
         channel = ch.KrausChannel(dim_in, dim_out, kraus)
-        assert ch.is_trace_preserving(channel)
+        _assert_trace_preserving(channel)
         choi = ch.choi_from_kraus(channel)
         assert abs(choi.matrix.trace().real - 1.0) < 1e-12
-
-
-def test_choi_kraus_roundtrip_action():
-    gen = linalg.rng(202)
-    for dim_in, dim_out, count in [(2, 2, 2), (3, 3, 4), (2, 3, 3)]:
-        channel = ch.KrausChannel(
-            dim_in, dim_out, _random_kraus_set(gen, dim_in, dim_out, count))
-        back = ch.kraus_from_choi(ch.choi_from_kraus(channel))
-        rho = linalg.random_density(dim_in, gen)
-        np.testing.assert_allclose(back.apply(rho), channel.apply(rho),
-                                   atol=1e-12)
 
 
 def test_kraus_rank_counts_independent_operators():
@@ -67,8 +61,6 @@ def test_kraus_rank_counts_independent_operators():
             dim, dim,
             tuple(k / np.sqrt(2) for k in channel.kraus_ops) * 2)
         assert ch.kraus_rank(padded) == count
-    assert len(ch.kraus_from_choi(
-        ch.choi_from_kraus(channel)).kraus_ops) == ch.kraus_rank(channel)
 
 
 def test_choi_reproduces_action_via_partial_trace():
@@ -101,13 +93,6 @@ def test_choi_difference_arithmetic():
     np.testing.assert_allclose(delta.matrix, a.matrix - b.matrix)
     with pytest.raises(DimensionMismatch):
         a - ch.choi_from_kraus(ch.identity_channel(3))
-
-
-def test_kraus_from_choi_rejects_negative():
-    j = ch.choi_from_kraus(ch.identity_channel(2)) \
-        - ch.choi_from_kraus(ch.KrausChannel(2, 2, (X,)))
-    with pytest.raises(NotPSD):
-        ch.kraus_from_choi(j)
 
 
 # ------------------------------------------------------------------
@@ -143,7 +128,7 @@ def test_weyl_operators_orthogonal_unitary():
 
 def test_stochastic_channel_basics():
     t = ch.StochasticChannel(2, 1.0, {(0, 0): 0.9, (1, 0): 0.1})
-    assert ch.is_trace_preserving(t.as_channel())
+    _assert_trace_preserving(t.as_channel())
     choi = t.choi()
     assert abs(choi.matrix.trace().real - 1.0) < 1e-14
     nu, lam = ch.nu_lambda(t)
@@ -209,25 +194,13 @@ def test_nu_lambda_matches_stored_weights():
 
 
 def test_nu_lambda_on_plain_channel():
-    nu, lam = ch.nu_lambda(ch.identity_channel(3))
+    # only stochastic channels carry (nu, lambda); a plain map is refused
+    nu, lam = ch.nu_lambda(ch.StochasticChannel(3, 1.0, {(0, 0): 1.0}))
     assert abs(nu - 1.0) < 1e-14 and abs(lam - 1.0) < 1e-14
-    with pytest.raises(DimensionMismatch):
-        ch.nu_lambda(ch.KrausChannel(2, 3, (np.zeros((3, 2)),)))
-
-
-def test_is_stochastic_kraus():
-    nu, lam = ch.is_stochastic_kraus(
-        [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * X])
-    assert abs(nu - 1.0) < 1e-12 and abs(lam - 0.9) < 1e-12
-    # orthogonal but non-unitary traceless second operator also qualifies
-    nu, lam = ch.is_stochastic_kraus(
-        [np.sqrt(0.8) * np.eye(2), np.sqrt(0.4) * (X + Z) / np.sqrt(2)])
-    assert abs(nu - 1.2) < 1e-12
-    with pytest.raises(InvalidModel):
-        ch.is_stochastic_kraus([np.eye(2), np.eye(2) + 0.1 * X])
-    with pytest.raises(InvalidModel):
-        # traceful operator that is not proportional to the identity
-        ch.is_stochastic_kraus([np.diag([1.0, 0.5])])
+    identity = ch.identity_channel(3)
+    for plain in (identity, ch.choi_from_kraus(identity)):
+        with pytest.raises(TypeError):
+            ch.nu_lambda(plain)
 
 
 def test_random_stochastic_channel_deterministic():

@@ -12,6 +12,12 @@ from qimet.errors import (DimensionMismatch, InvalidModel,
                           UnsupportedDimension)
 
 
+def outcome_probabilities(impl, rho):
+    """Born rule ``p(j) = trace(M_j(rho))``."""
+    return np.array([branch.apply(rho).trace().real
+                     for branch in impl.branches])
+
+
 def readout_flip_model():
     """D=2, E=1: correct readout with weight 0.8, flipped with weight 0.2."""
     return inst.UniformStochasticModel(2, 1, {
@@ -97,9 +103,9 @@ def test_perfect_model_expands_to_ideal():
 
 def test_readout_flip_born_probabilities():
     impl = inst.expand_uniform(readout_flip_model())
-    p0 = inst.born_probabilities(impl, np.diag([1.0, 0.0]).astype(complex))
+    p0 = outcome_probabilities(impl, np.diag([1.0, 0.0]).astype(complex))
     np.testing.assert_allclose(p0, [0.8, 0.2], atol=1e-12)
-    p1 = inst.born_probabilities(impl, np.diag([0.0, 1.0]).astype(complex))
+    p1 = outcome_probabilities(impl, np.diag([0.0, 1.0]).astype(complex))
     np.testing.assert_allclose(p1, [0.2, 0.8], atol=1e-12)
 
 
@@ -111,7 +117,7 @@ def test_expanded_models_trace_preserving():
         impl = inst.expand_uniform(inst.random_uniform_model(D, E, seed=500 + trial))
         for _ in range(10):
             rho = linalg.random_density(E * D, gen)
-            p = inst.born_probabilities(impl, rho)
+            p = outcome_probabilities(impl, rho)
             assert np.all(p >= -1e-12)
             assert abs(p.sum() - 1.0) < 1e-10
 
@@ -192,7 +198,7 @@ def test_random_nonuniform_models_are_tp():
         impl = inst.expand_nonuniform(
             inst.random_nonuniform_model(D, E, seed=600 + trial))
         rho = linalg.random_density(E * D, gen)
-        p = inst.born_probabilities(impl, rho)
+        p = outcome_probabilities(impl, rho)
         assert abs(p.sum() - 1.0) < 1e-10
 
 
@@ -228,7 +234,8 @@ def test_full_channel_choi_trace_one():
         impl = inst.expand_uniform(
             inst.random_uniform_model(2, 2, seed=700 + trial))
         fc = inst.full_channel(impl)
-        assert ch.is_trace_preserving(fc)
+        total = sum(k.conj().T @ k for k in fc.kraus_ops)
+        np.testing.assert_allclose(total, np.eye(fc.dim_in), atol=1e-12)
         assert abs(ch.choi_from_kraus(fc).matrix.trace().real - 1.0) < 1e-12
 
 
@@ -239,7 +246,7 @@ def test_born_probabilities_match_outcome_register_marginal():
     rho = linalg.random_density(4, gen)
     out = fc.apply(rho)
     marginal = linalg.partial_trace(out, [4, 2], [1])
-    p = inst.born_probabilities(impl, rho)
+    p = outcome_probabilities(impl, rho)
     np.testing.assert_allclose(np.diag(marginal).real, p, atol=1e-10)
     assert np.max(np.abs(marginal - np.diag(np.diag(marginal)))) < 1e-10
 
@@ -247,31 +254,12 @@ def test_born_probabilities_match_outcome_register_marginal():
 def test_born_probabilities_dimension_mismatch():
     impl = inst.ideal_instrument(2, 2)
     with pytest.raises(DimensionMismatch):
-        inst.born_probabilities(impl, np.eye(2) / 2)
+        outcome_probabilities(impl, np.eye(2) / 2)
 
 
 # ------------------------------------------------------------------
-# averaging, reference extension
+# reference extension
 # ------------------------------------------------------------------
-
-def test_average_over_outcomes_fixed_point():
-    uni = inst.random_uniform_model(2, 2, seed=11)
-    table = {(a, b, j): t for (a, b), t in uni.table.items() for j in range(2)}
-    non = inst.NonUniformStochasticModel(2, 2, table)
-    averaged = inst.average_over_outcomes(non)
-    for key, t in uni.table.items():
-        for wk, w in t.weights.items():
-            assert abs(averaged.table[key].weights[wk] - w) < 1e-12
-
-
-def test_average_over_outcomes_hand_example():
-    averaged = inst.average_over_outcomes(outcome_dependent_model())
-    t = averaged.table[(0, 0)]
-    assert abs(t.weights[(0, 0)] - 0.9) < 1e-12
-    assert abs(t.weights[(0, 1)] - 0.1) < 1e-12
-    total = sum(entry.nu for entry in averaged.table.values())
-    assert abs(total - 1.0) < 1e-12
-
 
 def test_extend_with_reference_structure():
     impl = inst.expand_uniform(readout_flip_model())

@@ -119,20 +119,30 @@ def test_numerical_rank():
 # ------------------------------------------------------------------
 
 def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the eigendecomposition behind psd_sqrt, check_density and
+    # support_projector checks shape, finiteness and Hermiticity
+    non_hermitian = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for call in (linalg.psd_sqrt, linalg.check_density,
+                 linalg.support_projector):
+        with pytest.raises(NotHermitian):
+            call(non_hermitian)
+        with pytest.raises(DimensionMismatch):
+            call(np.zeros((2, 3)))
     # NaN fails every "deviation > tol" comparison, so it is rejected first
     nan = np.array([[1.0, 0.0], [0.0, np.nan]])
-    for call in (linalg.herm_eig, linalg.psd_sqrt, linalg.check_density):
+    for call in (linalg.psd_sqrt, linalg.check_density,
+                 linalg.support_projector):
         with pytest.raises(ValueError, match="finite"):
             call(nan)
 
 
 def test_herm_eig_reconstructs():
     gen = linalg.rng(120)
-    a = linalg.hermitize(_rand_complex(gen, 7, 7))
-    vals, vecs = linalg.herm_eig(a)
+    g = _rand_complex(gen, 7, 7)
+    a = g @ g.conj().T
+    vals, vecs = linalg._clamped_psd_eig(a)
     np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, a, atol=1e-12)
+    assert np.all(np.diff(vals) >= 0.0)
 
 
 def test_psd_sqrt_squares_back():

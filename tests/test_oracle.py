@@ -125,7 +125,8 @@ def test_triangle_inequality():
         d2 = random_hermitian_choi(2, 2, seed=190 + i)
         v1 = diamond_norm(d1, tol=1e-7).value
         v2 = diamond_norm(d2, tol=1e-7).value
-        v12 = diamond_norm(d1 + d2, tol=1e-7).value
+        total = ChoiMatrix(2, 2, d1.matrix + d2.matrix)
+        v12 = diamond_norm(total, tol=1e-7).value
         assert v12 <= v1 + v2 + 2e-7
 
 
@@ -167,8 +168,10 @@ def test_non_hermitian_rejected_at_the_type():
 
 
 def test_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        diamond_norm(ChoiMatrix(2, 2, np.eye(4) / 2), tol=0.0)
+    for tol in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            diamond_norm(ChoiMatrix(2, 2, np.eye(4) / 2), tol=tol,
+                         max_iterations=3)
 
 
 def test_result_json_roundtrip():
