@@ -274,11 +274,11 @@ def nu_lambda(channel: StochasticChannel) -> tuple:
     return nu, nu_lam / nu
 
 
-def random_stochastic_channel(dim: int, nu: float, seed: int,
-                              concentration: float = 1.0) -> StochasticChannel:
+def random_stochastic_channel(dim: int, nu: float,
+                              seed: int) -> StochasticChannel:
     """Random mixture over the full shift-and-phase basis.
 
-    Weights are ``nu`` times a Dirichlet draw with the given concentration
+    Weights are ``nu`` times a flat Dirichlet draw (uniform on the simplex)
     over all ``dim**2`` labels.  Deterministic in ``seed`` (counter-based
     generator).
 
@@ -290,7 +290,7 @@ def random_stochastic_channel(dim: int, nu: float, seed: int,
     if nu < 0.0:
         raise InvalidModel(f"nu must be nonnegative, got {nu!r}")
     gen = rng(seed)
-    probs = gen.dirichlet(np.full(dim * dim, float(concentration)))
+    probs = gen.dirichlet(np.ones(dim * dim))
     weights = {(a, b): nu * probs[a * dim + b]
                for a in range(dim) for b in range(dim)}
     return StochasticChannel(dim, nu, weights)

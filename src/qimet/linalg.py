@@ -22,7 +22,6 @@ from .errors import DimensionMismatch, InvalidProjector, NotHermitian, NotPSD
 
 __all__ = [
     "col_vec",
-    "uncol",
     "kron",
     "trace_norm",
     "numerical_rank",
@@ -34,6 +33,7 @@ __all__ = [
     "support_projector",
     "check_projector",
     "random_pure",
+    "random_pure_states",
     "random_density",
     "rng",
     "matrix_to_json",
@@ -55,15 +55,6 @@ def col_vec(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {mat.shape}")
     return mat.reshape(-1, order="F")
-
-
-def uncol(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`col_vec`: reshape a vector back into a matrix."""
-    vec = np.asarray(vec).reshape(-1)
-    if vec.size != rows * cols:
-        raise DimensionMismatch(
-            f"vector of length {vec.size} cannot fill a {rows}x{cols} matrix")
-    return vec.reshape((rows, cols), order="F")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,9 +84,9 @@ def numerical_rank(mat: np.ndarray) -> int:
 # ==================================================================
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part ``(A + A†)/2``."""
+    """Return the Hermitian part ``(A + A†)/2`` of each matrix in a stack."""
     mat = np.asarray(mat)
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def _clamped_psd_eig(mat: np.ndarray):
@@ -257,8 +248,18 @@ def rng(seed: int) -> np.random.Generator:
 
 def random_pure(dim: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-random pure state vector of the given dimension."""
-    v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-    return v / np.linalg.norm(v)
+    return random_pure_states(dim, 1, gen)[0]
+
+
+def random_pure_states(dim: int, count: int,
+                       gen: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-random pure states of the given dimension, one per
+    row; row ``k`` has the same bits for every ``count``."""
+    draws = gen.normal(size=(count, 2, 1, dim))
+    v = draws[:, 0] + 1j * draws[:, 1]
+    # np.linalg.norm's sum: dots of the strided real and imaginary views
+    re, im = v.real, v.imag
+    return (v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)))[:, 0]
 
 
 def random_density(dim: int, gen: np.random.Generator,

@@ -29,8 +29,8 @@ from .errors import DimensionMismatch, InvalidModel, InvalidProjector
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
                           UniformStochasticModel, expand_nonuniform,
                           expand_uniform, ideal_instrument)
-from .linalg import (check_density, check_projector, kron, psd_sqrt,
-                     random_pure, rng, support_projector, trace_norm)
+from .linalg import (check_density, check_projector, psd_sqrt,
+                     random_pure_states, rng, support_projector, trace_norm)
 
 __all__ = [
     "MetricsReport",
@@ -166,8 +166,22 @@ def nonuniform_outcome_diamond(model: NonUniformStochasticModel) -> float:
 # diamond distances: general bounds
 # ==================================================================
 
-def _embedded_state(sigma: np.ndarray, D: int, j: int) -> np.ndarray:
-    return kron(sigma, np.outer(np.eye(D)[j], np.eye(D)[j]))
+def _probe_values(impl: InstrumentImplementation, sigmas: np.ndarray,
+                  j: int) -> np.ndarray:
+    """``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1`` for each state
+    ``sigma`` of a stack, ``sigma_j = sigma ⊗ |j><j|``.  Only the columns
+    ``j::D`` of branch ``j``'s Kraus operators touch ``sigma_j``; stacked
+    ``@`` and SVD act slice by slice, so no value depends on the others."""
+    cols = np.stack(impl.branches[j].kraus_ops)[:, :, j::impl.D]
+    rank, side, e = cols.shape
+    half = cols.reshape(rank * side, e) @ sigmas  # [m, (k, row), e]
+    out = (half.reshape(-1, rank, side, e).swapaxes(1, 2)
+           .reshape(-1, side, rank * e)
+           @ cols.conj().swapaxes(1, 2).reshape(rank * e, side))
+    diff = out.copy()
+    diff[:, j::impl.D, j::impl.D] -= sigmas
+    return (1.0 - np.trace(out, axis1=1, axis2=2).real
+            + np.sum(np.linalg.svd(diff, compute_uv=False), axis=1))
 
 
 def instrument_diamond_lower(impl: InstrumentImplementation,
@@ -183,10 +197,7 @@ def instrument_diamond_lower(impl: InstrumentImplementation,
     if not 0 <= j < impl.D:
         raise ValueError(f"outcome index {j} out of range for D={impl.D}")
     sigma = check_density(sigma, impl.E)
-    sigma_j = _embedded_state(sigma, impl.D, j)
-    out = impl.branches[j].apply(sigma_j)
-    return (1.0 - float(np.trace(out).real)
-            + trace_norm(out - sigma_j))
+    return float(_probe_values(impl, sigma[None], j)[0])
 
 
 def instrument_diamond_lower_max(impl: InstrumentImplementation,
@@ -200,14 +211,12 @@ def instrument_diamond_lower_max(impl: InstrumentImplementation,
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     eye = np.eye(impl.E, dtype=complex)
-    candidates = [eye / impl.E]
-    candidates += [np.outer(eye[i], eye[i]) for i in range(impl.E)]
-    gen = rng(seed)
-    for _ in range(restarts):
-        psi = random_pure(impl.E, gen)
-        candidates.append(np.outer(psi, psi.conj()))
-    return max(instrument_diamond_lower(impl, sigma, j)
-               for sigma in candidates for j in range(impl.D))
+    psi = random_pure_states(impl.E, restarts, rng(seed))
+    sigmas = np.concatenate([eye[None] / impl.E,
+                             eye[:, :, None] * eye[:, None, :],
+                             psi[:, :, None] * psi[:, None, :].conj()])
+    return max(float(np.max(_probe_values(impl, sigmas, j)))
+               for j in range(impl.D))
 
 
 def _per_branch_trace_distances(impl: InstrumentImplementation) -> tuple:

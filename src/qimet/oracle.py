@@ -54,7 +54,8 @@ import scipy.linalg
 from .channels import ChoiMatrix
 from .errors import DimensionTooLarge, Unconverged
 from .linalg import (col_vec, hermitize, kron, nearest_density,
-                     partial_trace, psd_sqrt, rng, trace_norm, uncol)
+                     partial_trace, psd_sqrt, random_pure_states, rng,
+                     trace_norm)
 
 __all__ = [
     "DiamondNormResult",
@@ -334,49 +335,19 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
 # hill-climbing lower bound
 # ==================================================================
 
-def _signed_kraus(delta: ChoiMatrix):
-    """Decompose a Hermitian Choi state as a signed sum of Kraus actions:
-    ``Delta(rho) = sum_k s_k L_k rho L_k†`` with ``s_k = ±1``."""
-    vals, vecs = np.linalg.eigh(hermitize(np.asarray(delta.matrix)))
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    ops, signs = [], []
-    for w, v in zip(vals, vecs.T):
-        if abs(w) > 1e-14 * max(top, 1.0):
-            ops.append(np.sqrt(delta.dim_in * abs(w))
-                       * uncol(v, delta.dim_out, delta.dim_in))
-            signs.append(1.0 if w >= 0 else -1.0)
-    return ops, signs
-
-
-def _hillclimb_from(psi, lifted, signs, dim_in, dim_out, max_rounds=200):
-    """Locally maximize ``||(I ⊗ Delta)(psi psi†)||_1`` by alternating the
-    optimal distinguishing observable and the optimal input state."""
-    value = -np.inf
-    for _ in range(max_rounds):
-        cols = [op @ psi for op in lifted]
-        omega = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
-        for s, col in zip(signs, cols):
-            omega += s * np.outer(col, col.conj())
-        vals, vecs = np.linalg.eigh(hermitize(omega))
-        new_value = float(np.sum(np.abs(vals)))
-        if new_value - value <= 1e-13 * max(1.0, abs(new_value)):
-            value = max(value, new_value)
-            break
-        value = new_value
-        p = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
-        g = np.zeros((dim_in * dim_in, dim_in * dim_in), dtype=complex)
-        for s, op in zip(signs, lifted):
-            g += s * (op.conj().T @ p @ op)
-        gvals, gvecs = np.linalg.eigh(hermitize(g))
-        psi = gvecs[:, -1]
-    return value, psi
-
-
 def diamond_lower_hillclimb_state(delta: ChoiMatrix, restarts: int = 20,
                                   seed: int = 0):
     """Hill-climbed lower bound on the diamond norm, returning
     ``(value, psi)`` with ``psi`` the best pure input found on
     (reference ⊗ input), reference dimension equal to the input dimension.
+
+    A see-saw from the maximally entangled state and ``restarts`` random
+    states, climbing together: with ``Psi`` a start as reference × input and
+    ``C = dim_in * J``, a round evaluates ``omega = (Psi ⊗ I) C (Psi ⊗ I)†``
+    and moves to the top eigenvector of ``g[(s,j),(r,i)] = sum_(o,p)
+    P[(s,p),(r,o)] C[(i,o),(j,p)]``, ``P`` the sign projector of ``omega``.
+    A start leaves the batch once its value stops rising; stacked ``@`` and
+    ``eigh`` act slice by slice, so no start's path depends on the others.
 
     The value is always a true lower bound; it is monotone nondecreasing in
     ``restarts`` for a fixed seed and deterministic per seed.
@@ -384,24 +355,35 @@ def diamond_lower_hillclimb_state(delta: ChoiMatrix, restarts: int = 20,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     din, dout = delta.dim_in, delta.dim_out
-    ops, signs = _signed_kraus(delta)
-    if not ops:
-        return 0.0, col_vec(np.eye(din, dtype=complex)) / np.sqrt(din)
-    eye_ref = np.eye(din, dtype=complex)
-    lifted = [kron(eye_ref, op) for op in ops]
+    c = hermitize(np.asarray(delta.matrix, dtype=complex)) * din
+    c_by_out = c.reshape(din, dout, din, dout).transpose(3, 1, 2, 0).reshape(
+        dout * dout, din * din)  # [(p, o), (j, i)]
 
-    gen = rng(seed)
-    starts = [col_vec(eye_ref) / np.sqrt(din)]
-    for _ in range(restarts):
-        v = gen.normal(size=din * din) + 1j * gen.normal(size=din * din)
-        starts.append(v / np.linalg.norm(v))
-
-    best_value, best_psi = -np.inf, starts[0]
-    for psi in starts:
-        value, opt = _hillclimb_from(psi, lifted, signs, din, dout)
-        if value > best_value:
-            best_value, best_psi = value, opt
-    return max(best_value, 0.0), best_psi
+    psi = np.concatenate([col_vec(np.eye(din, dtype=complex))[None]
+                          / np.sqrt(din),
+                          random_pure_states(din * din, restarts, rng(seed))])
+    value = np.full(len(psi), -np.inf)
+    live = np.arange(len(psi))
+    for _ in range(200):
+        lift = kron(psi[live].reshape(-1, din, din), np.eye(dout))
+        vals, vecs = np.linalg.eigh(
+            hermitize(lift @ c @ lift.conj().swapaxes(1, 2)))
+        new = np.sum(np.abs(vals), axis=1)
+        done = new - value[live] <= 1e-13 * np.maximum(1.0, np.abs(new))
+        value[live] = np.where(done, np.maximum(value[live], new), new)
+        live, vals, vecs = live[~done], vals[~done], vecs[~done]
+        if not live.size:
+            break
+        p = ((vecs * np.where(vals >= 0.0, 1.0, -1.0)[:, None, :])
+             @ vecs.conj().swapaxes(1, 2))
+        # [(s, r), (p, o)] @ [(p, o), (j, i)], then reorder to [(s, j), (r, i)]
+        g = (p.reshape(-1, din, dout, din, dout).transpose(0, 1, 3, 2, 4)
+             .reshape(-1, din * din, dout * dout) @ c_by_out)
+        g = g.reshape(-1, din, din, din, din).transpose(0, 1, 3, 2, 4).reshape(
+            -1, din * din, din * din)
+        psi[live] = np.linalg.eigh(hermitize(g))[1][:, :, -1]
+    best = int(np.argmax(value))
+    return max(float(value[best]), 0.0), psi[best]
 
 
 def diamond_lower_hillclimb(delta: ChoiMatrix, restarts: int = 20,

@@ -33,8 +33,10 @@ from .oracle import diamond_lower_hillclimb_state, diamond_norm
 __all__ = [
     "THEOREM_IDS",
     "VerificationRecord",
+    "record_to_json",
     "run_trial",
     "run_trials",
+    "shipped_counterexample_model",
     "summarize",
 ]
 

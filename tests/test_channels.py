@@ -186,8 +186,7 @@ def test_nu_lambda_matches_stored_weights():
     for trial in range(50):
         dim = int(gen.integers(1, 5))
         nu_in = float(gen.uniform(0.0, 1.0))
-        t = ch.random_stochastic_channel(dim, nu_in, seed=400 + trial,
-                                         concentration=float(gen.uniform(0.3, 3.0)))
+        t = ch.random_stochastic_channel(dim, nu_in, seed=400 + trial)
         nu, lam = ch.nu_lambda(t)
         assert abs(nu - nu_in) < 1e-10
         assert abs(nu * lam - t.weights.get((0, 0), 0.0)) < 1e-10

@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +277,7 @@ def test_oracle_diamond_malformed(capsys, tmp_path):
 
 def test_every_public_name_resolves():
     import qimet
+    import qimet.cli
     for module_name in qimet.__all__:
         if module_name == "__version__":
             continue
@@ -282,3 +285,13 @@ def test_every_public_name_resolves():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module_name}.{name} is listed " \
                 "in __all__ but not defined"
+    # whatever the command line uses from the package is public API; a
+    # module without __all__ exports every name without a leading underscore
+    for name, obj in vars(qimet.cli).items():
+        home = getattr(obj, "__module__", "")
+        if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                and home.startswith("qimet.") and home != "qimet.cli"):
+            exported = getattr(sys.modules[home], "__all__", None)
+            assert (not name.startswith("_") if exported is None
+                    else name in exported), \
+                f"qimet.cli uses {home}.{name}, which {home} does not export"

@@ -42,13 +42,6 @@ def test_col_vec_identity_layout():
                                   np.array([1.0, 0.0, 0.0, 1.0]))
 
 
-def test_uncol_inverts_col_vec():
-    gen = linalg.rng(102)
-    for rows, cols in [(1, 1), (3, 2), (2, 5), (4, 4)]:
-        a = _rand_complex(gen, rows, cols)
-        np.testing.assert_array_equal(linalg.uncol(linalg.col_vec(a), rows, cols), a)
-
-
 def test_col_vec_product_identity():
     # col_vec(A B C) == kron(C^T, A) col_vec(B), checked to 1e-12
     gen = linalg.rng(103)
@@ -69,11 +62,6 @@ def test_col_vec_inner_product_is_hs_inner_product():
         lhs = np.vdot(linalg.col_vec(a), linalg.col_vec(b))
         rhs = np.trace(a.conj().T @ b)
         assert abs(lhs - rhs) < 1e-12
-
-
-def test_uncol_wrong_length_raises():
-    with pytest.raises(DimensionMismatch):
-        linalg.uncol(np.zeros(5), 2, 3)
 
 
 # ------------------------------------------------------------------
@@ -294,6 +282,21 @@ def test_random_pure_and_density_reproducible():
     r1 = linalg.random_density(3, linalg.rng(8))
     r2 = linalg.random_density(3, linalg.rng(8))
     np.testing.assert_array_equal(r1, r2)
+
+
+def test_random_pure_states_match_sequential_normalized_draws():
+    # row k has the same bits whatever the count, so a search over more
+    # random starts only ever adds candidates
+    for dim in (1, 2, 4, 9):
+        gen = linalg.rng(9 + dim)
+        raw = [gen.normal(size=dim) + 1j * gen.normal(size=dim)
+               for _ in range(12)]
+        ref = np.array([v / np.linalg.norm(v) for v in raw])
+        for count in (0, 1, 5, 12):
+            rows = linalg.random_pure_states(dim, count, linalg.rng(9 + dim))
+            np.testing.assert_array_equal(rows, ref[:count])
+        np.testing.assert_array_equal(
+            linalg.random_pure(dim, linalg.rng(9 + dim)), ref[0])
 
 
 # ------------------------------------------------------------------
