@@ -1,13 +1,15 @@
 """Quantum channels: Kraus and Choi representations, stochastic mixtures.
 
-The Choi state of a channel with Kraus operators ``{K_j}`` is
+A channel's Kraus operators ``{K_j}`` are stored as one read-only array of
+shape ``(rank, dim_out, dim_in)``.  Its Choi state is
 
-    J = (1/dim_in) * sum_j col_vec(K_j) col_vec(K_j)†
+    J = (1/dim_in) * sum_j col_vec(K_j) col_vec(K_j)† = V^T conj(V) / dim_in
 
-living on (input copy) ⊗ (output), with the input factor carrying the slow
-index.  ``trace(J) = 1`` exactly when the channel is trace preserving; for
-general completely positive maps ``trace(J)`` equals the trace of the map's
-normalization.
+with ``V`` the ``rank × (dim_in·dim_out)`` matrix whose rows are the
+``col_vec(K_j)``, living on (input copy) ⊗ (output), with the input factor
+carrying the slow index.  ``trace(J) = 1`` exactly when the channel is
+trace preserving; for general completely positive maps ``trace(J)`` equals
+the trace of the map's normalization.
 
 A *stochastic* channel is a nonnegative mixture of pairwise Hilbert-Schmidt
 orthogonal unitaries, one of which is the identity:
@@ -67,27 +69,31 @@ def _freeze(mat: np.ndarray) -> np.ndarray:
 class KrausChannel:
     """A completely positive map given by its Kraus operators.
 
-    Operators have shape ``(dim_out, dim_in)``.  The map need not be trace
+    ``kraus_ops`` accepts any nonempty sequence of operators of shape
+    ``(dim_out, dim_in)`` and is stored as one read-only complex array of
+    shape ``(rank, dim_out, dim_in)``.  The map need not be trace
     preserving: subnormalized branches of instruments are represented this
     way too.
     """
 
     dim_in: int
     dim_out: int
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise DimensionMismatch("channel dimensions must be positive")
-        ops = tuple(_freeze(k) for k in self.kraus_ops)
-        if not ops:
-            raise DimensionMismatch("a channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatch(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})")
-        object.__setattr__(self, "kraus_ops", ops)
+        try:
+            ops = np.stack(self.kraus_ops)
+        except ValueError as exc:  # empty, or operators of unequal shapes
+            raise DimensionMismatch(
+                f"Kraus operators must be a nonempty set of one shape: {exc}"
+            ) from exc
+        if ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise DimensionMismatch(
+                f"Kraus operator shape {ops.shape[1:]} does not match "
+                f"({self.dim_out}, {self.dim_in})")
+        object.__setattr__(self, "kraus_ops", _freeze(ops))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate ``sum_j K_j rho K_j†``."""
@@ -95,10 +101,8 @@ class KrausChannel:
         if rho.shape != (self.dim_in, self.dim_in):
             raise DimensionMismatch(
                 f"state shape {rho.shape} does not match dim_in {self.dim_in}")
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
+        ops = self.kraus_ops
+        return np.sum(ops @ rho @ ops.conj().swapaxes(1, 2), axis=0)
 
 
 @dataclass(frozen=True)
@@ -144,13 +148,11 @@ def identity_channel(dim: int) -> KrausChannel:
 # ==================================================================
 
 def choi_from_kraus(channel: KrausChannel) -> ChoiMatrix:
-    """Choi state ``(1/dim_in) sum_j col_vec(K_j) col_vec(K_j)†``."""
-    side = channel.dim_in * channel.dim_out
-    mat = np.zeros((side, side), dtype=complex)
-    for k in channel.kraus_ops:
-        v = col_vec(k)
-        mat += np.outer(v, v.conj())
-    mat /= channel.dim_in
+    """Choi state ``(1/dim_in) sum_j col_vec(K_j) col_vec(K_j)†``, as the
+    single product ``V^T conj(V) / dim_in`` with rows ``V_j = col_vec(K_j)``."""
+    ops = channel.kraus_ops
+    v = ops.swapaxes(1, 2).reshape(len(ops), -1)
+    mat = v.T @ v.conj() / channel.dim_in
     return ChoiMatrix(channel.dim_in, channel.dim_out, hermitize(mat))
 
 
@@ -238,17 +240,19 @@ class StochasticChannel:
         total = float(sum(float(w) for w in dict(weights).values()))
         return cls(dim, total, weights)
 
-    def kraus_ops(self) -> tuple:
-        """Kraus operators ``sqrt(w) U_(a,b)`` for the nonzero weights."""
+    def kraus_ops(self) -> np.ndarray:
+        """Kraus operators ``sqrt(w) U_(a,b)`` for the nonzero weights, as
+        one ``(rank, dim, dim)`` array (``rank = 0`` for the zero map)."""
         basis = weyl_operators(self.dim)
-        ops = tuple(np.sqrt(w) * basis[key]
-                    for key, w in self.weights.items() if w > 0.0)
-        if not ops:
-            ops = (np.zeros((self.dim, self.dim), dtype=complex),)
-        return ops
+        ops = [np.sqrt(w) * basis[key]
+               for key, w in self.weights.items() if w > 0.0]
+        return np.array(ops, dtype=complex).reshape(-1, self.dim, self.dim)
 
     def as_channel(self) -> KrausChannel:
-        return KrausChannel(self.dim, self.dim, self.kraus_ops())
+        ops = self.kraus_ops()
+        if not len(ops):
+            ops = np.zeros((1, self.dim, self.dim), dtype=complex)
+        return KrausChannel(self.dim, self.dim, ops)
 
     def choi(self) -> ChoiMatrix:
         return choi_from_kraus(self.as_channel())

@@ -95,16 +95,14 @@ class InstrumentImplementation:
             raise InvalidModel(
                 f"expected {self.D} branch maps, got {len(branches)}")
         side = self.E * self.D
-        acc = np.zeros((side, side), dtype=complex)
         for m in branches:
             if not isinstance(m, KrausChannel):
                 raise InvalidModel("branches must be KrausChannel values")
             if m.dim_in != side or m.dim_out != side:
                 raise DimensionMismatch(
                     f"branch dims ({m.dim_in}, {m.dim_out}) do not match E*D = {side}")
-            for k in m.kraus_ops:
-                acc += k.conj().T @ k
-        dev = float(np.max(np.abs(acc - np.eye(side))))
+        rows = np.concatenate([m.kraus_ops for m in branches]).reshape(-1, side)
+        dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(side))))
         if dev > TOL.trace_preserving:
             raise InvalidModel(
                 f"total channel is not trace preserving: max |sum K†K - I| = {dev:.3e}")
@@ -190,21 +188,16 @@ class NonUniformStochasticModel:
 
 def _expand_branches(D: int, E: int, channel_at) -> tuple:
     """Branch Kraus sets ``B ⊗ |j+a><j+b|`` for ``B`` in ``channel_at(a, b, j)``."""
+    side = E * D
     branches = []
     for j in range(D):
-        ops = []
-        for a in range(D):
-            for b in range(D):
-                channel = channel_at(a, b, j)
-                if channel is None:
-                    continue
-                flip = _basis_flip(D, j + a, j + b)
-                for op in channel.kraus_ops():
-                    if np.any(op):
-                        ops.append(kron(op, flip))
-        if not ops:
-            ops = [np.zeros((E * D, E * D), dtype=complex)]
-        branches.append(KrausChannel(E * D, E * D, tuple(ops)))
+        ops = np.concatenate([np.zeros((0, side, side), dtype=complex)] + [
+            kron(channel.kraus_ops(), _basis_flip(D, j + a, j + b))
+            for a in range(D) for b in range(D)
+            if (channel := channel_at(a, b, j)) is not None])
+        if not len(ops):
+            ops = np.zeros((1, side, side), dtype=complex)
+        branches.append(KrausChannel(side, side, ops))
     return tuple(branches)
 
 
@@ -245,13 +238,10 @@ def full_channel(impl: InstrumentImplementation) -> KrausChannel:
     """The implementation as one channel H_{ED} -> H_{ED} ⊗ H_D, appending
     the outcome register: each Kraus ``K`` of branch ``j`` becomes ``K ⊗ |j>``."""
     side = impl.E * impl.D
-    ops = []
-    for j, branch in enumerate(impl.branches):
-        ket = np.zeros((impl.D, 1), dtype=complex)
-        ket[j, 0] = 1.0
-        for k in branch.kraus_ops:
-            ops.append(kron(k, ket))
-    return KrausChannel(side, side * impl.D, tuple(ops))
+    kets = np.eye(impl.D, dtype=complex)[:, :, None]
+    return KrausChannel(side, side * impl.D, np.concatenate(
+        [kron(branch.kraus_ops, ket)
+         for branch, ket in zip(impl.branches, kets)]))
 
 
 def extend_with_reference(impl: InstrumentImplementation,
@@ -263,10 +253,10 @@ def extend_with_reference(impl: InstrumentImplementation,
     reference-assisted states, where it becomes tight."""
     if dim_ref < 1:
         raise UnsupportedDimension(f"reference dimension must be >= 1, got {dim_ref}")
-    eye = np.eye(dim_ref, dtype=complex)
+    eye = np.eye(dim_ref, dtype=complex)[None]
     branches = tuple(
         KrausChannel(dim_ref * impl.E * impl.D, dim_ref * impl.E * impl.D,
-                     tuple(kron(eye, k) for k in branch.kraus_ops))
+                     kron(eye, branch.kraus_ops))
         for branch in impl.branches)
     return InstrumentImplementation(impl.D, dim_ref * impl.E, branches)
 
@@ -332,22 +322,18 @@ def random_general_implementation(D: int, E: int,
     _check_generator_dims(D, E)
     gen = rng(seed)
     side = E * D
-    raw = []
-    for j in range(D):
-        g0 = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
-        g1 = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
-        pi_j = kron(np.eye(E, dtype=complex), _basis_flip(D, j, j))
-        raw.append([pi_j + 0.15 * g0 / np.sqrt(side),
-                    0.15 * g1 / np.sqrt(side)])
-    acc = np.zeros((side, side), dtype=complex)
-    for ops in raw:
-        for k in ops:
-            acc += k.conj().T @ k
+    # per branch j, in draw order: Re g0, Im g0, Re g1, Im g1
+    g = gen.normal(size=(D, 2, 2, side, side))
+    raw = 0.15 * (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(side)
+    diag = np.arange(side)
+    raw[diag % D, 0, diag, diag] += 1.0  # pi_j = I_E ⊗ |j><j| on operator 0
+    # sum K†K operator by operator in draw order: one GEMM over the stacked
+    # rows would round differently and change the generated models' bytes
+    acc = np.sum((raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, side, side),
+                 axis=0)
     vals, vecs = np.linalg.eigh(0.5 * (acc + acc.conj().T))
     inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    branches = tuple(
-        KrausChannel(side, side, tuple(k @ inv_root for k in ops))
-        for ops in raw)
+    branches = tuple(KrausChannel(side, side, ops) for ops in raw @ inv_root)
     return InstrumentImplementation(D, E, branches)
 
 
@@ -380,8 +366,9 @@ def model_to_json(model) -> dict:
 def model_from_json(obj: dict):
     """Decode and validate a model JSON object.
 
-    All structural failures discovered while decoding are collected and
-    reported together in a single :class:`InvalidModel`.
+    Malformed JSON structure raises ``ValueError``; the first model
+    validation failure raises :class:`InvalidModel`, its message prefixed
+    with ``model validation failed: ``.
     """
     try:
         kind = obj["type"]
@@ -389,7 +376,6 @@ def model_from_json(obj: dict):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model object: {exc}") from exc
 
-    failures = []
     if kind == "general":
         try:
             branches = tuple(channel_from_json(b) for b in obj["branches"])
@@ -398,8 +384,8 @@ def model_from_json(obj: dict):
         try:
             return InstrumentImplementation(D, E, branches)
         except (InvalidModel, DimensionMismatch, UnsupportedDimension) as exc:
-            failures.append(str(exc))
-    elif kind in ("uniform", "nonuniform"):
+            raise InvalidModel(f"model validation failed: {exc}") from exc
+    if kind in ("uniform", "nonuniform"):
         table = []
         try:
             for entry in obj["table"]:
@@ -409,14 +395,11 @@ def model_from_json(obj: dict):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model object: {exc}") from exc
         except InvalidModel as exc:
-            failures.append(str(exc))
-        if not failures:
-            cls = UniformStochasticModel if kind == "uniform" \
-                else NonUniformStochasticModel
-            try:
-                return cls(D, E, table)
-            except (InvalidModel, UnsupportedDimension) as exc:
-                failures.append(str(exc))
-    else:
-        raise ValueError(f"unknown model type {kind!r}")
-    raise InvalidModel("model validation failed: " + "; ".join(failures))
+            raise InvalidModel(f"model validation failed: {exc}") from exc
+        cls = UniformStochasticModel if kind == "uniform" \
+            else NonUniformStochasticModel
+        try:
+            return cls(D, E, table)
+        except (InvalidModel, UnsupportedDimension) as exc:
+            raise InvalidModel(f"model validation failed: {exc}") from exc
+    raise ValueError(f"unknown model type {kind!r}")

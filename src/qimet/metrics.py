@@ -172,7 +172,7 @@ def _probe_values(impl: InstrumentImplementation, sigmas: np.ndarray,
     ``sigma`` of a stack, ``sigma_j = sigma ⊗ |j><j|``.  Only the columns
     ``j::D`` of branch ``j``'s Kraus operators touch ``sigma_j``; stacked
     ``@`` and SVD act slice by slice, so no value depends on the others."""
-    cols = np.stack(impl.branches[j].kraus_ops)[:, :, j::impl.D]
+    cols = impl.branches[j].kraus_ops[:, :, j::impl.D]
     rank, side, e = cols.shape
     half = cols.reshape(rank * side, e) @ sigmas  # [m, (k, row), e]
     out = (half.reshape(-1, rank, side, e).swapaxes(1, 2)

@@ -200,9 +200,8 @@ def _check_kraus_rank(seed, D, E, tol):
     gen = rng(seed)
     din, dout = D, E
     r = 1 + int(gen.integers(min(din * dout, 4)))
-    ops = tuple(gen.normal(size=(dout, din)) + 1j * gen.normal(size=(dout, din))
-                for _ in range(r))
-    channel = KrausChannel(din, dout, ops)
+    g = gen.normal(size=(r, 2, dout, din))  # per operator: real, imaginary
+    channel = KrausChannel(din, dout, g[:, 0] + 1j * g[:, 1])
     measured = kraus_rank(channel)
     return _make("kraus-rank", seed, float(r), float(measured),
                  abs(r - measured), tol)
@@ -232,10 +231,16 @@ THEOREM_IDS = tuple(_CHECKS)
 def run_trial(theorem_id: str, trial_seed: int, dim_d: int | None = None,
               dim_e: int | None = None,
               tol: float | None = None) -> VerificationRecord:
-    """Run a single randomized check of ``theorem_id`` at ``trial_seed``."""
+    """Run a single randomized check of ``theorem_id`` at ``trial_seed``.
+
+    :raises ValueError: for an unknown id, or a ``tol`` that is not a
+        number ``>= 0``.
+    """
     if theorem_id not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"choose one of {', '.join(THEOREM_IDS)}")
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     runner, default_tol, (d_default, e_default) = _CHECKS[theorem_id]
     return runner(
         trial_seed,

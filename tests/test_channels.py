@@ -63,6 +63,46 @@ def test_kraus_rank_counts_independent_operators():
         assert ch.kraus_rank(padded) == count
 
 
+def test_choi_matches_sum_of_outer_products():
+    # rank 1, rank above the Choi side, and non-square operators
+    gen = linalg.rng(204)
+    for dim_in, dim_out, rank in [(3, 3, 1), (2, 2, 7), (2, 3, 4), (4, 2, 3)]:
+        ops = gen.normal(size=(rank, dim_out, dim_in)) \
+            + 1j * gen.normal(size=(rank, dim_out, dim_in))
+        vecs = [k.reshape(-1, order="F") for k in ops]
+        want = sum(np.outer(v, v.conj()) for v in vecs) / dim_in
+        choi = ch.choi_from_kraus(ch.KrausChannel(dim_in, dim_out, ops))
+        np.testing.assert_allclose(choi.matrix, want, rtol=0, atol=1e-14)
+
+
+def test_kraus_ops_stored_as_one_read_only_array():
+    channel = ch.KrausChannel(2, 2, [X, Z])
+    ops = channel.kraus_ops
+    assert isinstance(ops, np.ndarray)
+    assert ops.shape == (2, 2, 2)
+    assert ops.dtype == complex
+    assert not ops.flags.writeable
+    with pytest.raises(ValueError):
+        ops[0, 0, 0] = 5.0
+    np.testing.assert_array_equal(ops[1], Z)
+    # a stacked array is accepted as it is
+    again = ch.KrausChannel(2, 2, ops)
+    np.testing.assert_array_equal(again.kraus_ops, ops)
+
+
+def test_kraus_channel_rejects_ragged_and_empty_sets():
+    with pytest.raises(DimensionMismatch):
+        ch.KrausChannel(2, 2, [X, np.eye(3)])
+    with pytest.raises(DimensionMismatch):
+        ch.KrausChannel(2, 2, [X, np.eye(2)[:1]])
+    with pytest.raises(DimensionMismatch):
+        ch.KrausChannel(2, 2, [])
+    with pytest.raises(DimensionMismatch):
+        ch.KrausChannel(2, 2, np.zeros((0, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        ch.KrausChannel(2, 3, [X])
+
+
 def test_choi_reproduces_action_via_partial_trace():
     # E(rho) = dim_in * Tr_in[ (rho^T ⊗ I) J ]
     gen = linalg.rng(205)

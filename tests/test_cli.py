@@ -216,6 +216,16 @@ def test_verify_failure_exits_one(capsys):
     assert summary["passed"] < summary["trials"]
 
 
+def test_verify_rejects_bad_tolerance(capsys):
+    # a NaN or negative tolerance is an input error, not a failed trial
+    for bad in ("nan", "-1"):
+        code, out, err = run_cli(capsys, "verify", "lemma-orthogonality",
+                                 "--trials", "2", "--tol", bad)
+        assert code == 2
+        assert out == ""
+        assert "tol must be" in err
+
+
 # ------------------------------------------------------------------
 # oracle-diamond
 # ------------------------------------------------------------------

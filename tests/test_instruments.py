@@ -215,6 +215,24 @@ def test_full_channel_ideal_d2_e1():
         np.testing.assert_array_equal(k, expected)
 
 
+def test_full_channel_and_reference_extension_match_per_operator_kron():
+    D, E = 3, 2
+    impl = inst.random_general_implementation(D, E, seed=311)
+    fc = inst.full_channel(impl)
+    want = []
+    for j, branch in enumerate(impl.branches):
+        ket = np.zeros((D, 1))
+        ket[j, 0] = 1.0
+        want += [np.kron(k, ket) for k in branch.kraus_ops]
+    np.testing.assert_array_equal(fc.kraus_ops, np.array(want))
+    extended = inst.extend_with_reference(impl, 2)
+    assert (extended.D, extended.E) == (D, 2 * E)
+    for got, branch in zip(extended.branches, impl.branches):
+        np.testing.assert_array_equal(
+            got.kraus_ops,
+            np.array([np.kron(np.eye(2), k) for k in branch.kraus_ops]))
+
+
 def test_full_channel_trace_out_outcome_is_forget_map():
     gen = linalg.rng(306)
     D, E = 3, 2
