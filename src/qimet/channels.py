@@ -23,7 +23,8 @@ equal to the entanglement fidelity with the identity scaled by ``nu``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -191,6 +192,15 @@ def weyl_operators(dim: int) -> dict:
     return ops
 
 
+@lru_cache(maxsize=None)
+def _weyl_stack(dim: int) -> np.ndarray:
+    """The :func:`weyl_operators` basis as one read-only ``(dim**2, dim, dim)``
+    array, ``U_(a,b)`` at index ``a * dim + b``; built once per ``dim``."""
+    stack = np.stack(list(weyl_operators(dim).values()))
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class StochasticChannel:
     """Nonnegative mixture of shift-and-phase unitaries.
@@ -243,10 +253,10 @@ class StochasticChannel:
     def kraus_ops(self) -> np.ndarray:
         """Kraus operators ``sqrt(w) U_(a,b)`` for the nonzero weights, as
         one ``(rank, dim, dim)`` array (``rank = 0`` for the zero map)."""
-        basis = weyl_operators(self.dim)
-        ops = [np.sqrt(w) * basis[key]
-               for key, w in self.weights.items() if w > 0.0]
-        return np.array(ops, dtype=complex).reshape(-1, self.dim, self.dim)
+        live = {a * self.dim + b: w
+                for (a, b), w in self.weights.items() if w > 0.0}
+        return (np.sqrt(np.fromiter(live.values(), float))[:, None, None]
+                * _weyl_stack(self.dim)[list(live)])
 
     def as_channel(self) -> KrausChannel:
         ops = self.kraus_ops()

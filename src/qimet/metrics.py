@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
-                       nu_lambda)
+from .channels import (ChoiMatrix, KrausChannel, StochasticChannel,
+                       choi_from_kraus, nu_lambda)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, InvalidProjector
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
@@ -35,6 +35,7 @@ from .linalg import (check_density, check_projector, psd_sqrt,
 __all__ = [
     "MetricsReport",
     "process_fidelity",
+    "kraus_fidelity",
     "instrument_fidelity_branchwise",
     "fidelity_uniform_closed",
     "fidelity_nonuniform_closed",
@@ -68,6 +69,30 @@ def process_fidelity(ja: ChoiMatrix, jb: ChoiMatrix) -> float:
             f"Choi dimensions ({ja.dim_in}, {ja.dim_out}) vs "
             f"({jb.dim_in}, {jb.dim_out})")
     root = trace_norm(psd_sqrt(ja.matrix) @ psd_sqrt(jb.matrix))
+    return root * root
+
+
+def kraus_fidelity(a: KrausChannel, b: KrausChannel) -> float:
+    """Process fidelity from Kraus operators, ``F = ||A† B||_1^2 / dim_in^2``.
+
+    With rows ``V_j`` the flattened Kraus operators, ``conj(Va) Vb^T`` is the
+    ``rank_a × rank_b`` matrix ``tr(A_i† B_j)``.  As ``J_A = X X†`` with
+    ``X`` the columns ``col_vec(A_i) / sqrt(dim_in)``, the polar
+    decomposition gives ``||sqrt(J_A) sqrt(J_B)||_1 = ||X† Y||_1``, so this is
+    :func:`process_fidelity` of the two Choi states (Gilchrist, Langford and
+    Nielsen, PRA 71, 062310, 2005) with one product and one SVD instead of
+    two Choi square roots.  Accepts subnormalized maps; symmetric in its
+    arguments.
+
+    :raises DimensionMismatch: on unequal dimensions.
+    """
+    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
+        raise DimensionMismatch(
+            f"channel dimensions ({a.dim_in}, {a.dim_out}) vs "
+            f"({b.dim_in}, {b.dim_out})")
+    va = a.kraus_ops.reshape(len(a.kraus_ops), -1)
+    vb = b.kraus_ops.reshape(len(b.kraus_ops), -1)
+    root = trace_norm(va.conj() @ vb.T) / a.dim_in
     return root * root
 
 

@@ -50,6 +50,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zpotrf, ztrtri
 
 from .channels import ChoiMatrix
 from .errors import DimensionTooLarge, Unconverged
@@ -97,10 +98,17 @@ def result_to_json(result: DiamondNormResult) -> dict:
 # ==================================================================
 
 def _cholesky_inverse(m: np.ndarray):
-    """``(L, L⁻¹)`` with ``m = L L†``; raises ``LinAlgError`` unless m > 0."""
-    chol = np.linalg.cholesky(m)
-    return chol, scipy.linalg.solve_triangular(
-        chol, np.eye(len(m), dtype=complex), lower=True, check_finite=False)
+    """``(L, L⁻¹)`` with ``m = L L†``; raises ``LinAlgError`` unless m > 0.
+
+    Calls LAPACK directly: at the sides of the verify checks the argument
+    handling of the generic wrappers costs more than the factorization."""
+    chol, info = zpotrf(m, lower=True)
+    if info == 0:
+        chol_inv, info = ztrtri(chol, lower=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Cholesky factorization or inversion failed (info {info})")
+    return chol, chol_inv
 
 
 def _nt_scaling(chol: np.ndarray, chol_inv: np.ndarray, z: np.ndarray):
@@ -133,8 +141,10 @@ def _certificates(c: np.ndarray, y: np.ndarray, z3: np.ndarray,
     upper = float(np.linalg.eigvalsh(
         hermitize(partial_trace(y, [dim_in, dim_out], [0]))).max())
     rho = nearest_density(hermitize(z3))
-    g = kron(psd_sqrt(rho), np.eye(dim_out))
-    lower = trace_norm(g @ c @ g)
+    root = psd_sqrt(rho)
+    # (root ⊗ I) C (root ⊗ I) by multiplying the input indices of C in place
+    left = (root @ c.reshape(dim_in, -1)).reshape(-1, dim_in, dim_out)
+    lower = trace_norm((root.T @ left).reshape(len(c), len(c)))
     return lower, upper
 
 
@@ -246,8 +256,11 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             def step(target, tau):
                 # Newton step toward S Z = target * I, cut back to a fraction
                 # tau of the distance to each cone's boundary
-                dy, dt = solve(target * (s_invs[0] + s_invs[1]
-                                         - kron(s_invs[2], eye_out)),
+                # S1⁻¹ + S2⁻¹ - S3⁻¹ ⊗ I, the identity factor broadcast
+                r_y = ((s_invs[0] + s_invs[1]).reshape(dim_in, dim_out,
+                                                       dim_in, dim_out)
+                       - s_invs[2][:, None, :, None] * eye_out[:, None, :])
+                dy, dt = solve(target * r_y.reshape(n, n),
                                target * float(np.trace(s_invs[2]).real) - 1.0)
                 ds = [dy, dy, dt * eye_in - tr_out(dy)]
                 dz = [hermitize(target * s_inv - zk - w_inv @ d @ w_inv)

@@ -2,10 +2,10 @@
 
 Each runner draws one random instance from a trial seed, evaluates the same
 quantity along two *independent* routes — a closed form or bound from the
-metrics module versus a direct numerical computation (SDP oracle, explicit
-Choi-matrix fidelity, plain trace norms) — and reports the discrepancy as a
-:class:`VerificationRecord`.  ``passed`` means the absolute error is within
-the per-check tolerance below.
+metrics module versus a direct numerical computation (SDP oracle,
+Kraus-factor process fidelity of the expanded instrument, plain trace norms)
+— and reports the discrepancy as a :class:`VerificationRecord`.  ``passed``
+means the absolute error is within the per-check tolerance below.
 
 For bracket-style checks (instrument sandwich, Fuchs-van de Graaf chain) the
 record stores the two outer values and ``abs_error`` is the total amount by
@@ -59,16 +59,11 @@ def _make(theorem_id, seed, closed, oracle, err, tol) -> VerificationRecord:
                               float(err), bool(err <= tol))
 
 
-def _full_chois(impl):
-    """Full-channel Choi matrices of ``impl`` and of the ideal instrument."""
-    ideal = ideal_instrument(impl.D, impl.E)
-    return (choi_from_kraus(full_channel(impl)),
-            choi_from_kraus(full_channel(ideal)))
-
-
 def _instrument_delta(impl) -> ChoiMatrix:
-    actual, ideal = _full_chois(impl)
-    return actual - ideal
+    """Full-channel Choi difference of ``impl`` and the ideal instrument."""
+    ideal = ideal_instrument(impl.D, impl.E)
+    return (choi_from_kraus(full_channel(impl))
+            - choi_from_kraus(full_channel(ideal)))
 
 
 # ------------------------------------------------------------------
@@ -89,12 +84,12 @@ def _check_stochastic_diamond(seed, D, E, tol):
 
 def _check_fidelity(theorem_id, generate, closed_form, expand,
                     seed, D, E, tol):
-    # closed-form model fidelity vs the Choi-matrix fidelity of the
-    # expanded instrument, ||sqrt(J_ideal) sqrt(J_actual)||_1^2
+    # closed-form model fidelity vs the process fidelity of the expanded
+    # instrument from its Kraus operators, ||A_ideal† A_actual||_1^2 / d^2
     model = generate(D, E, seed=seed)
     closed = closed_form(model)
-    actual, ideal = _full_chois(expand(model))
-    oracle = metrics.process_fidelity(ideal, actual)
+    oracle = metrics.kraus_fidelity(full_channel(ideal_instrument(D, E)),
+                                    full_channel(expand(model)))
     return _make(theorem_id, seed, closed, oracle, abs(closed - oracle), tol)
 
 

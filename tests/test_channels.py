@@ -162,9 +162,35 @@ def test_weyl_operators_orthogonal_unitary():
                 assert abs(ip - expected) < 1e-12
 
 
+def test_weyl_stack_is_cached_and_read_only():
+    stack = ch._weyl_stack(3)
+    assert stack is ch._weyl_stack(3)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 2.0
+    for (a, b), u in ch.weyl_operators(3).items():
+        np.testing.assert_array_equal(stack[3 * a + b], u)
+
+
 # ------------------------------------------------------------------
 # stochastic channels
 # ------------------------------------------------------------------
+
+def test_stochastic_kraus_ops_bit_identical_to_weighted_basis():
+    for dim in (1, 2, 3, 4):
+        basis = ch.weyl_operators(dim)
+        for seed in range(5):
+            t = ch.random_stochastic_channel(dim, 0.4 + 0.15 * seed, seed)
+            ref = np.array([np.sqrt(w) * basis[key]
+                            for key, w in t.weights.items() if w > 0.0])
+            got = t.kraus_ops()
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+    sparse = ch.StochasticChannel(3, 0.5, {(2, 1): 0.5, (0, 2): 0.0})
+    assert (sparse.kraus_ops().tobytes()
+            == (np.sqrt(0.5) * ch.weyl_operators(3)[(2, 1)]).tobytes())
+    assert ch.StochasticChannel(2, 0.0, {}).kraus_ops().shape == (0, 2, 2)
+
 
 def test_stochastic_channel_basics():
     t = ch.StochasticChannel(2, 1.0, {(0, 0): 0.9, (1, 0): 0.1})

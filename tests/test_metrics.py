@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
-from qimet.channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
-                            identity_channel, nu_lambda,
+from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
+                            choi_from_kraus, identity_channel, nu_lambda,
                             random_stochastic_channel, weyl_operators)
 from qimet.errors import (DimensionMismatch, InvalidModel, InvalidProjector,
                           NotPSD)
@@ -18,7 +19,7 @@ from qimet.metrics import (MetricsReport, build_report,
                            instrument_diamond_lower,
                            instrument_diamond_lower_max,
                            instrument_diamond_upper,
-                           instrument_fidelity_branchwise,
+                           instrument_fidelity_branchwise, kraus_fidelity,
                            nonuniform_outcome_diamond, process_fidelity,
                            report_to_json, uniform_diamond_exact)
 
@@ -85,6 +86,88 @@ def test_process_fidelity_rejects_indefinite():
                                    w[(1, 0)].reshape(-1, order="F").conj()) / 2)
     with pytest.raises(NotPSD):
         process_fidelity(ji - jx, ji)
+
+
+# ------------------------------------------------------------------
+# Kraus-factor process fidelity
+# ------------------------------------------------------------------
+
+def random_kraus_channel(gen, dim_in, dim_out, count, rank=None, scale=1.0):
+    """Random CP map with ``count`` Kraus operators spanning ``rank`` of them,
+    scaled to ``scale`` times a trace-preserving map's normalization."""
+    rank = count if rank is None else rank
+    basis = (gen.normal(size=(rank, dim_out * dim_in))
+             + 1j * gen.normal(size=(rank, dim_out * dim_in)))
+    mix = gen.normal(size=(count, rank)) + 1j * gen.normal(size=(count, rank))
+    ops = (mix @ basis).reshape(count, dim_out, dim_in)
+    norm = np.sum(ops.conj().swapaxes(1, 2) @ ops, axis=0).trace().real
+    return KrausChannel(dim_in, dim_out, ops * np.sqrt(scale * dim_in / norm))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_kraus_fidelity_matches_choi_route(dims):
+    # full Choi rank, where the psd_sqrt route is accurate; the Kraus sets
+    # are trace preserving or subnormalized, with independent operators or
+    # more operators than their span (a rank-deficient Kraus matrix)
+    gen = rng(5000 + 10 * dims[0] + dims[1])
+    side = dims[0] * dims[1]
+    for trial in range(6):
+        count = side + trial % 3
+        scale = 1.0 if trial < 3 else 0.1 + 0.3 * trial / 6
+        a = random_kraus_channel(gen, *dims, count, side, scale)
+        b = random_kraus_channel(gen, *dims, side + 1 - trial % 2, side)
+        ref = process_fidelity(choi_from_kraus(a), choi_from_kraus(b))
+        assert abs(kraus_fidelity(a, b) - ref) <= 1e-9
+
+
+def _fidelity_mp(a, b, digits=40):
+    """``||sqrt(J_A) sqrt(J_B)||_1^2`` of the Choi states in ``digits``-digit
+    arithmetic, so that zero eigenvalues stay far below the test tolerance."""
+    with mpmath.workdps(digits):
+        def choi(channel):
+            v = mpmath.matrix([[complex(x) for x in k.reshape(-1, order="F")]
+                               for k in channel.kraus_ops])
+            return v.T * v.conjugate() / channel.dim_in
+
+        def root(m):
+            vals, vecs = mpmath.eighe(m)
+            diag = mpmath.diag([mpmath.sqrt(max(x, 0)) for x in vals])
+            return vecs * diag * vecs.H
+
+        ra = root(choi(a))
+        vals, _ = mpmath.eighe(ra * choi(b) * ra)
+        return float(sum(mpmath.sqrt(max(x, 0)) for x in vals) ** 2)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_kraus_fidelity_exact_on_low_choi_rank(dims):
+    # low Choi rank (and subnormalized): the double-precision psd_sqrt route
+    # is off by ~1e-9 here, the Kraus route agrees with 40 digits
+    gen = rng(5200 + 10 * dims[0] + dims[1])
+    for trial in range(3):
+        a = random_kraus_channel(gen, *dims, 2 + trial, rank=1 + trial % 2,
+                                 scale=1.0 - 0.3 * trial)
+        b = random_kraus_channel(gen, *dims, 1 + trial)
+        assert abs(kraus_fidelity(a, b) - _fidelity_mp(a, b)) <= 1e-12
+
+
+def test_kraus_fidelity_symmetric_and_self():
+    gen = rng(5100)
+    for trial in range(10):
+        a = random_kraus_channel(gen, 3, 2, 1 + trial % 3)
+        b = random_kraus_channel(gen, 3, 2, 2, rank=1, scale=0.5)
+        assert abs(kraus_fidelity(a, b) - kraus_fidelity(b, a)) <= 1e-12
+        assert abs(kraus_fidelity(a, a) - 1.0) <= 1e-12
+
+
+def test_kraus_fidelity_dimension_mismatch():
+    # equal Choi sides, swapped input and output dimensions
+    a = KrausChannel(2, 3, np.ones((1, 3, 2)))
+    b = KrausChannel(3, 2, np.ones((1, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        kraus_fidelity(a, b)
+    with pytest.raises(DimensionMismatch):
+        kraus_fidelity(identity_channel(2), identity_channel(3))
 
 
 # ------------------------------------------------------------------

@@ -6,9 +6,12 @@ from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             nu_lambda, random_stochastic_channel,
                             weyl_operators)
 from qimet.errors import DimensionTooLarge, NotHermitian, Unconverged
-from qimet.linalg import col_vec, hermitize, partial_trace, rng, trace_norm
-from qimet.oracle import (DiamondNormResult, _cholesky_inverse, _max_step,
-                          _newton_solver, _nt_scaling, diamond_lower_hillclimb,
+from qimet.linalg import (col_vec, hermitize, kron, nearest_density,
+                          partial_trace, psd_sqrt, random_density, rng,
+                          trace_norm)
+from qimet.oracle import (DiamondNormResult, _certificates, _cholesky_inverse,
+                          _max_step, _newton_solver, _nt_scaling,
+                          diamond_lower_hillclimb,
                           diamond_lower_hillclimb_state, diamond_norm,
                           result_to_json)
 
@@ -233,6 +236,35 @@ def test_nt_scaling_maps_z_to_s(cond):
         w_inv = _nt_scaling(*_cholesky_inverse(s), z)
         assert (np.linalg.norm(w_inv @ s @ w_inv - z)
                 <= 1e-9 * np.linalg.norm(z))
+
+
+def test_cholesky_inverse_factors_and_inverts():
+    gen = rng(2500)
+    for side in (1, 3, 8):
+        m = random_pd(side, 1e3, gen)
+        chol, chol_inv = _cholesky_inverse(m)
+        np.testing.assert_allclose(chol @ chol.conj().T, m, atol=1e-12)
+        np.testing.assert_allclose(chol_inv @ chol, np.eye(side), atol=1e-9)
+        assert not np.triu(chol, 1).any() and not np.triu(chol_inv, 1).any()
+
+
+def test_cholesky_inverse_rejects_indefinite():
+    for m in (np.diag([1.0, -1e-3]).astype(complex),
+              np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex),
+              np.zeros((3, 3), dtype=complex)):
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_inverse(m)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 5), (4, 3), (3, 1)])
+def test_lower_certificate_matches_kron_form(dims):
+    dim_in, dim_out = dims
+    gen = rng(2600 + dim_in * dim_out)
+    c = random_hermitian_choi(dim_in, dim_out, 2700 + dim_in).matrix
+    z3 = random_density(dim_in, gen)
+    lower, _ = _certificates(c, np.eye(len(c)), z3, dim_in, dim_out)
+    g = kron(psd_sqrt(nearest_density(z3)), np.eye(dim_out))
+    assert abs(lower - trace_norm(g @ c @ g)) <= 1e-12
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
