@@ -30,9 +30,8 @@ from typing import Mapping
 import numpy as np
 
 from .config import TOL
-from .errors import (DimensionMismatch, InvalidModel, NotHermitian,
-                     UnsupportedDimension)
-from .linalg import (col_vec, hermitize, matrix_from_json, matrix_to_json,
+from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
+from .linalg import (_checked_hermitian, matrix_from_json, matrix_to_json,
                      numerical_rank, rng)
 
 __all__ = [
@@ -58,14 +57,6 @@ __all__ = [
 # core types
 # ==================================================================
 
-def _freeze(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=complex)
-    if not np.isfinite(out).all():
-        raise ValueError("matrix entries must be finite numbers")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive map given by its Kraus operators.
@@ -85,7 +76,7 @@ class KrausChannel:
         if self.dim_in < 1 or self.dim_out < 1:
             raise DimensionMismatch("channel dimensions must be positive")
         try:
-            ops = np.stack(self.kraus_ops)
+            ops = np.stack(self.kraus_ops, dtype=complex)  # a fresh array
         except ValueError as exc:  # empty, or operators of unequal shapes
             raise DimensionMismatch(
                 f"Kraus operators must be a nonempty set of one shape: {exc}"
@@ -94,7 +85,10 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"Kraus operator shape {ops.shape[1:]} does not match "
                 f"({self.dim_out}, {self.dim_in})")
-        object.__setattr__(self, "kraus_ops", _freeze(ops))
+        if not np.isfinite(ops).all():
+            raise ValueError("matrix entries must be finite numbers")
+        ops.setflags(write=False)
+        object.__setattr__(self, "kraus_ops", ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate ``sum_j K_j rho K_j†``."""
@@ -110,9 +104,12 @@ class KrausChannel:
 class ChoiMatrix:
     """Choi state of a map, on (input copy) ⊗ (output).
 
-    The matrix must be Hermitian; it is positive semidefinite exactly for
-    completely positive maps, but differences of Choi states (Hermiticity
-    preserving maps) are first-class values here as well.
+    ``matrix`` is the exact Hermitian part ``(A + A†)/2`` of the input,
+    read-only, so no caller symmetrizes it again; the input must be finite
+    and within ``TOL.herm`` of Hermitian (else ``NotHermitian``).  It is
+    positive semidefinite exactly for completely positive maps, but
+    differences of Choi states (Hermiticity preserving maps) are first-class
+    values here as well.
     """
 
     dim_in: int
@@ -121,14 +118,12 @@ class ChoiMatrix:
 
     def __post_init__(self):
         side = self.dim_in * self.dim_out
-        mat = _freeze(self.matrix)
-        if mat.shape != (side, side):
-            raise DimensionMismatch(
-                f"Choi matrix shape {mat.shape} does not match side {side}")
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > TOL.herm:
-            raise NotHermitian(
-                f"Choi matrix deviates from Hermitian by {dev:.3e}")
+        shape = np.shape(self.matrix)
+        if min(self.dim_in, self.dim_out) < 1 or shape != (side, side):
+            raise DimensionMismatch(f"Choi matrix shape {shape} does not fit "
+                                    f"dimensions ({self.dim_in}, {self.dim_out})")
+        mat = _checked_hermitian(self.matrix)
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     def __sub__(self, other: "ChoiMatrix") -> "ChoiMatrix":
@@ -150,11 +145,12 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def choi_from_kraus(channel: KrausChannel) -> ChoiMatrix:
     """Choi state ``(1/dim_in) sum_j col_vec(K_j) col_vec(K_j)†``, as the
-    single product ``V^T conj(V) / dim_in`` with rows ``V_j = col_vec(K_j)``."""
+    single product ``V^T conj(V) / dim_in`` with rows ``V_j = col_vec(K_j)``
+    (``ChoiMatrix`` keeps the exact Hermitian part of its rounding)."""
     ops = channel.kraus_ops
     v = ops.swapaxes(1, 2).reshape(len(ops), -1)
-    mat = v.T @ v.conj() / channel.dim_in
-    return ChoiMatrix(channel.dim_in, channel.dim_out, hermitize(mat))
+    return ChoiMatrix(channel.dim_in, channel.dim_out,
+                      v.T @ v.conj() / channel.dim_in)
 
 
 def kraus_rank(channel: KrausChannel) -> int:
@@ -269,23 +265,21 @@ class StochasticChannel:
 
 
 def nu_lambda(channel: StochasticChannel) -> tuple:
-    """Extract ``(nu, lambda)`` of a stochastic channel from its Choi state.
+    """``(nu, lambda)`` of a stochastic channel, read from its weights.
 
-    ``nu = trace(J)`` and ``nu * lambda = (1/dim) col_vec(I)† J col_vec(I)``
-    (the weight of the identity component, i.e. ``nu`` times the entanglement
-    fidelity with the identity).  By convention ``lambda = 1`` when ``nu = 0``.
+    ``nu = sum_k w_k`` is the trace of the Choi state ``J`` and
+    ``nu * lambda = w_(0,0)`` is ``(1/dim) col_vec(I)† J col_vec(I)`` (the
+    weight of the identity component, i.e. ``nu`` times the entanglement
+    fidelity with the identity), as every other basis unitary is traceless.
+    By convention ``lambda = 1`` when ``nu = 0``.
     """
     if not isinstance(channel, StochasticChannel):
         raise TypeError(
             f"cannot extract nu/lambda from {type(channel).__name__}")
-    choi = channel.choi()
-    dim = channel.dim
-    nu = float(choi.matrix.trace().real)
-    v = col_vec(np.eye(dim, dtype=complex))
-    nu_lam = float((v.conj() @ choi.matrix @ v).real) / dim
+    nu = float(sum(channel.weights.values()))
     if nu <= TOL.weight_sum:
         return nu, 1.0
-    return nu, nu_lam / nu
+    return nu, channel.weights.get((0, 0), 0.0) / nu
 
 
 def random_stochastic_channel(dim: int, nu: float,

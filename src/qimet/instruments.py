@@ -41,7 +41,7 @@ from .channels import (KrausChannel, StochasticChannel, channel_from_json,
                        stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import kron, rng
+from .linalg import rng
 
 __all__ = [
     "InstrumentImplementation",
@@ -68,12 +68,6 @@ def _check_dims(D: int, E: int):
     if D < 2 or E < 1:
         raise UnsupportedDimension(
             f"need D >= 2 and E >= 1, got D={D}, E={E}")
-
-
-def _basis_flip(D: int, row: int, col: int) -> np.ndarray:
-    out = np.zeros((D, D), dtype=complex)
-    out[row % D, col % D] = 1.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -113,9 +107,10 @@ def ideal_instrument(D: int, E: int) -> InstrumentImplementation:
     """The ideal subsystem measurement as an implementation (branch ``j`` is
     the single-Kraus map ``ad_{pi_j}`` with ``pi_j = I_E ⊗ |j><j|``)."""
     _check_dims(D, E)
-    eye = np.eye(E, dtype=complex)
+    side = E * D
+    measured = np.arange(side) % D  # the D index of each basis state of E ⊗ D
     branches = tuple(
-        KrausChannel(E * D, E * D, (kron(eye, _basis_flip(D, j, j)),))
+        KrausChannel(side, side, np.diag((measured == j) + 0j)[None])
         for j in range(D))
     return InstrumentImplementation(D, E, branches)
 
@@ -187,17 +182,22 @@ class NonUniformStochasticModel:
 
 
 def _expand_branches(D: int, E: int, channel_at) -> tuple:
-    """Branch Kraus sets ``B ⊗ |j+a><j+b|`` for ``B`` in ``channel_at(a, b, j)``."""
+    """Branch Kraus sets ``B ⊗ |j+a><j+b|`` for ``B`` in ``channel_at(a, b, j)``,
+    each written as the ``(j+a, j+b)`` block of an ``(E, D, E, D)`` zero
+    operator; a branch with no Kraus operators gets one zero operator."""
     side = E * D
     branches = []
     for j in range(D):
-        ops = np.concatenate([np.zeros((0, side, side), dtype=complex)] + [
-            kron(channel.kraus_ops(), _basis_flip(D, j + a, j + b))
-            for a in range(D) for b in range(D)
-            if (channel := channel_at(a, b, j)) is not None])
-        if not len(ops):
-            ops = np.zeros((1, side, side), dtype=complex)
-        branches.append(KrausChannel(side, side, ops))
+        blocks = [((j + a) % D, (j + b) % D, channel.kraus_ops())
+                  for a in range(D) for b in range(D)
+                  if (channel := channel_at(a, b, j)) is not None]
+        ops = np.zeros((max(1, sum(len(kraus) for _, _, kraus in blocks)),
+                        E, D, E, D), dtype=complex)
+        start = 0
+        for row, col, kraus in blocks:
+            ops[start:start + len(kraus), :, row, :, col] = kraus
+            start += len(kraus)
+        branches.append(KrausChannel(side, side, ops.reshape(-1, side, side)))
     return tuple(branches)
 
 
@@ -236,12 +236,15 @@ def expand_nonuniform(model: NonUniformStochasticModel) -> InstrumentImplementat
 
 def full_channel(impl: InstrumentImplementation) -> KrausChannel:
     """The implementation as one channel H_{ED} -> H_{ED} ⊗ H_D, appending
-    the outcome register: each Kraus ``K`` of branch ``j`` becomes ``K ⊗ |j>``."""
+    the outcome register: each Kraus ``K`` of branch ``j`` becomes ``K ⊗ |j>``,
+    the row block ``j`` of a ``(side, D, side)`` zero operator."""
     side = impl.E * impl.D
-    kets = np.eye(impl.D, dtype=complex)[:, :, None]
-    return KrausChannel(side, side * impl.D, np.concatenate(
-        [kron(branch.kraus_ops, ket)
-         for branch, ket in zip(impl.branches, kets)]))
+    kraus = np.concatenate([branch.kraus_ops for branch in impl.branches])
+    outcome = np.repeat(np.arange(impl.D),
+                        [len(branch.kraus_ops) for branch in impl.branches])
+    ops = np.zeros((len(kraus), side, impl.D, side), dtype=complex)
+    ops[np.arange(len(kraus)), :, outcome] = kraus
+    return KrausChannel(side, side * impl.D, ops.reshape(-1, side * impl.D, side))
 
 
 def extend_with_reference(impl: InstrumentImplementation,
@@ -253,12 +256,16 @@ def extend_with_reference(impl: InstrumentImplementation,
     reference-assisted states, where it becomes tight."""
     if dim_ref < 1:
         raise UnsupportedDimension(f"reference dimension must be >= 1, got {dim_ref}")
-    eye = np.eye(dim_ref, dtype=complex)[None]
-    branches = tuple(
-        KrausChannel(dim_ref * impl.E * impl.D, dim_ref * impl.E * impl.D,
-                     kron(eye, branch.kraus_ops))
-        for branch in impl.branches)
-    return InstrumentImplementation(impl.D, dim_ref * impl.E, branches)
+    side = impl.E * impl.D
+    ref = np.arange(dim_ref)
+    branches = []
+    for kraus in (branch.kraus_ops for branch in impl.branches):
+        # K in the diagonal blocks of a (dim_ref, side, dim_ref, side) zero
+        ops = np.zeros((len(kraus), dim_ref, side, dim_ref, side), dtype=complex)
+        ops[:, ref, :, ref] = kraus
+        branches.append(KrausChannel(dim_ref * side, dim_ref * side,
+                                     ops.reshape(len(kraus), dim_ref * side, -1)))
+    return InstrumentImplementation(impl.D, dim_ref * impl.E, tuple(branches))
 
 
 # ==================================================================
@@ -373,33 +380,18 @@ def model_from_json(obj: dict):
     try:
         kind = obj["type"]
         D, E = int(obj["D"]), int(obj["E"])
-    except (KeyError, TypeError) as exc:
+        if kind == "general":
+            return InstrumentImplementation(D, E, tuple(
+                channel_from_json(b) for b in obj["branches"]))
+        if kind in ("uniform", "nonuniform"):
+            labels = ("a", "b") if kind == "uniform" else ("a", "b", "j")
+            cls = UniformStochasticModel if kind == "uniform" \
+                else NonUniformStochasticModel
+            return cls(D, E, [(tuple(int(entry[k]) for k in labels),
+                               stochastic_from_json(entry["channel"]))
+                              for entry in obj["table"]])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model object: {exc}") from exc
-
-    if kind == "general":
-        try:
-            branches = tuple(channel_from_json(b) for b in obj["branches"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed model object: {exc}") from exc
-        try:
-            return InstrumentImplementation(D, E, branches)
-        except (InvalidModel, DimensionMismatch, UnsupportedDimension) as exc:
-            raise InvalidModel(f"model validation failed: {exc}") from exc
-    if kind in ("uniform", "nonuniform"):
-        table = []
-        try:
-            for entry in obj["table"]:
-                key = (int(entry["a"]), int(entry["b"])) if kind == "uniform" \
-                    else (int(entry["a"]), int(entry["b"]), int(entry["j"]))
-                table.append((key, stochastic_from_json(entry["channel"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed model object: {exc}") from exc
-        except InvalidModel as exc:
-            raise InvalidModel(f"model validation failed: {exc}") from exc
-        cls = UniformStochasticModel if kind == "uniform" \
-            else NonUniformStochasticModel
-        try:
-            return cls(D, E, table)
-        except (InvalidModel, UnsupportedDimension) as exc:
-            raise InvalidModel(f"model validation failed: {exc}") from exc
+    except (InvalidModel, DimensionMismatch, UnsupportedDimension) as exc:
+        raise InvalidModel(f"model validation failed: {exc}") from exc
     raise ValueError(f"unknown model type {kind!r}")

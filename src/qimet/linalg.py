@@ -89,18 +89,13 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def _clamped_psd_eig(mat: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix with small negative
-    eigenvalues clamped to zero.
+def _checked_hermitian(mat: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian part ``hermitize(A)`` of a finite, square,
+    nearly Hermitian complex matrix ``A``.
 
-    The input is checked against ``TOL.herm`` and symmetrized before the
-    solve.  Eigenvalues come out in ascending order (numpy convention).  The
-    clamp threshold scales with the matrix: ``psd_clamp * max(1, |w|_max)``.
-
-    :return: ``(eigenvalues, eigenvectors)`` with columns as eigenvectors.
-    :raises NotHermitian: if ``max |A - A†| > TOL.herm``.
-    :raises NotPSD: if an eigenvalue lies below the clamp threshold.
+    :raises DimensionMismatch: if ``A`` is not a square matrix.
     :raises ValueError: if an entry is not finite.
+    :raises NotHermitian: if ``max |A - A†| > TOL.herm``.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -110,7 +105,22 @@ def _clamped_psd_eig(mat: np.ndarray):
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     if dev > TOL.herm:
         raise NotHermitian(f"max |A - A†| = {dev:.3e} exceeds {TOL.herm:.1e}")
-    vals, vecs = np.linalg.eigh(hermitize(mat))
+    return hermitize(mat)
+
+
+def _clamped_psd_eig(mat: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix with small negative
+    eigenvalues clamped to zero.
+
+    The input is validated and symmetrized by :func:`_checked_hermitian`
+    before the solve.  Eigenvalues come out in ascending order (numpy
+    convention).  The clamp threshold scales with the matrix:
+    ``psd_clamp * max(1, |w|_max)``.
+
+    :return: ``(eigenvalues, eigenvectors)`` with columns as eigenvectors.
+    :raises NotPSD: if an eigenvalue lies below the clamp threshold.
+    """
+    vals, vecs = np.linalg.eigh(_checked_hermitian(mat))
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
     floor = -TOL.psd_clamp * scale
     if vals.size and vals[0] < floor:

@@ -8,7 +8,8 @@ program
     subject to [[Y0, -C], [-C†, Y1]] >= 0.
 
 For Hermitian ``C`` (the only case this package needs: differences of Choi
-states) the program is invariant under swapping the two blocks, so an optimal
+states, which :class:`~qimet.channels.ChoiMatrix` stores exactly Hermitian)
+the program is invariant under swapping the two blocks, so an optimal
 point has ``Y0 = Y1 = Y`` and the block constraint splits under the rotation
 ``(u, v) -> ((u+v)/sqrt(2), (u-v)/sqrt(2))`` into ``Y >= C`` and ``Y >= -C``.
 This module therefore solves the reduced program
@@ -139,8 +140,8 @@ def _certificates(c: np.ndarray, y: np.ndarray, z3: np.ndarray,
     is valid for any density ``rho``.
     """
     upper = float(np.linalg.eigvalsh(
-        hermitize(partial_trace(y, [dim_in, dim_out], [0]))).max())
-    rho = nearest_density(hermitize(z3))
+        partial_trace(y, [dim_in, dim_out], [0])).max())
+    rho = nearest_density(z3)
     root = psd_sqrt(rho)
     # (root ⊗ I) C (root ⊗ I) by multiplying the input indices of C in place
     left = (root @ c.reshape(dim_in, -1)).reshape(-1, dim_in, dim_out)
@@ -233,9 +234,12 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
         best_lower = max(best_lower, lo)
         best_upper = min(best_upper, up)
 
+    # C and every iterate stay exactly Hermitian without symmetrizing: sums,
+    # differences, real scalings and partial traces of exactly Hermitian
+    # matrices round the (i, j) and (j, i) entries alike.  Only results of
+    # matrix products and eigen-reconstructions are passed through hermitize.
     for iterations in range(1, max_iterations + 1):
-        s = [hermitize(y - c), hermitize(y + c),
-             hermitize(t * eye_in - tr_out(y))]
+        s = [y - c, y + c, t * eye_in - tr_out(y)]
 
         record(*_certificates(c, y, z[2], dim_in, dim_out))
         if best_upper - best_lower <= tol:
@@ -282,9 +286,9 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
                 reason = "step_collapse"
                 break
 
-            y = hermitize(y + alpha_p * dy)
+            y = y + alpha_p * dy
             t = t + alpha_p * dt
-            z = [hermitize(zk + alpha_d * d) for zk, d in zip(z, dz)]
+            z = [zk + alpha_d * d for zk, d in zip(z, dz)]
         except np.linalg.LinAlgError:
             reason = "linalg_error"
             break
@@ -298,8 +302,8 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
                  max_iterations: int = 200) -> DiamondNormResult:
     """Diamond norm of the Hermiticity-preserving map with Choi state ``delta``.
 
-    :param delta: Choi state (Hermitian; typically a difference of channel
-        Choi states).
+    :param delta: Choi state (exactly Hermitian, as every ``ChoiMatrix``
+        stores it; typically a difference of channel Choi states).
     :param tol: requested absolute certification gap on the returned value.
     :return: result with ``gap <= tol`` on success.
     :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
@@ -318,8 +322,7 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
             f"the solver limit {MAX_DIM_IN_TIMES_SIDE}")
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    # ChoiMatrix guarantees Hermiticity; symmetrize residual roundoff
-    c = hermitize(np.asarray(delta.matrix, dtype=complex)) * delta.dim_in
+    c = delta.matrix * delta.dim_in
 
     if n == 1:
         v = abs(float(c[0, 0].real))
@@ -368,7 +371,7 @@ def diamond_lower_hillclimb_state(delta: ChoiMatrix, restarts: int = 20,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     din, dout = delta.dim_in, delta.dim_out
-    c = hermitize(np.asarray(delta.matrix, dtype=complex)) * din
+    c = delta.matrix * din
     c_by_out = c.reshape(din, dout, din, dout).transpose(3, 1, 2, 0).reshape(
         dout * dout, din * din)  # [(p, o), (j, i)]
 

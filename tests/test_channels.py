@@ -7,6 +7,7 @@ import pytest
 
 from qimet import channels as ch
 from qimet import linalg
+from qimet.config import TOL
 from qimet.errors import (DimensionMismatch, InvalidModel, NotHermitian,
                           UnsupportedDimension)
 
@@ -119,11 +120,37 @@ def test_choi_matrix_validates():
         ch.ChoiMatrix(2, 1, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         ch.ChoiMatrix(2, 2, np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        ch.ChoiMatrix(0, 3, np.zeros((0, 0)))
     for bad in (np.nan, np.inf):
         m = np.eye(4) / 4
         m[1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             ch.ChoiMatrix(2, 2, m)
+
+
+def test_choi_matrix_stores_exactly_hermitian_part():
+    def exactly_hermitian(m):
+        return np.array_equal(m, m.conj().T)
+
+    gen = linalg.rng(206)
+    g = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
+    base = (g + g.conj().T) / 12
+    skewed = base + 1e-12 * (gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6)))
+    stored = ch.ChoiMatrix(2, 3, skewed).matrix
+    assert exactly_hermitian(stored)
+    assert not stored.flags.writeable
+    np.testing.assert_array_equal(stored, linalg.hermitize(skewed))
+    with pytest.raises(NotHermitian):
+        ch.ChoiMatrix(2, 3, base + 2 * TOL.herm * np.triu(np.ones((6, 6)), 1))
+    chois = [ch.choi_from_kraus(ch.KrausChannel(
+        dim_in, dim_out, _random_kraus_set(gen, dim_in, dim_out, rank)))
+        for dim_in, dim_out, rank in [(2, 3, 2), (3, 3, 4), (4, 2, 9)]]
+    for choi in chois:
+        assert exactly_hermitian(choi.matrix)
+    other = ch.choi_from_kraus(ch.KrausChannel(
+        3, 3, _random_kraus_set(gen, 3, 3, 2)))
+    assert exactly_hermitian((chois[1] - other).matrix)
 
 
 def test_choi_difference_arithmetic():
@@ -248,14 +275,18 @@ def test_identity_vector_is_choi_eigenvector():
 
 
 def test_nu_lambda_matches_stored_weights():
+    # reference: nu is the Choi trace, nu * lambda = <vec I| J |vec I> / dim
     gen = linalg.rng(211)
     for trial in range(50):
         dim = int(gen.integers(1, 5))
         nu_in = float(gen.uniform(0.0, 1.0))
         t = ch.random_stochastic_channel(dim, nu_in, seed=400 + trial)
         nu, lam = ch.nu_lambda(t)
+        choi = t.choi().matrix
+        v = linalg.col_vec(np.eye(dim))
         assert abs(nu - nu_in) < 1e-10
-        assert abs(nu * lam - t.weights.get((0, 0), 0.0)) < 1e-10
+        assert abs(nu - choi.trace().real) < 1e-14
+        assert abs(nu * lam - (v @ choi @ v).real / dim) < 1e-14
 
 
 def test_nu_lambda_on_plain_channel():

@@ -217,6 +217,16 @@ def test_full_channel_ideal_d2_e1():
 
 def test_full_channel_and_reference_extension_match_per_operator_kron():
     D, E = 3, 2
+    model = inst.random_nonuniform_model(D, E, seed=312)
+    for j, branch in enumerate(inst.expand_nonuniform(model).branches):
+        want = []
+        for a in range(D):
+            for b in range(D):
+                flip = np.zeros((D, D))
+                flip[(j + a) % D, (j + b) % D] = 1.0
+                want += [np.kron(k, flip)
+                         for k in model.table[(a, b, j)].kraus_ops()]
+        np.testing.assert_array_equal(branch.kraus_ops, np.array(want))
     impl = inst.random_general_implementation(D, E, seed=311)
     fc = inst.full_channel(impl)
     want = []
@@ -346,6 +356,25 @@ def test_model_from_json_rejects_repeated_entries():
                             entry(1, 1, j=0)]}
     with pytest.raises(InvalidModel, match="duplicate"):
         inst.model_from_json(nonuniform)
+
+
+def test_model_from_json_wraps_every_validation_failure():
+    # the same InvalidModel with its prefix, whichever constructor refused
+    general = inst.model_to_json(inst.ideal_instrument(2, 1))
+    broken = []
+    for kraus in ([], [linalg.matrix_to_json(np.eye(1))]):
+        bad = json.loads(json.dumps(general))
+        bad["branches"][0]["kraus"] = kraus
+        broken.append(bad)
+    bad = json.loads(json.dumps(general))
+    bad["branches"][0]["dim_in"] = 0
+    broken.append(bad)
+    bad = inst.model_to_json(readout_flip_model())
+    bad["table"][0]["channel"]["dim"] = 0
+    broken.append(bad)
+    for obj in broken:
+        with pytest.raises(InvalidModel, match="^model validation failed: "):
+            inst.model_from_json(obj)
 
 
 def test_model_from_json_malformed_raises_value_error():
