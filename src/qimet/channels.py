@@ -31,8 +31,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import (_checked_hermitian, matrix_from_json, matrix_to_json,
-                     numerical_rank, rng)
+from .linalg import (_checked_hermitian, _json_int, matrix_from_json,
+                     matrix_to_json, numerical_rank, rng)
 
 __all__ = [
     "KrausChannel",
@@ -318,7 +318,7 @@ def channel_to_json(channel: KrausChannel) -> dict:
 
 def channel_from_json(obj: dict) -> KrausChannel:
     try:
-        dim_in, dim_out = int(obj["dim_in"]), int(obj["dim_out"])
+        dim_in, dim_out = _json_int(obj, "dim_in"), _json_int(obj, "dim_out")
         kraus = tuple(matrix_from_json(k) for k in obj["kraus"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc
@@ -335,7 +335,7 @@ def choi_to_json(choi: ChoiMatrix) -> dict:
 
 def choi_from_json(obj: dict) -> ChoiMatrix:
     try:
-        dim_in, dim_out = int(obj["dim_in"]), int(obj["dim_out"])
+        dim_in, dim_out = _json_int(obj, "dim_in"), _json_int(obj, "dim_out")
         mat = matrix_from_json(obj["matrix"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Choi object: {exc}") from exc
@@ -353,9 +353,9 @@ def stochastic_to_json(channel: StochasticChannel) -> dict:
 
 def stochastic_from_json(obj: dict) -> StochasticChannel:
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj, "dim")
         nu = float(obj["nu"])
-        weights = [((int(e["a"]), int(e["b"])), float(e["w"]))
+        weights = [((_json_int(e, "a"), _json_int(e, "b")), float(e["w"]))
                    for e in obj["weights"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed stochastic channel object: {exc}") from exc

@@ -41,7 +41,7 @@ from .channels import (KrausChannel, StochasticChannel, channel_from_json,
                        stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import rng
+from .linalg import _json_int, rng
 
 __all__ = [
     "InstrumentImplementation",
@@ -379,7 +379,7 @@ def model_from_json(obj: dict):
     """
     try:
         kind = obj["type"]
-        D, E = int(obj["D"]), int(obj["E"])
+        D, E = _json_int(obj, "D"), _json_int(obj, "E")
         if kind == "general":
             return InstrumentImplementation(D, E, tuple(
                 channel_from_json(b) for b in obj["branches"]))
@@ -387,7 +387,7 @@ def model_from_json(obj: dict):
             labels = ("a", "b") if kind == "uniform" else ("a", "b", "j")
             cls = UniformStochasticModel if kind == "uniform" \
                 else NonUniformStochasticModel
-            return cls(D, E, [(tuple(int(entry[k]) for k in labels),
+            return cls(D, E, [(tuple(_json_int(entry, k) for k in labels),
                                stochastic_from_json(entry["channel"]))
                               for entry in obj["table"]])
     except (KeyError, TypeError, ValueError) as exc:

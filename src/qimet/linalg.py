@@ -27,7 +27,6 @@ __all__ = [
     "numerical_rank",
     "hermitize",
     "psd_sqrt",
-    "nearest_density",
     "partial_trace",
     "check_density",
     "support_projector",
@@ -138,25 +137,6 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """
     vals, vecs = _clamped_psd_eig(mat)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def nearest_density(mat: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix to a density matrix.
-
-    Negative eigenvalues are clipped to zero and the spectrum renormalized to
-    unit trace.  Used to repair almost-feasible interior-point iterates into
-    exactly valid certificates.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    vals, vecs = np.linalg.eigh(hermitize(mat))
-    vals = np.maximum(vals, 0.0)
-    total = float(np.sum(vals))
-    if total <= 0.0:
-        # fall back to the maximally mixed state
-        dim = mat.shape[0]
-        return np.eye(dim, dtype=complex) / dim
-    vals /= total
-    return (vecs * vals) @ vecs.conj().T
 
 
 # ==================================================================
@@ -299,10 +279,19 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     }
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer; a float, string or boolean
+    raises ``TypeError`` instead of being converted."""
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode a matrix produced by :func:`matrix_to_json`."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:

@@ -342,13 +342,14 @@ def report_to_json(report: MetricsReport) -> dict:
     }
 
 
-def build_report(obj, restarts: int = 20, seed: int = 0) -> MetricsReport:
+def build_report(obj, seed: int = 0) -> MetricsReport:
     """Compute a :class:`MetricsReport` for a stochastic model or a general
     implementation.
 
     Stochastic models are expanded to implementations for the bound
     computations; closed forms supply the fidelity (and, for uniform models,
-    the exact diamond distance ``2*(1 - nu00*lambda00)``).
+    the exact diamond distance ``2*(1 - nu00*lambda00)``).  ``seed`` seeds
+    the probe-state search of the lower diamond bound.
     """
     diamond_exact = nu00 = lambda00 = None
     if isinstance(obj, UniformStochasticModel):
@@ -371,7 +372,7 @@ def build_report(obj, restarts: int = 20, seed: int = 0) -> MetricsReport:
     distances = _per_branch_trace_distances(impl)
     return MetricsReport(
         fidelity=float(fidelity),
-        diamond_lower=instrument_diamond_lower_max(impl, restarts, seed),
+        diamond_lower=instrument_diamond_lower_max(impl, seed=seed),
         diamond_upper=impl.D * impl.E * sum(distances),
         diamond_exact=diamond_exact,
         nu00=nu00,

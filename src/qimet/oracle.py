@@ -26,17 +26,16 @@ its operator ``X -> W1 X W1 + W2 X W2 + P*(W3 P(X) W3)`` with
 Woodbury step, and the ``t`` row is eliminated by a scalar Schur step, at
 ``O(dim_in**2 * n**3)`` per iteration.
 
-Certification does not trust convergence.  At every iterate two *exactly
-feasible* bounds are extracted:
+Certification does not trust convergence.  Each iteration Cholesky-factorizes
+its slacks and duals first, then reads two *exactly feasible* bounds:
 
-* upper bound — the iterate ``Y`` satisfies ``Y >= ±C`` by construction
-  (line searches keep the slacks positive definite), and for any such ``Y``
-  and any primal-feasible pair, ``<C, X> <= lambda_max(Tr_out Y)``;
+* upper bound — once ``Y ∓ C`` have factorized, ``Y >= ±C``, and then
+  ``<C, X> <= lambda_max(Tr_out Y)`` for any primal-feasible pair;
 * lower bound — for *any* density ``rho`` on the input factor,
   ``max { <C, X> : -rho ⊗ I <= X <= rho ⊗ I } = || (sqrt(rho) ⊗ I) C
   (sqrt(rho) ⊗ I) ||_1``, which is a valid lower bound on the diamond norm;
-  ``rho`` is taken as the input-factor block of the dual iterate, repaired
-  to an exact density.
+  at ``rho = Z3 / tr Z3``, with ``Z3 = L L†`` the dual's input block, the
+  factor ``L†`` stands in for ``sqrt(Z3)`` (the two differ by a unitary).
 
 The reported value is the midpoint of the best bounds; the call succeeds
 when their gap is at most the requested tolerance.
@@ -55,9 +54,8 @@ from scipy.linalg.lapack import zpotrf, ztrtri
 
 from .channels import ChoiMatrix
 from .errors import DimensionTooLarge, Unconverged
-from .linalg import (col_vec, hermitize, kron, nearest_density,
-                     partial_trace, psd_sqrt, random_pure_states, rng,
-                     trace_norm)
+from .linalg import (col_vec, hermitize, partial_trace, random_pure_states,
+                     rng, trace_norm)
 
 __all__ = [
     "DiamondNormResult",
@@ -114,11 +112,12 @@ def _cholesky_inverse(m: np.ndarray):
 
 def _nt_scaling(chol: np.ndarray, chol_inv: np.ndarray, z: np.ndarray):
     """Inverse Nesterov-Todd scaling point ``W⁻¹ = L⁻† (L† Z L)^{1/2} L⁻¹``,
-    the solution of ``W Z W = S``, from the Cholesky factor ``S = L L†``."""
+    the solution of ``W Z W = S``, from the Cholesky factor ``S = L L†``;
+    returns ``(W⁻¹, M)`` with ``W⁻¹ = M M†``."""
     wg, ug = np.linalg.eigh(hermitize(chol.conj().T @ z @ chol))
-    # W⁻¹ = M M† with M = L⁻† U Λ^{1/4}, where L† Z L = U Λ U†
+    # M = L⁻† U Λ^{1/4}, where L† Z L = U Λ U†
     half = chol_inv.conj().T @ (ug * np.maximum(wg, 1e-300) ** 0.25)
-    return hermitize(half @ half.conj().T)
+    return hermitize(half @ half.conj().T), half
 
 
 def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
@@ -131,29 +130,34 @@ def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _certificates(c: np.ndarray, y: np.ndarray, z3: np.ndarray,
-                  dim_in: int, dim_out: int):
-    """Exactly feasible bounds from the current iterate.
+def _lifted(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``(Ψ ⊗ I) C (Ψ ⊗ I)†`` for each ``dim_in``-square ``Ψ`` of a stack,
+    by multiplying the input indices of ``C`` in place."""
+    n, dim_in, stack = len(c), psi.shape[-1], psi.shape[:-2]
+    left = (psi @ c.reshape(dim_in, -1)).reshape(*stack, n, dim_in, -1)
+    return (psi.conj()[..., None, :, :] @ left).reshape(*stack, n, n)
 
-    Upper: ``lambda_max(Tr_out Y)`` is valid whenever ``Y >= ±C``, which the
-    line search maintains.  Lower: ``||(sqrt(rho) ⊗ I) C (sqrt(rho) ⊗ I)||_1``
-    is valid for any density ``rho``.
+
+def _certificates(c: np.ndarray, ty: np.ndarray, z3_chol: np.ndarray):
+    """Bounds certified by the current iterate, given ``Tr_out Y`` and the
+    Cholesky factor ``Z3 = L L†`` of the dual's input block.
+
+    Upper: ``lambda_max(Tr_out Y)``, valid once ``Y ∓ C`` have factorized.
+    Lower: ``||(Ψ ⊗ I) C (Ψ ⊗ I)†||_1 / ||Ψ||_F²``, the value of the unit
+    pure input ``Ψ / ||Ψ||_F`` for any nonzero ``Ψ``; ``Ψ = L†`` gives
+    ``||(sqrt(rho) ⊗ I) C (sqrt(rho) ⊗ I)||_1`` at ``rho = Z3 / tr Z3``.
     """
-    upper = float(np.linalg.eigvalsh(
-        partial_trace(y, [dim_in, dim_out], [0])).max())
-    rho = nearest_density(z3)
-    root = psd_sqrt(rho)
-    # (root ⊗ I) C (root ⊗ I) by multiplying the input indices of C in place
-    left = (root @ c.reshape(dim_in, -1)).reshape(-1, dim_in, dim_out)
-    lower = trace_norm((root.T @ left).reshape(len(c), len(c)))
-    return lower, upper
+    psi = z3_chol.conj().T
+    lower = trace_norm(_lifted(c, psi)) / np.vdot(psi, psi).real
+    return lower, float(np.linalg.eigvalsh(ty).max())
 
 
-def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, wi3: np.ndarray,
+def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
                    dim_in: int, dim_out: int):
     """Factorize the Newton system of one iteration; return its solver.
 
-    With ``P = Tr_out`` and ``G = P*(W3²) = W3² ⊗ I``, the system is
+    With ``P = Tr_out``, ``W3 = M M†`` (``M = m3``) and
+    ``G = P*(W3²) = W3² ⊗ I``, the system is
 
         L(dY) - dt * G = R_y,    -<G, dY> + dt * tr(W3²) = r_t,
         L(X) = W1 X W1 + W2 X W2 + P*(W3 P(X) W3).
@@ -161,10 +165,10 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, wi3: np.ndarray,
     In the generalized eigenbasis ``V† (W1 + W2) V = I``, ``V† W2 V = diag(λ)``
     the two Kronecker terms ``L0`` are an entrywise divide by
     ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is ``U U*`` with
-    ``U(A) = P*(h A h)``, ``h = W3^{1/2}``, and is added back by the Woodbury
-    identity with the Hermitian capacitance ``I + H``, ``H = U* L0⁻¹ U``
-    (``dim_in**2`` square, Cholesky-factorized); the ``t`` row is a scalar
-    Schur step.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``.
+    ``U(A) = P*(M A M†)``, and is added back by the Woodbury identity with
+    the Hermitian capacitance ``I + H``, ``H = U* L0⁻¹ U`` (``dim_in**2``
+    square, Cholesky-factorized); the ``t`` row is a scalar Schur step with
+    ``G = U(M†M)``.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``.
 
     :raises numpy.linalg.LinAlgError: if a factorization fails.
     """
@@ -172,12 +176,11 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, wi3: np.ndarray,
     lam, v = scipy.linalg.eigh(wi2, wi1 + wi2, check_finite=False)
     root = np.sqrt(np.outer(1.0 - lam, 1.0 - lam)
                    + np.outer(lam, lam)).reshape(-1)
-    w, u = np.linalg.eigh(wi3)
-    h = (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
-    # row (k, l) of f is V† U(E_kl) V = Vh_k† Vh_l divided by root, where
-    # Vh_k is row block k of (h ⊗ I) V; then H = conj(f) @ f.T
-    vh = (h @ v.reshape(dim_in, dim_out * n)).reshape(dim_in, dim_out, n)
-    f = (vh.conj().transpose(0, 2, 1)[:, None] @ vh[None, :]).reshape(
+    # row (k, l) of f is V† U(E_kl) V = Vm_k† Vm_l divided by root, where
+    # Vm_k is row block k of (M† ⊗ I) V; then H = conj(f) @ f.T
+    vm = (m3.conj().T @ v.reshape(dim_in, dim_out * n)).reshape(
+        dim_in, dim_out, n)
+    f = (vm.conj().transpose(0, 2, 1)[:, None] @ vm[None, :]).reshape(
         dim_in * dim_in, n * n) / root
     cap = scipy.linalg.cho_factor(np.eye(dim_in * dim_in) + f.conj() @ f.T,
                                   check_finite=False)
@@ -188,11 +191,12 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, wi3: np.ndarray,
                                        check_finite=False) @ f
         return v @ (g / root).reshape(n, n) @ v.conj().T
 
-    # G = U(W3), so by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ W3 and the
-    # Schur complement tr(W3²) - <G, L⁻¹ G> is <W3, (I + H)⁻¹ W3>
-    c3 = scipy.linalg.cho_solve(cap, wi3.reshape(-1), check_finite=False)
+    # with A = M†M, by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ A and the
+    # Schur complement tr(W3²) - <G, L⁻¹ G> is <A, (I + H)⁻¹ A>
+    a = (m3.conj().T @ m3).reshape(-1)
+    c3 = scipy.linalg.cho_solve(cap, a, check_finite=False)
     l_g = v @ ((c3 @ f) / root).reshape(n, n) @ v.conj().T
-    schur = np.vdot(wi3, c3).real
+    schur = np.vdot(a, c3).real
 
     def solve(r_y, r_t):
         l_y = l_inv(r_y)
@@ -209,7 +213,8 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     ``reason`` one of ``converged``, ``max_iterations``, ``step_collapse``
     (the complementarity measure or the step length fell to zero) or
     ``linalg_error`` (a factorization failed).  Each iteration factorizes
-    every slack ``s_k`` and dual ``z_k`` once and shares the factors."""
+    every slack ``s_k`` and dual ``z_k`` once, then reads the certificates
+    and the Newton step from those factors."""
     n = dim_in * dim_out
     n_total = 2 * n + dim_in
     eye_in = np.eye(dim_in, dtype=complex)
@@ -226,36 +231,35 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
          np.eye(n, dtype=complex) / (2.0 * dim_in), eye_in / dim_in]
 
     best_lower, best_upper = 0.0, np.inf
-    iterations = 0
     reason = "max_iterations"
-
-    def record(lo, up):
-        nonlocal best_lower, best_upper
-        best_lower = max(best_lower, lo)
-        best_upper = min(best_upper, up)
 
     # C and every iterate stay exactly Hermitian without symmetrizing: sums,
     # differences, real scalings and partial traces of exactly Hermitian
     # matrices round the (i, j) and (j, i) entries alike.  Only results of
     # matrix products and eigen-reconstructions are passed through hermitize.
-    for iterations in range(1, max_iterations + 1):
-        s = [y - c, y + c, t * eye_in - tr_out(y)]
-
-        record(*_certificates(c, y, z[2], dim_in, dim_out))
-        if best_upper - best_lower <= tol:
-            return best_lower, best_upper, iterations - 1, "converged"
-
+    for iterations in range(max_iterations + 1):
+        ty = tr_out(y)
+        s = [y - c, y + c, t * eye_in - ty]
         try:
+            chols, chol_invs = zip(*map(_cholesky_inverse, s))
+            z_chols, z_chol_invs = zip(*map(_cholesky_inverse, z))
+
+            lower, upper = _certificates(c, ty, z_chols[2])
+            best_lower = max(best_lower, lower)
+            best_upper = min(best_upper, upper)
+            if best_upper - best_lower <= tol:
+                return best_lower, best_upper, iterations, "converged"
+            if iterations == max_iterations:
+                break
+
             mu = sum(np.vdot(sk, zk).real for sk, zk in zip(s, z)) / n_total
             if mu <= 0:
                 reason = "step_collapse"
                 break
 
-            chols, chol_invs = zip(*map(_cholesky_inverse, s))
-            z_chol_invs = [_cholesky_inverse(zk)[1] for zk in z]
-            w_invs = list(map(_nt_scaling, chols, chol_invs, z))
+            w_invs, ms = zip(*map(_nt_scaling, chols, chol_invs, z))
             s_invs = [hermitize(l_inv.conj().T @ l_inv) for l_inv in chol_invs]
-            solve = _newton_solver(*w_invs, dim_in, dim_out)
+            solve = _newton_solver(w_invs[0], w_invs[1], ms[2], dim_in, dim_out)
 
             def step(target, tau):
                 # Newton step toward S Z = target * I, cut back to a fraction
@@ -293,9 +297,8 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             reason = "linalg_error"
             break
 
-    # final certificates from the last completed state
-    record(*_certificates(c, y, z[2], dim_in, dim_out))
-    return best_lower, best_upper, iterations, reason
+    # a stop inside the step from iterate k counts as iteration k + 1
+    return best_lower, best_upper, min(iterations + 1, max_iterations), reason
 
 
 def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
@@ -305,7 +308,11 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
     :param delta: Choi state (exactly Hermitian, as every ``ChoiMatrix``
         stores it; typically a difference of channel Choi states).
     :param tol: requested absolute certification gap on the returned value.
+    :param max_iterations: Newton steps allowed; with 0 the result is the
+        bracket of the starting point.
     :return: result with ``gap <= tol`` on success.
+    :raises ValueError: if ``tol`` is not positive or ``max_iterations`` is
+        not a nonnegative integer.
     :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
         ``dim_in`` times the side exceeds ``MAX_DIM_IN_TIMES_SIDE``.
     :raises Unconverged: if the certified gap is still above ``tol`` when
@@ -322,6 +329,9 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
             f"the solver limit {MAX_DIM_IN_TIMES_SIDE}")
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not isinstance(max_iterations, (int, np.integer)) or max_iterations < 0:
+        raise ValueError(f"max_iterations must be an integer >= 0, "
+                         f"got {max_iterations!r}")
     c = delta.matrix * delta.dim_in
 
     if n == 1:
@@ -381,9 +391,8 @@ def diamond_lower_hillclimb_state(delta: ChoiMatrix, restarts: int = 20,
     value = np.full(len(psi), -np.inf)
     live = np.arange(len(psi))
     for _ in range(200):
-        lift = kron(psi[live].reshape(-1, din, din), np.eye(dout))
         vals, vecs = np.linalg.eigh(
-            hermitize(lift @ c @ lift.conj().swapaxes(1, 2)))
+            hermitize(_lifted(c, psi[live].reshape(-1, din, din))))
         new = np.sum(np.abs(vals), axis=1)
         done = new - value[live] <= 1e-13 * np.maximum(1.0, np.abs(new))
         value[live] = np.where(done, np.maximum(value[live], new), new)

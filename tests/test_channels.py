@@ -356,3 +356,24 @@ def test_stochastic_from_json_rejects_repeated_labels():
 def test_channel_from_json_malformed():
     with pytest.raises(ValueError):
         ch.channel_from_json({"dim_in": 2})
+
+
+@pytest.mark.parametrize("bad", [4.5, 2.0, "2", True])
+def test_from_json_rejects_non_integer_fields(bad):
+    # dimensions and weight labels are JSON integers, never truncated
+    channel = ch.channel_to_json(ch.identity_channel(2))
+    choi = ch.choi_to_json(ch.choi_from_kraus(ch.identity_channel(2)))
+    stochastic = ch.stochastic_to_json(ch.random_stochastic_channel(2, 1.0, 5))
+    cases = [(ch.channel_from_json, channel, "dim_in"),
+             (ch.channel_from_json, channel, "dim_out"),
+             (ch.choi_from_json, choi, "dim_in"),
+             (ch.choi_from_json, choi, "dim_out"),
+             (ch.stochastic_from_json, stochastic, "dim")]
+    for decode, obj, key in cases:
+        with pytest.raises(ValueError, match="^malformed .* object"):
+            decode({**obj, key: bad})
+    for key in ("a", "b"):
+        obj = json.loads(json.dumps(stochastic))
+        obj["weights"][1][key] = bad
+        with pytest.raises(ValueError, match="^malformed stochastic"):
+            ch.stochastic_from_json(obj)

@@ -281,6 +281,18 @@ def test_oracle_diamond_malformed(capsys, tmp_path):
     assert code == 2
 
 
+def test_non_integer_sizes_exit_2(capsys, tmp_path):
+    # a truncated size used to decode a 4.9-row matrix as 4 rows
+    mat = np.eye(4) / 2
+    obj = {"dim_in": 2, "dim_out": 2, "matrix": {
+        "rows": 4.9, "cols": 4, "re": mat.tolist(), "im": (0 * mat).tolist()}}
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "oracle-diamond", str(path))
+    assert (code, out) == (2, "")
+    assert "malformed" in err
+
+
 # ------------------------------------------------------------------
 # package surface
 # ------------------------------------------------------------------

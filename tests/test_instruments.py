@@ -382,3 +382,18 @@ def test_model_from_json_malformed_raises_value_error():
         inst.model_from_json({"type": "uniform", "D": 2})
     with pytest.raises(ValueError):
         inst.model_from_json({"type": "mystery", "D": 2, "E": 1})
+
+
+@pytest.mark.parametrize("bad", [2.7, 0.6, "2", True])
+def test_model_from_json_rejects_non_integer_fields(bad):
+    # D, E and table labels are JSON integers; 2.7 used to decode as 2
+    uniform = inst.model_to_json(inst.random_uniform_model(2, 2, seed=3))
+    nonuniform = inst.model_to_json(inst.random_nonuniform_model(2, 2, seed=3))
+    broken = [{**uniform, "D": bad}, {**nonuniform, "E": bad}]
+    for obj, key in ((uniform, "a"), (uniform, "b"), (nonuniform, "j")):
+        obj = json.loads(json.dumps(obj))
+        obj["table"][-1][key] = bad
+        broken.append(obj)
+    for obj in broken:
+        with pytest.raises(ValueError, match="^malformed model object"):
+            inst.model_from_json(obj)

@@ -156,13 +156,6 @@ def test_psd_sqrt_rejects_negative():
         linalg.psd_sqrt(np.diag([1.0, -1e-3]))
 
 
-def test_nearest_density_fixes_trace_and_negativity():
-    a = np.diag([0.9, 0.4, -0.1])
-    rho = linalg.nearest_density(a)
-    assert abs(np.trace(rho).real - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(rho).min() >= -1e-15
-
-
 # ------------------------------------------------------------------
 # partial trace
 # ------------------------------------------------------------------
@@ -330,3 +323,13 @@ def test_matrix_from_json_rejects_malformed():
         with pytest.raises(ValueError, match="finite"):
             linalg.matrix_from_json(
                 {"rows": 1, "cols": 2, "re": [[1.0, 0.0]], "im": [[bad, 0.0]]})
+
+
+@pytest.mark.parametrize("bad", [4.9, 2.0, "2", True])
+def test_matrix_from_json_rejects_non_integer_sizes(bad):
+    # sizes are JSON integers; a float or string used to be truncated
+    obj = {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]],
+           "im": [[0.0, 0.0], [0.0, 0.0]]}
+    for key in ("rows", "cols"):
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            linalg.matrix_from_json({**obj, key: bad})

@@ -476,7 +476,7 @@ def test_fvg_rejects_non_projector():
 def test_report_perfect_model():
     perfect = UniformStochasticModel(
         2, 2, {(0, 0): StochasticChannel(2, 1.0, {(0, 0): 1.0})})
-    rep = build_report(perfect, restarts=2, seed=0)
+    rep = build_report(perfect, seed=0)
     assert abs(rep.fidelity - 1.0) < 1e-12
     assert abs(rep.diamond_lower) < 1e-9
     assert abs(rep.diamond_upper) < 1e-9
@@ -488,7 +488,7 @@ def test_report_uniform_worked_example():
     t00 = StochasticChannel(2, 0.8, {(0, 0): 0.72, (0, 1): 0.08})
     rest = StochasticChannel(2, 0.2, {(1, 0): 0.2})
     model = UniformStochasticModel(2, 2, {(0, 0): t00, (1, 0): rest})
-    rep = build_report(model, restarts=5, seed=2)
+    rep = build_report(model, seed=2)
     assert abs(rep.fidelity - 0.72) < 1e-12
     assert abs(rep.diamond_exact - 0.56) < 1e-12
     assert abs(rep.nu00 - 0.8) < 1e-12
@@ -498,7 +498,7 @@ def test_report_uniform_worked_example():
 
 
 def test_report_nonuniform_has_no_exact_fields():
-    rep = build_report(random_nonuniform_model(2, 2, seed=13), restarts=2, seed=0)
+    rep = build_report(random_nonuniform_model(2, 2, seed=13), seed=0)
     assert rep.diamond_exact is None
     assert rep.nu00 is None and rep.lambda00 is None
     assert rep.diamond_lower <= rep.diamond_upper + 1e-9
@@ -506,7 +506,7 @@ def test_report_nonuniform_has_no_exact_fields():
 
 def test_report_general_implementation():
     impl = random_general_implementation(2, 2, seed=19)
-    rep = build_report(impl, restarts=3, seed=1)
+    rep = build_report(impl, seed=1)
     assert 0.0 <= rep.fidelity <= 1.0 + 1e-9
     assert rep.diamond_exact is None
     assert len(rep.per_branch_trace_distances) == impl.D
@@ -514,8 +514,7 @@ def test_report_general_implementation():
 
 def test_report_bracket_on_random_models():
     for i in range(8):
-        rep = build_report(random_uniform_model(2, 2, seed=2200 + i),
-                           restarts=3, seed=i)
+        rep = build_report(random_uniform_model(2, 2, seed=2200 + i), seed=i)
         assert rep.diamond_lower <= rep.diamond_exact + 1e-9
         assert rep.diamond_exact <= rep.diamond_upper + 1e-9
 
@@ -527,7 +526,7 @@ def test_report_upper_is_sum_of_branch_distances():
              (random_nonuniform_model(3, 2, seed=32), expand_nonuniform),
              (random_general_implementation(2, 2, seed=33), lambda m: m)]
     for model, expand in cases:
-        rep = build_report(model, restarts=1, seed=0)
+        rep = build_report(model, seed=0)
         impl = expand(model)
         assert rep.diamond_upper == (impl.D * impl.E
                                      * sum(rep.per_branch_trace_distances))
@@ -535,7 +534,7 @@ def test_report_upper_is_sum_of_branch_distances():
 
 
 def test_report_json_shape():
-    rep = build_report(readout_flip_model(), restarts=1, seed=0)
+    rep = build_report(readout_flip_model(), seed=0)
     obj = report_to_json(rep)
     assert obj["conventions"] == {"diamond": "full-norm"}
     assert set(obj) == {"fidelity", "diamond_lower", "diamond_upper",

@@ -6,11 +6,10 @@ from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             nu_lambda, random_stochastic_channel,
                             weyl_operators)
 from qimet.errors import DimensionTooLarge, NotHermitian, Unconverged
-from qimet.linalg import (col_vec, hermitize, kron, nearest_density,
-                          partial_trace, psd_sqrt, random_density, rng,
-                          trace_norm)
+from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
+                          rng, trace_norm)
 from qimet.oracle import (DiamondNormResult, _certificates, _cholesky_inverse,
-                          _max_step, _newton_solver, _nt_scaling,
+                          _lifted, _max_step, _newton_solver, _nt_scaling,
                           diamond_lower_hillclimb,
                           diamond_lower_hillclimb_state, diamond_norm,
                           result_to_json)
@@ -146,10 +145,52 @@ def test_unconverged_keeps_valid_bounds():
         diamond_norm(delta, tol=1e-9, max_iterations=3)
     partial = info.value.result
     assert partial.gap > 1e-9
+    assert partial.iterations == 3
     assert "max_iterations" in str(info.value)
     full = diamond_norm(delta, tol=1e-7)
     assert partial.primal_bound <= full.value + 1e-9
     assert full.value <= partial.dual_bound + 1e-9
+
+
+def test_zero_iterations_return_the_starting_bracket():
+    # the start Y = 1.25 I, Z3 = I / dim_in certifies ||J||_1 from below and
+    # min(1.25 dim_out ||C||_2, ||C||_1) from above, with C = dim_in J
+    delta = random_hermitian_choi(2, 3, seed=62)
+    c = 2 * delta.matrix
+    with pytest.raises(Unconverged) as info:
+        diamond_norm(delta, tol=1e-7, max_iterations=0)
+    start = info.value.result
+    assert start.iterations == 0
+    assert start.primal_bound == pytest.approx(trace_norm(delta.matrix),
+                                               rel=1e-12)
+    assert start.dual_bound == pytest.approx(
+        min(1.25 * 3 * np.linalg.norm(c, 2), trace_norm(c)), rel=1e-12)
+
+
+def test_rejects_bad_max_iterations():
+    # a negative count used to act as 0
+    for bad in (-1, 2.5, "3"):
+        with pytest.raises(ValueError):
+            diamond_norm(random_hermitian_choi(2, 2, seed=63), tol=1e-7,
+                         max_iterations=bad)
+
+
+def test_failed_factorization_counts_the_interrupted_iteration(monkeypatch):
+    # the third Newton factorization fails after two steps; that stop
+    # counts as iteration 3
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("forced")
+        return _newton_solver(*args)
+
+    monkeypatch.setattr("qimet.oracle._newton_solver", failing)
+    with pytest.raises(Unconverged) as info:
+        diamond_norm(random_hermitian_choi(2, 2, seed=64), tol=1e-7)
+    assert info.value.result.iterations == 3
+    assert "linalg_error" in str(info.value)
 
 
 def test_dimension_cap():
@@ -185,8 +226,9 @@ def test_iterates_stay_exactly_hermitian(monkeypatch):
     delta = ChoiMatrix(2, 3, random_hermitian_choi(2, 3, 165).matrix + skew)
     result = diamond_norm(delta, tol=1e-8)
     assert result.gap <= 1e-8
-    # six factorizations (three slacks, three duals) per iteration
-    assert len(factored) == 6 * result.iterations
+    # six factorizations (three slacks, three duals) per iterate, the start
+    # and the converged one included
+    assert len(factored) == 6 * (result.iterations + 1)
 
 
 def test_rejects_bad_tolerance():
@@ -240,7 +282,8 @@ def test_newton_solve_matches_dense_system(dim_in, dim_out):
         w3 = random_pd(dim_in, cond, gen)
         r_y = random_hermitian_choi(dim_in, dim_out, seed=n).matrix
         r_t = float(gen.normal())
-        dy, dt = _newton_solver(w1, w2, w3, dim_in, dim_out)(r_y, r_t)
+        m3 = np.linalg.cholesky(w3)  # any factor with w3 = M M†
+        dy, dt = _newton_solver(w1, w2, m3, dim_in, dim_out)(r_y, r_t)
         ref = np.linalg.solve(dense_newton_system(w1, w2, w3, dim_in, dim_out),
                               np.append(col_vec(r_y), r_t))
         ref_dy = ref[:-1].reshape(n, n, order="F")
@@ -253,9 +296,11 @@ def test_nt_scaling_maps_z_to_s(cond):
     gen = rng(2000)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        w_inv = _nt_scaling(*_cholesky_inverse(s), z)
+        w_inv, m = _nt_scaling(*_cholesky_inverse(s), z)
         assert (np.linalg.norm(w_inv @ s @ w_inv - z)
                 <= 1e-9 * np.linalg.norm(z))
+        assert (np.linalg.norm(m @ m.conj().T - w_inv)
+                <= 1e-12 * np.linalg.norm(w_inv))
 
 
 def test_cholesky_inverse_factors_and_inverts():
@@ -278,13 +323,35 @@ def test_cholesky_inverse_rejects_indefinite():
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (4, 3), (3, 1)])
 def test_lower_certificate_matches_kron_form(dims):
+    # the factor L† of Z3 = L L† gives the value at rho = Z3 / tr Z3, here
+    # against (sqrt(rho) ⊗ I) C (sqrt(rho) ⊗ I) with sqrt(rho) from eigh
     dim_in, dim_out = dims
     gen = rng(2600 + dim_in * dim_out)
     c = random_hermitian_choi(dim_in, dim_out, 2700 + dim_in).matrix
-    z3 = random_density(dim_in, gen)
-    lower, _ = _certificates(c, np.eye(len(c)), z3, dim_in, dim_out)
-    g = kron(psd_sqrt(nearest_density(z3)), np.eye(dim_out))
+    rho = random_density(dim_in, gen)
+    lower, _ = _certificates(c, np.eye(dim_in),
+                             _cholesky_inverse(3.0 * rho)[0])
+    w, u = np.linalg.eigh(rho)
+    g = np.kron((u * np.sqrt(w)) @ u.conj().T, np.eye(dim_out))
     assert abs(lower - trace_norm(g @ c @ g)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_any_factor_gives_a_lower_bound(dims):
+    dim_in, dim_out = dims
+    delta = random_hermitian_choi(dim_in, dim_out, 2800 + dim_in * dim_out)
+    c = dim_in * delta.matrix
+    dual_bound = diamond_norm(delta, tol=1e-7).dual_bound
+    gen = rng(2900 + dim_in * dim_out)
+    psis = (gen.normal(size=(20, dim_in, dim_in))
+            + 1j * gen.normal(size=(20, dim_in, dim_in)))
+    psis[:5] = psis[:5, :, :1] * psis[:5, :1, :]  # rank one
+    lifted = _lifted(c, psis)
+    for psi, omega in zip(psis, lifted):
+        lift = np.kron(psi, np.eye(dim_out))
+        assert np.abs(omega - lift @ c @ lift.conj().T).max() <= 1e-12
+        value = trace_norm(omega) / np.linalg.norm(psi) ** 2
+        assert value <= dual_bound + 1e-9
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
