@@ -31,8 +31,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import (_checked_hermitian, _json_int, matrix_from_json,
-                     matrix_to_json, numerical_rank, rng)
+from .linalg import (_checked_hermitian, _json_float, _json_int,
+                     matrix_from_json, matrix_to_json, numerical_rank, rng)
 
 __all__ = [
     "KrausChannel",
@@ -197,6 +197,17 @@ def _weyl_stack(dim: int) -> np.ndarray:
     return stack
 
 
+def _label(value) -> int:
+    """A basis or outcome label: an ``int`` or NumPy integer, as ``int``; a
+    ``bool``, float or string raises :class:`InvalidModel` instead of being
+    truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidModel(f"label {value!r} must be an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StochasticChannel:
     """Nonnegative mixture of shift-and-phase unitaries.
@@ -222,7 +233,9 @@ class StochasticChannel:
             else self.weights
         clean = {}
         for key, w in pairs:
-            a, b = (int(key[0]), int(key[1]))
+            if len(key) != 2:
+                raise InvalidModel(f"weight label {key} must have 2 indices")
+            a, b = map(_label, key)
             if not (0 <= a < self.dim and 0 <= b < self.dim):
                 raise InvalidModel(f"weight label {key} out of range for "
                                    f"dimension {self.dim}")
@@ -354,9 +367,9 @@ def stochastic_to_json(channel: StochasticChannel) -> dict:
 def stochastic_from_json(obj: dict) -> StochasticChannel:
     try:
         dim = _json_int(obj, "dim")
-        nu = float(obj["nu"])
-        weights = [((_json_int(e, "a"), _json_int(e, "b")), float(e["w"]))
-                   for e in obj["weights"]]
+        nu = _json_float(obj, "nu")
+        weights = [((_json_int(e, "a"), _json_int(e, "b")),
+                    _json_float(e, "w")) for e in obj["weights"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed stochastic channel object: {exc}") from exc
     return StochasticChannel(dim, nu, weights)

@@ -36,9 +36,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import (KrausChannel, StochasticChannel, channel_from_json,
-                       channel_to_json, stochastic_from_json,
-                       stochastic_to_json)
+from .channels import (KrausChannel, StochasticChannel, _label,
+                       channel_from_json, channel_to_json,
+                       stochastic_from_json, stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
 from .linalg import _json_int, rng
@@ -126,7 +126,7 @@ def _validate_table(table, D: int, E: int, labels: int) -> dict:
     pairs = table.items() if isinstance(table, Mapping) else table
     clean = {}
     for key, channel in pairs:
-        key = tuple(int(k) for k in key)
+        key = tuple(map(_label, key))
         if len(key) != labels:
             raise InvalidModel(f"table key {key} must have {labels} indices")
         if any(not 0 <= k < D for k in key):

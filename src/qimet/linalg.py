@@ -288,12 +288,35 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
+#: Python types of the numbers ``json.load`` returns (``bool`` is not one)
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _json_float(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float if it is a JSON number; a string, boolean,
+    null or list raises ``TypeError`` instead of being converted."""
+    value = obj[key]
+    if type(value) not in _JSON_NUMBERS:
+        raise TypeError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_rows(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]`` as a float array if it is a list of rows of JSON numbers;
+    a string, boolean or null in a row raises ``TypeError`` likewise."""
+    rows = obj[key]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and _JSON_NUMBERS.issuperset(map(type, row))
+            for row in rows)):
+        raise TypeError(f"{key!r} must be a list of rows of numbers")
+    return np.array(rows, dtype=float)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode a matrix produced by :func:`matrix_to_json`."""
     try:
         rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re, im = _json_rows(obj, "re"), _json_rows(obj, "im")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):

@@ -19,6 +19,18 @@ This module therefore solves the reduced program
 
 with a primal-dual path-following interior-point method using the
 Nesterov-Todd scaling, specialized to the three diagonal blocks above.
+Each iteration is a Mehrotra predictor-corrector step (Mehrotra 1992; in the
+Nesterov-Todd form of Todd, Toh and Tütüncü 1998): an affine-scaling
+predictor gives the centering parameter ``sigma = (mu_aff / mu)**3`` and
+directions ``(dS, dZ)``, and the corrector aims each cone at ``sigma*mu*S⁻¹
+- c`` with the predictor's second-order term
+
+    c = M [(D_x D_z + D_z D_x)_ij / (v_i + v_j)] M†,
+    D_x = M† dS M,   D_z = M⁻¹ dZ M⁻†,
+
+where ``M`` is the cone's scaling factor, ``M† S M = M⁻¹ Z M⁻† = diag(v)``;
+the divide is the exact solve of ``diag(v) X + X diag(v) = D_x D_z + D_z
+D_x``.
 The Newton system is solved on ``n x n`` matrices (``n = dim_in * dim_out``):
 its operator ``X -> W1 X W1 + W2 X W2 + P*(W3 P(X) W3)`` with
 ``P = Tr_out`` is an entrywise divide in the generalized eigenbasis of
@@ -111,23 +123,42 @@ def _cholesky_inverse(m: np.ndarray):
 
 
 def _nt_scaling(chol: np.ndarray, chol_inv: np.ndarray, z: np.ndarray):
-    """Inverse Nesterov-Todd scaling point ``W⁻¹ = L⁻† (L† Z L)^{1/2} L⁻¹``,
-    the solution of ``W Z W = S``, from the Cholesky factor ``S = L L†``;
-    returns ``(W⁻¹, M)`` with ``W⁻¹ = M M†``."""
+    """Nesterov-Todd scaling of the pair ``(S, Z)`` from the Cholesky factor
+    ``S = L L†``: with ``L† Z L = U Λ U†``, ``M = L⁻† U Λ^{1/4}`` maps both
+    to the same diagonal point, ``M† S M = M⁻¹ Z M⁻† = diag(v)``, ``v =
+    λ^{1/2}``.  Returns ``(W⁻¹, M, M⁻¹, v)``, where ``W⁻¹ = M M† = L⁻† (L† Z
+    L)^{1/2} L⁻¹`` solves ``W Z W = S`` and ``M⁻¹ = Λ^{-1/4} U† L†``.  The
+    Mehrotra predictor-corrector's second-order term is read in this scaled
+    frame: ``c = M [(D_x D_z + D_z D_x)_ij / (v_i + v_j)] M†`` with ``D_x = M†
+    dS M`` and ``D_z = M⁻¹ dZ M⁻†`` (:func:`_second_order`)."""
     wg, ug = np.linalg.eigh(hermitize(chol.conj().T @ z @ chol))
-    # M = L⁻† U Λ^{1/4}, where L† Z L = U Λ U†
-    half = chol_inv.conj().T @ (ug * np.maximum(wg, 1e-300) ** 0.25)
-    return hermitize(half @ half.conj().T), half
+    quarter = np.maximum(wg, 1e-300) ** 0.25
+    half = chol_inv.conj().T @ (ug * quarter)
+    half_inv = (chol @ (ug / quarter)).conj().T
+    return hermitize(half @ half.conj().T), half, half_inv, quarter * quarter
 
 
 def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
     """Largest alpha with ``L L† + alpha*d`` positive definite (inf if
-    unbounded), given ``L⁻¹``: ``-1 / lambda_min(L⁻¹ d L⁻†)``."""
+    unbounded), given ``L⁻¹``: ``-1 / lambda_min(L⁻¹ d L⁻†)``.  Both may be
+    stacks, which share one ``eigvalsh`` call and one bound."""
     lam = float(np.linalg.eigvalsh(
-        hermitize(chol_inv @ d @ chol_inv.conj().T)).min())
+        hermitize(chol_inv @ d @ chol_inv.conj().swapaxes(-1, -2))).min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
+
+
+def _second_order(m: np.ndarray, m_inv: np.ndarray, v: np.ndarray,
+                  ds: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Mehrotra's second-order correction ``M X M†`` of one cone, from the
+    predictor's directions ``ds``, ``dz`` and the scaling ``(M, M⁻¹, v)`` of
+    :func:`_nt_scaling`: with ``D_x = M† ds M`` and ``D_z = M⁻¹ dz M⁻†``, ``X``
+    solves ``diag(v) X + X diag(v) = D_x D_z + D_z D_x``, an entrywise
+    divide by ``v_i + v_j``."""
+    prod = (m.conj().T @ ds @ m) @ (m_inv @ dz @ m_inv.conj().T)
+    return hermitize(m @ ((prod + prod.conj().T) / (v[:, None] + v))
+                     @ m.conj().T)
 
 
 def _lifted(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -208,7 +239,8 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
 
 def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
                max_iterations: int):
-    """Path-following solve of the reduced program; returns
+    """Mehrotra predictor-corrector solve of the reduced program (see the
+    module docstring for the correction ``c``); returns
     ``(lower, upper, iterations, reason)`` with certified bounds and
     ``reason`` one of ``converged``, ``max_iterations``, ``step_collapse``
     (the complementarity measure or the step length fell to zero) or
@@ -257,35 +289,50 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
                 reason = "step_collapse"
                 break
 
-            w_invs, ms = zip(*map(_nt_scaling, chols, chol_invs, z))
+            w_invs, ms, m_invs, vs = zip(*map(_nt_scaling, chols, chol_invs,
+                                              z))
             s_invs = [hermitize(l_inv.conj().T @ l_inv) for l_inv in chol_invs]
             solve = _newton_solver(w_invs[0], w_invs[1], ms[2], dim_in, dim_out)
+            # cones 1 and 2 share their side: one stacked step-length search
+            pair_invs = np.stack(chol_invs[:2])
+            z_pair_invs = np.stack(z_chol_invs[:2])
 
-            def step(target, tau):
-                # Newton step toward S Z = target * I, cut back to a fraction
-                # tau of the distance to each cone's boundary
-                # S1⁻¹ + S2⁻¹ - S3⁻¹ ⊗ I, the identity factor broadcast
-                r_y = ((s_invs[0] + s_invs[1]).reshape(dim_in, dim_out,
-                                                       dim_in, dim_out)
-                       - s_invs[2][:, None, :, None] * eye_out[:, None, :])
-                dy, dt = solve(target * r_y.reshape(n, n),
-                               target * float(np.trace(s_invs[2]).real) - 1.0)
+            def step(targets, tau):
+                # Newton step with dZ_k + W_k⁻¹ dS_k W_k⁻¹ = r_k - Z_k for
+                # the per-cone targets r_k, cut back to a fraction tau of the
+                # distance to each cone's boundary; the dual stays feasible
+                # through R_y = r1 + r2 - r3 ⊗ I (the identity factor
+                # broadcast) and r_t = tr r3 - 1
+                r_y = ((targets[0] + targets[1]).reshape(dim_in, dim_out,
+                                                         dim_in, dim_out)
+                       - targets[2][:, None, :, None] * eye_out[:, None, :])
+                dy, dt = solve(r_y.reshape(n, n),
+                               float(np.trace(targets[2]).real) - 1.0)
                 ds = [dy, dy, dt * eye_in - tr_out(dy)]
-                dz = [hermitize(target * s_inv - zk - w_inv @ d @ w_inv)
-                      for s_inv, zk, w_inv, d in zip(s_invs, z, w_invs, ds)]
-                alpha_p = min(1.0, tau * min(map(_max_step, chol_invs, ds)))
-                alpha_d = min(1.0, tau * min(map(_max_step, z_chol_invs, dz)))
+                dz = [hermitize(r - zk - w_inv @ d @ w_inv)
+                      for r, zk, w_inv, d in zip(targets, z, w_invs, ds)]
+                alpha_p = min(1.0, tau * min(
+                    _max_step(pair_invs, dy), _max_step(chol_invs[2], ds[2])))
+                alpha_d = min(1.0, tau * min(
+                    _max_step(z_pair_invs, np.stack(dz[:2])),
+                    _max_step(z_chol_invs[2], dz[2])))
                 return dy, dt, ds, dz, alpha_p, alpha_d
 
-            # affine-scaling predictor sets the centering parameter
-            _, _, ds, dz, alpha_p, alpha_d = step(0.0, 0.99)
+            # affine-scaling predictor, toward S Z = 0, sets the centering
+            # parameter and the second-order term
+            _, _, ds, dz, alpha_p, alpha_d = step(
+                [np.zeros_like(zk) for zk in z], 0.99)
             mu_affine = sum(np.vdot(sk + alpha_p * d, zk + alpha_d * e).real
                             for sk, d, zk, e in zip(s, ds, z, dz)) / n_total
             sigma = min(max((max(mu_affine, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
 
-            # centering-corrector step toward sigma * mu
+            # Mehrotra corrector toward sigma * mu, less the predictor's
+            # second-order term: target_k = sigma mu S_k⁻¹ - c_k
+            targets = [sigma * mu * s_inv - _second_order(m, m_inv, v, d, e)
+                       for s_inv, m, m_inv, v, d, e
+                       in zip(s_invs, ms, m_invs, vs, ds, dz)]
             dy, dt, _, dz, alpha_p, alpha_d = step(
-                sigma * mu, 0.9 if mu > 1e-4 else 0.98)
+                targets, 0.9 if mu > 1e-4 else 0.98)
             if min(alpha_p, alpha_d) < 1e-12:
                 reason = "step_collapse"
                 break

@@ -353,6 +353,44 @@ def test_stochastic_from_json_rejects_repeated_labels():
         ch.stochastic_from_json(obj)
 
 
+@pytest.mark.parametrize("bad", ["1.0", True, None, [1.0]])
+def test_stochastic_from_json_rejects_non_number_floats(bad):
+    # nu and weights are JSON numbers; "1.0" and true used to decode
+    obj = ch.stochastic_to_json(ch.StochasticChannel(2, 1.0, {(0, 0): 1.0}))
+    with pytest.raises(ValueError, match="^malformed stochastic"):
+        ch.stochastic_from_json({**obj, "nu": bad})
+    obj = json.loads(json.dumps(obj))
+    obj["weights"][0]["w"] = bad
+    with pytest.raises(ValueError, match="^malformed stochastic"):
+        ch.stochastic_from_json(obj)
+
+
+def test_stochastic_from_json_accepts_integer_numbers():
+    obj = {"dim": 2, "nu": 1, "weights": [{"a": 1, "b": 0, "w": 1}]}
+    assert ch.stochastic_from_json(obj).weights == {(1, 0): 1.0}
+
+
+@pytest.mark.parametrize("bad", [0.6, 1.0, "1", True, np.bool_(True)])
+def test_stochastic_channel_rejects_non_integer_labels(bad):
+    # (0.6, 0) used to be stored as (0, 0)
+    for key in ((bad, 0), (0, bad)):
+        with pytest.raises(InvalidModel, match="must be an integer"):
+            ch.StochasticChannel(2, 1.0, {key: 1.0})
+
+
+def test_stochastic_channel_rejects_labels_of_other_arity():
+    # (0, 1, 7) used to be stored as (0, 1), and (1,) raised IndexError
+    for key in ((0, 1, 7), (1,)):
+        with pytest.raises(InvalidModel, match="2 indices"):
+            ch.StochasticChannel(2, 1.0, {key: 1.0})
+
+
+def test_stochastic_channel_accepts_numpy_integer_labels():
+    t = ch.StochasticChannel(3, 1.0, {(np.int64(2), np.uint8(1)): 1.0})
+    assert t.weights == {(2, 1): 1.0}
+    assert all(type(k) is int for k in next(iter(t.weights)))
+
+
 def test_channel_from_json_malformed():
     with pytest.raises(ValueError):
         ch.channel_from_json({"dim_in": 2})

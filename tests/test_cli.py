@@ -293,6 +293,23 @@ def test_non_integer_sizes_exit_2(capsys, tmp_path):
     assert "malformed" in err
 
 
+def test_non_number_floats_exit_2(capsys, tmp_path):
+    # a string or boolean where a number belongs used to decode
+    mat = np.eye(4) / 2
+    choi = {"dim_in": 2, "dim_out": 2, "matrix": {
+        "rows": 4, "cols": 4, "re": mat.tolist(), "im": (0 * mat).tolist()}}
+    choi["matrix"]["im"][0][0] = False
+    model = model_to_json(UniformStochasticModel(2, 1, {
+        (0, 0): StochasticChannel(1, 1.0, {(0, 0): 1.0})}))
+    model["table"][0]["channel"]["nu"] = "1.0"
+    for command, obj in (("oracle-diamond", choi), ("metrics", model)):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert "malformed" in err
+
+
 # ------------------------------------------------------------------
 # package surface
 # ------------------------------------------------------------------

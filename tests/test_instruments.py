@@ -397,3 +397,43 @@ def test_model_from_json_rejects_non_integer_fields(bad):
     for obj in broken:
         with pytest.raises(ValueError, match="^malformed model object"):
             inst.model_from_json(obj)
+
+
+@pytest.mark.parametrize("bad", [0.6, 1.0, "1", True])
+def test_model_tables_reject_non_integer_labels(bad):
+    # (0.6, 0) used to be stored as (0, 0) by the Python constructors
+    t = ch.StochasticChannel(1, 1.0, {(0, 0): 1.0})
+    with pytest.raises(InvalidModel, match="must be an integer"):
+        inst.UniformStochasticModel(2, 1, {(bad, 0): t, (1, 1): t})
+    with pytest.raises(InvalidModel, match="must be an integer"):
+        inst.NonUniformStochasticModel(
+            2, 1, {(0, 0, bad): t, (0, 0, 1): t})
+
+
+def test_model_tables_accept_numpy_integer_labels():
+    t = ch.StochasticChannel(1, 1.0, {(0, 0): 1.0})
+    model = inst.UniformStochasticModel(2, 1, {(np.int64(0), np.int32(0)): t})
+    assert list(model.table) == [(0, 0)]
+    assert all(type(k) is int for k in next(iter(model.table)))
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None])
+def test_model_from_json_rejects_non_number_floats(bad):
+    # weights, nu and matrix entries are JSON numbers, never strings or bools
+    uniform = inst.model_to_json(inst.random_uniform_model(2, 2, seed=3))
+    general = inst.model_to_json(inst.ideal_instrument(2, 1))
+    broken = []
+    for path in (("nu",), ("weights", 0, "w")):
+        obj = json.loads(json.dumps(uniform))
+        target = obj["table"][0]["channel"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        broken.append(obj)
+    for part in ("re", "im"):
+        obj = json.loads(json.dumps(general))
+        obj["branches"][0]["kraus"][0][part][1][0] = bad
+        broken.append(obj)
+    for obj in broken:
+        with pytest.raises(ValueError, match="^malformed model object"):
+            inst.model_from_json(obj)

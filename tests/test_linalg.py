@@ -333,3 +333,17 @@ def test_matrix_from_json_rejects_non_integer_sizes(bad):
     for key in ("rows", "cols"):
         with pytest.raises(ValueError, match="malformed matrix object"):
             linalg.matrix_from_json({**obj, key: bad})
+
+
+@pytest.mark.parametrize("bad", ["1.0", True, False, None, [1.0]])
+def test_matrix_from_json_rejects_non_number_entries(bad):
+    # entries are JSON numbers; "1.0" and [[false]] used to decode
+    for part in ("re", "im"):
+        obj = {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]],
+               "im": [[0.0, 0.0], [0, 0]]}
+        obj[part][1][1] = bad
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            linalg.matrix_from_json(obj)
+    with pytest.raises(ValueError, match="malformed matrix object"):
+        linalg.matrix_from_json({"rows": 1, "cols": 1, "re": [[1.0]],
+                                 "im": bad})

@@ -6,11 +6,13 @@ from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             nu_lambda, random_stochastic_channel,
                             weyl_operators)
 from qimet.errors import DimensionTooLarge, NotHermitian, Unconverged
+from qimet.instruments import (full_channel, ideal_instrument,
+                               random_general_implementation)
 from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
                           rng, trace_norm)
 from qimet.oracle import (DiamondNormResult, _certificates, _cholesky_inverse,
                           _lifted, _max_step, _newton_solver, _nt_scaling,
-                          diamond_lower_hillclimb,
+                          _second_order, diamond_lower_hillclimb,
                           diamond_lower_hillclimb_state, diamond_norm,
                           result_to_json)
 
@@ -296,11 +298,42 @@ def test_nt_scaling_maps_z_to_s(cond):
     gen = rng(2000)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        w_inv, m = _nt_scaling(*_cholesky_inverse(s), z)
+        w_inv, m, _, _ = _nt_scaling(*_cholesky_inverse(s), z)
         assert (np.linalg.norm(w_inv @ s @ w_inv - z)
                 <= 1e-9 * np.linalg.norm(z))
         assert (np.linalg.norm(m @ m.conj().T - w_inv)
                 <= 1e-12 * np.linalg.norm(w_inv))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_nt_scaling_point_is_diagonal(cond):
+    # M⁻¹ inverts M, and M maps S and Z to the same point diag(v)
+    gen = rng(2100)
+    for side in (2, 6, 24):
+        s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
+        _, m, m_inv, v = _nt_scaling(*_cholesky_inverse(s), z)
+        assert np.linalg.norm(m_inv @ m - np.eye(side)) <= 1e-9 * np.sqrt(side)
+        for scaled in (m.conj().T @ s @ m, m_inv @ z @ m_inv.conj().T):
+            assert (np.linalg.norm(scaled - np.diag(v))
+                    <= 1e-9 * np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_second_order_term_solves_the_scaled_lyapunov_equation(cond):
+    # c = M X M† with diag(v) X + X diag(v) = D_x D_z + D_z D_x
+    gen = rng(2200)
+    for side in (2, 6, 24):
+        s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
+        _, m, m_inv, v = _nt_scaling(*_cholesky_inverse(s), z)
+        ds, dz = (random_hermitian_choi(1, side, seed).matrix
+                  for seed in (side, side + 1))
+        c = _second_order(m, m_inv, v, ds, dz)
+        assert np.array_equal(c, c.conj().T)
+        x = m_inv @ c @ m_inv.conj().T
+        d_x, d_z = m.conj().T @ ds @ m, m_inv @ dz @ m_inv.conj().T
+        rhs = d_x @ d_z + d_z @ d_x
+        assert (np.linalg.norm(v[:, None] * x + x * v - rhs)
+                <= 1e-9 * np.linalg.norm(rhs))
 
 
 def test_cholesky_inverse_factors_and_inverts():
@@ -367,6 +400,53 @@ def test_max_step_is_the_generalized_eigenvalue_bound(cond):
         # a positive semidefinite direction never leaves the cone
         assert _max_step(chol_inv, a @ a.conj().T) == np.inf
         assert _max_step(chol_inv, np.zeros((side, side))) == np.inf
+        # a stacked pair gives the tighter of the two bounds
+        s2 = random_pd(side, cond, gen)
+        d2 = hermitize(gen.normal(size=(side, side)) + 0j)
+        ref2 = -1.0 / scipy.linalg.eigh(d2, s2, eigvals_only=True).min()
+        pair = np.stack([chol_inv, _cholesky_inverse(s2)[1]])
+        assert _max_step(pair, np.stack([d, d2])) == pytest.approx(
+            min(ref, ref2), rel=1e-9)
+        assert _max_step(pair, d) == pytest.approx(
+            min(ref, _max_step(pair[1], d)), rel=1e-9)
+
+
+# ------------------------------------------------------------------
+# Mehrotra predictor-corrector
+# ------------------------------------------------------------------
+
+def instrument_delta(seed):
+    impl = random_general_implementation(2, 2, seed)
+    return (choi_from_kraus(full_channel(impl))
+            - choi_from_kraus(full_channel(ideal_instrument(2, 2))))
+
+
+def test_corrector_converges_in_few_iterations():
+    # a side-32 instrument delta took 22 iterations with the centering-only
+    # corrector; the second-order term halves that
+    res = diamond_norm(instrument_delta(1), tol=1e-7)
+    assert res.gap <= 1e-7
+    assert res.iterations <= 12
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_iterates_stay_dual_feasible(monkeypatch, seed):
+    # the corrector's targets enter every dual direction; each dual iterate
+    # must keep Z1 + Z2 = Z3 ⊗ I and tr Z3 = 1
+    factored = []
+
+    def spy(m):
+        factored.append(m)
+        return _cholesky_inverse(m)
+
+    monkeypatch.setattr("qimet.oracle._cholesky_inverse", spy)
+    result = diamond_norm(instrument_delta(seed), tol=1e-7)
+    assert len(factored) == 6 * (result.iterations + 1)
+    for i in range(0, len(factored), 6):
+        z1, z2, z3 = factored[i + 3:i + 6]
+        lifted = np.kron(z3, np.eye(len(z1) // len(z3)))  # Z3 ⊗ I
+        assert np.abs(z1 + z2 - lifted).max() < 1e-7
+        assert abs(np.trace(z3) - 1.0) < 1e-7
 
 
 # ------------------------------------------------------------------
