@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import (_checked_hermitian, _json_float, _json_int,
+from .linalg import (_checked_hermitian, _is_integer, _json_float, _json_int,
                      matrix_from_json, matrix_to_json, numerical_rank, rng)
 
 __all__ = [
@@ -57,6 +57,14 @@ __all__ = [
 # core types
 # ==================================================================
 
+def _check_dims(dim_in, dim_out):
+    """Reject channel dimensions that are not positive integers (an ``int``
+    or NumPy integer, never a ``bool`` or float)."""
+    if not all(_is_integer(d) and d >= 1 for d in (dim_in, dim_out)):
+        raise DimensionMismatch(f"channel dimensions must be positive "
+                                f"integers, got ({dim_in!r}, {dim_out!r})")
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive map given by its Kraus operators.
@@ -73,8 +81,7 @@ class KrausChannel:
     kraus_ops: np.ndarray
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise DimensionMismatch("channel dimensions must be positive")
+        _check_dims(self.dim_in, self.dim_out)
         try:
             ops = np.stack(self.kraus_ops, dtype=complex)  # a fresh array
         except ValueError as exc:  # empty, or operators of unequal shapes
@@ -117,9 +124,10 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _check_dims(self.dim_in, self.dim_out)
         side = self.dim_in * self.dim_out
         shape = np.shape(self.matrix)
-        if min(self.dim_in, self.dim_out) < 1 or shape != (side, side):
+        if shape != (side, side):
             raise DimensionMismatch(f"Choi matrix shape {shape} does not fit "
                                     f"dimensions ({self.dim_in}, {self.dim_out})")
         mat = _checked_hermitian(self.matrix)
@@ -162,48 +170,38 @@ def kraus_rank(channel: KrausChannel) -> int:
 # stochastic channels
 # ==================================================================
 
-def weyl_operators(dim: int) -> dict:
+@lru_cache(maxsize=None)
+def weyl_operators(dim: int) -> np.ndarray:
     """Shift-and-phase unitary basis ``U_(a,b) = X^a Z^b`` on ``dim`` levels.
 
     ``X`` is the cyclic shift ``|k> -> |k+1 mod dim>``, ``Z`` the phase
     ``|k> -> exp(2 pi i k / dim)|k>``.  The ``dim**2`` operators are pairwise
     Hilbert-Schmidt orthogonal with ``trace(U† U) = dim`` and ``U_(0,0) = I``.
 
-    :return: dict mapping ``(a, b)`` to the unitary, in lexicographic order.
+    :return: one read-only ``(dim**2, dim, dim)`` array with ``U_(a,b)`` at
+        index ``a * dim + b``; built once per ``dim``.
     """
     if dim < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {dim}")
-    shift = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        shift[(k + 1) % dim, k] = 1.0
+    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     phases = np.exp(2j * np.pi * np.arange(dim) / dim)
-    ops = {}
+    ops = np.empty((dim * dim, dim, dim), dtype=complex)
     x_pow = np.eye(dim, dtype=complex)
     for a in range(dim):
         z_pow = np.ones(dim, dtype=complex)
         for b in range(dim):
-            ops[(a, b)] = x_pow * z_pow  # X^a followed by diag phase Z^b
+            ops[a * dim + b] = x_pow * z_pow  # X^a followed by diag phase Z^b
             z_pow = z_pow * phases
         x_pow = shift @ x_pow
+    ops.setflags(write=False)
     return ops
-
-
-@lru_cache(maxsize=None)
-def _weyl_stack(dim: int) -> np.ndarray:
-    """The :func:`weyl_operators` basis as one read-only ``(dim**2, dim, dim)``
-    array, ``U_(a,b)`` at index ``a * dim + b``; built once per ``dim``."""
-    stack = np.stack(list(weyl_operators(dim).values()))
-    stack.setflags(write=False)
-    return stack
 
 
 def _label(value) -> int:
     """A basis or outcome label: an ``int`` or NumPy integer, as ``int``; a
     ``bool``, float or string raises :class:`InvalidModel` instead of being
     truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise InvalidModel(f"label {value!r} must be an integer")
     return int(value)
 
@@ -265,7 +263,7 @@ class StochasticChannel:
         live = {a * self.dim + b: w
                 for (a, b), w in self.weights.items() if w > 0.0}
         return (np.sqrt(np.fromiter(live.values(), float))[:, None, None]
-                * _weyl_stack(self.dim)[list(live)])
+                * weyl_operators(self.dim)[list(live)])
 
     def as_channel(self) -> KrausChannel:
         ops = self.kraus_ops()

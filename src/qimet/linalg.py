@@ -279,11 +279,17 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     }
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or NumPy integer; a ``bool`` is not."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def _json_int(obj: dict, key: str) -> int:
     """``obj[key]`` if it is a JSON integer; a float, string or boolean
     raises ``TypeError`` instead of being converted."""
     value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise TypeError(f"{key!r} must be an integer, got {value!r}")
     return value
 

@@ -29,7 +29,7 @@ from .errors import DimensionMismatch, InvalidModel, InvalidProjector
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
                           UniformStochasticModel, expand_nonuniform,
                           expand_uniform, ideal_instrument)
-from .linalg import (check_density, check_projector, psd_sqrt,
+from .linalg import (_is_integer, check_density, check_projector, psd_sqrt,
                      random_pure_states, rng, support_projector, trace_norm)
 
 __all__ = [
@@ -217,10 +217,12 @@ def instrument_diamond_lower(impl: InstrumentImplementation,
     ``sigma_j = sigma ⊗ |j><j|``.
 
     :param sigma: density matrix on the unmeasured register (dimension E).
-    :param j: outcome whose branch is probed.
+    :param j: outcome whose branch is probed, an integer in ``0..D-1``
+        (else ``ValueError``).
     """
-    if not 0 <= j < impl.D:
-        raise ValueError(f"outcome index {j} out of range for D={impl.D}")
+    if not (_is_integer(j) and 0 <= j < impl.D):
+        raise ValueError(f"outcome index {j!r} must be an integer in "
+                         f"0..{impl.D - 1}")
     sigma = check_density(sigma, impl.E)
     return float(_probe_values(impl, sigma[None], j)[0])
 

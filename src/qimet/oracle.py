@@ -66,14 +66,13 @@ from scipy.linalg.lapack import zpotrf, ztrtri
 
 from .channels import ChoiMatrix
 from .errors import DimensionTooLarge, Unconverged
-from .linalg import (col_vec, hermitize, partial_trace, random_pure_states,
-                     rng, trace_norm)
+from .linalg import (_is_integer, col_vec, hermitize, partial_trace,
+                     random_pure_states, rng, trace_norm)
 
 __all__ = [
     "DiamondNormResult",
     "diamond_norm",
     "diamond_lower_hillclimb",
-    "diamond_lower_hillclimb_state",
     "result_to_json",
 ]
 
@@ -376,7 +375,7 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
             f"the solver limit {MAX_DIM_IN_TIMES_SIDE}")
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if not isinstance(max_iterations, (int, np.integer)) or max_iterations < 0:
+    if not _is_integer(max_iterations) or max_iterations < 0:
         raise ValueError(f"max_iterations must be an integer >= 0, "
                          f"got {max_iterations!r}")
     c = delta.matrix * delta.dim_in
@@ -408,23 +407,9 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
 # hill-climbing lower bound
 # ==================================================================
 
-def diamond_lower_hillclimb_state(delta: ChoiMatrix, restarts: int = 20,
-                                  seed: int = 0):
-    """Hill-climbed lower bound on the diamond norm, returning
-    ``(value, psi)`` with ``psi`` the best pure input found on
-    (reference ⊗ input), reference dimension equal to the input dimension.
-
-    A see-saw from the maximally entangled state and ``restarts`` random
-    states, climbing together: with ``Psi`` a start as reference × input and
-    ``C = dim_in * J``, a round evaluates ``omega = (Psi ⊗ I) C (Psi ⊗ I)†``
-    and moves to the top eigenvector of ``g[(s,j),(r,i)] = sum_(o,p)
-    P[(s,p),(r,o)] C[(i,o),(j,p)]``, ``P`` the sign projector of ``omega``.
-    A start leaves the batch once its value stops rising; stacked ``@`` and
-    ``eigh`` act slice by slice, so no start's path depends on the others.
-
-    The value is always a true lower bound; it is monotone nondecreasing in
-    ``restarts`` for a fixed seed and deterministic per seed.
-    """
+def _hillclimb(delta: ChoiMatrix, restarts: int, seed: int):
+    """:func:`diamond_lower_hillclimb`'s value and the best pure input ``psi``
+    it found on (reference ⊗ input), reference dimension ``dim_in``."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     din, dout = delta.dim_in, delta.dim_out
@@ -460,6 +445,18 @@ def diamond_lower_hillclimb_state(delta: ChoiMatrix, restarts: int = 20,
 
 def diamond_lower_hillclimb(delta: ChoiMatrix, restarts: int = 20,
                             seed: int = 0) -> float:
-    """Lower bound on ``||Delta||_diamond`` by see-saw over pure inputs."""
-    value, _ = diamond_lower_hillclimb_state(delta, restarts, seed)
-    return value
+    """Lower bound on ``||Delta||_diamond`` by see-saw over pure inputs on
+    (reference ⊗ input), reference dimension equal to the input dimension.
+
+    A see-saw from the maximally entangled state and ``restarts`` random
+    states, climbing together: with ``Psi`` a start as reference × input and
+    ``C = dim_in * J``, a round evaluates ``omega = (Psi ⊗ I) C (Psi ⊗ I)†``
+    and moves to the top eigenvector of ``g[(s,j),(r,i)] = sum_(o,p)
+    P[(s,p),(r,o)] C[(i,o),(j,p)]``, ``P`` the sign projector of ``omega``.
+    A start leaves the batch once its value stops rising; stacked ``@`` and
+    ``eigh`` act slice by slice, so no start's path depends on the others.
+
+    The value is always a true lower bound; it is monotone nondecreasing in
+    ``restarts`` for a fixed seed and deterministic per seed.
+    """
+    return _hillclimb(delta, restarts, seed)[0]

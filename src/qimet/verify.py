@@ -26,9 +26,9 @@ from .instruments import (NonUniformStochasticModel, expand_nonuniform,
                           expand_uniform, extend_with_reference, full_channel,
                           ideal_instrument, random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
-from .linalg import (random_density, random_pure, rng, support_projector,
-                     trace_norm)
-from .oracle import diamond_lower_hillclimb_state, diamond_norm
+from .linalg import (col_vec, random_density, random_pure, rng,
+                     support_projector, trace_norm)
+from .oracle import diamond_norm
 
 __all__ = [
     "THEOREM_IDS",
@@ -117,19 +117,15 @@ def _check_instrument_bounds(seed, D, E, tol):
 
 def _check_uniform_diamond(seed, D, E, tol):
     # closed form 2(1 - nu00*lambda00) vs SDP, plus saturation of the probe
-    # lower bound at the T00-optimal state on (reference x E)
+    # lower bound at Phi+ on (reference x E), by covariance the optimal input
+    # of T00, a mixture of shift-and-phase unitaries
     model = random_uniform_model(D, E, seed=seed)
     closed = 2.0 * metrics.uniform_diamond_exact(model)
     impl = expand_uniform(model)
     oracle = diamond_norm(_instrument_delta(impl), tol=1e-6).value
-    t00 = model.table.get((0, 0))
-    if t00 is None:
-        t00 = StochasticChannel(E, 0.0, {})
-    d00 = t00.choi() - choi_from_kraus(identity_channel(E))
-    _, psi = diamond_lower_hillclimb_state(d00, restarts=10, seed=seed)
-    extended = extend_with_reference(impl, E)
+    phi = col_vec(np.eye(E)) / np.sqrt(E)
     saturated = metrics.instrument_diamond_lower(
-        extended, np.outer(psi, psi.conj()), 0)
+        extend_with_reference(impl, E), np.outer(phi, phi), 0)
     err = max(abs(closed - oracle), abs(saturated - oracle))
     return _make("thm-uniform-diamond", seed, closed, oracle, err, tol)
 

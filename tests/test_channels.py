@@ -104,6 +104,25 @@ def test_kraus_channel_rejects_ragged_and_empty_sets():
         ch.KrausChannel(2, 3, [X])
 
 
+@pytest.mark.parametrize("dim_in, dim_out",
+                         [(2.0, 2), (2, 2.0), (True, 1), (1, True)])
+def test_channel_dimensions_must_be_integers(dim_in, dim_out):
+    # a float or bool dimension used to construct, and the oracle then
+    # failed on it with a bare TypeError from np.eye
+    side = int(dim_in * dim_out)
+    with pytest.raises(DimensionMismatch, match="integers"):
+        ch.ChoiMatrix(dim_in, dim_out, np.eye(side) / side)
+    with pytest.raises(DimensionMismatch, match="integers"):
+        ch.KrausChannel(dim_in, dim_out,
+                        [np.eye(int(dim_out), int(dim_in))])
+
+
+def test_channel_dimensions_accept_numpy_integers():
+    two = np.int64(2)
+    assert ch.ChoiMatrix(two, 1, np.eye(2) / 2).dim_in == 2
+    assert ch.KrausChannel(two, two, [X]).dim_out == 2
+
+
 def test_choi_reproduces_action_via_partial_trace():
     # E(rho) = dim_in * Tr_in[ (rho^T ⊗ I) J ]
     gen = linalg.rng(205)
@@ -167,36 +186,39 @@ def test_choi_difference_arithmetic():
 # ------------------------------------------------------------------
 
 def test_weyl_operators_qubit():
-    ops = ch.weyl_operators(2)
-    np.testing.assert_array_equal(ops[(0, 0)], np.eye(2))
-    np.testing.assert_array_equal(ops[(1, 0)], X)
-    np.testing.assert_allclose(ops[(0, 1)], Z, atol=1e-15)
-    np.testing.assert_allclose(ops[(1, 1)], X @ Z, atol=1e-15)
+    ops = ch.weyl_operators(2)  # U_(a,b) at index 2a + b
+    np.testing.assert_array_equal(ops[0], np.eye(2))
+    np.testing.assert_array_equal(ops[2], X)
+    np.testing.assert_allclose(ops[1], Z, atol=1e-15)
+    np.testing.assert_allclose(ops[3], X @ Z, atol=1e-15)
 
 
 def test_weyl_operators_orthogonal_unitary():
     for dim in [1, 2, 3, 4]:
         ops = ch.weyl_operators(dim)
-        assert len(ops) == dim * dim
-        keys = list(ops)
-        assert keys == sorted(keys)  # lexicographic order
-        for key, u in ops.items():
-            np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-13)
-        for i, ki in enumerate(keys):
-            for kj in keys[i:]:
-                ip = np.trace(ops[ki].conj().T @ ops[kj])
-                expected = dim if ki == kj else 0.0
-                assert abs(ip - expected) < 1e-12
+        assert ops.shape == (dim * dim, dim, dim)
+        shift = np.roll(np.eye(dim), 1, axis=0)
+        phase = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+        for a in range(dim):  # index a * dim + b holds X^a Z^b
+            for b in range(dim):
+                np.testing.assert_allclose(
+                    ops[a * dim + b], np.linalg.matrix_power(shift, a)
+                    @ np.linalg.matrix_power(phase, b), atol=1e-13)
+        np.testing.assert_allclose(ops @ ops.conj().swapaxes(1, 2),
+                                   np.broadcast_to(np.eye(dim), ops.shape),
+                                   atol=1e-13)
+        gram = np.einsum("kij,lij->kl", ops.conj(), ops)  # trace(U_k† U_l)
+        np.testing.assert_allclose(gram, dim * np.eye(dim * dim), atol=1e-12)
 
 
-def test_weyl_stack_is_cached_and_read_only():
-    stack = ch._weyl_stack(3)
-    assert stack is ch._weyl_stack(3)
-    assert not stack.flags.writeable
+def test_weyl_operators_cached_and_read_only():
+    ops = ch.weyl_operators(3)
+    assert ops is ch.weyl_operators(3)
+    assert not ops.flags.writeable
     with pytest.raises(ValueError):
-        stack[0, 0, 0] = 2.0
-    for (a, b), u in ch.weyl_operators(3).items():
-        np.testing.assert_array_equal(stack[3 * a + b], u)
+        ops[0, 0, 0] = 2.0
+    with pytest.raises(UnsupportedDimension):
+        ch.weyl_operators(0)
 
 
 # ------------------------------------------------------------------
@@ -208,14 +230,14 @@ def test_stochastic_kraus_ops_bit_identical_to_weighted_basis():
         basis = ch.weyl_operators(dim)
         for seed in range(5):
             t = ch.random_stochastic_channel(dim, 0.4 + 0.15 * seed, seed)
-            ref = np.array([np.sqrt(w) * basis[key]
-                            for key, w in t.weights.items() if w > 0.0])
+            ref = np.array([np.sqrt(w) * basis[a * dim + b]
+                            for (a, b), w in t.weights.items() if w > 0.0])
             got = t.kraus_ops()
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
     sparse = ch.StochasticChannel(3, 0.5, {(2, 1): 0.5, (0, 2): 0.0})
     assert (sparse.kraus_ops().tobytes()
-            == (np.sqrt(0.5) * ch.weyl_operators(3)[(2, 1)]).tobytes())
+            == (np.sqrt(0.5) * ch.weyl_operators(3)[7]).tobytes())
     assert ch.StochasticChannel(2, 0.0, {}).kraus_ops().shape == (0, 2, 2)
 
 

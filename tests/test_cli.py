@@ -231,8 +231,7 @@ def test_verify_rejects_bad_tolerance(capsys):
 # ------------------------------------------------------------------
 
 def test_oracle_diamond_unitary_pair(capsys, tmp_path):
-    w = weyl_operators(2)
-    v = w[(1, 0)].reshape(-1, order="F")
+    v = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
     delta = choi_from_kraus(identity_channel(2)).matrix - np.outer(v, v.conj()) / 2
     from qimet.channels import ChoiMatrix
     path = tmp_path / "delta.json"

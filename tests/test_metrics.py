@@ -48,10 +48,9 @@ def test_process_fidelity_self_is_one():
 
 
 def test_process_fidelity_orthogonal_unitaries():
-    w = weyl_operators(2)
+    x = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
     ji = choi_from_kraus(identity_channel(2))
-    jx = ChoiMatrix(2, 2, np.outer(w[(1, 0)].reshape(-1, order="F"),
-                                   w[(1, 0)].reshape(-1, order="F").conj()) / 2)
+    jx = ChoiMatrix(2, 2, np.outer(x, x.conj()) / 2)
     assert process_fidelity(ji, jx) < 1e-12
 
 
@@ -80,10 +79,9 @@ def test_process_fidelity_dimension_mismatch():
 
 
 def test_process_fidelity_rejects_indefinite():
-    w = weyl_operators(2)
+    x = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
     ji = choi_from_kraus(identity_channel(2))
-    jx = ChoiMatrix(2, 2, np.outer(w[(1, 0)].reshape(-1, order="F"),
-                                   w[(1, 0)].reshape(-1, order="F").conj()) / 2)
+    jx = ChoiMatrix(2, 2, np.outer(x, x.conj()) / 2)
     with pytest.raises(NotPSD):
         process_fidelity(ji - jx, ji)
 
@@ -348,8 +346,12 @@ def test_lower_max_monotone_and_deterministic():
 
 def test_lower_bound_input_validation():
     impl = ideal_instrument(2, 2)
-    with pytest.raises(ValueError):
-        instrument_diamond_lower(impl, np.eye(2) / 2, 5)
+    # True used to probe outcome 1, and 1.0 raised a bare TypeError
+    for bad in (5, -1, True, 1.0):
+        with pytest.raises(ValueError, match="outcome index"):
+            instrument_diamond_lower(impl, np.eye(2) / 2, bad)
+    assert instrument_diamond_lower(impl, np.eye(2) / 2, np.int64(1)) == \
+        pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         instrument_diamond_lower(impl, np.eye(3) / 3, 0)
     with pytest.raises(ValueError):

@@ -11,10 +11,9 @@ from qimet.instruments import (full_channel, ideal_instrument,
 from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
                           rng, trace_norm)
 from qimet.oracle import (DiamondNormResult, _certificates, _cholesky_inverse,
-                          _lifted, _max_step, _newton_solver, _nt_scaling,
-                          _second_order, diamond_lower_hillclimb,
-                          diamond_lower_hillclimb_state, diamond_norm,
-                          result_to_json)
+                          _hillclimb, _lifted, _max_step, _newton_solver,
+                          _nt_scaling, _second_order, diamond_lower_hillclimb,
+                          diamond_norm, result_to_json)
 
 
 def random_hermitian_choi(dim_in, dim_out, seed, scale=1.0):
@@ -25,9 +24,8 @@ def random_hermitian_choi(dim_in, dim_out, seed, scale=1.0):
 
 
 def unitary_difference(dim, a, b):
-    w = weyl_operators(dim)
     ju = choi_from_kraus(identity_channel(dim))
-    v = w[(a, b)].reshape(-1, order="F")
+    v = weyl_operators(dim)[a * dim + b].reshape(-1, order="F")
     jv = ChoiMatrix(dim, dim, np.outer(v, v.conj()) / dim)
     return ChoiMatrix(dim, dim, ju.matrix - jv.matrix)
 
@@ -171,10 +169,15 @@ def test_zero_iterations_return_the_starting_bracket():
 
 def test_rejects_bad_max_iterations():
     # a negative count used to act as 0
-    for bad in (-1, 2.5, "3"):
+    # True used to run one iteration and serialize "iterations": true
+    for bad in (-1, 2.5, "3", True, False):
         with pytest.raises(ValueError):
             diamond_norm(random_hermitian_choi(2, 2, seed=63), tol=1e-7,
                          max_iterations=bad)
+    with pytest.raises(Unconverged) as info:  # NumPy integers still count
+        diamond_norm(random_hermitian_choi(2, 2, seed=63), tol=1e-7,
+                     max_iterations=np.int64(0))
+    assert info.value.result.iterations == 0
 
 
 def test_failed_factorization_counts_the_interrupted_iteration(monkeypatch):
@@ -483,7 +486,7 @@ def test_hillclimb_monotone_and_deterministic():
 
 def test_hillclimb_state_is_consistent():
     delta = random_hermitian_choi(2, 2, seed=23)
-    val, psi = diamond_lower_hillclimb_state(delta, restarts=10, seed=4)
+    val, psi = _hillclimb(delta, restarts=10, seed=4)
     assert psi.shape == (4,)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     # recompute the objective at psi: (I ⊗ Delta)(psi psi†) applies

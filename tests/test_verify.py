@@ -1,9 +1,14 @@
 """Tests for the randomized verification runners."""
 
+import numpy as np
 import pytest
 
 import qimet.metrics
 import qimet.verify
+from qimet.channels import StochasticChannel
+from qimet.instruments import (UniformStochasticModel, expand_uniform,
+                               extend_with_reference)
+from qimet.linalg import col_vec
 from qimet.verify import run_trial
 
 FIDELITY_IDS = ("cor-uniform-fidelity", "cor-nonuniform-fidelity")
@@ -28,3 +33,24 @@ def test_fidelity_checks_build_no_choi_matrix(theorem_id, monkeypatch):
     monkeypatch.setattr(qimet.verify, "choi_from_kraus", refuse)
     for seed in range(3):
         assert run_trial(theorem_id, seed, 3, 3).passed
+
+
+@pytest.mark.parametrize("D, E", [(2, 1), (2, 3), (3, 2)])
+def test_uniform_diamond_passes_away_from_default_dims(D, E):
+    records = qimet.verify.run_trials("thm-uniform-diamond", 2, 0, D, E)
+    assert all(r.passed for r in records)
+    assert max(r.abs_error for r in records) <= 1e-6
+
+
+def test_uniform_model_without_identity_entry_saturates_at_phi_plus():
+    # no (0, 0) table entry: nu00 = 0, so the closed form is 2, and the
+    # probe bound at the maximally entangled state on (reference x E) reaches it
+    flip = StochasticChannel(2, 0.5, {(0, 1): 0.3, (1, 1): 0.2})
+    shift = StochasticChannel(2, 0.5, {(1, 0): 0.5})
+    model = UniformStochasticModel(2, 2, {(1, 0): flip, (0, 1): shift})
+    assert 2.0 * qimet.metrics.uniform_diamond_exact(model) == 2.0
+    phi = col_vec(np.eye(2)) / np.sqrt(2)
+    extended = extend_with_reference(expand_uniform(model), 2)
+    saturated = qimet.metrics.instrument_diamond_lower(
+        extended, np.outer(phi, phi), 0)
+    assert saturated == pytest.approx(2.0, abs=1e-12)
