@@ -57,12 +57,14 @@ __all__ = [
 # core types
 # ==================================================================
 
-def _check_dims(dim_in, dim_out):
-    """Reject channel dimensions that are not positive integers (an ``int``
-    or NumPy integer, never a ``bool`` or float)."""
-    if not all(_is_integer(d) and d >= 1 for d in (dim_in, dim_out)):
-        raise DimensionMismatch(f"channel dimensions must be positive "
-                                f"integers, got ({dim_in!r}, {dim_out!r})")
+def _store_dims(obj, names, error):
+    """Store the dimension fields ``names`` of ``obj`` as ``int``s; each must
+    be a positive ``int`` or NumPy integer (never a ``bool`` or float)."""
+    dims = tuple(getattr(obj, name) for name in names)
+    if not all(_is_integer(d) and d >= 1 for d in dims):
+        raise error(f"dimensions must be positive integers, got {dims}")
+    for name, dim in zip(names, dims):
+        object.__setattr__(obj, name, int(dim))
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class KrausChannel:
     kraus_ops: np.ndarray
 
     def __post_init__(self):
-        _check_dims(self.dim_in, self.dim_out)
+        _store_dims(self, ("dim_in", "dim_out"), DimensionMismatch)
         try:
             ops = np.stack(self.kraus_ops, dtype=complex)  # a fresh array
         except ValueError as exc:  # empty, or operators of unequal shapes
@@ -124,7 +126,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_dims(self.dim_in, self.dim_out)
+        _store_dims(self, ("dim_in", "dim_out"), DimensionMismatch)
         side = self.dim_in * self.dim_out
         shape = np.shape(self.matrix)
         if shape != (side, side):
@@ -223,8 +225,7 @@ class StochasticChannel:
     weights: Mapping
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise UnsupportedDimension(f"dimension must be >= 1, got {self.dim}")
+        _store_dims(self, ("dim",), UnsupportedDimension)
         if not np.isfinite(self.nu):
             raise InvalidModel(f"nu must be finite, got {self.nu!r}")
         pairs = self.weights.items() if isinstance(self.weights, Mapping) \

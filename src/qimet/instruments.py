@@ -37,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .channels import (KrausChannel, StochasticChannel, _label,
-                       channel_from_json, channel_to_json,
+                       channel_from_json, channel_to_json, choi_from_kraus,
                        stochastic_from_json, stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
@@ -51,6 +51,7 @@ __all__ = [
     "expand_uniform",
     "expand_nonuniform",
     "full_channel",
+    "branch_differences",
     "extend_with_reference",
     "random_uniform_model",
     "random_nonuniform_model",
@@ -245,6 +246,19 @@ def full_channel(impl: InstrumentImplementation) -> KrausChannel:
     ops = np.zeros((len(kraus), side, impl.D, side), dtype=complex)
     ops[np.arange(len(kraus)), :, outcome] = kraus
     return KrausChannel(side, side * impl.D, ops.reshape(-1, side * impl.D, side))
+
+
+def branch_differences(impl: InstrumentImplementation) -> np.ndarray:
+    """``J(M_j) - J(ad_pi_j)`` per outcome ``j`` as one read-only ``(D, s, s)``
+    stack, ``s = (E*D)**2``; the ideal rank-one term ``col_vec(pi_j)
+    col_vec(pi_j)† / (E*D)`` is subtracted in place on its support."""
+    side = impl.E * impl.D
+    stack = np.stack([choi_from_kraus(m).matrix for m in impl.branches])
+    diag = np.arange(side) * (side + 1)  # col_vec position of each |i><i|
+    for j, block in enumerate(stack):
+        block[np.ix_(diag[j::impl.D], diag[j::impl.D])] -= 1.0 / side
+    stack.setflags(write=False)
+    return stack
 
 
 def extend_with_reference(impl: InstrumentImplementation,

@@ -22,20 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChoiMatrix, KrausChannel, StochasticChannel,
-                       choi_from_kraus, nu_lambda)
+from .channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
+                       nu_lambda)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, InvalidProjector
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
-                          UniformStochasticModel, expand_nonuniform,
-                          expand_uniform, ideal_instrument)
+                          UniformStochasticModel, branch_differences,
+                          expand_nonuniform, expand_uniform, ideal_instrument)
 from .linalg import (_is_integer, check_density, check_projector, psd_sqrt,
                      random_pure_states, rng, support_projector, trace_norm)
 
 __all__ = [
     "MetricsReport",
     "process_fidelity",
-    "kraus_fidelity",
     "instrument_fidelity_branchwise",
     "fidelity_uniform_closed",
     "fidelity_nonuniform_closed",
@@ -69,30 +68,6 @@ def process_fidelity(ja: ChoiMatrix, jb: ChoiMatrix) -> float:
             f"Choi dimensions ({ja.dim_in}, {ja.dim_out}) vs "
             f"({jb.dim_in}, {jb.dim_out})")
     root = trace_norm(psd_sqrt(ja.matrix) @ psd_sqrt(jb.matrix))
-    return root * root
-
-
-def kraus_fidelity(a: KrausChannel, b: KrausChannel) -> float:
-    """Process fidelity from Kraus operators, ``F = ||A† B||_1^2 / dim_in^2``.
-
-    With rows ``V_j`` the flattened Kraus operators, ``conj(Va) Vb^T`` is the
-    ``rank_a × rank_b`` matrix ``tr(A_i† B_j)``.  As ``J_A = X X†`` with
-    ``X`` the columns ``col_vec(A_i) / sqrt(dim_in)``, the polar
-    decomposition gives ``||sqrt(J_A) sqrt(J_B)||_1 = ||X† Y||_1``, so this is
-    :func:`process_fidelity` of the two Choi states (Gilchrist, Langford and
-    Nielsen, PRA 71, 062310, 2005) with one product and one SVD instead of
-    two Choi square roots.  Accepts subnormalized maps; symmetric in its
-    arguments.
-
-    :raises DimensionMismatch: on unequal dimensions.
-    """
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        raise DimensionMismatch(
-            f"channel dimensions ({a.dim_in}, {a.dim_out}) vs "
-            f"({b.dim_in}, {b.dim_out})")
-    va = a.kraus_ops.reshape(len(a.kraus_ops), -1)
-    vb = b.kraus_ops.reshape(len(b.kraus_ops), -1)
-    root = trace_norm(va.conj() @ vb.T) / a.dim_in
     return root * root
 
 
@@ -235,8 +210,8 @@ def instrument_diamond_lower_max(impl: InstrumentImplementation,
 
     Deterministic per seed and monotone nondecreasing in ``restarts``.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if not (_is_integer(restarts) and restarts >= 0):
+        raise ValueError(f"restarts must be an integer >= 0, got {restarts!r}")
     eye = np.eye(impl.E, dtype=complex)
     psi = random_pure_states(impl.E, restarts, rng(seed))
     sigmas = np.concatenate([eye[None] / impl.E,
@@ -246,19 +221,16 @@ def instrument_diamond_lower_max(impl: InstrumentImplementation,
                for j in range(impl.D))
 
 
-def _per_branch_trace_distances(impl: InstrumentImplementation) -> tuple:
-    """``||J(M_k) - J(ad_pi_k)||_1`` for each outcome ``k``."""
-    ideal = ideal_instrument(impl.D, impl.E)
-    return tuple(
-        trace_norm(choi_from_kraus(noisy).matrix
-                   - choi_from_kraus(clean).matrix)
-        for noisy, clean in zip(impl.branches, ideal.branches))
+def _upper_bound(impl: InstrumentImplementation) -> tuple:
+    """``(D*E * sum_k d_k, (d_k)_k)``, d_k = ``||J(M_k) - J(ad_pi_k)||_1``."""
+    distances = tuple(trace_norm(block) for block in branch_differences(impl))
+    return impl.D * impl.E * sum(distances), distances
 
 
 def instrument_diamond_upper(impl: InstrumentImplementation) -> float:
     """Upper bound on the full diamond distance to the ideal measurement:
     ``D*E * sum_k ||J(M_k) - J(ad_pi_k)||_1``."""
-    return impl.D * impl.E * sum(_per_branch_trace_distances(impl))
+    return _upper_bound(impl)[0]
 
 
 # ==================================================================
@@ -371,11 +343,11 @@ def build_report(obj, seed: int = 0) -> MetricsReport:
         raise TypeError(
             f"expected a stochastic model or an implementation, "
             f"got {type(obj).__name__}")
-    distances = _per_branch_trace_distances(impl)
+    upper, distances = _upper_bound(impl)
     return MetricsReport(
         fidelity=float(fidelity),
         diamond_lower=instrument_diamond_lower_max(impl, seed=seed),
-        diamond_upper=impl.D * impl.E * sum(distances),
+        diamond_upper=upper,
         diamond_exact=diamond_exact,
         nu00=nu00,
         lambda00=lambda00,

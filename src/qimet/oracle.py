@@ -410,8 +410,8 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
 def _hillclimb(delta: ChoiMatrix, restarts: int, seed: int):
     """:func:`diamond_lower_hillclimb`'s value and the best pure input ``psi``
     it found on (reference ⊗ input), reference dimension ``dim_in``."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not (_is_integer(restarts) and restarts >= 1):
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     din, dout = delta.dim_in, delta.dim_out
     c = delta.matrix * din
     c_by_out = c.reshape(din, dout, din, dout).transpose(3, 1, 2, 0).reshape(

@@ -123,6 +123,29 @@ def test_channel_dimensions_accept_numpy_integers():
     assert ch.KrausChannel(two, two, [X]).dim_out == 2
 
 
+def test_numpy_integer_dimensions_are_stored_as_int_and_serialize():
+    # NumPy integer dimensions used to be stored as they came, and json
+    # then refused to encode them
+    two = np.int64(2)
+    choi = ch.ChoiMatrix(two, np.int32(1), np.eye(2) / 2)
+    kraus = ch.KrausChannel(two, two, [X])
+    stochastic = ch.StochasticChannel(two, 1.0, {(0, 0): 1.0})
+    for dim in (choi.dim_in, choi.dim_out, kraus.dim_in, kraus.dim_out,
+                stochastic.dim):
+        assert type(dim) is int
+    json.dumps(ch.choi_to_json(choi))
+    json.dumps(ch.channel_to_json(kraus))
+    json.dumps(ch.stochastic_to_json(stochastic))
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", 0, -1])
+def test_stochastic_dimension_must_be_a_positive_integer(bad):
+    # a float or bool dimension used to construct, and kraus_ops() then
+    # failed with a bare TypeError
+    with pytest.raises(UnsupportedDimension, match="integer"):
+        ch.StochasticChannel(bad, 1.0, {(0, 0): 1.0})
+
+
 def test_choi_reproduces_action_via_partial_trace():
     # E(rho) = dim_in * Tr_in[ (rho^T ⊗ I) J ]
     gen = linalg.rng(205)

@@ -267,6 +267,22 @@ def test_full_channel_choi_trace_one():
         assert abs(ch.choi_from_kraus(fc).matrix.trace().real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("D, E", [(2, 1), (3, 2)])
+def test_branch_differences_equal_branch_choi_differences(D, E):
+    # the ideal rank-one term is subtracted in place on its support, which
+    # gives the same bits as subtracting the ideal branch's Choi matrix
+    ideal = inst.ideal_instrument(D, E)
+    assert not np.any(inst.branch_differences(ideal))
+    impl = inst.random_general_implementation(D, E, seed=320 + D)
+    blocks = inst.branch_differences(impl)
+    assert blocks.shape == (D, (E * D) ** 2, (E * D) ** 2)
+    assert not blocks.flags.writeable
+    for block, noisy, clean in zip(blocks, impl.branches, ideal.branches):
+        np.testing.assert_array_equal(
+            block, ch.choi_from_kraus(noisy).matrix
+            - ch.choi_from_kraus(clean).matrix)
+
+
 def test_born_probabilities_match_outcome_register_marginal():
     gen = linalg.rng(308)
     impl = inst.expand_nonuniform(inst.random_nonuniform_model(2, 2, seed=42))

@@ -7,7 +7,8 @@ from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
                             random_stochastic_channel, weyl_operators)
 from qimet.errors import (DimensionMismatch, InvalidModel, InvalidProjector,
                           NotPSD)
-from qimet.instruments import (NonUniformStochasticModel,
+from qimet.instruments import (InstrumentImplementation,
+                               NonUniformStochasticModel,
                                UniformStochasticModel, expand_nonuniform,
                                expand_uniform, full_channel, ideal_instrument,
                                random_general_implementation,
@@ -19,9 +20,10 @@ from qimet.metrics import (MetricsReport, build_report,
                            instrument_diamond_lower,
                            instrument_diamond_lower_max,
                            instrument_diamond_upper,
-                           instrument_fidelity_branchwise, kraus_fidelity,
+                           instrument_fidelity_branchwise,
                            nonuniform_outcome_diamond, process_fidelity,
                            report_to_json, uniform_diamond_exact)
+from qimet.verify import _trace_fidelity
 
 
 def readout_flip_model():
@@ -87,85 +89,79 @@ def test_process_fidelity_rejects_indefinite():
 
 
 # ------------------------------------------------------------------
-# Kraus-factor process fidelity
+# Kraus-factor process fidelity to the ideal (verify's trace route)
 # ------------------------------------------------------------------
 
-def random_kraus_channel(gen, dim_in, dim_out, count, rank=None, scale=1.0):
-    """Random CP map with ``count`` Kraus operators spanning ``rank`` of them,
-    scaled to ``scale`` times a trace-preserving map's normalization."""
-    rank = count if rank is None else rank
-    basis = (gen.normal(size=(rank, dim_out * dim_in))
-             + 1j * gen.normal(size=(rank, dim_out * dim_in)))
-    mix = gen.normal(size=(count, rank)) + 1j * gen.normal(size=(count, rank))
-    ops = (mix @ basis).reshape(count, dim_out, dim_in)
-    norm = np.sum(ops.conj().swapaxes(1, 2) @ ops, axis=0).trace().real
-    return KrausChannel(dim_in, dim_out, ops * np.sqrt(scale * dim_in / norm))
+def implementations(D, E, seed):
+    """A uniform, a non-uniform and a general implementation at (D, E)."""
+    return (expand_uniform(random_uniform_model(D, E, seed=seed)),
+            expand_nonuniform(random_nonuniform_model(D, E, seed=seed)),
+            random_general_implementation(D, E, seed=seed))
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_kraus_fidelity_matches_choi_route(dims):
-    # full Choi rank, where the psd_sqrt route is accurate; the Kraus sets
-    # are trace preserving or subnormalized, with independent operators or
-    # more operators than their span (a rank-deficient Kraus matrix)
-    gen = rng(5000 + 10 * dims[0] + dims[1])
-    side = dims[0] * dims[1]
-    for trial in range(6):
-        count = side + trial % 3
-        scale = 1.0 if trial < 3 else 0.1 + 0.3 * trial / 6
-        a = random_kraus_channel(gen, *dims, count, side, scale)
-        b = random_kraus_channel(gen, *dims, side + 1 - trial % 2, side)
-        ref = process_fidelity(choi_from_kraus(a), choi_from_kraus(b))
-        assert abs(kraus_fidelity(a, b) - ref) <= 1e-9
+    # the ideal branches have rank-one Choi states, where the psd_sqrt route
+    # errs by up to ~1e-9; the trace route takes no square root
+    ideal = ideal_instrument(*dims)
+    for seed in range(5000, 5003):
+        for impl in implementations(*dims, seed):
+            ref = instrument_fidelity_branchwise(ideal, impl)
+            assert abs(_trace_fidelity(impl) - ref) <= 1e-8
 
 
 def _fidelity_mp(a, b, digits=40):
     """``||sqrt(J_A) sqrt(J_B)||_1^2`` of the Choi states in ``digits``-digit
-    arithmetic, so that zero eigenvalues stay far below the test tolerance."""
+    arithmetic, so that zero eigenvalues stay far below the test tolerance.
+
+    Both states are written in an orthonormal basis ``Q`` of the span of
+    the ``col_vec(K)`` of both Kraus sets; ``Q† J Q`` keeps every nonzero
+    eigenvalue and the fidelity, and is only as large as the two ranks."""
     with mpmath.workdps(digits):
-        def choi(channel):
-            v = mpmath.matrix([[complex(x) for x in k.reshape(-1, order="F")]
-                               for k in channel.kraus_ops])
-            return v.T * v.conjugate() / channel.dim_in
+        ops = np.concatenate([a.kraus_ops, b.kraus_ops])
+        cols = mpmath.matrix(
+            ops.swapaxes(1, 2).reshape(len(ops), -1).tolist()).T
+        q, _ = mpmath.qr(cols, mode="skinny")
+        coords = q.H * cols  # each col_vec(K) in the basis Q
+        xa = coords[:, :len(a.kraus_ops)]
+        xb = coords[:, len(a.kraus_ops):]
 
         def root(m):
             vals, vecs = mpmath.eighe(m)
             diag = mpmath.diag([mpmath.sqrt(max(x, 0)) for x in vals])
             return vecs * diag * vecs.H
 
-        ra = root(choi(a))
-        vals, _ = mpmath.eighe(ra * choi(b) * ra)
+        ra = root(xa * xa.H / a.dim_in)
+        vals, _ = mpmath.eighe(ra * (xb * xb.H / b.dim_in) * ra)
         return float(sum(mpmath.sqrt(max(x, 0)) for x in vals) ** 2)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_kraus_fidelity_exact_on_low_choi_rank(dims):
-    # low Choi rank (and subnormalized): the double-precision psd_sqrt route
-    # is off by ~1e-9 here, the Kraus route agrees with 40 digits
-    gen = rng(5200 + 10 * dims[0] + dims[1])
-    for trial in range(3):
-        a = random_kraus_channel(gen, *dims, 2 + trial, rank=1 + trial % 2,
-                                 scale=1.0 - 0.3 * trial)
-        b = random_kraus_channel(gen, *dims, 1 + trial)
-        assert abs(kraus_fidelity(a, b) - _fidelity_mp(a, b)) <= 1e-12
+    # general implementations against the ideal, whose branch Choi states
+    # have rank one; the 40-digit route evaluates the definition branch by
+    # branch and sums the square roots over the orthogonal outcome sectors
+    ideal = ideal_instrument(*dims)
+    for seed in range(5200, 5203):
+        impl = random_general_implementation(*dims, seed=seed)
+        root = sum(np.sqrt(_fidelity_mp(a, b))
+                   for a, b in zip(ideal.branches, impl.branches))
+        assert abs(_trace_fidelity(impl) - root * root) <= 1e-12
 
 
-def test_kraus_fidelity_symmetric_and_self():
+def test_kraus_fidelity_of_ideal_and_kraus_freedom():
+    # F = 1 on the ideal; a unitary mix of one branch's Kraus operators is
+    # the same map and leaves F unchanged
+    assert abs(_trace_fidelity(ideal_instrument(3, 2)) - 1.0) <= 1e-15
     gen = rng(5100)
-    for trial in range(10):
-        a = random_kraus_channel(gen, 3, 2, 1 + trial % 3)
-        b = random_kraus_channel(gen, 3, 2, 2, rank=1, scale=0.5)
-        assert abs(kraus_fidelity(a, b) - kraus_fidelity(b, a)) <= 1e-12
-        assert abs(kraus_fidelity(a, a) - 1.0) <= 1e-12
-
-
-def test_kraus_fidelity_dimension_mismatch():
-    # equal Choi sides, swapped input and output dimensions
-    a = KrausChannel(2, 3, np.ones((1, 3, 2)))
-    b = KrausChannel(3, 2, np.ones((1, 2, 3)))
-    with pytest.raises(DimensionMismatch):
-        kraus_fidelity(a, b)
-    with pytest.raises(DimensionMismatch):
-        kraus_fidelity(identity_channel(2), identity_channel(3))
+    for seed in range(4):
+        impl = random_general_implementation(2, 3, seed=seed)
+        q, _ = np.linalg.qr(gen.normal(size=(2, 2))
+                            + 1j * gen.normal(size=(2, 2)))
+        ops = np.einsum("kl,lrc->krc", q, impl.branches[1].kraus_ops)
+        mixed = InstrumentImplementation(
+            2, 3, (impl.branches[0], KrausChannel(6, 6, ops)))
+        assert abs(_trace_fidelity(mixed) - _trace_fidelity(impl)) <= 1e-14
 
 
 # ------------------------------------------------------------------
@@ -356,6 +352,13 @@ def test_lower_bound_input_validation():
         instrument_diamond_lower(impl, np.eye(3) / 3, 0)
     with pytest.raises(ValueError):
         instrument_diamond_lower_max(impl, restarts=-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_lower_max_restarts_must_be_an_integer(bad):
+    # 2.5 escaped as a NumPy TypeError, and True ran one restart
+    with pytest.raises(ValueError, match="integer"):
+        instrument_diamond_lower_max(ideal_instrument(2, 2), restarts=bad)
 
 
 def test_upper_bound_ideal_is_zero():

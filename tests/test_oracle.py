@@ -501,3 +501,10 @@ def test_hillclimb_state_is_consistent():
 def test_hillclimb_rejects_bad_restarts():
     with pytest.raises(ValueError):
         diamond_lower_hillclimb(ChoiMatrix(2, 2, np.eye(4) / 2), restarts=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_hillclimb_restarts_must_be_an_integer(bad):
+    # 2.5 escaped as a NumPy TypeError, and True ran one restart
+    with pytest.raises(ValueError, match="integer"):
+        diamond_lower_hillclimb(ChoiMatrix(2, 2, np.eye(4) / 2), restarts=bad)

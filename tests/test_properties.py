@@ -5,12 +5,26 @@ draws the same inputs and writes nothing to the working tree.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qimet.channels import StochasticChannel, choi_from_kraus, identity_channel
+from qimet.instruments import (branch_differences, expand_nonuniform,
+                               expand_uniform, full_channel, ideal_instrument,
+                               random_general_implementation,
+                               random_nonuniform_model, random_uniform_model)
 from qimet.linalg import trace_norm
-from qimet.metrics import diamond_identity_stochastic
+from qimet.metrics import (build_report, diamond_identity_stochastic,
+                           instrument_diamond_upper)
+from qimet.verify import _instrument_delta
+
+#: model kind -> (generator, expansion to an implementation)
+KINDS = {
+    "uniform": (random_uniform_model, expand_uniform),
+    "nonuniform": (random_nonuniform_model, expand_nonuniform),
+    "general": (random_general_implementation, lambda impl: impl),
+}
 
 
 @st.composite
@@ -36,3 +50,51 @@ def test_stochastic_distance_to_identity_is_attained_at_phi_plus(t):
                              - choi_from_kraus(identity_channel(t.dim)).matrix)
     assert np.isclose(at_phi_plus, 2.0 * diamond_identity_stochastic(t),
                       rtol=0.0, atol=1e-12)
+
+
+def implementations(kind, seed):
+    """A random model of ``kind`` with its expanded implementation, at every
+    D in {2, 3} and E in {1, 2, 3}."""
+    generate, expand = KINDS[kind]
+    for D in (2, 3):
+        for E in (1, 2, 3):
+            model = generate(D, E, seed=seed)
+            yield model, expand(model)
+
+
+INSTRUMENTS = settings(derandomize=True, database=None, max_examples=5,
+                       deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS)
+def test_assembled_delta_matches_the_full_channel_route(kind, seed):
+    for _, impl in implementations(kind, seed):
+        ideal = ideal_instrument(impl.D, impl.E)
+        ref = (choi_from_kraus(full_channel(impl)).matrix
+               - choi_from_kraus(full_channel(ideal)).matrix)
+        assert np.max(np.abs(_instrument_delta(impl).matrix - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS)
+def test_branch_trace_norms_add_up_to_the_delta_trace_norm(kind, seed):
+    # the orthogonality lemma on the outcome sectors of a real instrument
+    for _, impl in implementations(kind, seed):
+        total = sum(trace_norm(block) for block in branch_differences(impl))
+        assert np.isclose(total, trace_norm(_instrument_delta(impl).matrix),
+                          rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS)
+def test_report_upper_is_the_scaled_branch_distance_sum(kind, seed):
+    for model, impl in implementations(kind, seed):
+        report = build_report(model)
+        assert report.diamond_upper == (
+            impl.D * impl.E * sum(report.per_branch_trace_distances))
+        assert instrument_diamond_upper(impl) == report.diamond_upper

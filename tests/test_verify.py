@@ -35,6 +35,29 @@ def test_fidelity_checks_build_no_choi_matrix(theorem_id, monkeypatch):
         assert run_trial(theorem_id, seed, 3, 3).passed
 
 
+@pytest.mark.parametrize("theorem_id", FIDELITY_IDS + (
+    "thm-instrument-bounds", "thm-uniform-diamond", "sec7-counterexample"))
+def test_instrument_checks_build_no_full_channel(theorem_id, monkeypatch):
+    # the instrument error is assembled from the branch differences, and
+    # the fidelity is read from the branch Kraus operators
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check built a full channel")
+
+    monkeypatch.setattr(qimet.verify, "full_channel", refuse, raising=False)
+    monkeypatch.setattr(qimet.verify, "ideal_instrument", refuse,
+                        raising=False)
+    monkeypatch.setattr(qimet.metrics, "ideal_instrument", refuse)
+    for seed in range(2):
+        assert run_trial(theorem_id, seed).passed
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0])
+def test_trial_count_must_be_a_positive_integer(bad):
+    # 2.5 escaped as a TypeError from range(), and True ran one trial
+    with pytest.raises(ValueError, match="trials must be"):
+        qimet.verify.run_trials("fvg-appendix", bad, 0)
+
+
 @pytest.mark.parametrize("D, E", [(2, 1), (2, 3), (3, 2)])
 def test_uniform_diamond_passes_away_from_default_dims(D, E):
     records = qimet.verify.run_trials("thm-uniform-diamond", 2, 0, D, E)
