@@ -172,7 +172,6 @@ def kraus_rank(channel: KrausChannel) -> int:
 # stochastic channels
 # ==================================================================
 
-@lru_cache(maxsize=None)
 def weyl_operators(dim: int) -> np.ndarray:
     """Shift-and-phase unitary basis ``U_(a,b) = X^a Z^b`` on ``dim`` levels.
 
@@ -182,9 +181,17 @@ def weyl_operators(dim: int) -> np.ndarray:
 
     :return: one read-only ``(dim**2, dim, dim)`` array with ``U_(a,b)`` at
         index ``a * dim + b``; built once per ``dim``.
+    :raises UnsupportedDimension: unless ``dim`` is a positive integer,
+        checked before the cache (where ``2.0`` and ``2`` are one key).
     """
-    if dim < 1:
-        raise UnsupportedDimension(f"dimension must be >= 1, got {dim}")
+    if not (_is_integer(dim) and dim >= 1):
+        raise UnsupportedDimension(
+            f"dimension must be an integer >= 1, got {dim!r}")
+    return _weyl_operators(int(dim))
+
+
+@lru_cache(maxsize=None)
+def _weyl_operators(dim: int) -> np.ndarray:
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     phases = np.exp(2j * np.pi * np.arange(dim) / dim)
     ops = np.empty((dim * dim, dim, dim), dtype=complex)
@@ -302,11 +309,11 @@ def random_stochastic_channel(dim: int, nu: float,
     over all ``dim**2`` labels.  Deterministic in ``seed`` (counter-based
     generator).
 
-    :raises UnsupportedDimension: for ``dim`` outside 1..4.
+    :raises UnsupportedDimension: unless ``dim`` is an integer in 1..4.
     """
-    if dim < 1 or dim > 4:
+    if not (_is_integer(dim) and 1 <= dim <= 4):
         raise UnsupportedDimension(
-            f"random stochastic channels support dimensions 1..4, got {dim}")
+            f"random stochastic channels support dimensions 1..4, got {dim!r}")
     if nu < 0.0:
         raise InvalidModel(f"nu must be nonnegative, got {nu!r}")
     gen = rng(seed)

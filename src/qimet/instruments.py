@@ -36,12 +36,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import (KrausChannel, StochasticChannel, _label,
+from .channels import (KrausChannel, StochasticChannel, _label, _store_dims,
                        channel_from_json, channel_to_json, choi_from_kraus,
                        stochastic_from_json, stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import _json_int, rng
+from .linalg import _is_integer, _json_int, rng
 
 __all__ = [
     "InstrumentImplementation",
@@ -52,7 +52,6 @@ __all__ = [
     "expand_nonuniform",
     "full_channel",
     "branch_differences",
-    "extend_with_reference",
     "random_uniform_model",
     "random_nonuniform_model",
     "random_general_implementation",
@@ -65,10 +64,13 @@ __all__ = [
 # measurement and implementation types
 # ==================================================================
 
-def _check_dims(D: int, E: int):
-    if D < 2 or E < 1:
+def _check_dims(obj):
+    """Store ``obj.D`` and ``obj.E`` as ``int``s (the integer rule of
+    ``channels._store_dims``); need D >= 2 and E >= 1."""
+    _store_dims(obj, ("D", "E"), UnsupportedDimension)
+    if obj.D < 2:
         raise UnsupportedDimension(
-            f"need D >= 2 and E >= 1, got D={D}, E={E}")
+            f"need D >= 2 and E >= 1, got D={obj.D}, E={obj.E}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class InstrumentImplementation:
     branches: tuple
 
     def __post_init__(self):
-        _check_dims(self.D, self.E)
+        _check_dims(self)
         branches = tuple(self.branches)
         if len(branches) != self.D:
             raise InvalidModel(
@@ -102,18 +104,6 @@ class InstrumentImplementation:
             raise InvalidModel(
                 f"total channel is not trace preserving: max |sum K†K - I| = {dev:.3e}")
         object.__setattr__(self, "branches", branches)
-
-
-def ideal_instrument(D: int, E: int) -> InstrumentImplementation:
-    """The ideal subsystem measurement as an implementation (branch ``j`` is
-    the single-Kraus map ``ad_{pi_j}`` with ``pi_j = I_E ⊗ |j><j|``)."""
-    _check_dims(D, E)
-    side = E * D
-    measured = np.arange(side) % D  # the D index of each basis state of E ⊗ D
-    branches = tuple(
-        KrausChannel(side, side, np.diag((measured == j) + 0j)[None])
-        for j in range(D))
-    return InstrumentImplementation(D, E, branches)
 
 
 # ==================================================================
@@ -153,7 +143,7 @@ class UniformStochasticModel:
     table: Mapping
 
     def __post_init__(self):
-        _check_dims(self.D, self.E)
+        _check_dims(self)
         table = _validate_table(self.table, self.D, self.E, labels=2)
         total = sum(t.nu for t in table.values())
         if abs(total - 1.0) > TOL.weight_sum:
@@ -172,7 +162,7 @@ class NonUniformStochasticModel:
     table: Mapping
 
     def __post_init__(self):
-        _check_dims(self.D, self.E)
+        _check_dims(self)
         table = _validate_table(self.table, self.D, self.E, labels=3)
         for j in range(self.D):
             total = sum(t.nu for (a, b, jj), t in table.items() if jj == j)
@@ -180,6 +170,14 @@ class NonUniformStochasticModel:
                 raise InvalidModel(
                     f"outcome {j}: sum_(a,b) nu = {total!r} must be 1")
         object.__setattr__(self, "table", table)
+
+
+def ideal_instrument(D: int, E: int) -> InstrumentImplementation:
+    """The ideal subsystem measurement as an implementation: the uniform model
+    whose one entry is ``T_(0,0) = id_E``, so branch ``j`` is the single-Kraus
+    map ``ad_{pi_j}`` with ``pi_j = I_E ⊗ |j><j|``."""
+    identity = StochasticChannel(E, 1.0, {(0, 0): 1.0})
+    return expand_uniform(UniformStochasticModel(D, E, {(0, 0): identity}))
 
 
 def _expand_branches(D: int, E: int, channel_at) -> tuple:
@@ -261,36 +259,15 @@ def branch_differences(impl: InstrumentImplementation) -> np.ndarray:
     return stack
 
 
-def extend_with_reference(impl: InstrumentImplementation,
-                          dim_ref: int) -> InstrumentImplementation:
-    """Attach an idle ``dim_ref``-dimensional reference to the unmeasured
-    register: branch Kraus ``K -> I_ref ⊗ K``.  The diamond distance to the
-    (equally extended) ideal instrument is unchanged; the extension exists so
-    the lower bound of the instrument-distance theorem can be evaluated on
-    reference-assisted states, where it becomes tight."""
-    if dim_ref < 1:
-        raise UnsupportedDimension(f"reference dimension must be >= 1, got {dim_ref}")
-    side = impl.E * impl.D
-    ref = np.arange(dim_ref)
-    branches = []
-    for kraus in (branch.kraus_ops for branch in impl.branches):
-        # K in the diagonal blocks of a (dim_ref, side, dim_ref, side) zero
-        ops = np.zeros((len(kraus), dim_ref, side, dim_ref, side), dtype=complex)
-        ops[:, ref, :, ref] = kraus
-        branches.append(KrausChannel(dim_ref * side, dim_ref * side,
-                                     ops.reshape(len(kraus), dim_ref * side, -1)))
-    return InstrumentImplementation(impl.D, dim_ref * impl.E, tuple(branches))
-
-
 # ==================================================================
 # random model generation
 # ==================================================================
 
 def _check_generator_dims(D: int, E: int):
-    if not 2 <= D <= 4:
-        raise UnsupportedDimension(f"random models support D in 2..4, got {D}")
-    if not 1 <= E <= 4:
-        raise UnsupportedDimension(f"random models support E in 1..4, got {E}")
+    if not (_is_integer(D) and 2 <= D <= 4):
+        raise UnsupportedDimension(f"random models support D in 2..4, got {D!r}")
+    if not (_is_integer(E) and 1 <= E <= 4):
+        raise UnsupportedDimension(f"random models support E in 1..4, got {E!r}")
 
 
 def random_uniform_model(D: int, E: int, seed: int) -> UniformStochasticModel:

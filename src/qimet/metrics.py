@@ -166,22 +166,18 @@ def nonuniform_outcome_diamond(model: NonUniformStochasticModel) -> float:
 # diamond distances: general bounds
 # ==================================================================
 
-def _probe_values(impl: InstrumentImplementation, sigmas: np.ndarray,
-                  j: int) -> np.ndarray:
-    """``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1`` for each state
-    ``sigma`` of a stack, ``sigma_j = sigma ⊗ |j><j|``.  Only the columns
-    ``j::D`` of branch ``j``'s Kraus operators touch ``sigma_j``; stacked
-    ``@`` and SVD act slice by slice, so no value depends on the others."""
-    cols = impl.branches[j].kraus_ops[:, :, j::impl.D]
-    rank, side, e = cols.shape
-    half = cols.reshape(rank * side, e) @ sigmas  # [m, (k, row), e]
-    out = (half.reshape(-1, rank, side, e).swapaxes(1, 2)
-           .reshape(-1, side, rank * e)
-           @ cols.conj().swapaxes(1, 2).reshape(rank * e, side))
-    diff = out.copy()
-    diff[:, j::impl.D, j::impl.D] -= sigmas
-    return (1.0 - np.trace(out, axis1=1, axis2=2).real
-            + np.sum(np.linalg.svd(diff, compute_uv=False), axis=1))
+def _probe_values(stack: np.ndarray, sigmas: np.ndarray, j: int) -> np.ndarray:
+    """``||Delta_j(sigma_j)||_1 - tr Delta_j(sigma_j)``, which is
+    ``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1``, for each state
+    ``sigma`` of a stack, ``sigma_j = sigma ⊗ |j><j|``, from block ``B_j`` of
+    a branch-difference stack: ``Delta_j(sigma_j) = E*D * sum_ab sigma_ab
+    B_j[(a,j), :, (b,j), :]``.  The stacked SVD acts slice by slice, so no
+    value depends on the others."""
+    D, E = len(stack), sigmas.shape[-1]
+    rows = stack[j].reshape(E, D, E * D, E, D, E * D)[:, j, :, :, j]
+    out = E * D * np.tensordot(sigmas, rows, axes=([1, 2], [0, 2]))
+    return (np.sum(np.linalg.svd(out, compute_uv=False), axis=1)
+            - np.trace(out, axis1=1, axis2=2).real)
 
 
 def instrument_diamond_lower(impl: InstrumentImplementation,
@@ -199,7 +195,18 @@ def instrument_diamond_lower(impl: InstrumentImplementation,
         raise ValueError(f"outcome index {j!r} must be an integer in "
                          f"0..{impl.D - 1}")
     sigma = check_density(sigma, impl.E)
-    return float(_probe_values(impl, sigma[None], j)[0])
+    return float(_probe_values(branch_differences(impl), sigma[None], j)[0])
+
+
+def _lower_max(stack: np.ndarray, E: int, restarts: int, seed: int) -> float:
+    """:func:`instrument_diamond_lower_max` over a branch-difference stack."""
+    eye = np.eye(E, dtype=complex)
+    psi = random_pure_states(E, restarts, rng(seed))
+    sigmas = np.concatenate([eye[None] / E,
+                             eye[:, :, None] * eye[:, None, :],
+                             psi[:, :, None] * psi[:, None, :].conj()])
+    return max(float(np.max(_probe_values(stack, sigmas, j)))
+               for j in range(len(stack)))
 
 
 def instrument_diamond_lower_max(impl: InstrumentImplementation,
@@ -212,25 +219,20 @@ def instrument_diamond_lower_max(impl: InstrumentImplementation,
     """
     if not (_is_integer(restarts) and restarts >= 0):
         raise ValueError(f"restarts must be an integer >= 0, got {restarts!r}")
-    eye = np.eye(impl.E, dtype=complex)
-    psi = random_pure_states(impl.E, restarts, rng(seed))
-    sigmas = np.concatenate([eye[None] / impl.E,
-                             eye[:, :, None] * eye[:, None, :],
-                             psi[:, :, None] * psi[:, None, :].conj()])
-    return max(float(np.max(_probe_values(impl, sigmas, j)))
-               for j in range(impl.D))
+    return _lower_max(branch_differences(impl), impl.E, restarts, seed)
 
 
-def _upper_bound(impl: InstrumentImplementation) -> tuple:
-    """``(D*E * sum_k d_k, (d_k)_k)``, d_k = ``||J(M_k) - J(ad_pi_k)||_1``."""
-    distances = tuple(trace_norm(block) for block in branch_differences(impl))
-    return impl.D * impl.E * sum(distances), distances
+def _upper_bound(stack: np.ndarray, E: int) -> tuple:
+    """``(D*E * sum_k d_k, (d_k)_k)`` over a branch-difference stack,
+    d_k = ``||J(M_k) - J(ad_pi_k)||_1``."""
+    distances = tuple(trace_norm(block) for block in stack)
+    return len(stack) * E * sum(distances), distances
 
 
 def instrument_diamond_upper(impl: InstrumentImplementation) -> float:
     """Upper bound on the full diamond distance to the ideal measurement:
     ``D*E * sum_k ||J(M_k) - J(ad_pi_k)||_1``."""
-    return _upper_bound(impl)[0]
+    return _upper_bound(branch_differences(impl), impl.E)[0]
 
 
 # ==================================================================
@@ -322,8 +324,9 @@ def build_report(obj, seed: int = 0) -> MetricsReport:
 
     Stochastic models are expanded to implementations for the bound
     computations; closed forms supply the fidelity (and, for uniform models,
-    the exact diamond distance ``2*(1 - nu00*lambda00)``).  ``seed`` seeds
-    the probe-state search of the lower diamond bound.
+    the exact diamond distance ``2*(1 - nu00*lambda00)``).  The bounds are
+    read from one branch-difference stack; ``seed`` seeds the lower bound's
+    probe-state search (20 restarts, as in :func:`instrument_diamond_lower_max`).
     """
     diamond_exact = nu00 = lambda00 = None
     if isinstance(obj, UniformStochasticModel):
@@ -343,10 +346,11 @@ def build_report(obj, seed: int = 0) -> MetricsReport:
         raise TypeError(
             f"expected a stochastic model or an implementation, "
             f"got {type(obj).__name__}")
-    upper, distances = _upper_bound(impl)
+    stack = branch_differences(impl)
+    upper, distances = _upper_bound(stack, impl.E)
     return MetricsReport(
         fidelity=float(fidelity),
-        diamond_lower=instrument_diamond_lower_max(impl, seed=seed),
+        diamond_lower=_lower_max(stack, impl.E, 20, seed),
         diamond_upper=upper,
         diamond_exact=diamond_exact,
         nu00=nu00,

@@ -383,15 +383,16 @@ def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
     if n == 1:
         v = abs(float(c[0, 0].real))
         return DiamondNormResult(v, v, v, 0.0, 0)
-    scale = float(np.linalg.norm(c, 2))
+    singular = np.linalg.svd(c, compute_uv=False)
+    scale = float(singular.max())
     if scale == 0.0:
         return DiamondNormResult(0.0, 0.0, 0.0, 0.0, 0)
 
     lower, upper, iterations, reason = _solve_sdp(
         c / scale, delta.dim_in, delta.dim_out, tol / scale, max_iterations)
     lower *= scale
-    # ||Delta||_diamond <= ||C||_1 always holds
-    upper = min(upper * scale, trace_norm(c))
+    # ||Delta||_diamond <= ||C||_1 always holds; one SVD gives it and the scale
+    upper = min(upper * scale, float(np.sum(singular)))
     lower = min(lower, upper)  # roundoff guard; bounds stay ordered
     gap = max(upper - lower, 0.0)
     result = DiamondNormResult(0.5 * (lower + upper), lower, upper,

@@ -24,9 +24,9 @@ from .channels import (ChoiMatrix, KrausChannel, StochasticChannel,
                        random_stochastic_channel)
 from .instruments import (NonUniformStochasticModel, branch_differences,
                           expand_nonuniform, expand_uniform,
-                          extend_with_reference, random_general_implementation,
+                          random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
-from .linalg import (_is_integer, col_vec, random_density, random_pure, rng,
+from .linalg import (_is_integer, random_density, random_pure, rng,
                      support_projector, trace_norm)
 from .oracle import diamond_norm
 
@@ -59,14 +59,24 @@ def _make(theorem_id, seed, closed, oracle, err, tol) -> VerificationRecord:
                               float(err), bool(err <= tol))
 
 
-def _instrument_delta(impl) -> ChoiMatrix:
-    """Full-channel Choi difference of ``impl`` and the ideal: block ``j`` of
-    :func:`branch_differences` at output outcome ``j``, the fastest index."""
-    blocks = branch_differences(impl)
-    s, D = blocks.shape[1], impl.D
+def _instrument_delta(blocks: np.ndarray, E: int) -> ChoiMatrix:
+    """Full-channel Choi difference to the ideal: block ``j`` of a
+    :func:`branch_differences` stack at output outcome ``j``, the fastest."""
+    D, s = len(blocks), blocks.shape[1]
     delta = np.zeros((s, D, s, D), dtype=complex)
     delta[:, np.arange(D), :, np.arange(D)] = blocks
-    return ChoiMatrix(impl.E * D, impl.E * D * D, delta.reshape(s * D, -1))
+    return ChoiMatrix(E * D, E * D * D, delta.reshape(s * D, -1))
+
+
+def _phi_plus_bound(blocks: np.ndarray, E: int) -> float:
+    """Probe bound of branch 0 at ``Phi+ ⊗ |0><0|`` on (reference E) ⊗ E ⊗ D
+    from a :func:`branch_differences` stack: ``(id ⊗ Delta_0)(Phi+ ⊗ |0><0|)
+    = D*R`` with ``R`` block 0 on inputs ``(e, 0)``, so it is
+    ``D * (||R||_1 - tr R)``."""
+    D = len(blocks)
+    r = blocks[0].reshape(E, D, E * D, E, D, E * D)[:, 0, :, :, 0]
+    r = r.reshape(E * E * D, -1)
+    return D * (trace_norm(r) - np.trace(r).real)
 
 
 def _trace_fidelity(impl) -> float:
@@ -121,7 +131,8 @@ def _check_instrument_bounds(seed, D, E, tol):
     impl = random_general_implementation(D, E, seed=seed)
     lower = metrics.instrument_diamond_lower_max(impl, restarts=8, seed=seed)
     upper = metrics.instrument_diamond_upper(impl)
-    oracle = diamond_norm(_instrument_delta(impl), tol=1e-7).value
+    oracle = diamond_norm(_instrument_delta(branch_differences(impl), E),
+                          tol=1e-7).value
     violation = max(lower - oracle, 0.0) + max(oracle - upper, 0.0)
     return _make("thm-instrument-bounds", seed, lower, oracle, violation, tol)
 
@@ -132,11 +143,9 @@ def _check_uniform_diamond(seed, D, E, tol):
     # of T00, a mixture of shift-and-phase unitaries
     model = random_uniform_model(D, E, seed=seed)
     closed = 2.0 * metrics.uniform_diamond_exact(model)
-    impl = expand_uniform(model)
-    oracle = diamond_norm(_instrument_delta(impl), tol=1e-6).value
-    phi = col_vec(np.eye(E)) / np.sqrt(E)
-    saturated = metrics.instrument_diamond_lower(
-        extend_with_reference(impl, E), np.outer(phi, phi), 0)
+    blocks = branch_differences(expand_uniform(model))
+    oracle = diamond_norm(_instrument_delta(blocks, E), tol=1e-6).value
+    saturated = _phi_plus_bound(blocks, E)
     err = max(abs(closed - oracle), abs(saturated - oracle))
     return _make("thm-uniform-diamond", seed, closed, oracle, err, tol)
 
@@ -154,8 +163,8 @@ def _check_sec7(seed, D, E, tol):
     # uniform-theory fidelity route must disagree by at least 0.01
     model = shipped_counterexample_model()
     closed = metrics.nonuniform_outcome_diamond(model)
-    impl = expand_nonuniform(model)
-    oracle = diamond_norm(_instrument_delta(impl), tol=1e-6).value
+    blocks = branch_differences(expand_nonuniform(model))
+    oracle = diamond_norm(_instrument_delta(blocks, model.E), tol=1e-6).value
     err = abs(closed - oracle)
     fidelity_route = 1.0 - metrics.fidelity_nonuniform_closed(model)
     separated = abs(0.5 * closed - fidelity_route) >= 0.01

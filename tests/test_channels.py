@@ -244,6 +244,19 @@ def test_weyl_operators_cached_and_read_only():
         ch.weyl_operators(0)
 
 
+@pytest.mark.parametrize("bad, cached", [(2.0, np.int64(2)), (True, 1),
+                                         (3.0, None)])
+def test_weyl_dimension_is_checked_before_the_cache(bad, cached):
+    # the cache takes 2.0 for the key np.int64(2) and True for 1, so 2.0
+    # returned the qubit basis once it was built and raised a bare
+    # TypeError in a fresh process
+    if cached is not None:
+        ch.weyl_operators(cached)
+    with pytest.raises(UnsupportedDimension, match="integer"):
+        ch.weyl_operators(bad)
+    assert ch.weyl_operators(np.int64(3)) is ch.weyl_operators(3)
+
+
 # ------------------------------------------------------------------
 # stochastic channels
 # ------------------------------------------------------------------
@@ -359,6 +372,13 @@ def test_random_stochastic_channel_dimension_guard():
         ch.random_stochastic_channel(5, 1.0, seed=1)
     with pytest.raises(UnsupportedDimension):
         ch.random_stochastic_channel(0, 1.0, seed=1)
+
+
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_random_stochastic_channel_dimension_must_be_an_integer(bad):
+    # 2.0 escaped as a NumPy TypeError
+    with pytest.raises(UnsupportedDimension, match="1..4"):
+        ch.random_stochastic_channel(bad, 1.0, seed=1)
 
 
 # ------------------------------------------------------------------

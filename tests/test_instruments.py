@@ -70,10 +70,45 @@ def test_ideal_branch_choi_trace_is_one_over_d():
 
 
 def test_dimension_guards():
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(UnsupportedDimension, match="need D >= 2 and E >= 1"):
         inst.ideal_instrument(1, 2)
     with pytest.raises(UnsupportedDimension):
         inst.ideal_instrument(2, 0)
+
+
+@pytest.mark.parametrize("D, E", [(2.0, 1), (2, 1.0), (2, True), (True, 1),
+                                  ("2", 1)])
+def test_instrument_dimensions_must_be_integers(D, E):
+    # E = True used to construct, and a float D escaped as a bare TypeError
+    branches = inst.ideal_instrument(2, 1).branches
+    for build in (inst.ideal_instrument,
+                  lambda D, E: inst.InstrumentImplementation(D, E, branches),
+                  lambda D, E: inst.UniformStochasticModel(D, E, {}),
+                  lambda D, E: inst.NonUniformStochasticModel(D, E, {})):
+        with pytest.raises(UnsupportedDimension):
+            build(D, E)
+
+
+def test_numpy_integer_instrument_dimensions_are_stored_as_int():
+    # NumPy integer dimensions used to be stored as they came, and json
+    # then refused to encode the model
+    two = np.int64(2)
+    for model in (inst.random_uniform_model(two, two, 0),
+                  inst.random_nonuniform_model(two, np.int32(1), 0),
+                  inst.random_general_implementation(two, two, 0),
+                  inst.ideal_instrument(two, np.int32(2))):
+        assert type(model.D) is int and type(model.E) is int
+        json.dumps(inst.model_to_json(model))
+
+
+@pytest.mark.parametrize("generate", [inst.random_uniform_model,
+                                      inst.random_nonuniform_model,
+                                      inst.random_general_implementation])
+@pytest.mark.parametrize("D, E", [(2.0, 2), (2, 2.0), (2, True)])
+def test_generator_dimensions_must_be_integers(generate, D, E):
+    # a float dimension escaped as a NumPy TypeError
+    with pytest.raises(UnsupportedDimension):
+        generate(D, E, 0)
 
 
 def test_implementation_rejects_non_finite_kraus():
@@ -215,7 +250,7 @@ def test_full_channel_ideal_d2_e1():
         np.testing.assert_array_equal(k, expected)
 
 
-def test_full_channel_and_reference_extension_match_per_operator_kron():
+def test_expansions_and_full_channel_match_per_operator_kron():
     D, E = 3, 2
     model = inst.random_nonuniform_model(D, E, seed=312)
     for j, branch in enumerate(inst.expand_nonuniform(model).branches):
@@ -235,12 +270,6 @@ def test_full_channel_and_reference_extension_match_per_operator_kron():
         ket[j, 0] = 1.0
         want += [np.kron(k, ket) for k in branch.kraus_ops]
     np.testing.assert_array_equal(fc.kraus_ops, np.array(want))
-    extended = inst.extend_with_reference(impl, 2)
-    assert (extended.D, extended.E) == (D, 2 * E)
-    for got, branch in zip(extended.branches, impl.branches):
-        np.testing.assert_array_equal(
-            got.kraus_ops,
-            np.array([np.kron(np.eye(2), k) for k in branch.kraus_ops]))
 
 
 def test_full_channel_trace_out_outcome_is_forget_map():
@@ -299,24 +328,6 @@ def test_born_probabilities_dimension_mismatch():
     impl = inst.ideal_instrument(2, 2)
     with pytest.raises(DimensionMismatch):
         outcome_probabilities(impl, np.eye(2) / 2)
-
-
-# ------------------------------------------------------------------
-# reference extension
-# ------------------------------------------------------------------
-
-def test_extend_with_reference_structure():
-    impl = inst.expand_uniform(readout_flip_model())
-    ext = inst.extend_with_reference(impl, 3)
-    assert ext.E == 3 and ext.D == 2
-    # branch action factorizes as I_ref ⊗ M_j
-    gen = linalg.rng(309)
-    rho_ref = linalg.random_density(3, gen)
-    rho = linalg.random_density(2, gen)
-    for j in range(2):
-        got = ext.branches[j].apply(linalg.kron(rho_ref, rho))
-        want = linalg.kron(rho_ref, impl.branches[j].apply(rho))
-        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # ------------------------------------------------------------------

@@ -4,20 +4,27 @@ Examples are derandomized and no example database is kept, so every run
 draws the same inputs and writes nothing to the working tree.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qimet.channels import StochasticChannel, choi_from_kraus, identity_channel
+from qimet.channels import (KrausChannel, StochasticChannel, choi_from_kraus,
+                            identity_channel)
 from qimet.instruments import (branch_differences, expand_nonuniform,
                                expand_uniform, full_channel, ideal_instrument,
+                               model_from_json, model_to_json,
                                random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
-from qimet.linalg import trace_norm
-from qimet.metrics import (build_report, diamond_identity_stochastic,
+from qimet.linalg import (col_vec, random_density, random_pure, rng,
+                          trace_norm)
+from qimet.metrics import (_probe_values, build_report,
+                           diamond_identity_stochastic,
+                           instrument_diamond_lower_max,
                            instrument_diamond_upper)
-from qimet.verify import _instrument_delta
+from qimet.verify import _instrument_delta, _phi_plus_bound
 
 #: model kind -> (generator, expansion to an implementation)
 KINDS = {
@@ -75,7 +82,7 @@ def test_assembled_delta_matches_the_full_channel_route(kind, seed):
         ideal = ideal_instrument(impl.D, impl.E)
         ref = (choi_from_kraus(full_channel(impl)).matrix
                - choi_from_kraus(full_channel(ideal)).matrix)
-        assert np.max(np.abs(_instrument_delta(impl).matrix - ref)) <= 1e-15
+        assert np.max(np.abs(_instrument_delta(branch_differences(impl), impl.E).matrix - ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -85,7 +92,7 @@ def test_branch_trace_norms_add_up_to_the_delta_trace_norm(kind, seed):
     # the orthogonality lemma on the outcome sectors of a real instrument
     for _, impl in implementations(kind, seed):
         total = sum(trace_norm(block) for block in branch_differences(impl))
-        assert np.isclose(total, trace_norm(_instrument_delta(impl).matrix),
+        assert np.isclose(total, trace_norm(_instrument_delta(branch_differences(impl), impl.E).matrix),
                           rtol=1e-12, atol=1e-13)
 
 
@@ -98,3 +105,70 @@ def test_report_upper_is_the_scaled_branch_distance_sum(kind, seed):
         assert report.diamond_upper == (
             impl.D * impl.E * sum(report.per_branch_trace_distances))
         assert instrument_diamond_upper(impl) == report.diamond_upper
+
+
+def probe_by_apply(branch, sigma, j, D):
+    """``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1`` with
+    ``sigma_j = sigma ⊗ |j><j|``, from the branch's own action."""
+    ket = np.zeros((D, D))
+    ket[j, j] = 1.0
+    sigma_j = np.kron(sigma, ket)
+    out = branch.apply(sigma_j)
+    return 1.0 - np.trace(out).real + trace_norm(out - sigma_j)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS)
+def test_stack_probe_matches_the_branch_action(kind, seed):
+    gen = rng(seed)
+    for _, impl in implementations(kind, seed):
+        psi = random_pure(impl.E, gen)
+        sigmas = np.stack([np.outer(psi, psi.conj()),
+                           random_density(impl.E, gen)])
+        stack = branch_differences(impl)
+        for j, branch in enumerate(impl.branches):
+            want = [probe_by_apply(branch, s, j, impl.D) for s in sigmas]
+            np.testing.assert_allclose(_probe_values(stack, sigmas, j), want,
+                                       rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS)
+def test_phi_plus_bound_matches_the_reference_extended_action(kind, seed):
+    # the probe of branch 0 of the extension K -> I_E ⊗ K at Phi+ on
+    # (reference E) ⊗ E
+    for _, impl in implementations(kind, seed):
+        E, side = impl.E, impl.E * impl.D
+        kraus = impl.branches[0].kraus_ops
+        extended = KrausChannel(E * side, E * side,
+                                [np.kron(np.eye(E), k) for k in kraus])
+        phi = col_vec(np.eye(E)) / np.sqrt(E)
+        want = probe_by_apply(extended, np.outer(phi, phi), 0, impl.D)
+        got = _phi_plus_bound(branch_differences(impl), E)
+        assert abs(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS, restarts=st.integers(0, 8))
+def test_lower_bound_never_exceeds_the_upper_bound(kind, seed, restarts):
+    for _, impl in implementations(kind, seed):
+        assert (instrument_diamond_lower_max(impl, restarts, seed)
+                <= instrument_diamond_upper(impl))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS, int_type=st.sampled_from([np.int64, np.int32, np.uint8]))
+def test_model_json_round_trips_with_numpy_integer_dimensions(kind, seed,
+                                                              int_type):
+    generate, _ = KINDS[kind]
+    for D in (2, 3):
+        for E in (1, 2, 3):
+            obj = model_to_json(generate(int_type(D), int_type(E), seed))
+            assert (type(obj["D"]), type(obj["E"])) == (int, int)
+            text = json.dumps(obj)
+            assert json.dumps(model_to_json(model_from_json(
+                json.loads(text)))) == text

@@ -1,14 +1,12 @@
 """Tests for the randomized verification runners."""
 
-import numpy as np
 import pytest
 
 import qimet.metrics
 import qimet.verify
 from qimet.channels import StochasticChannel
-from qimet.instruments import (UniformStochasticModel, expand_uniform,
-                               extend_with_reference)
-from qimet.linalg import col_vec
+from qimet.instruments import (UniformStochasticModel, branch_differences,
+                               expand_uniform)
 from qimet.verify import run_trial
 
 FIDELITY_IDS = ("cor-uniform-fidelity", "cor-nonuniform-fidelity")
@@ -67,13 +65,12 @@ def test_uniform_diamond_passes_away_from_default_dims(D, E):
 
 def test_uniform_model_without_identity_entry_saturates_at_phi_plus():
     # no (0, 0) table entry: nu00 = 0, so the closed form is 2, and the
-    # probe bound at the maximally entangled state on (reference x E) reaches it
+    # probe bound at the maximally entangled state on (reference x E),
+    # read from block 0 of the branch differences, reaches it
     flip = StochasticChannel(2, 0.5, {(0, 1): 0.3, (1, 1): 0.2})
     shift = StochasticChannel(2, 0.5, {(1, 0): 0.5})
     model = UniformStochasticModel(2, 2, {(1, 0): flip, (0, 1): shift})
     assert 2.0 * qimet.metrics.uniform_diamond_exact(model) == 2.0
-    phi = col_vec(np.eye(2)) / np.sqrt(2)
-    extended = extend_with_reference(expand_uniform(model), 2)
-    saturated = qimet.metrics.instrument_diamond_lower(
-        extended, np.outer(phi, phi), 0)
+    saturated = qimet.verify._phi_plus_bound(
+        branch_differences(expand_uniform(model)), 2)
     assert saturated == pytest.approx(2.0, abs=1e-12)
