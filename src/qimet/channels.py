@@ -215,16 +215,24 @@ def _label(value) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """A finite ``int``, ``float`` or NumPy real as ``float``; else raise."""
+    if not ((isinstance(value, (float, np.floating)) or _is_integer(value))
+            and np.isfinite(value)):
+        raise InvalidModel(f"{what} must be a finite real number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StochasticChannel:
     """Nonnegative mixture of shift-and-phase unitaries.
 
-    ``weights`` maps ``(a, b)`` basis labels to finite weights ``w >= 0``
-    with ``sum w = nu``; absent labels mean weight zero.  It may also be an
-    iterable of ``(label, weight)`` pairs, in which a repeated label is an
-    error.  The map acts as
-    ``rho -> sum w_(a,b) U_(a,b) rho U_(a,b)†`` and is trace preserving
-    exactly when ``nu = 1``.
+    ``weights`` maps ``(a, b)`` basis labels to weights ``w >= 0`` with
+    ``sum w = nu``, each a finite ``int``, ``float`` or NumPy real (never a
+    ``bool`` or string), stored as ``float``; absent labels mean weight
+    zero.  It may also be an iterable of ``(label, weight)`` pairs, in which
+    a repeated label is an error.  The map acts as ``rho -> sum w_(a,b)
+    U_(a,b) rho U_(a,b)†`` and is trace preserving exactly when ``nu = 1``.
     """
 
     dim: int
@@ -233,8 +241,7 @@ class StochasticChannel:
 
     def __post_init__(self):
         _store_dims(self, ("dim",), UnsupportedDimension)
-        if not np.isfinite(self.nu):
-            raise InvalidModel(f"nu must be finite, got {self.nu!r}")
+        object.__setattr__(self, "nu", _real(self.nu, "nu"))
         pairs = self.weights.items() if isinstance(self.weights, Mapping) \
             else self.weights
         clean = {}
@@ -245,9 +252,7 @@ class StochasticChannel:
             if not (0 <= a < self.dim and 0 <= b < self.dim):
                 raise InvalidModel(f"weight label {key} out of range for "
                                    f"dimension {self.dim}")
-            w = float(w)
-            if not np.isfinite(w):
-                raise InvalidModel(f"non-finite weight {w!r} at {key}")
+            w = _real(w, f"weight at {key}")
             if w < 0.0:
                 raise InvalidModel(f"negative weight {w!r} at {key}")
             if (a, b) in clean:
@@ -262,7 +267,7 @@ class StochasticChannel:
     @classmethod
     def from_weights(cls, dim: int, weights: Mapping) -> "StochasticChannel":
         """Build a mixture with ``nu`` derived from the weight sum."""
-        total = float(sum(float(w) for w in dict(weights).values()))
+        total = sum(_real(w, "weight") for w in dict(weights).values())
         return cls(dim, total, weights)
 
     def kraus_ops(self) -> np.ndarray:
@@ -314,7 +319,7 @@ def random_stochastic_channel(dim: int, nu: float,
     if not (_is_integer(dim) and 1 <= dim <= 4):
         raise UnsupportedDimension(
             f"random stochastic channels support dimensions 1..4, got {dim!r}")
-    if nu < 0.0:
+    if _real(nu, "nu") < 0.0:
         raise InvalidModel(f"nu must be nonnegative, got {nu!r}")
     gen = rng(seed)
     probs = gen.dirichlet(np.ones(dim * dim))

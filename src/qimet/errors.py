@@ -38,7 +38,7 @@ class UnsupportedDimension(QimetError):
 
 
 class DimensionTooLarge(QimetError):
-    """The problem size exceeds the hard limit of the SDP oracle."""
+    """A Choi block's side or the oracle's Woodbury factor is over its cap."""
 
 
 class Unconverged(QimetError):

@@ -250,6 +250,7 @@ def fvg_bounds(rho: np.ndarray, sigma: np.ndarray,
     The chain ``lower <= middle <= upper`` holds for every valid input.
 
     :raises InvalidProjector: if ``pi`` is supplied but ``pi rho != rho``.
+    :raises DimensionMismatch: if ``sigma`` or ``pi`` does not match ``rho``.
     """
     rho = check_density(rho)
     sigma = check_density(sigma, rho.shape[0])
@@ -257,6 +258,8 @@ def fvg_bounds(rho: np.ndarray, sigma: np.ndarray,
         pi = support_projector(rho)
     else:
         pi = check_projector(pi)
+        if pi.shape != rho.shape:
+            raise DimensionMismatch(f"projector {pi.shape}, state {rho.shape}")
         dev = float(np.max(np.abs(pi @ rho - rho)))
         if dev > TOL.projector:
             raise InvalidProjector(

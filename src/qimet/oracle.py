@@ -11,43 +11,39 @@ For Hermitian ``C`` (the only case this package needs: differences of Choi
 states, which :class:`~qimet.channels.ChoiMatrix` stores exactly Hermitian)
 the program is invariant under swapping the two blocks, so an optimal
 point has ``Y0 = Y1 = Y`` and the block constraint splits under the rotation
-``(u, v) -> ((u+v)/sqrt(2), (u-v)/sqrt(2))`` into ``Y >= C`` and ``Y >= -C``.
-This module therefore solves the reduced program
+``(u, v) -> ((u+v)/sqrt(2), (u-v)/sqrt(2))`` into ``Y >= ±C``.  When
+``C = ⊕_j C_j`` is block-diagonal over an output register (an instrument's
+outcome), pinching ``Y`` onto the blocks keeps ``Y >= ±C`` and ``Tr_out Y``
+(Watrous, arXiv:1207.5726).  This module therefore solves, over a stack of
+``B`` blocks of one shape (``B = 1`` for a single map),
 
     minimize   t
-    subject to Y - C >= 0,   Y + C >= 0,   t*I - Tr_out(Y) >= 0
+    subject to Y_j - C_j >= 0,  Y_j + C_j >= 0,  t*I - Tr_out(sum_j Y_j) >= 0
 
 with a primal-dual path-following interior-point method using the
-Nesterov-Todd scaling, specialized to the three diagonal blocks above.
-Each iteration is a Mehrotra predictor-corrector step (Mehrotra 1992; in the
-Nesterov-Todd form of Todd, Toh and Tütüncü 1998): an affine-scaling
-predictor gives the centering parameter ``sigma = (mu_aff / mu)**3`` and
-directions ``(dS, dZ)``, and the corrector aims each cone at ``sigma*mu*S⁻¹
-- c`` with the predictor's second-order term
-
-    c = M [(D_x D_z + D_z D_x)_ij / (v_i + v_j)] M†,
-    D_x = M† dS M,   D_z = M⁻¹ dZ M⁻†,
-
-where ``M`` is the cone's scaling factor, ``M† S M = M⁻¹ Z M⁻† = diag(v)``;
-the divide is the exact solve of ``diag(v) X + X diag(v) = D_x D_z + D_z
-D_x``.
-The Newton system is solved on ``n x n`` matrices (``n = dim_in * dim_out``):
-its operator ``X -> W1 X W1 + W2 X W2 + P*(W3 P(X) W3)`` with
-``P = Tr_out`` is an entrywise divide in the generalized eigenbasis of
-``(W2, W1 + W2)`` plus a rank-``dim_in**2`` correction added back by a
-Woodbury step, and the ``t`` row is eliminated by a scalar Schur step, at
-``O(dim_in**2 * n**3)`` per iteration.
+Nesterov-Todd scaling; the cones ``Y_j ∓ C_j`` form one ``(2, B, n, n)``
+stack.  Each iteration is a Mehrotra predictor-corrector step
+(Mehrotra 1992; in the Nesterov-Todd form of Todd, Toh and Tütüncü 1998):
+an affine-scaling predictor sets the centering ``sigma = (mu_aff / mu)**3``,
+and the corrector aims each cone at ``sigma*mu*S⁻¹ - c`` with the
+predictor's second-order term ``c`` (:func:`_second_order`).
+The Newton system is solved on the ``n x n`` blocks (``n = dim_in *
+dim_out``): its operator ``X_j -> W1_j X_j W1_j + W2_j X_j W2_j +
+P*(W3 P(sum_k X_k) W3)`` with ``P = Tr_out`` is an entrywise divide in each
+block's generalized eigenbasis of ``(W2_j, W1_j + W2_j)`` plus one
+rank-``dim_in**2`` correction shared by the blocks, added back by a Woodbury
+step, and the ``t`` row is eliminated by a scalar Schur step, at
+``O(dim_in**2 * B * n**3)`` per iteration.
 
 Certification does not trust convergence.  Each iteration Cholesky-factorizes
 its slacks and duals first, then reads two *exactly feasible* bounds:
 
-* upper bound — once ``Y ∓ C`` have factorized, ``Y >= ±C``, and then
-  ``<C, X> <= lambda_max(Tr_out Y)`` for any primal-feasible pair;
+* upper bound — ``lambda_max(Tr_out sum_j Y_j)``, once every ``Y_j ∓ C_j``
+  has factorized;
 * lower bound — for *any* density ``rho`` on the input factor,
-  ``max { <C, X> : -rho ⊗ I <= X <= rho ⊗ I } = || (sqrt(rho) ⊗ I) C
-  (sqrt(rho) ⊗ I) ||_1``, which is a valid lower bound on the diamond norm;
-  at ``rho = Z3 / tr Z3``, with ``Z3 = L L†`` the dual's input block, the
-  factor ``L†`` stands in for ``sqrt(Z3)`` (the two differ by a unitary).
+  ``max { <C, X> : -rho ⊗ I <= X <= rho ⊗ I } = sum_j || (sqrt(rho) ⊗ I)
+  C_j (sqrt(rho) ⊗ I) ||_1``; at ``rho = Z3 / tr Z3``, with ``Z3 = L L†``
+  the dual's input block, ``L†`` is ``sqrt(Z3)`` up to a unitary.
 
 The reported value is the midpoint of the best bounds; the call succeeds
 when their gap is at most the requested tolerance.
@@ -65,7 +61,7 @@ import scipy.linalg
 from scipy.linalg.lapack import zpotrf, ztrtri
 
 from .channels import ChoiMatrix
-from .errors import DimensionTooLarge, Unconverged
+from .errors import DimensionMismatch, DimensionTooLarge, Unconverged
 from .linalg import (_is_integer, col_vec, hermitize, partial_trace,
                      random_pure_states, rng, trace_norm)
 
@@ -76,11 +72,11 @@ __all__ = [
     "result_to_json",
 ]
 
-#: Hard cap on the Choi side dimension accepted by the solver.
+#: Hard cap on the Choi side of each block accepted by the solver.
 MAX_CHOI_SIDE = 144
-#: Hard cap on ``dim_in`` times the side: the Newton solve's Woodbury factor
-#: has ``(dim_in * side)**2`` complex entries (635 MB peak for 24 x 6).
-MAX_DIM_IN_TIMES_SIDE = 3456
+#: Hard cap on the ``B * (dim_in * side)**2`` entries of the Newton solve's
+#: Woodbury factor for ``B`` blocks (671 MB peak for four 12 x 12 blocks).
+MAX_WOODBURY_ENTRIES = 3456 ** 2
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,19 @@ def result_to_json(result: DiamondNormResult) -> dict:
 # interior-point machinery
 # ==================================================================
 
-def _cholesky_inverse(m: np.ndarray):
-    """``(L, L⁻¹)`` with ``m = L L†``; raises ``LinAlgError`` unless m > 0.
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """``m†`` of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
-    Calls LAPACK directly: at the sides of the verify checks the argument
-    handling of the generic wrappers costs more than the factorization."""
+
+def _cholesky_inverse(m: np.ndarray):
+    """``(L, L⁻¹)`` with ``m = L L†``, for each matrix of a stack; raises
+    ``LinAlgError`` unless m > 0.  Calls LAPACK directly, one matrix at a
+    time: at the sides of the verify checks the argument handling of the
+    generic wrappers costs more than the factorization."""
+    if m.ndim > 2:
+        pairs = [_cholesky_inverse(a) for a in m.reshape(-1, *m.shape[-2:])]
+        return tuple(np.reshape(x, m.shape) for x in zip(*pairs))
     chol, info = zpotrf(m, lower=True)
     if info == 0:
         chol_inv, info = ztrtri(chol, lower=True)
@@ -122,19 +126,17 @@ def _cholesky_inverse(m: np.ndarray):
 
 
 def _nt_scaling(chol: np.ndarray, chol_inv: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd scaling of the pair ``(S, Z)`` from the Cholesky factor
-    ``S = L L†``: with ``L† Z L = U Λ U†``, ``M = L⁻† U Λ^{1/4}`` maps both
-    to the same diagonal point, ``M† S M = M⁻¹ Z M⁻† = diag(v)``, ``v =
-    λ^{1/2}``.  Returns ``(W⁻¹, M, M⁻¹, v)``, where ``W⁻¹ = M M† = L⁻† (L† Z
-    L)^{1/2} L⁻¹`` solves ``W Z W = S`` and ``M⁻¹ = Λ^{-1/4} U† L†``.  The
-    Mehrotra predictor-corrector's second-order term is read in this scaled
-    frame: ``c = M [(D_x D_z + D_z D_x)_ij / (v_i + v_j)] M†`` with ``D_x = M†
-    dS M`` and ``D_z = M⁻¹ dZ M⁻†`` (:func:`_second_order`)."""
-    wg, ug = np.linalg.eigh(hermitize(chol.conj().T @ z @ chol))
+    """Nesterov-Todd scaling of each pair ``(S, Z)`` from the Cholesky factor
+    ``S = L L†``: with ``L† Z L = U Λ U†``, ``M = L⁻† U Λ^{1/4}`` maps both to
+    the same diagonal point, ``M† S M = M⁻¹ Z M⁻† = diag(v)``, ``v = λ^{1/2}``.
+    Returns ``(W⁻¹, M, M⁻¹, v)``, where ``W⁻¹ = M M† = L⁻† (L† Z L)^{1/2}
+    L⁻¹`` solves ``W Z W = S`` and ``M⁻¹ = Λ^{-1/4} U† L†``, the frame of
+    :func:`_second_order`."""
+    wg, ug = np.linalg.eigh(hermitize(_adjoint(chol) @ z @ chol))
     quarter = np.maximum(wg, 1e-300) ** 0.25
-    half = chol_inv.conj().T @ (ug * quarter)
-    half_inv = (chol @ (ug / quarter)).conj().T
-    return hermitize(half @ half.conj().T), half, half_inv, quarter * quarter
+    half = _adjoint(chol_inv) @ (ug * quarter[..., None, :])
+    half_inv = _adjoint(chol @ (ug / quarter[..., None, :]))
+    return hermitize(half @ _adjoint(half)), half, half_inv, quarter * quarter
 
 
 def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
@@ -142,7 +144,7 @@ def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
     unbounded), given ``L⁻¹``: ``-1 / lambda_min(L⁻¹ d L⁻†)``.  Both may be
     stacks, which share one ``eigvalsh`` call and one bound."""
     lam = float(np.linalg.eigvalsh(
-        hermitize(chol_inv @ d @ chol_inv.conj().swapaxes(-1, -2))).min())
+        hermitize(chol_inv @ d @ _adjoint(chol_inv))).min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -150,82 +152,85 @@ def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
 
 def _second_order(m: np.ndarray, m_inv: np.ndarray, v: np.ndarray,
                   ds: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Mehrotra's second-order correction ``M X M†`` of one cone, from the
+    """Mehrotra's second-order correction ``M X M†`` of each cone, from the
     predictor's directions ``ds``, ``dz`` and the scaling ``(M, M⁻¹, v)`` of
-    :func:`_nt_scaling`: with ``D_x = M† ds M`` and ``D_z = M⁻¹ dz M⁻†``, ``X``
-    solves ``diag(v) X + X diag(v) = D_x D_z + D_z D_x``, an entrywise
+    :func:`_nt_scaling`: with ``D_x = M† ds M`` and ``D_z = M⁻¹ dz M⁻†``,
+    ``X`` solves ``diag(v) X + X diag(v) = D_x D_z + D_z D_x``, an entrywise
     divide by ``v_i + v_j``."""
-    prod = (m.conj().T @ ds @ m) @ (m_inv @ dz @ m_inv.conj().T)
-    return hermitize(m @ ((prod + prod.conj().T) / (v[:, None] + v))
-                     @ m.conj().T)
+    prod = (_adjoint(m) @ ds @ m) @ (m_inv @ dz @ _adjoint(m_inv))
+    return hermitize(m @ ((prod + _adjoint(prod))
+                          / (v[..., None] + v[..., None, :])) @ _adjoint(m))
 
 
 def _lifted(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``(Ψ ⊗ I) C (Ψ ⊗ I)†`` for each ``dim_in``-square ``Ψ`` of a stack,
-    by multiplying the input indices of ``C`` in place."""
-    n, dim_in, stack = len(c), psi.shape[-1], psi.shape[:-2]
-    left = (psi @ c.reshape(dim_in, -1)).reshape(*stack, n, dim_in, -1)
-    return (psi.conj()[..., None, :, :] @ left).reshape(*stack, n, n)
+    """``(Ψ ⊗ I) C (Ψ ⊗ I)†`` for ``dim_in``-square ``Ψ``, by multiplying the
+    input indices of ``C`` in place; ``C`` and ``Ψ`` may each be a stack."""
+    n, dim_in = c.shape[-1], psi.shape[-1]
+    left = psi @ c.reshape(*c.shape[:-2], dim_in, -1)
+    left = left.reshape(*left.shape[:-2], n, dim_in, -1)
+    return (psi.conj()[..., None, :, :] @ left).reshape(*left.shape[:-3], n, n)
 
 
 def _certificates(c: np.ndarray, ty: np.ndarray, z3_chol: np.ndarray):
-    """Bounds certified by the current iterate, given ``Tr_out Y`` and the
-    Cholesky factor ``Z3 = L L†`` of the dual's input block.
+    """Bounds certified by the current iterate, given the blocks ``C_j``,
+    ``Tr_out sum_j Y_j`` and the Cholesky factor ``Z3 = L L†``.
 
-    Upper: ``lambda_max(Tr_out Y)``, valid once ``Y ∓ C`` have factorized.
-    Lower: ``||(Ψ ⊗ I) C (Ψ ⊗ I)†||_1 / ||Ψ||_F²``, the value of the unit
-    pure input ``Ψ / ||Ψ||_F`` for any nonzero ``Ψ``; ``Ψ = L†`` gives
-    ``||(sqrt(rho) ⊗ I) C (sqrt(rho) ⊗ I)||_1`` at ``rho = Z3 / tr Z3``.
-    """
-    psi = z3_chol.conj().T
+    Upper: ``lambda_max(Tr_out sum_j Y_j)``, valid once ``Y_j ∓ C_j`` have
+    factorized.  Lower: ``sum_j ||(Ψ ⊗ I) C_j (Ψ ⊗ I)†||_1 / ||Ψ||_F²``, the
+    value of the unit pure input ``Ψ / ||Ψ||_F`` for any nonzero ``Ψ``;
+    ``Ψ = L†`` gives it at ``rho = Z3 / tr Z3``."""
+    psi = _adjoint(z3_chol)
     lower = trace_norm(_lifted(c, psi)) / np.vdot(psi, psi).real
     return lower, float(np.linalg.eigvalsh(ty).max())
 
 
 def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
                    dim_in: int, dim_out: int):
-    """Factorize the Newton system of one iteration; return its solver.
+    """Factorize one iteration's Newton system on B blocks; return its solver.
 
     With ``P = Tr_out``, ``W3 = M M†`` (``M = m3``) and
-    ``G = P*(W3²) = W3² ⊗ I``, the system is
+    ``G = P*(W3²) = W3² ⊗ I``, the system on the blocks ``dY_j`` is
 
-        L(dY) - dt * G = R_y,    -<G, dY> + dt * tr(W3²) = r_t,
-        L(X) = W1 X W1 + W2 X W2 + P*(W3 P(X) W3).
+        L(dY)_j - dt * G = R_j,    -sum_j <G, dY_j> + dt * tr(W3²) = r_t,
+        L(X)_j = W1_j X_j W1_j + W2_j X_j W2_j + P*(W3 P(sum_k X_k) W3).
 
-    In the generalized eigenbasis ``V† (W1 + W2) V = I``, ``V† W2 V = diag(λ)``
-    the two Kronecker terms ``L0`` are an entrywise divide by
-    ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is ``U U*`` with
-    ``U(A) = P*(M A M†)``, and is added back by the Woodbury identity with
-    the Hermitian capacitance ``I + H``, ``H = U* L0⁻¹ U`` (``dim_in**2``
-    square, Cholesky-factorized); the ``t`` row is a scalar Schur step with
-    ``G = U(M†M)``.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``.
+    In block ``j``'s generalized eigenbasis ``V† (W1_j + W2_j) V = I``,
+    ``V† W2_j V = diag(λ)`` its two Kronecker terms ``L0`` are an entrywise
+    divide by ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is ``U U*``
+    with ``U(A)_j = P*(M A M†)`` in every block, and is added back by the
+    Woodbury identity with the Hermitian capacitance ``I + H``, ``H = U*
+    L0⁻¹ U`` (``dim_in**2`` square for any ``B``, Cholesky-factorized); the
+    ``t`` row is a scalar Schur step with ``G = U(M†M)``.  The returned
+    ``solve(r_y, r_t)`` gives ``(dY, dt)``.
 
     :raises numpy.linalg.LinAlgError: if a factorization fails.
     """
     n = dim_in * dim_out
-    lam, v = scipy.linalg.eigh(wi2, wi1 + wi2, check_finite=False)
-    root = np.sqrt(np.outer(1.0 - lam, 1.0 - lam)
-                   + np.outer(lam, lam)).reshape(-1)
-    # row (k, l) of f is V† U(E_kl) V = Vm_k† Vm_l divided by root, where
-    # Vm_k is row block k of (M† ⊗ I) V; then H = conj(f) @ f.T
-    vm = (m3.conj().T @ v.reshape(dim_in, dim_out * n)).reshape(
-        dim_in, dim_out, n)
-    f = (vm.conj().transpose(0, 2, 1)[:, None] @ vm[None, :]).reshape(
-        dim_in * dim_in, n * n) / root
+    lam, v = map(np.stack, zip(*(  # SciPy < 1.15 takes one pencil per call
+        scipy.linalg.eigh(b, a + b, check_finite=False)
+        for a, b in zip(wi1, wi2))))
+    rest = 1.0 - lam
+    root = np.sqrt(rest[..., :, None] * rest[..., None, :]
+                   + lam[..., :, None] * lam[..., None, :]).reshape(-1)
+    # row (k, l) of f is V† U(E_kl) V = Vm_k† Vm_l over the blocks, divided
+    # by root, where Vm_k is row block k of (M† ⊗ I) V; then H = conj(f) @ f.T
+    vm = (_adjoint(m3) @ v.reshape(-1, dim_in, dim_out * n)).reshape(
+        -1, dim_in, dim_out, n).swapaxes(0, 1)
+    f = (_adjoint(vm)[:, None] @ vm[None]).reshape(dim_in * dim_in, -1) / root
     cap = scipy.linalg.cho_factor(np.eye(dim_in * dim_in) + f.conj() @ f.T,
                                   check_finite=False)
 
     def l_inv(b):
-        g = (v.conj().T @ b @ v).reshape(-1) / root
+        g = (_adjoint(v) @ b @ v).reshape(-1) / root
         g = g - scipy.linalg.cho_solve(cap, f.conj() @ g,
                                        check_finite=False) @ f
-        return v @ (g / root).reshape(n, n) @ v.conj().T
+        return v @ (g / root).reshape(v.shape) @ _adjoint(v)
 
     # with A = M†M, by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ A and the
-    # Schur complement tr(W3²) - <G, L⁻¹ G> is <A, (I + H)⁻¹ A>
-    a = (m3.conj().T @ m3).reshape(-1)
+    # Schur complement tr(W3²) - sum_j <G, (L⁻¹ G)_j> is <A, (I + H)⁻¹ A>
+    a = (_adjoint(m3) @ m3).reshape(-1)
     c3 = scipy.linalg.cho_solve(cap, a, check_finite=False)
-    l_g = v @ ((c3 @ f) / root).reshape(n, n) @ v.conj().T
+    l_g = v @ ((c3 @ f) / root).reshape(v.shape) @ _adjoint(v)
     schur = np.vdot(a, c3).real
 
     def solve(r_y, r_t):
@@ -238,28 +243,31 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
 
 def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
                max_iterations: int):
-    """Mehrotra predictor-corrector solve of the reduced program (see the
-    module docstring for the correction ``c``); returns
-    ``(lower, upper, iterations, reason)`` with certified bounds and
-    ``reason`` one of ``converged``, ``max_iterations``, ``step_collapse``
-    (the complementarity measure or the step length fell to zero) or
-    ``linalg_error`` (a factorization failed).  Each iteration factorizes
-    every slack ``s_k`` and dual ``z_k`` once, then reads the certificates
-    and the Newton step from those factors."""
+    """Mehrotra predictor-corrector solve of the reduced program over the
+    ``(B, n, n)`` stack ``c``: certified ``(lower, upper, iterations,
+    reason)``, ``reason`` one of ``converged``, ``max_iterations``,
+    ``step_collapse`` (the complementarity measure or the step length fell
+    to zero) or ``linalg_error`` (a factorization failed).  Each iteration
+    factorizes the ``(2, B, n, n)`` slack stack ``Y_j ∓ C_j``, the input
+    block and their duals once, then reads the bounds and the step."""
     n = dim_in * dim_out
-    n_total = 2 * n + dim_in
+    n_total = 2 * len(c) * n + dim_in
     eye_in = np.eye(dim_in, dtype=complex)
     eye_out = np.eye(dim_out, dtype=complex)
 
-    def tr_out(x):
-        return partial_trace(x, [dim_in, dim_out], [0])
+    def tr_out(x):  # of the block sum
+        return partial_trace(x.sum(0), [dim_in, dim_out], [0])
+
+    def mu_of(s, z):  # sum_k <S_k, Z_k> / n_total, one vdot per cone stack
+        return sum(np.vdot(a, b).real for a, b in
+                   zip([*s[0], s[1]], [*z[0], z[1]])) / n_total
 
     # exactly feasible start: scaled identity blocks
     eta = 1.25  # > ||C||_2 = 1 after normalization
-    y = eta * np.eye(n, dtype=complex)
-    t = eta * dim_out + 1.0
-    z = [np.eye(n, dtype=complex) / (2.0 * dim_in),
-         np.eye(n, dtype=complex) / (2.0 * dim_in), eye_in / dim_in]
+    y = np.tile(eta * np.eye(n, dtype=complex), (len(c), 1, 1))
+    t = eta * dim_out * len(c) + 1.0
+    z = [np.tile(np.eye(n, dtype=complex) / (2.0 * dim_in), (2, len(c), 1, 1)),
+         eye_in / dim_in]
 
     best_lower, best_upper = 0.0, np.inf
     reason = "max_iterations"
@@ -270,12 +278,12 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     # matrix products and eigen-reconstructions are passed through hermitize.
     for iterations in range(max_iterations + 1):
         ty = tr_out(y)
-        s = [y - c, y + c, t * eye_in - ty]
+        s = [np.stack([y - c, y + c]), t * eye_in - ty]
         try:
             chols, chol_invs = zip(*map(_cholesky_inverse, s))
             z_chols, z_chol_invs = zip(*map(_cholesky_inverse, z))
 
-            lower, upper = _certificates(c, ty, z_chols[2])
+            lower, upper = _certificates(c, ty, z_chols[1])
             best_lower = max(best_lower, lower)
             best_upper = min(best_upper, upper)
             if best_upper - best_lower <= tol:
@@ -283,46 +291,40 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             if iterations == max_iterations:
                 break
 
-            mu = sum(np.vdot(sk, zk).real for sk, zk in zip(s, z)) / n_total
+            mu = mu_of(s, z)
             if mu <= 0:
                 reason = "step_collapse"
                 break
 
             w_invs, ms, m_invs, vs = zip(*map(_nt_scaling, chols, chol_invs,
                                               z))
-            s_invs = [hermitize(l_inv.conj().T @ l_inv) for l_inv in chol_invs]
-            solve = _newton_solver(w_invs[0], w_invs[1], ms[2], dim_in, dim_out)
-            # cones 1 and 2 share their side: one stacked step-length search
-            pair_invs = np.stack(chol_invs[:2])
-            z_pair_invs = np.stack(z_chol_invs[:2])
+            s_invs = [hermitize(_adjoint(li) @ li) for li in chol_invs]
+            solve = _newton_solver(*w_invs[0], ms[1], dim_in, dim_out)
 
             def step(targets, tau):
                 # Newton step with dZ_k + W_k⁻¹ dS_k W_k⁻¹ = r_k - Z_k for
                 # the per-cone targets r_k, cut back to a fraction tau of the
                 # distance to each cone's boundary; the dual stays feasible
-                # through R_y = r1 + r2 - r3 ⊗ I (the identity factor
-                # broadcast) and r_t = tr r3 - 1
-                r_y = ((targets[0] + targets[1]).reshape(dim_in, dim_out,
-                                                         dim_in, dim_out)
-                       - targets[2][:, None, :, None] * eye_out[:, None, :])
-                dy, dt = solve(r_y.reshape(n, n),
-                               float(np.trace(targets[2]).real) - 1.0)
-                ds = [dy, dy, dt * eye_in - tr_out(dy)]
+                # through R_j = r1_j + r2_j - r3 ⊗ I (the identity factor
+                # broadcast) and r_t = tr r3 - 1; both Y_j ∓ C_j move by dY_j
+                r_y = ((targets[0][0] + targets[0][1]).reshape(
+                    -1, dim_in, dim_out, dim_in, dim_out)
+                       - targets[1][:, None, :, None] * eye_out[:, None, :])
+                dy, dt = solve(r_y.reshape(c.shape),
+                               float(np.trace(targets[1]).real) - 1.0)
+                ds = [dy, dt * eye_in - tr_out(dy)]
                 dz = [hermitize(r - zk - w_inv @ d @ w_inv)
                       for r, zk, w_inv, d in zip(targets, z, w_invs, ds)]
-                alpha_p = min(1.0, tau * min(
-                    _max_step(pair_invs, dy), _max_step(chol_invs[2], ds[2])))
-                alpha_d = min(1.0, tau * min(
-                    _max_step(z_pair_invs, np.stack(dz[:2])),
-                    _max_step(z_chol_invs[2], dz[2])))
+                alpha_p = min(1.0, tau * min(map(_max_step, chol_invs, ds)))
+                alpha_d = min(1.0, tau * min(map(_max_step, z_chol_invs, dz)))
                 return dy, dt, ds, dz, alpha_p, alpha_d
 
             # affine-scaling predictor, toward S Z = 0, sets the centering
             # parameter and the second-order term
             _, _, ds, dz, alpha_p, alpha_d = step(
                 [np.zeros_like(zk) for zk in z], 0.99)
-            mu_affine = sum(np.vdot(sk + alpha_p * d, zk + alpha_d * e).real
-                            for sk, d, zk, e in zip(s, ds, z, dz)) / n_total
+            mu_affine = mu_of([sk + alpha_p * d for sk, d in zip(s, ds)],
+                              [zk + alpha_d * e for zk, e in zip(z, dz)])
             sigma = min(max((max(mu_affine, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
 
             # Mehrotra corrector toward sigma * mu, less the predictor's
@@ -347,49 +349,55 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     return best_lower, best_upper, min(iterations + 1, max_iterations), reason
 
 
-def diamond_norm(delta: ChoiMatrix, tol: float = 1e-6,
+def diamond_norm(delta, tol: float = 1e-6,
                  max_iterations: int = 200) -> DiamondNormResult:
     """Diamond norm of the Hermiticity-preserving map with Choi state ``delta``.
 
     :param delta: Choi state (exactly Hermitian, as every ``ChoiMatrix``
-        stores it; typically a difference of channel Choi states).
+        stores it), or a nonempty list or tuple of such blocks of one shape,
+        whose direct sum over an output register is the map.
     :param tol: requested absolute certification gap on the returned value.
     :param max_iterations: Newton steps allowed; with 0 the result is the
         bracket of the starting point.
     :return: result with ``gap <= tol`` on success.
+    :raises DimensionMismatch: if ``delta`` is not of either form.
     :raises ValueError: if ``tol`` is not positive or ``max_iterations`` is
         not a nonnegative integer.
     :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
-        ``dim_in`` times the side exceeds ``MAX_DIM_IN_TIMES_SIDE``.
+        ``B`` blocks times ``(dim_in * side)**2`` exceed the Woodbury limit.
     :raises Unconverged: if the certified gap is still above ``tol`` when
         the solver stops; the message names the reason it stopped and the
         partial result rides on the exception.
     """
-    n = delta.dim_in * delta.dim_out
+    blocks = tuple(delta) if isinstance(delta, (list, tuple)) else (delta,)
+    shapes = {(b.dim_in, b.dim_out) if isinstance(b, ChoiMatrix) else None
+              for b in blocks}
+    if len(shapes) != 1 or None in shapes:
+        raise DimensionMismatch("expected ChoiMatrix blocks of one shape")
+    (dim_in, dim_out), = shapes
+    n = dim_in * dim_out
     if n > MAX_CHOI_SIDE:
         raise DimensionTooLarge(
             f"Choi side {n} exceeds the solver limit {MAX_CHOI_SIDE}")
-    if delta.dim_in * n > MAX_DIM_IN_TIMES_SIDE:
+    if len(blocks) * (dim_in * n) ** 2 > MAX_WOODBURY_ENTRIES:
         raise DimensionTooLarge(
-            f"input dimension {delta.dim_in} times Choi side {n} exceeds "
-            f"the solver limit {MAX_DIM_IN_TIMES_SIDE}")
+            f"{len(blocks)} block(s) at dim_in {dim_in}, side {n} exceed the "
+            f"solver limit of {MAX_WOODBURY_ENTRIES} Woodbury entries")
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     if not _is_integer(max_iterations) or max_iterations < 0:
         raise ValueError(f"max_iterations must be an integer >= 0, "
                          f"got {max_iterations!r}")
-    c = delta.matrix * delta.dim_in
+    c = np.stack([b.matrix for b in blocks]) * dim_in
 
-    if n == 1:
-        v = abs(float(c[0, 0].real))
-        return DiamondNormResult(v, v, v, 0.0, 0)
     singular = np.linalg.svd(c, compute_uv=False)
     scale = float(singular.max())
-    if scale == 0.0:
-        return DiamondNormResult(0.0, 0.0, 0.0, 0.0, 0)
+    if n == 1 or scale == 0.0:  # the norm is ||C||_1 = sum_j |c_j|
+        v = float(np.sum(singular))
+        return DiamondNormResult(v, v, v, 0.0, 0)
 
     lower, upper, iterations, reason = _solve_sdp(
-        c / scale, delta.dim_in, delta.dim_out, tol / scale, max_iterations)
+        c / scale, dim_in, dim_out, tol / scale, max_iterations)
     lower *= scale
     # ||Delta||_diamond <= ||C||_1 always holds; one SVD gives it and the scale
     upper = min(upper * scale, float(np.sum(singular)))

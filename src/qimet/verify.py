@@ -59,15 +59,6 @@ def _make(theorem_id, seed, closed, oracle, err, tol) -> VerificationRecord:
                               float(err), bool(err <= tol))
 
 
-def _instrument_delta(blocks: np.ndarray, E: int) -> ChoiMatrix:
-    """Full-channel Choi difference to the ideal: block ``j`` of a
-    :func:`branch_differences` stack at output outcome ``j``, the fastest."""
-    D, s = len(blocks), blocks.shape[1]
-    delta = np.zeros((s, D, s, D), dtype=complex)
-    delta[:, np.arange(D), :, np.arange(D)] = blocks
-    return ChoiMatrix(E * D, E * D * D, delta.reshape(s * D, -1))
-
-
 def _phi_plus_bound(blocks: np.ndarray, E: int) -> float:
     """Probe bound of branch 0 at ``Phi+ ⊗ |0><0|`` on (reference E) ⊗ E ⊗ D
     from a :func:`branch_differences` stack: ``(id ⊗ Delta_0)(Phi+ ⊗ |0><0|)
@@ -131,8 +122,8 @@ def _check_instrument_bounds(seed, D, E, tol):
     impl = random_general_implementation(D, E, seed=seed)
     lower = metrics.instrument_diamond_lower_max(impl, restarts=8, seed=seed)
     upper = metrics.instrument_diamond_upper(impl)
-    oracle = diamond_norm(_instrument_delta(branch_differences(impl), E),
-                          tol=1e-7).value
+    oracle = diamond_norm([ChoiMatrix(D * E, D * E, b)
+                           for b in branch_differences(impl)], tol=1e-7).value
     violation = max(lower - oracle, 0.0) + max(oracle - upper, 0.0)
     return _make("thm-instrument-bounds", seed, lower, oracle, violation, tol)
 
@@ -144,7 +135,8 @@ def _check_uniform_diamond(seed, D, E, tol):
     model = random_uniform_model(D, E, seed=seed)
     closed = 2.0 * metrics.uniform_diamond_exact(model)
     blocks = branch_differences(expand_uniform(model))
-    oracle = diamond_norm(_instrument_delta(blocks, E), tol=1e-6).value
+    oracle = diamond_norm([ChoiMatrix(D * E, D * E, b) for b in blocks],
+                          tol=1e-6).value
     saturated = _phi_plus_bound(blocks, E)
     err = max(abs(closed - oracle), abs(saturated - oracle))
     return _make("thm-uniform-diamond", seed, closed, oracle, err, tol)
@@ -164,7 +156,9 @@ def _check_sec7(seed, D, E, tol):
     model = shipped_counterexample_model()
     closed = metrics.nonuniform_outcome_diamond(model)
     blocks = branch_differences(expand_nonuniform(model))
-    oracle = diamond_norm(_instrument_delta(blocks, model.E), tol=1e-6).value
+    side = model.D * model.E
+    oracle = diamond_norm([ChoiMatrix(side, side, b) for b in blocks],
+                          tol=1e-6).value
     err = abs(closed - oracle)
     fidelity_route = 1.0 - metrics.fidelity_nonuniform_closed(model)
     separated = abs(0.5 * closed - fidelity_route) >= 0.01

@@ -318,6 +318,28 @@ def test_stochastic_channel_validation():
             ch.StochasticChannel(2, nu, {(0, 0): 0.5, (1, 1): weight})
 
 
+@pytest.mark.parametrize("bad", ["1.0", True, np.bool_(True), 1 + 0j, None,
+                                 [1.0]])
+def test_stochastic_channel_rejects_non_real_numbers(bad):
+    # a string or bool weight was converted by float(), and nu="1.0" escaped
+    # as a bare TypeError from np.isfinite
+    with pytest.raises(InvalidModel, match="finite real number"):
+        ch.StochasticChannel(2, 1.0, {(0, 0): bad})
+    with pytest.raises(InvalidModel, match="finite real number"):
+        ch.StochasticChannel(2, bad, {(0, 0): 1.0})
+    # the two other entry points that take weights or nu follow the rule
+    with pytest.raises(InvalidModel, match="finite real number"):
+        ch.StochasticChannel.from_weights(2, {(0, 0): bad})
+    with pytest.raises(InvalidModel, match="finite real number"):
+        ch.random_stochastic_channel(2, bad, seed=0)
+
+
+def test_stochastic_channel_stores_numpy_reals_as_float():
+    t = ch.StochasticChannel(2, np.float32(1.0), {(0, 0): np.int64(1)})
+    assert (type(t.nu), type(t.weights[(0, 0)])) == (float, float)
+    assert json.loads(json.dumps(ch.stochastic_to_json(t)))["nu"] == 1.0
+
+
 def test_identity_vector_is_choi_eigenvector():
     # col_vec(I) is an eigenvector of the Choi matrix with eigenvalue
     # nu * lambda -- the invariant behind the closed-form extraction

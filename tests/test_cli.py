@@ -201,6 +201,17 @@ def test_verify_zero_trials(capsys):
     assert "trials must be >= 1" in err
 
 
+@pytest.mark.parametrize("theorem", ["thm-instrument-bounds",
+                                     "thm-uniform-diamond"])
+def test_verify_solves_three_by_three_instruments(capsys, theorem):
+    # three side-81 outcome blocks; the zero-padded side-243 delta was
+    # refused with DimensionTooLarge (exit 2)
+    code, out, _ = run_cli(capsys, "verify", theorem, "--trials", "1",
+                           "--dim-d", "3", "--dim-e", "3")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["passed"] == 1
+
+
 def test_verify_unknown_theorem(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "no-such-theorem"])

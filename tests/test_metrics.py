@@ -468,6 +468,14 @@ def test_fvg_rejects_non_fixing_projector():
         fvg_bounds(rho, np.eye(2) / 2, pi)
 
 
+def test_fvg_rejects_projector_of_another_size():
+    # a 3x3 projector for a qubit state escaped as numpy's matmul ValueError
+    rho = np.outer([1, 0], [1, 0]).astype(complex)
+    for pi in (np.eye(3), np.eye(1)):
+        with pytest.raises(DimensionMismatch):
+            fvg_bounds(rho, np.eye(2) / 2, pi)
+
+
 def test_fvg_rejects_non_projector():
     rho = np.outer([1, 0], [1, 0]).astype(complex)
     with pytest.raises(InvalidProjector):

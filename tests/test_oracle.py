@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,9 +7,10 @@ import scipy.linalg
 from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             nu_lambda, random_stochastic_channel,
                             weyl_operators)
-from qimet.errors import DimensionTooLarge, NotHermitian, Unconverged
-from qimet.instruments import (full_channel, ideal_instrument,
-                               random_general_implementation)
+from qimet.errors import (DimensionMismatch, DimensionTooLarge, NotHermitian,
+                          QimetError, Unconverged)
+from qimet.instruments import (branch_differences, full_channel,
+                               ideal_instrument, random_general_implementation)
 from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
                           rng, trace_norm)
 from qimet.oracle import (DiamondNormResult, _certificates, _cholesky_inverse,
@@ -83,7 +86,7 @@ def test_solves_a_map_at_the_side_limit():
 
 
 def test_wide_map_at_the_input_limit_keeps_a_bracket():
-    # 24 x 6 sits exactly at MAX_DIM_IN_TIMES_SIDE; two iterations suffice to
+    # 24 x 6 sits exactly at MAX_WOODBURY_ENTRIES; two iterations suffice to
     # show it runs and certifies a bracket
     delta = random_hermitian_choi(24, 6, seed=3)
     with pytest.raises(Unconverged) as info:
@@ -199,12 +202,36 @@ def test_failed_factorization_counts_the_interrupted_iteration(monkeypatch):
 
 
 def test_dimension_cap():
-    # side 145 exceeds MAX_CHOI_SIDE; 36 x 4 is side 144 but exceeds
-    # MAX_DIM_IN_TIMES_SIDE
+    # side 145 exceeds MAX_CHOI_SIDE; 36 x 4 is side 144 but its Woodbury
+    # factor exceeds MAX_WOODBURY_ENTRIES
     for dim_in, dim_out in ((29, 5), (36, 4)):
         side = dim_in * dim_out
         with pytest.raises(DimensionTooLarge):
             diamond_norm(ChoiMatrix(dim_in, dim_out, np.eye(side) / side))
+    # four side-144 blocks at dim_in 12 (a D=4, E=3 instrument) sit at the
+    # Woodbury limit, and a fifth block exceeds it
+    block = ChoiMatrix(12, 12, np.eye(144) / 144)
+    with pytest.raises(DimensionTooLarge, match="5 block"):
+        diamond_norm([block] * 5)
+
+
+@pytest.mark.parametrize("bad", [
+    [], (), np.eye(4) / 2, [np.eye(4) / 2], "choi", None,
+    [ChoiMatrix(2, 2, np.eye(4) / 4), np.eye(4) / 4],
+    [ChoiMatrix(2, 2, np.eye(4) / 4), ChoiMatrix(4, 1, np.eye(4) / 4)],
+    [ChoiMatrix(2, 2, np.eye(4) / 4), ChoiMatrix(2, 3, np.eye(6) / 6)],
+])
+def test_rejects_anything_but_choi_blocks_of_one_shape(bad):
+    # a bare ndarray used to fail with an AttributeError on dim_in
+    with pytest.raises(DimensionMismatch, match="ChoiMatrix blocks"):
+        diamond_norm(bad)
+    assert issubclass(DimensionMismatch, QimetError)
+
+
+def test_one_block_list_is_the_single_map():
+    delta = random_hermitian_choi(2, 3, seed=66)
+    assert diamond_norm([delta], tol=1e-7) == diamond_norm(delta, tol=1e-7)
+    assert diamond_norm((delta,), tol=1e-7) == diamond_norm(delta, tol=1e-7)
 
 
 def test_non_hermitian_rejected_at_the_type():
@@ -215,25 +242,42 @@ def test_non_hermitian_rejected_at_the_type():
         ChoiMatrix(2, 2, mat)
 
 
-def test_iterates_stay_exactly_hermitian(monkeypatch):
-    # every slack and dual the solver factorizes is exactly Hermitian, though
-    # only products are symmetrized; the input carries a 1e-12 asymmetry
+def factored_matrices(monkeypatch):
+    """Every matrix the solver Cholesky-factorizes, one per cone: a stack
+    passed to ``_cholesky_inverse`` is recorded through its slices."""
     factored = []
 
-    def checked(m):
-        assert np.array_equal(m, m.conj().T)
-        factored.append(len(m))
+    def spy(m):
+        if m.ndim == 2:
+            factored.append(m)
         return _cholesky_inverse(m)
 
-    monkeypatch.setattr("qimet.oracle._cholesky_inverse", checked)
+    monkeypatch.setattr("qimet.oracle._cholesky_inverse", spy)
+    return factored
+
+
+def test_iterates_stay_exactly_hermitian(monkeypatch):
+    # every slack and dual the solver factorizes, in every block, is exactly
+    # Hermitian, though only products are symmetrized; the input carries a
+    # 1e-12 asymmetry
+    factored = factored_matrices(monkeypatch)
     gen = rng(165)
-    skew = 1e-12 * (gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6)))
-    delta = ChoiMatrix(2, 3, random_hermitian_choi(2, 3, 165).matrix + skew)
-    result = diamond_norm(delta, tol=1e-8)
-    assert result.gap <= 1e-8
-    # six factorizations (three slacks, three duals) per iterate, the start
-    # and the converged one included
-    assert len(factored) == 6 * (result.iterations + 1)
+    for blocks in (1, 3):
+        delta = []
+        for k in range(blocks):
+            skew = 1e-12 * (gen.normal(size=(6, 6))
+                            + 1j * gen.normal(size=(6, 6)))
+            delta.append(ChoiMatrix(
+                2, 3, random_hermitian_choi(2, 3, 165 + k).matrix + skew))
+        factored.clear()
+        result = diamond_norm(delta, tol=1e-8)
+        assert result.gap <= 1e-8
+        # per iterate, the start and the converged one included, 4B + 2
+        # factorizations: the slacks Y_j ∓ C_j and t I - Tr_out sum_j Y_j,
+        # and the duals Z1_j, Z2_j and Z3
+        assert len(factored) == (4 * blocks + 2) * (result.iterations + 1)
+        for m in factored:
+            assert np.array_equal(m, m.conj().T)
 
 
 def test_rejects_bad_tolerance():
@@ -262,16 +306,21 @@ def random_pd(side, cond, gen):
                      @ q.conj().T)
 
 
-def dense_newton_system(w1, w2, w3, dim_in, dim_out):
-    """The complex (n**2 + 1) Newton matrix on ``(col_vec(dY), dt)``."""
-    n = dim_in * dim_out
+def dense_newton_system(w1s, w2s, w3, dim_in, dim_out):
+    """The complex (B n**2 + 1) Newton matrix on ``(col_vec(dY_1), ...,
+    col_vec(dY_B), dt)``: block-diagonal Kronecker terms, and the
+    partial-trace term and ``G`` shared by every pair of blocks."""
+    n, blocks = dim_in * dim_out, len(w1s)
     traced = np.stack([col_vec(partial_trace(e.reshape(n, n, order="F"),
                                              [dim_in, dim_out], [0]))
                        for e in np.eye(n * n)], axis=1)
-    g = col_vec(np.kron(w3 @ w3, np.eye(dim_out)))
-    m = np.empty((n * n + 1, n * n + 1), dtype=complex)
-    m[:-1, :-1] = (np.kron(w1.T, w1) + np.kron(w2.T, w2)
-                   + traced.conj().T @ np.kron(w3.T, w3) @ traced)
+    g = np.tile(col_vec(np.kron(w3 @ w3, np.eye(dim_out))), blocks)
+    m = np.empty((blocks * n * n + 1, blocks * n * n + 1), dtype=complex)
+    m[:-1, :-1] = (scipy.linalg.block_diag(*(np.kron(w1.T, w1)
+                                             + np.kron(w2.T, w2)
+                                             for w1, w2 in zip(w1s, w2s)))
+                   + np.kron(np.ones((blocks, blocks)), traced.conj().T
+                             @ np.kron(w3.T, w3) @ traced))
     m[:-1, -1] = -g
     m[-1, :-1] = -g.conj()
     m[-1, -1] = np.trace(w3 @ w3)
@@ -280,18 +329,22 @@ def dense_newton_system(w1, w2, w3, dim_in, dim_out):
 
 @pytest.mark.parametrize("dim_in, dim_out", [(2, 2), (2, 3), (3, 3)])
 def test_newton_solve_matches_dense_system(dim_in, dim_out):
+    # with several blocks the partial trace couples them through sum_j dY_j
     n = dim_in * dim_out
     gen = rng(1000 + n)
-    for cond in (1.0, 1e2, 1e4):
-        w1, w2 = random_pd(n, cond, gen), random_pd(n, cond, gen)
+    for blocks, cond in itertools.product((1, 2, 3), (1.0, 1e2, 1e4)):
+        w1 = np.stack([random_pd(n, cond, gen) for _ in range(blocks)])
+        w2 = np.stack([random_pd(n, cond, gen) for _ in range(blocks)])
         w3 = random_pd(dim_in, cond, gen)
-        r_y = random_hermitian_choi(dim_in, dim_out, seed=n).matrix
+        r_y = np.stack([random_hermitian_choi(dim_in, dim_out, seed=n + k)
+                        .matrix for k in range(blocks)])
         r_t = float(gen.normal())
         m3 = np.linalg.cholesky(w3)  # any factor with w3 = M M†
         dy, dt = _newton_solver(w1, w2, m3, dim_in, dim_out)(r_y, r_t)
         ref = np.linalg.solve(dense_newton_system(w1, w2, w3, dim_in, dim_out),
-                              np.append(col_vec(r_y), r_t))
-        ref_dy = ref[:-1].reshape(n, n, order="F")
+                              np.append(col_vec(np.hstack(r_y)), r_t))
+        ref_dy = ref[:-1].reshape(blocks, n, n).transpose(0, 2, 1)
+        assert dy.shape == (blocks, n, n)
         assert np.linalg.norm(dy - ref_dy) <= 1e-9 * np.linalg.norm(ref_dy)
         assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
 
@@ -424,31 +477,38 @@ def instrument_delta(seed):
             - choi_from_kraus(full_channel(ideal_instrument(2, 2))))
 
 
+def instrument_blocks(seed):
+    """The same instrument's error as its two side-16 outcome blocks."""
+    impl = random_general_implementation(2, 2, seed)
+    return [ChoiMatrix(4, 4, b) for b in branch_differences(impl)]
+
+
 def test_corrector_converges_in_few_iterations():
     # a side-32 instrument delta took 22 iterations with the centering-only
-    # corrector; the second-order term halves that
-    res = diamond_norm(instrument_delta(1), tol=1e-7)
-    assert res.gap <= 1e-7
-    assert res.iterations <= 12
+    # corrector; the second-order term halves that, as a side-32 matrix or
+    # as its two side-16 outcome blocks
+    for delta in (instrument_delta(1), instrument_blocks(1)):
+        res = diamond_norm(delta, tol=1e-7)
+        assert res.gap <= 1e-7
+        assert res.iterations <= 12
 
 
 @pytest.mark.parametrize("seed", [1, 5])
 def test_iterates_stay_dual_feasible(monkeypatch, seed):
     # the corrector's targets enter every dual direction; each dual iterate
-    # must keep Z1 + Z2 = Z3 ⊗ I and tr Z3 = 1
-    factored = []
-
-    def spy(m):
-        factored.append(m)
-        return _cholesky_inverse(m)
-
-    monkeypatch.setattr("qimet.oracle._cholesky_inverse", spy)
-    result = diamond_norm(instrument_delta(seed), tol=1e-7)
-    assert len(factored) == 6 * (result.iterations + 1)
-    for i in range(0, len(factored), 6):
-        z1, z2, z3 = factored[i + 3:i + 6]
-        lifted = np.kron(z3, np.eye(len(z1) // len(z3)))  # Z3 ⊗ I
-        assert np.abs(z1 + z2 - lifted).max() < 1e-7
+    # must keep Z1_j + Z2_j = Z3 ⊗ I in every block j and tr Z3 = 1
+    factored = factored_matrices(monkeypatch)
+    blocks = instrument_blocks(seed)
+    result = diamond_norm(blocks, tol=1e-7)
+    per_iterate = 4 * len(blocks) + 2
+    assert len(factored) == per_iterate * (result.iterations + 1)
+    for i in range(0, len(factored), per_iterate):
+        # slacks Y_j - C_j, Y_j + C_j, the input block; duals likewise
+        duals = factored[i + per_iterate // 2:i + per_iterate]
+        z1, z2, z3 = duals[:len(blocks)], duals[len(blocks):-1], duals[-1]
+        lifted = np.kron(z3, np.eye(len(z1[0]) // len(z3)))  # Z3 ⊗ I
+        for z1_j, z2_j in zip(z1, z2):
+            assert np.abs(z1_j + z2_j - lifted).max() < 1e-7
         assert abs(np.trace(z3) - 1.0) < 1e-7
 
 

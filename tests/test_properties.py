@@ -11,20 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qimet.channels import (KrausChannel, StochasticChannel, choi_from_kraus,
-                            identity_channel)
+from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
+                            choi_from_kraus, identity_channel)
 from qimet.instruments import (branch_differences, expand_nonuniform,
                                expand_uniform, full_channel, ideal_instrument,
                                model_from_json, model_to_json,
                                random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
-from qimet.linalg import (col_vec, random_density, random_pure, rng,
-                          trace_norm)
+from qimet.linalg import (col_vec, hermitize, random_density, random_pure,
+                          rng, trace_norm)
 from qimet.metrics import (_probe_values, build_report,
                            diamond_identity_stochastic,
                            instrument_diamond_lower_max,
                            instrument_diamond_upper)
-from qimet.verify import _instrument_delta, _phi_plus_bound
+from qimet.oracle import diamond_norm
+from qimet.verify import _phi_plus_bound
 
 #: model kind -> (generator, expansion to an implementation)
 KINDS = {
@@ -74,15 +75,32 @@ INSTRUMENTS = settings(derandomize=True, database=None, max_examples=5,
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def full_route_delta(impl):
+    """The implementation's error as one Choi difference of full channels,
+    the outcome register appended to the output."""
+    ideal = ideal_instrument(impl.D, impl.E)
+    return (choi_from_kraus(full_channel(impl))
+            - choi_from_kraus(full_channel(ideal)))
+
+
+def direct_sum(blocks):
+    """Choi matrix with block ``j`` of a ``(B, s, s)`` stack at an appended
+    output outcome ``j``, the fastest output index, and zeros elsewhere."""
+    count, s = blocks.shape[:2]
+    full = np.zeros((s, count, s, count), dtype=complex)
+    full[:, np.arange(count), :, np.arange(count)] = blocks
+    return full.reshape(s * count, s * count)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @INSTRUMENTS
 @given(seed=SEEDS)
 def test_assembled_delta_matches_the_full_channel_route(kind, seed):
+    # the branch-difference stack is the full-channel delta's block diagonal
     for _, impl in implementations(kind, seed):
-        ideal = ideal_instrument(impl.D, impl.E)
-        ref = (choi_from_kraus(full_channel(impl)).matrix
-               - choi_from_kraus(full_channel(ideal)).matrix)
-        assert np.max(np.abs(_instrument_delta(branch_differences(impl), impl.E).matrix - ref)) <= 1e-15
+        assembled = direct_sum(branch_differences(impl))
+        ref = full_route_delta(impl).matrix
+        assert np.max(np.abs(assembled - ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -92,8 +110,44 @@ def test_branch_trace_norms_add_up_to_the_delta_trace_norm(kind, seed):
     # the orthogonality lemma on the outcome sectors of a real instrument
     for _, impl in implementations(kind, seed):
         total = sum(trace_norm(block) for block in branch_differences(impl))
-        assert np.isclose(total, trace_norm(_instrument_delta(branch_differences(impl), impl.E).matrix),
+        assert np.isclose(total, trace_norm(full_route_delta(impl).matrix),
                           rtol=1e-12, atol=1e-13)
+
+
+def assert_brackets_overlap(a, b):
+    assert a.primal_bound <= b.dual_bound + 1e-9
+    assert b.primal_bound <= a.dual_bound + 1e-9
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@INSTRUMENTS
+@given(seed=SEEDS)
+def test_block_oracle_matches_the_full_channel_route(kind, seed):
+    # the oracle on the outcome blocks and on the full-channel delta
+    generate, expand = KINDS[kind]
+    for D, E in ((2, 1), (2, 2), (3, 1)):
+        impl = expand(generate(D, E, seed=seed))
+        side = D * E
+        blocks = [ChoiMatrix(side, side, b) for b in branch_differences(impl)]
+        assert_brackets_overlap(diamond_norm(blocks, tol=1e-7),
+                                diamond_norm(full_route_delta(impl), tol=1e-7))
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(seed=SEEDS, count=st.integers(2, 4),
+       dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
+def test_block_oracle_matches_the_direct_sum(seed, count, dims):
+    # random Hermitian blocks, solved as blocks and as one block-diagonal map
+    dim_in, dim_out = dims
+    side = dim_in * dim_out
+    gen = rng(seed)
+    a = (gen.normal(size=(count, side, side))
+         + 1j * gen.normal(size=(count, side, side)))
+    stack = hermitize(a) / side
+    blocks = [ChoiMatrix(dim_in, dim_out, b) for b in stack]
+    full = ChoiMatrix(dim_in, dim_out * count, direct_sum(stack))
+    assert_brackets_overlap(diamond_norm(blocks, tol=1e-7),
+                            diamond_norm(full, tol=1e-7))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
