@@ -14,8 +14,11 @@ point has ``Y0 = Y1 = Y`` and the block constraint splits under the rotation
 ``(u, v) -> ((u+v)/sqrt(2), (u-v)/sqrt(2))`` into ``Y >= ±C``.  When
 ``C = ⊕_j C_j`` is block-diagonal over an output register (an instrument's
 outcome), pinching ``Y`` onto the blocks keeps ``Y >= ±C`` and ``Tr_out Y``
-(Watrous, arXiv:1207.5726).  This module therefore solves, over a stack of
-``B`` blocks of one shape (``B = 1`` for a single map),
+(Watrous, arXiv:1207.5726).  The blocks are found, not assumed: the output
+register splits into the connected components of the exact-zero pattern
+``C[(i,o),(j,p)] != 0``, and when there are two or more of one size (they
+may interleave) each becomes a block.  This module therefore solves, over a
+stack of ``B`` blocks of one shape (``B = 1`` for an unsplit single map),
 
     minimize   t
     subject to Y_j - C_j >= 0,  Y_j + C_j >= 0,  t*I - Tr_out(sum_j Y_j) >= 0
@@ -349,13 +352,35 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     return best_lower, best_upper, min(iterations + 1, max_iterations), reason
 
 
+def _split_sectors(c: np.ndarray, dim_in: int, dim_out: int):
+    """``(c, dim_out)`` of the direct sum of the ``(B, n, n)`` stack ``c`` over
+    its output sectors, the connected components of the pattern ``C_b[(i,o),
+    (j,p)] != 0`` of all blocks, in order of their first output, when there
+    are at least two and all have one size; else the stack as given."""
+    c5 = c.reshape(len(c), dim_in, dim_out, dim_in, dim_out)
+    reach = np.any(c5 != 0, axis=(0, 1, 3))
+    reach = reach | reach.T | np.eye(dim_out, dtype=bool)
+    while not np.array_equal(reach, grown := reach @ reach):
+        reach = grown  # boolean closure: paths double in length each round
+    sectors = reach[np.unique(reach.argmax(1))]
+    size = sectors.sum(1)
+    if len(size) < 2 or (size != size[0]).any():
+        return c, dim_out
+    m = int(size[0])
+    members = np.nonzero(sectors)[1].reshape(-1, m)  # ascending per sector
+    c = np.concatenate([c5[:, :, s][..., s] for s in members])
+    return c.reshape(-1, dim_in * m, dim_in * m), m
+
+
 def diamond_norm(delta, tol: float = 1e-6,
                  max_iterations: int = 200) -> DiamondNormResult:
     """Diamond norm of the Hermiticity-preserving map with Choi state ``delta``.
 
     :param delta: Choi state (exactly Hermitian, as every ``ChoiMatrix``
         stores it), or a nonempty list or tuple of such blocks of one shape,
-        whose direct sum over an output register is the map.
+        whose direct sum over an output register is the map.  Its outputs
+        fall into sectors that no block couples by an exactly nonzero entry;
+        two or more of one size split every block, with the same norm.
     :param tol: requested absolute certification gap on the returned value.
     :param max_iterations: Newton steps allowed; with 0 the result is the
         bracket of the starting point.
@@ -364,7 +389,8 @@ def diamond_norm(delta, tol: float = 1e-6,
     :raises ValueError: if ``tol`` is not positive or ``max_iterations`` is
         not a nonnegative integer.
     :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
-        ``B`` blocks times ``(dim_in * side)**2`` exceed the Woodbury limit.
+        ``B`` blocks times ``(dim_in * side)**2`` exceed the Woodbury limit,
+        both checked on the input as given, before any sector split.
     :raises Unconverged: if the certified gap is still above ``tol`` when
         the solver stops; the message names the reason it stopped and the
         partial result rides on the exception.
@@ -388,11 +414,12 @@ def diamond_norm(delta, tol: float = 1e-6,
     if not _is_integer(max_iterations) or max_iterations < 0:
         raise ValueError(f"max_iterations must be an integer >= 0, "
                          f"got {max_iterations!r}")
-    c = np.stack([b.matrix for b in blocks]) * dim_in
+    c, dim_out = _split_sectors(np.stack([b.matrix for b in blocks]) * dim_in,
+                                dim_in, dim_out)
 
     singular = np.linalg.svd(c, compute_uv=False)
     scale = float(singular.max())
-    if n == 1 or scale == 0.0:  # the norm is ||C||_1 = sum_j |c_j|
+    if c.shape[-1] == 1 or scale == 0.0:  # the norm is ||C||_1 = sum_j |c_j|
         v = float(np.sum(singular))
         return DiamondNormResult(v, v, v, 0.0, 0)
 
@@ -419,6 +446,8 @@ def diamond_norm(delta, tol: float = 1e-6,
 def _hillclimb(delta: ChoiMatrix, restarts: int, seed: int):
     """:func:`diamond_lower_hillclimb`'s value and the best pure input ``psi``
     it found on (reference ⊗ input), reference dimension ``dim_in``."""
+    if not isinstance(delta, ChoiMatrix):
+        raise DimensionMismatch("expected a ChoiMatrix")
     if not (_is_integer(restarts) and restarts >= 1):
         raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     din, dout = delta.dim_in, delta.dim_out

@@ -1,12 +1,16 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qimet.channels import (StochasticChannel, choi_from_kraus, choi_to_json,
                             identity_channel, weyl_operators)
+import qimet
 from qimet.cli import main
 from qimet.instruments import (UniformStochasticModel, model_from_json,
                                model_to_json)
@@ -344,3 +348,14 @@ def test_every_public_name_resolves():
             assert (not name.startswith("_") if exported is None
                     else name in exported), \
                 f"qimet.cli uses {home}.{name}, which {home} does not export"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # every command pays the CLI's imports; scipy.sparse alone costs tens of
+    # milliseconds, and no command needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    probe = ("import sys, qimet.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -15,8 +15,9 @@ from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
                           rng, trace_norm)
 from qimet.oracle import (DiamondNormResult, _certificates, _cholesky_inverse,
                           _hillclimb, _lifted, _max_step, _newton_solver,
-                          _nt_scaling, _second_order, diamond_lower_hillclimb,
-                          diamond_norm, result_to_json)
+                          _nt_scaling, _second_order, _solve_sdp,
+                          diamond_lower_hillclimb, diamond_norm,
+                          result_to_json)
 
 
 def random_hermitian_choi(dim_in, dim_out, seed, scale=1.0):
@@ -24,6 +25,16 @@ def random_hermitian_choi(dim_in, dim_out, seed, scale=1.0):
     side = dim_in * dim_out
     a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
     return ChoiMatrix(dim_in, dim_out, scale * hermitize(a + a.conj().T) / side)
+
+
+def output_rotated(choi, seed=7):
+    """``(I ⊗ U) C (I ⊗ U)†`` for a seeded Haar unitary ``U`` on the output:
+    the same diamond norm, with every output coupled to every other."""
+    gen = rng(seed)
+    d = choi.dim_out
+    q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    u = np.kron(np.eye(choi.dim_in), q * (np.diagonal(r) / abs(np.diagonal(r))))
+    return ChoiMatrix(choi.dim_in, d, u @ choi.matrix @ u.conj().T)
 
 
 def unitary_difference(dim, a, b):
@@ -37,9 +48,13 @@ def unitary_difference(dim, a, b):
 # solver fundamentals
 # ------------------------------------------------------------------
 
-def test_zero_map():
-    res = diamond_norm(ChoiMatrix(2, 2, np.zeros((4, 4))))
-    assert res == DiamondNormResult(0.0, 0.0, 0.0, 0.0, 0)
+def test_zero_map(monkeypatch):
+    # every output is its own sector; the zero stack is never solved
+    stacks = solved_stacks(monkeypatch)
+    for dims in ((2, 2), (3, 4)):
+        zero = ChoiMatrix(*dims, np.zeros((dims[0] * dims[1],) * 2))
+        assert diamond_norm(zero) == DiamondNormResult(0.0, 0.0, 0.0, 0.0, 0)
+    assert not stacks
 
 
 def test_unitary_distance_is_two():
@@ -77,6 +92,10 @@ def test_scalar_input_side_is_trace_norm():
     delta = random_hermitian_choi(1, 3, seed=5)
     res = diamond_norm(delta, tol=1e-8)
     assert abs(res.value - trace_norm(delta.matrix)) < 1e-7
+    # diagonal: every output is its own sector of side 1
+    diag = np.array([0.5, -0.25, 0.125, -0.0625])
+    res = diamond_norm(ChoiMatrix(1, 4, np.diag(diag)))
+    assert res.value == res.primal_bound == res.dual_bound == np.abs(diag).sum()
 
 
 def test_solves_a_map_at_the_side_limit():
@@ -485,9 +504,11 @@ def instrument_blocks(seed):
 
 def test_corrector_converges_in_few_iterations():
     # a side-32 instrument delta took 22 iterations with the centering-only
-    # corrector; the second-order term halves that, as a side-32 matrix or
-    # as its two side-16 outcome blocks
-    for delta in (instrument_delta(1), instrument_blocks(1)):
+    # corrector; the second-order term halves that, as its two side-16
+    # outcome blocks (given, or split from the full delta) or as one dense
+    # side-32 matrix (the full delta with its outputs rotated together)
+    for delta in (instrument_delta(1), instrument_blocks(1),
+                  output_rotated(instrument_delta(1))):
         res = diamond_norm(delta, tol=1e-7)
         assert res.gap <= 1e-7
         assert res.iterations <= 12
@@ -510,6 +531,92 @@ def test_iterates_stay_dual_feasible(monkeypatch, seed):
         for z1_j, z2_j in zip(z1, z2):
             assert np.abs(z1_j + z2_j - lifted).max() < 1e-7
         assert abs(np.trace(z3) - 1.0) < 1e-7
+
+
+# ------------------------------------------------------------------
+# output sectors
+# ------------------------------------------------------------------
+
+def solved_stacks(monkeypatch):
+    """The ``(B, n, n)`` stack of every ``_solve_sdp`` call."""
+    stacks = []
+
+    def spy(c, *args):
+        stacks.append(c)
+        return _solve_sdp(c, *args)
+
+    monkeypatch.setattr("qimet.oracle._solve_sdp", spy)
+    return stacks
+
+
+def assert_brackets_overlap(a, b):
+    assert a.primal_bound <= b.dual_bound + 1e-9
+    assert b.primal_bound <= a.dual_bound + 1e-9
+
+
+def test_instrument_delta_solves_as_its_outcome_blocks(monkeypatch):
+    # the outcome is the fastest output index, so the two sectors interleave
+    stacks = solved_stacks(monkeypatch)
+    full = diamond_norm(instrument_delta(5), tol=1e-7)
+    assert stacks[-1].shape == (2, 16, 16)
+    assert_brackets_overlap(full, diamond_norm(instrument_blocks(5), tol=1e-7))
+    dense = diamond_norm(output_rotated(instrument_delta(5)), tol=1e-7)
+    assert stacks[-1].shape == (1, 32, 32)
+    assert_brackets_overlap(full, dense)
+
+
+def test_random_map_is_one_sector(monkeypatch):
+    stacks = solved_stacks(monkeypatch)
+    diamond_norm(random_hermitian_choi(4, 6, seed=0), tol=1e-7)
+    assert stacks[0].shape == (1, 24, 24)
+
+
+def sectored_choi(dim_in, sectors, seed):
+    """A random Hermitian Choi matrix whose output ``o`` couples only to the
+    outputs of its own sector, ``sectors[o]``."""
+    dim_out = len(sectors)
+    mat = random_hermitian_choi(dim_in, dim_out, seed).matrix.reshape(
+        dim_in, dim_out, dim_in, dim_out)
+    keep = np.equal.outer(sectors, sectors)
+    return ChoiMatrix(dim_in, dim_out, (mat * keep[None, :, None]).reshape(
+        dim_in * dim_out, -1))
+
+
+def test_unequal_sectors_do_not_split(monkeypatch):
+    stacks = solved_stacks(monkeypatch)
+    delta = sectored_choi(2, [0, 0, 1], seed=3)
+    result = diamond_norm(delta, tol=1e-7)
+    assert stacks[0].shape == (1, 6, 6)
+    assert_brackets_overlap(result, diamond_norm(output_rotated(delta),
+                                                 tol=1e-7))
+
+
+@pytest.mark.parametrize("patterns, shape", [
+    # sectors {0,1}, {2,3} in both: two blocks each
+    (([0, 0, 1, 1], [0, 0, 1, 2]), (4, 4, 4)),
+    # {0,2}, {1,3} and {0,1}, {2,3}: together they couple every output
+    (([0, 1, 0, 1], [0, 0, 1, 1]), (2, 8, 8)),
+])
+def test_block_list_splits_along_the_common_partition(monkeypatch, patterns,
+                                                      shape):
+    stacks = solved_stacks(monkeypatch)
+    blocks = [sectored_choi(2, p, seed) for seed, p in enumerate(patterns)]
+    result = diamond_norm(blocks, tol=1e-7)
+    assert stacks[0].shape == shape
+    dense = diamond_norm([output_rotated(b) for b in blocks], tol=1e-7)
+    assert stacks[1].shape == (2, 8, 8)
+    assert_brackets_overlap(result, dense)
+
+
+def test_limits_apply_before_the_split():
+    # a (3,3) full delta would split into three side-81 blocks, within the
+    # limits, but its side 243 as given exceeds MAX_CHOI_SIDE
+    impl = random_general_implementation(3, 3, 0)
+    delta = (choi_from_kraus(full_channel(impl))
+             - choi_from_kraus(full_channel(ideal_instrument(3, 3))))
+    assert delta.matrix.shape == (243, 243)
+    with pytest.raises(DimensionTooLarge, match="243"):
+        diamond_norm(delta)
 
 
 # ------------------------------------------------------------------
@@ -568,3 +675,11 @@ def test_hillclimb_restarts_must_be_an_integer(bad):
     # 2.5 escaped as a NumPy TypeError, and True ran one restart
     with pytest.raises(ValueError, match="integer"):
         diamond_lower_hillclimb(ChoiMatrix(2, 2, np.eye(4) / 2), restarts=bad)
+
+
+@pytest.mark.parametrize("bad", [np.eye(4) / 2,
+                                 [ChoiMatrix(2, 2, np.eye(4) / 4)]])
+def test_hillclimb_rejects_anything_but_a_choi_matrix(bad):
+    # an ndarray or a list used to fail with an AttributeError on dim_in
+    with pytest.raises(DimensionMismatch, match="ChoiMatrix"):
+        diamond_lower_hillclimb(bad)

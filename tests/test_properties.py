@@ -83,6 +83,17 @@ def full_route_delta(impl):
             - choi_from_kraus(full_channel(ideal)))
 
 
+def output_rotated(choi, seed=7):
+    """``(I ⊗ U) C (I ⊗ U)†`` for a seeded Haar unitary ``U`` on the output:
+    the same diamond norm, with every output coupled to every other, so the
+    oracle solves it as one dense block."""
+    gen = rng(seed)
+    d = choi.dim_out
+    q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    u = np.kron(np.eye(choi.dim_in), q * (np.diagonal(r) / abs(np.diagonal(r))))
+    return ChoiMatrix(choi.dim_in, d, u @ choi.matrix @ u.conj().T)
+
+
 def direct_sum(blocks):
     """Choi matrix with block ``j`` of a ``(B, s, s)`` stack at an appended
     output outcome ``j``, the fastest output index, and zeros elsewhere."""
@@ -123,21 +134,26 @@ def assert_brackets_overlap(a, b):
 @INSTRUMENTS
 @given(seed=SEEDS)
 def test_block_oracle_matches_the_full_channel_route(kind, seed):
-    # the oracle on the outcome blocks and on the full-channel delta
+    # the oracle on the outcome blocks, on the full-channel delta (which it
+    # splits into those blocks) and on that delta as one dense block
     generate, expand = KINDS[kind]
     for D, E in ((2, 1), (2, 2), (3, 1)):
         impl = expand(generate(D, E, seed=seed))
         side = D * E
         blocks = [ChoiMatrix(side, side, b) for b in branch_differences(impl)]
-        assert_brackets_overlap(diamond_norm(blocks, tol=1e-7),
-                                diamond_norm(full_route_delta(impl), tol=1e-7))
+        by_blocks = diamond_norm(blocks, tol=1e-7)
+        full = full_route_delta(impl)
+        assert_brackets_overlap(by_blocks, diamond_norm(full, tol=1e-7))
+        assert_brackets_overlap(by_blocks,
+                                diamond_norm(output_rotated(full), tol=1e-7))
 
 
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(seed=SEEDS, count=st.integers(2, 4),
        dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
 def test_block_oracle_matches_the_direct_sum(seed, count, dims):
-    # random Hermitian blocks, solved as blocks and as one block-diagonal map
+    # random Hermitian blocks, solved as blocks, as one block-diagonal map
+    # (which the oracle splits back into them) and as that map made dense
     dim_in, dim_out = dims
     side = dim_in * dim_out
     gen = rng(seed)
@@ -146,8 +162,10 @@ def test_block_oracle_matches_the_direct_sum(seed, count, dims):
     stack = hermitize(a) / side
     blocks = [ChoiMatrix(dim_in, dim_out, b) for b in stack]
     full = ChoiMatrix(dim_in, dim_out * count, direct_sum(stack))
-    assert_brackets_overlap(diamond_norm(blocks, tol=1e-7),
-                            diamond_norm(full, tol=1e-7))
+    by_blocks = diamond_norm(blocks, tol=1e-7)
+    assert_brackets_overlap(by_blocks, diamond_norm(full, tol=1e-7))
+    assert_brackets_overlap(by_blocks,
+                            diamond_norm(output_rotated(full), tol=1e-7))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
