@@ -14,39 +14,39 @@ point has ``Y0 = Y1 = Y`` and the block constraint splits under the rotation
 ``(u, v) -> ((u+v)/sqrt(2), (u-v)/sqrt(2))`` into ``Y >= ±C``.  When
 ``C = ⊕_j C_j`` is block-diagonal over an output register (an instrument's
 outcome), pinching ``Y`` onto the blocks keeps ``Y >= ±C`` and ``Tr_out Y``
-(Watrous, arXiv:1207.5726).  The blocks are found, not assumed: the output
-register splits into the connected components of the exact-zero pattern
-``C[(i,o),(j,p)] != 0``, and when there are two or more of one size (they
-may interleave) each becomes a block.  This module therefore solves, over a
-stack of ``B`` blocks of one shape (``B = 1`` for an unsplit single map),
+(Watrous, arXiv:1207.5726).  The blocks are found, not assumed: exactly zero
+blocks and outputs are dropped (a zero principal block of ``Y`` leaves
+``Tr_out Y`` alone), and the rest of the output register splits into the
+connected components of the pattern ``C[(i,o),(j,p)] != 0``; when they are
+of one size (they may interleave) each becomes a block.  This module
+therefore solves, over a stack of ``B`` blocks of one shape,
 
     minimize   t
     subject to Y_j - C_j >= 0,  Y_j + C_j >= 0,  t*I - Tr_out(sum_j Y_j) >= 0
 
-with a primal-dual path-following interior-point method using the
-Nesterov-Todd scaling; the cones ``Y_j ∓ C_j`` form one ``(2, B, n, n)``
-stack.  Each iteration is a Mehrotra predictor-corrector step
-(Mehrotra 1992; in the Nesterov-Todd form of Todd, Toh and Tütüncü 1998):
-an affine-scaling predictor sets the centering ``sigma = (mu_aff / mu)**3``,
-and the corrector aims each cone at ``sigma*mu*S⁻¹ - c`` with the
-predictor's second-order term ``c`` (:func:`_second_order`).
-The Newton system is solved on the ``n x n`` blocks (``n = dim_in *
-dim_out``): its operator ``X_j -> W1_j X_j W1_j + W2_j X_j W2_j +
-P*(W3 P(sum_k X_k) W3)`` with ``P = Tr_out`` is an entrywise divide in each
-block's generalized eigenbasis of ``(W2_j, W1_j + W2_j)`` plus one
-rank-``dim_in**2`` correction shared by the blocks, added back by a Woodbury
-step, and the ``t`` row is eliminated by a scalar Schur step, at
-``O(dim_in**2 * B * n**3)`` per iteration.
+with a primal-dual path-following interior-point method; the cones ``Y_j ∓
+C_j`` form one ``(2, B, n, n)`` stack.  Each iteration is a Mehrotra
+predictor-corrector step (Mehrotra 1992) in the Nesterov-Todd scaled frame
+(Todd, Toh and Tütüncü 1998) ``M† S M = M⁻¹ Z M⁻† = V = diag(v)``: a
+direction ``D_x = M† dS M`` gives its dual ``D_z`` without further
+products, and the step bounds are eigenvalues of ``V^{-1/2} D V^{-1/2}``.
+The predictor sets the centering ``sigma = (mu_aff / mu)**3``; the corrector
+aims at ``sigma*mu*V⁻¹ - X2``, ``X2`` the second-order term.  The Newton
+system is solved on the ``n x n`` blocks (``n = dim_in * dim_out``) by an
+entrywise divide in each block's generalized eigenbasis, a Woodbury step
+for the partial trace they share and a scalar Schur step for ``t``
+(:func:`_newton_solver`), at ``O(dim_in**2 * B * n**3)`` per iteration.
 
-Certification does not trust convergence.  Each iteration Cholesky-factorizes
-its slacks and duals first, then reads two *exactly feasible* bounds:
+Certification does not trust convergence.  Each iterate Cholesky-factorizes
+its slacks and scales every cone, then reads two *exactly feasible* bounds:
 
 * upper bound — ``lambda_max(Tr_out sum_j Y_j)``, once every ``Y_j ∓ C_j``
   has factorized;
 * lower bound — for *any* density ``rho`` on the input factor,
   ``max { <C, X> : -rho ⊗ I <= X <= rho ⊗ I } = sum_j || (sqrt(rho) ⊗ I)
-  C_j (sqrt(rho) ⊗ I) ||_1``; at ``rho = Z3 / tr Z3``, with ``Z3 = L L†``
-  the dual's input block, ``L†`` is ``sqrt(Z3)`` up to a unitary.
+  C_j (sqrt(rho) ⊗ I) ||_1``; at ``rho = Z3 / tr Z3`` for the dual's input
+  block ``Z3 = M3 V3 M3†``, where ``Ψ = V3^{1/2} M3†`` is ``sqrt(Z3)`` up to
+  a unitary.
 
 The reported value is the midpoint of the best bounds; the call succeeds
 when their gap is at most the requested tolerance.
@@ -60,13 +60,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zpotrf, ztrtri
+from scipy.linalg.lapack import zpotrf, zpotrs, ztrtri
 
 from .channels import ChoiMatrix
 from .errors import DimensionMismatch, DimensionTooLarge, Unconverged
-from .linalg import (_is_integer, col_vec, hermitize, partial_trace,
-                     random_pure_states, rng, trace_norm)
+from .linalg import (_is_integer, col_vec, hermitize, random_pure_states, rng,
+                     trace_norm)
 
 __all__ = [
     "DiamondNormResult",
@@ -132,37 +131,30 @@ def _nt_scaling(chol: np.ndarray, chol_inv: np.ndarray, z: np.ndarray):
     """Nesterov-Todd scaling of each pair ``(S, Z)`` from the Cholesky factor
     ``S = L L†``: with ``L† Z L = U Λ U†``, ``M = L⁻† U Λ^{1/4}`` maps both to
     the same diagonal point, ``M† S M = M⁻¹ Z M⁻† = diag(v)``, ``v = λ^{1/2}``.
-    Returns ``(W⁻¹, M, M⁻¹, v)``, where ``W⁻¹ = M M† = L⁻† (L† Z L)^{1/2}
-    L⁻¹`` solves ``W Z W = S`` and ``M⁻¹ = Λ^{-1/4} U† L†``, the frame of
-    :func:`_second_order`."""
-    wg, ug = np.linalg.eigh(hermitize(_adjoint(chol) @ z @ chol))
-    quarter = np.maximum(wg, 1e-300) ** 0.25
-    half = _adjoint(chol_inv) @ (ug * quarter[..., None, :])
-    half_inv = _adjoint(chol @ (ug / quarter[..., None, :]))
-    return hermitize(half @ _adjoint(half)), half, half_inv, quarter * quarter
+    Returns ``(W⁻¹, M, v)``: ``W⁻¹ = M M† = L⁻† (L† Z L)^{1/2} L⁻¹`` solves
+    ``W Z W = S``.  Raises ``LinAlgError`` unless every ``Z`` > 0."""
+    wg, ug = np.linalg.eigh(_adjoint(chol) @ z @ chol)  # reads one triangle
+    if not wg.min() > 0:
+        raise np.linalg.LinAlgError("dual iterate is not positive definite")
+    quarter = wg ** 0.25
+    m = _adjoint(chol_inv) @ (ug * quarter[..., None, :])
+    return hermitize(m @ _adjoint(m)), m, quarter * quarter
 
 
-def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha with ``L L† + alpha*d`` positive definite (inf if
-    unbounded), given ``L⁻¹``: ``-1 / lambda_min(L⁻¹ d L⁻†)``.  Both may be
-    stacks, which share one ``eigvalsh`` call and one bound."""
-    lam = float(np.linalg.eigvalsh(
-        hermitize(chol_inv @ d @ _adjoint(chol_inv))).min())
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+def _scaled_eigvalsh(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``V^{-1/2} D V^{-1/2}``, ``V = diag(v)``, for each matrix
+    of a stack: ``V + alpha*D``, and so ``S + alpha*dS`` for ``D = M† dS M``,
+    stays positive definite up to ``alpha = -1 / lambda_min``."""
+    return np.linalg.eigvalsh(d / np.sqrt(v[..., :, None] * v[..., None, :]))
 
 
-def _second_order(m: np.ndarray, m_inv: np.ndarray, v: np.ndarray,
-                  ds: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Mehrotra's second-order correction ``M X M†`` of each cone, from the
-    predictor's directions ``ds``, ``dz`` and the scaling ``(M, M⁻¹, v)`` of
-    :func:`_nt_scaling`: with ``D_x = M† ds M`` and ``D_z = M⁻¹ dz M⁻†``,
-    ``X`` solves ``diag(v) X + X diag(v) = D_x D_z + D_z D_x``, an entrywise
-    divide by ``v_i + v_j``."""
-    prod = (_adjoint(m) @ ds @ m) @ (m_inv @ dz @ _adjoint(m_inv))
-    return hermitize(m @ ((prod + _adjoint(prod))
-                          / (v[..., None] + v[..., None, :])) @ _adjoint(m))
+def _second_order(v: np.ndarray, d_x: np.ndarray,
+                  d_z: np.ndarray) -> np.ndarray:
+    """Mehrotra's second-order term ``X`` of each cone in the scaled frame,
+    from the predictor's scaled directions: ``diag(v) X + X diag(v) = D_x D_z
+    + D_z D_x``, an entrywise divide by ``v_i + v_j``."""
+    prod = d_x @ d_z
+    return (prod + _adjoint(prod)) / (v[..., :, None] + v[..., None, :])
 
 
 def _lifted(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -174,15 +166,16 @@ def _lifted(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (psi.conj()[..., None, :, :] @ left).reshape(*left.shape[:-3], n, n)
 
 
-def _certificates(c: np.ndarray, ty: np.ndarray, z3_chol: np.ndarray):
+def _certificates(c: np.ndarray, ty: np.ndarray, m3: np.ndarray,
+                  v3: np.ndarray):
     """Bounds certified by the current iterate, given the blocks ``C_j``,
-    ``Tr_out sum_j Y_j`` and the Cholesky factor ``Z3 = L L†``.
+    ``Tr_out sum_j Y_j`` and the input block's scaling ``Z3 = M diag(v) M†``.
 
     Upper: ``lambda_max(Tr_out sum_j Y_j)``, valid once ``Y_j ∓ C_j`` have
     factorized.  Lower: ``sum_j ||(Ψ ⊗ I) C_j (Ψ ⊗ I)†||_1 / ||Ψ||_F²``, the
-    value of the unit pure input ``Ψ / ||Ψ||_F`` for any nonzero ``Ψ``;
-    ``Ψ = L†`` gives it at ``rho = Z3 / tr Z3``."""
-    psi = _adjoint(z3_chol)
+    value of the unit pure input ``Ψ / ||Ψ||_F`` for any nonzero ``Ψ``; ``Ψ
+    = diag(√v) M†`` (``Ψ†Ψ = Z3``) gives it at ``rho = Z3 / tr Z3``."""
+    psi = np.sqrt(v3)[:, None] * _adjoint(m3)
     lower = trace_norm(_lifted(c, psi)) / np.vdot(psi, psi).real
     return lower, float(np.linalg.eigvalsh(ty).max())
 
@@ -198,20 +191,21 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
         L(X)_j = W1_j X_j W1_j + W2_j X_j W2_j + P*(W3 P(sum_k X_k) W3).
 
     In block ``j``'s generalized eigenbasis ``V† (W1_j + W2_j) V = I``,
-    ``V† W2_j V = diag(λ)`` its two Kronecker terms ``L0`` are an entrywise
-    divide by ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is ``U U*``
-    with ``U(A)_j = P*(M A M†)`` in every block, and is added back by the
-    Woodbury identity with the Hermitian capacitance ``I + H``, ``H = U*
+    ``V† W2_j V = diag(λ)`` (``W1_j + W2_j = K K†``, ``K⁻¹ W2_j K⁻† = Q
+    diag(λ) Q†``, ``V = K⁻† Q``) its two Kronecker terms ``L0`` are an
+    entrywise divide by ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is
+    ``U U*`` with ``U(A)_j = P*(M A M†)`` in every block, and is added back by
+    the Woodbury identity with the Hermitian capacitance ``I + H``, ``H = U*
     L0⁻¹ U`` (``dim_in**2`` square for any ``B``, Cholesky-factorized); the
     ``t`` row is a scalar Schur step with ``G = U(M†M)``.  The returned
-    ``solve(r_y, r_t)`` gives ``(dY, dt)``.
+    ``solve(r_y, r_t)`` gives ``(dY, dt)``; ``r_y = None`` stands for zero.
 
     :raises numpy.linalg.LinAlgError: if a factorization fails.
     """
     n = dim_in * dim_out
-    lam, v = map(np.stack, zip(*(  # SciPy < 1.15 takes one pencil per call
-        scipy.linalg.eigh(b, a + b, check_finite=False)
-        for a, b in zip(wi1, wi2))))
+    _, k_inv = _cholesky_inverse(wi1 + wi2)
+    lam, q = np.linalg.eigh(k_inv @ wi2 @ _adjoint(k_inv))
+    v = _adjoint(k_inv) @ q
     rest = 1.0 - lam
     root = np.sqrt(rest[..., :, None] * rest[..., None, :]
                    + lam[..., :, None] * lam[..., None, :]).reshape(-1)
@@ -220,26 +214,27 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
     vm = (_adjoint(m3) @ v.reshape(-1, dim_in, dim_out * n)).reshape(
         -1, dim_in, dim_out, n).swapaxes(0, 1)
     f = (_adjoint(vm)[:, None] @ vm[None]).reshape(dim_in * dim_in, -1) / root
-    cap = scipy.linalg.cho_factor(np.eye(dim_in * dim_in) + f.conj() @ f.T,
-                                  check_finite=False)
+    cap, info = zpotrf(np.eye(dim_in * dim_in) + f.conj() @ f.T, lower=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"capacitance Cholesky failed ({info})")
 
     def l_inv(b):
         g = (_adjoint(v) @ b @ v).reshape(-1) / root
-        g = g - scipy.linalg.cho_solve(cap, f.conj() @ g,
-                                       check_finite=False) @ f
+        g = g - zpotrs(cap, (f @ g.conj()).conj(), lower=True)[0] @ f
         return v @ (g / root).reshape(v.shape) @ _adjoint(v)
 
     # with A = M†M, by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ A and the
     # Schur complement tr(W3²) - sum_j <G, (L⁻¹ G)_j> is <A, (I + H)⁻¹ A>
     a = (_adjoint(m3) @ m3).reshape(-1)
-    c3 = scipy.linalg.cho_solve(cap, a, check_finite=False)
+    c3 = zpotrs(cap, a, lower=True)[0]
     l_g = v @ ((c3 @ f) / root).reshape(v.shape) @ _adjoint(v)
     schur = np.vdot(a, c3).real
 
     def solve(r_y, r_t):
-        l_y = l_inv(r_y)
+        if r_y is None:
+            return hermitize(r_t / schur * l_g), r_t / schur
         dt = (r_t + np.vdot(l_g, r_y).real) / schur
-        return hermitize(l_y + dt * l_g), dt
+        return hermitize(l_inv(r_y) + dt * l_g), dt
 
     return solve
 
@@ -250,20 +245,20 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     ``(B, n, n)`` stack ``c``: certified ``(lower, upper, iterations,
     reason)``, ``reason`` one of ``converged``, ``max_iterations``,
     ``step_collapse`` (the complementarity measure or the step length fell
-    to zero) or ``linalg_error`` (a factorization failed).  Each iteration
-    factorizes the ``(2, B, n, n)`` slack stack ``Y_j ∓ C_j``, the input
-    block and their duals once, then reads the bounds and the step."""
+    to zero) or ``linalg_error`` (a slack, a pencil or the capacitance did
+    not factorize, or a dual has a nonpositive Nesterov-Todd eigenvalue).
+    Each iterate factorizes and scales every cone once, reads the bounds,
+    and steps in the scaled frame: ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``."""
     n = dim_in * dim_out
     n_total = 2 * len(c) * n + dim_in
     eye_in = np.eye(dim_in, dtype=complex)
-    eye_out = np.eye(dim_out, dtype=complex)
 
     def tr_out(x):  # of the block sum
-        return partial_trace(x.sum(0), [dim_in, dim_out], [0])
+        return np.trace(x.sum(0).reshape(dim_in, dim_out, dim_in, dim_out),
+                        axis1=1, axis2=3)
 
-    def mu_of(s, z):  # sum_k <S_k, Z_k> / n_total, one vdot per cone stack
-        return sum(np.vdot(a, b).real for a, b in
-                   zip([*s[0], s[1]], [*z[0], z[1]])) / n_total
+    def step(lam_min, tau):  # tau times the way to the boundary, at most 1
+        return 1.0 if lam_min >= -1e-14 else min(1.0, -tau / lam_min)
 
     # exactly feasible start: scaled identity blocks
     eta = 1.25  # > ||C||_2 = 1 after normalization
@@ -283,10 +278,9 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
         ty = tr_out(y)
         s = [np.stack([y - c, y + c]), t * eye_in - ty]
         try:
-            chols, chol_invs = zip(*map(_cholesky_inverse, s))
-            z_chols, z_chol_invs = zip(*map(_cholesky_inverse, z))
-
-            lower, upper = _certificates(c, ty, z_chols[1])
+            w_invs, ms, vs = zip(*(_nt_scaling(*_cholesky_inverse(sk), zk)
+                                   for sk, zk in zip(s, z)))
+            lower, upper = _certificates(c, ty, ms[1], vs[1])
             best_lower = max(best_lower, lower)
             best_upper = min(best_upper, upper)
             if best_upper - best_lower <= tol:
@@ -294,56 +288,54 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             if iterations == max_iterations:
                 break
 
-            mu = mu_of(s, z)
+            mu = sum(np.dot(v.ravel(), v.ravel()) for v in vs) / n_total
             if mu <= 0:
                 reason = "step_collapse"
                 break
 
-            w_invs, ms, m_invs, vs = zip(*map(_nt_scaling, chols, chol_invs,
-                                              z))
-            s_invs = [hermitize(_adjoint(li) @ li) for li in chol_invs]
             solve = _newton_solver(*w_invs[0], ms[1], dim_in, dim_out)
+            eyes = [np.eye(v.shape[-1]) for v in vs]
+            diag_v = [v[..., None] * e for v, e in zip(vs, eyes)]
 
-            def step(targets, tau):
-                # Newton step with dZ_k + W_k⁻¹ dS_k W_k⁻¹ = r_k - Z_k for
-                # the per-cone targets r_k, cut back to a fraction tau of the
-                # distance to each cone's boundary; the dual stays feasible
-                # through R_j = r1_j + r2_j - r3 ⊗ I (the identity factor
-                # broadcast) and r_t = tr r3 - 1; both Y_j ∓ C_j move by dY_j
-                r_y = ((targets[0][0] + targets[0][1]).reshape(
-                    -1, dim_in, dim_out, dim_in, dim_out)
-                       - targets[1][:, None, :, None] * eye_out[:, None, :])
-                dy, dt = solve(r_y.reshape(c.shape),
-                               float(np.trace(targets[1]).real) - 1.0)
+            def newton(r_y, r_t):  # dY, dt and D_x = M† dS M per cone
+                # with dZ_k + W_k⁻¹ dS_k W_k⁻¹ = r_k - Z_k, so that D_z =
+                # M⁻¹ r_k M⁻† - V - D_x; both Y_j ∓ C_j move by dY_j
+                dy, dt = solve(r_y, r_t)
                 ds = [dy, dt * eye_in - tr_out(dy)]
-                dz = [hermitize(r - zk - w_inv @ d @ w_inv)
-                      for r, zk, w_inv, d in zip(targets, z, w_invs, ds)]
-                alpha_p = min(1.0, tau * min(map(_max_step, chol_invs, ds)))
-                alpha_d = min(1.0, tau * min(map(_max_step, z_chol_invs, dz)))
-                return dy, dt, ds, dz, alpha_p, alpha_d
+                return dy, dt, [_adjoint(m) @ d @ m for m, d in zip(ms, ds)]
 
-            # affine-scaling predictor, toward S Z = 0, sets the centering
-            # parameter and the second-order term
-            _, _, ds, dz, alpha_p, alpha_d = step(
-                [np.zeros_like(zk) for zk in z], 0.99)
-            mu_affine = mu_of([sk + alpha_p * d for sk, d in zip(s, ds)],
-                              [zk + alpha_d * e for zk, e in zip(z, dz)])
+            # affine predictor (r = 0): one spectrum bounds both steps
+            _, _, d_x = newton(None, -1.0)
+            d_z = [-dv - dx for dv, dx in zip(diag_v, d_x)]
+            lams = [_scaled_eigvalsh(v, dx) for v, dx in zip(vs, d_x)]
+            alpha_p = step(min(lam.min() for lam in lams), 0.99)
+            alpha_d = step(-1.0 - max(lam.max() for lam in lams), 0.99)
+            mu_affine = sum(np.vdot(dv + alpha_p * dx, dv + alpha_d * dz).real
+                            for dv, dx, dz in zip(diag_v, d_x, d_z)) / n_total
             sigma = min(max((max(mu_affine, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
 
-            # Mehrotra corrector toward sigma * mu, less the predictor's
-            # second-order term: target_k = sigma mu S_k⁻¹ - c_k
-            targets = [sigma * mu * s_inv - _second_order(m, m_inv, v, d, e)
-                       for s_inv, m, m_inv, v, d, e
-                       in zip(s_invs, ms, m_invs, vs, ds, dz)]
-            dy, dt, _, dz, alpha_p, alpha_d = step(
-                targets, 0.9 if mu > 1e-4 else 0.98)
+            # Mehrotra corrector toward r_k = M (sigma mu V⁻¹ - X2_k) M†;
+            # R_j = r1_j + r2_j - r3 ⊗ I, r_t = tr r3 - 1 keep Z feasible
+            targets = [(sigma * mu / v)[..., None] * e
+                       - _second_order(v, dx, dz)
+                       for v, e, dx, dz in zip(vs, eyes, d_x, d_z)]
+            r = [hermitize(m @ tk @ _adjoint(m)) for m, tk in zip(ms, targets)]
+            dy, dt, d_x = newton(r[0].sum(0) - np.kron(r[1], np.eye(dim_out)),
+                                 float(np.trace(r[1]).real) - 1.0)
+            d_z = [tk - dv - dx for tk, dv, dx in zip(targets, diag_v, d_x)]
+            lams = [_scaled_eigvalsh(v, np.stack([dx, dz]))
+                    for v, dx, dz in zip(vs, d_x, d_z)]
+            tau = 0.9 if mu > 1e-4 else 0.98
+            alpha_p, alpha_d = (step(min(lam[k].min() for lam in lams), tau)
+                                for k in (0, 1))
             if min(alpha_p, alpha_d) < 1e-12:
                 reason = "step_collapse"
                 break
 
             y = y + alpha_p * dy
             t = t + alpha_p * dt
-            z = [zk + alpha_d * d for zk, d in zip(z, dz)]
+            z = [zk + alpha_d * hermitize(m @ dz @ _adjoint(m))
+                 for zk, m, dz in zip(z, ms, d_z)]
         except np.linalg.LinAlgError:
             reason = "linalg_error"
             break
@@ -353,20 +345,26 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
 
 
 def _split_sectors(c: np.ndarray, dim_in: int, dim_out: int):
-    """``(c, dim_out)`` of the direct sum of the ``(B, n, n)`` stack ``c`` over
-    its output sectors, the connected components of the pattern ``C_b[(i,o),
-    (j,p)] != 0`` of all blocks, in order of their first output, when there
-    are at least two and all have one size; else the stack as given."""
+    """``(c, dim_out)`` of the ``(B, n, n)`` stack ``c`` less its exactly zero
+    blocks and the outputs no block touches, split over its output sectors,
+    the connected components of the pattern ``C_b[(i,o),(j,p)] != 0``, in
+    order of their first output, when they all have one size.  An all-zero
+    stack is returned as given."""
     c5 = c.reshape(len(c), dim_in, dim_out, dim_in, dim_out)
     reach = np.any(c5 != 0, axis=(0, 1, 3))
-    reach = reach | reach.T | np.eye(dim_out, dtype=bool)
+    used = reach.any(0) | reach.any(1)
+    if not used.any():
+        return c, dim_out
+    c5 = c5[np.any(c != 0, axis=(1, 2))][:, :, used][..., used]
+    reach = reach[used][:, used]
+    reach = reach | reach.T | np.eye(len(reach), dtype=bool)
     while not np.array_equal(reach, grown := reach @ reach):
         reach = grown  # boolean closure: paths double in length each round
     sectors = reach[np.unique(reach.argmax(1))]
     size = sectors.sum(1)
-    if len(size) < 2 or (size != size[0]).any():
-        return c, dim_out
-    m = int(size[0])
+    if (size != size[0]).any():  # unequal sectors solve as one
+        sectors = sectors.any(0, keepdims=True)
+    m = int(sectors[0].sum())
     members = np.nonzero(sectors)[1].reshape(-1, m)  # ascending per sector
     c = np.concatenate([c5[:, :, s][..., s] for s in members])
     return c.reshape(-1, dim_in * m, dim_in * m), m
@@ -378,9 +376,10 @@ def diamond_norm(delta, tol: float = 1e-6,
 
     :param delta: Choi state (exactly Hermitian, as every ``ChoiMatrix``
         stores it), or a nonempty list or tuple of such blocks of one shape,
-        whose direct sum over an output register is the map.  Its outputs
-        fall into sectors that no block couples by an exactly nonzero entry;
-        two or more of one size split every block, with the same norm.
+        whose direct sum over an output register is the map.  Exactly zero
+        blocks and outputs are dropped; the other outputs fall into sectors
+        that no block couples by a nonzero entry, and sectors of one size
+        split every block, with the same norm.
     :param tol: requested absolute certification gap on the returned value.
     :param max_iterations: Newton steps allowed; with 0 the result is the
         bracket of the starting point.

@@ -9,15 +9,18 @@ from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             weyl_operators)
 from qimet.errors import (DimensionMismatch, DimensionTooLarge, NotHermitian,
                           QimetError, Unconverged)
-from qimet.instruments import (branch_differences, full_channel,
-                               ideal_instrument, random_general_implementation)
+from qimet.instruments import (branch_differences, expand_nonuniform,
+                               full_channel, ideal_instrument,
+                               random_general_implementation)
 from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
                           rng, trace_norm)
-from qimet.oracle import (DiamondNormResult, _certificates, _cholesky_inverse,
-                          _hillclimb, _lifted, _max_step, _newton_solver,
-                          _nt_scaling, _second_order, _solve_sdp,
-                          diamond_lower_hillclimb, diamond_norm,
-                          result_to_json)
+from qimet.metrics import nonuniform_outcome_diamond
+from qimet.oracle import (DiamondNormResult, _adjoint, _certificates,
+                          _cholesky_inverse, _hillclimb, _lifted,
+                          _newton_solver, _nt_scaling, _scaled_eigvalsh,
+                          _second_order, _solve_sdp, diamond_lower_hillclimb,
+                          diamond_norm, result_to_json)
+from qimet.verify import shipped_counterexample_model
 
 
 def random_hermitian_choi(dim_in, dim_out, seed, scale=1.0):
@@ -262,8 +265,8 @@ def test_non_hermitian_rejected_at_the_type():
 
 
 def factored_matrices(monkeypatch):
-    """Every matrix the solver Cholesky-factorizes, one per cone: a stack
-    passed to ``_cholesky_inverse`` is recorded through its slices."""
+    """Every matrix the solver Cholesky-factorizes, one per cone or pencil: a
+    stack passed to ``_cholesky_inverse`` is recorded through its slices."""
     factored = []
 
     def spy(m):
@@ -275,11 +278,25 @@ def factored_matrices(monkeypatch):
     return factored
 
 
+def scaled_duals(monkeypatch):
+    """The dual ``Z`` of every Nesterov-Todd scaling, one per cone family:
+    the ``(2, B, n, n)`` stack ``Z1_j, Z2_j`` and the input block ``Z3``."""
+    duals = []
+
+    def spy(chol, chol_inv, z):
+        duals.append(z)
+        return _nt_scaling(chol, chol_inv, z)
+
+    monkeypatch.setattr("qimet.oracle._nt_scaling", spy)
+    return duals
+
+
 def test_iterates_stay_exactly_hermitian(monkeypatch):
-    # every slack and dual the solver factorizes, in every block, is exactly
-    # Hermitian, though only products are symmetrized; the input carries a
-    # 1e-12 asymmetry
+    # every slack and dual the solver factorizes or scales, in every block,
+    # is exactly Hermitian, though only products are symmetrized; the input
+    # carries a 1e-12 asymmetry
     factored = factored_matrices(monkeypatch)
+    duals = scaled_duals(monkeypatch)
     gen = rng(165)
     for blocks in (1, 3):
         delta = []
@@ -289,14 +306,18 @@ def test_iterates_stay_exactly_hermitian(monkeypatch):
             delta.append(ChoiMatrix(
                 2, 3, random_hermitian_choi(2, 3, 165 + k).matrix + skew))
         factored.clear()
+        duals.clear()
         result = diamond_norm(delta, tol=1e-8)
         assert result.gap <= 1e-8
-        # per iterate, the start and the converged one included, 4B + 2
-        # factorizations: the slacks Y_j ∓ C_j and t I - Tr_out sum_j Y_j,
-        # and the duals Z1_j, Z2_j and Z3
-        assert len(factored) == (4 * blocks + 2) * (result.iterations + 1)
-        for m in factored:
-            assert np.array_equal(m, m.conj().T)
+        # per iterate, the start and the converged one included, the slacks
+        # Y_j ∓ C_j and t I - Tr_out sum_j Y_j, and per Newton step the B
+        # pencils W1_j + W2_j; the duals Z1_j, Z2_j and Z3 are scaled once
+        # per iterate
+        steps = result.iterations
+        assert len(factored) == (2 * blocks + 1) * (steps + 1) + blocks * steps
+        assert len(duals) == 2 * (steps + 1)
+        for m in [*factored, *duals]:
+            assert np.array_equal(m, _adjoint(m))
 
 
 def test_rejects_bad_tolerance():
@@ -359,11 +380,18 @@ def test_newton_solve_matches_dense_system(dim_in, dim_out):
                         .matrix for k in range(blocks)])
         r_t = float(gen.normal())
         m3 = np.linalg.cholesky(w3)  # any factor with w3 = M M†
-        dy, dt = _newton_solver(w1, w2, m3, dim_in, dim_out)(r_y, r_t)
-        ref = np.linalg.solve(dense_newton_system(w1, w2, w3, dim_in, dim_out),
-                              np.append(col_vec(np.hstack(r_y)), r_t))
+        solve = _newton_solver(w1, w2, m3, dim_in, dim_out)
+        dense = dense_newton_system(w1, w2, w3, dim_in, dim_out)
+        ref = np.linalg.solve(dense, np.append(col_vec(np.hstack(r_y)), r_t))
+        dy, dt = solve(r_y, r_t)
         ref_dy = ref[:-1].reshape(blocks, n, n).transpose(0, 2, 1)
         assert dy.shape == (blocks, n, n)
+        assert np.linalg.norm(dy - ref_dy) <= 1e-9 * np.linalg.norm(ref_dy)
+        assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
+        # r_y = None is the zero right-hand side of the affine predictor
+        ref = np.linalg.solve(dense, np.append(np.zeros(blocks * n * n), r_t))
+        dy, dt = solve(None, r_t)
+        ref_dy = ref[:-1].reshape(blocks, n, n).transpose(0, 2, 1)
         assert np.linalg.norm(dy - ref_dy) <= 1e-9 * np.linalg.norm(ref_dy)
         assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
 
@@ -373,7 +401,7 @@ def test_nt_scaling_maps_z_to_s(cond):
     gen = rng(2000)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        w_inv, m, _, _ = _nt_scaling(*_cholesky_inverse(s), z)
+        w_inv, m, _ = _nt_scaling(*_cholesky_inverse(s), z)
         assert (np.linalg.norm(w_inv @ s @ w_inv - z)
                 <= 1e-9 * np.linalg.norm(z))
         assert (np.linalg.norm(m @ m.conj().T - w_inv)
@@ -382,33 +410,59 @@ def test_nt_scaling_maps_z_to_s(cond):
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
 def test_nt_scaling_point_is_diagonal(cond):
-    # M⁻¹ inverts M, and M maps S and Z to the same point diag(v)
+    # M maps S and Z to the same point diag(v): M† S M = diag(v) and
+    # Z = M diag(v) M†
     gen = rng(2100)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        _, m, m_inv, v = _nt_scaling(*_cholesky_inverse(s), z)
-        assert np.linalg.norm(m_inv @ m - np.eye(side)) <= 1e-9 * np.sqrt(side)
-        for scaled in (m.conj().T @ s @ m, m_inv @ z @ m_inv.conj().T):
-            assert (np.linalg.norm(scaled - np.diag(v))
-                    <= 1e-9 * np.linalg.norm(v))
+        _, m, v = _nt_scaling(*_cholesky_inverse(s), z)
+        assert (np.linalg.norm(m.conj().T @ s @ m - np.diag(v))
+                <= 1e-9 * np.linalg.norm(v))
+        assert (np.linalg.norm((m * v) @ m.conj().T - z)
+                <= 1e-9 * np.linalg.norm(z))
+
+
+def test_nt_scaling_rejects_a_dual_off_the_cone():
+    # a dual that is not positive definite has a nonpositive NT eigenvalue
+    s = random_pd(4, 10.0, rng(2150))
+    for z in (np.diag([1.0, 1.0, 1.0, -1e-3]).astype(complex),
+              np.zeros((4, 4), dtype=complex)):
+        with pytest.raises(np.linalg.LinAlgError):
+            _nt_scaling(*_cholesky_inverse(s), z)
+
+
+def random_scaled_pair(side, cond, gen):
+    """``(S, Z)``, their scaling ``(W⁻¹, M, v)`` and a Hermitian ``dS``."""
+    s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
+    a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
+    return s, z, _nt_scaling(*_cholesky_inverse(s), z), hermitize(a)
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
 def test_second_order_term_solves_the_scaled_lyapunov_equation(cond):
-    # c = M X M† with diag(v) X + X diag(v) = D_x D_z + D_z D_x
+    # diag(v) X + X diag(v) = D_x D_z + D_z D_x, X exactly Hermitian
     gen = rng(2200)
     for side in (2, 6, 24):
-        s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        _, m, m_inv, v = _nt_scaling(*_cholesky_inverse(s), z)
-        ds, dz = (random_hermitian_choi(1, side, seed).matrix
-                  for seed in (side, side + 1))
-        c = _second_order(m, m_inv, v, ds, dz)
-        assert np.array_equal(c, c.conj().T)
-        x = m_inv @ c @ m_inv.conj().T
-        d_x, d_z = m.conj().T @ ds @ m, m_inv @ dz @ m_inv.conj().T
+        _, _, (_, _, v), d_x = random_scaled_pair(side, cond, gen)
+        d_z = random_hermitian_choi(1, side, side).matrix
+        x = _second_order(v, d_x, d_z)
+        assert np.array_equal(x, x.conj().T)
         rhs = d_x @ d_z + d_z @ d_x
         assert (np.linalg.norm(v[:, None] * x + x * v - rhs)
                 <= 1e-9 * np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_predictor_dual_direction_in_the_scaled_frame(cond):
+    # the affine direction dZ = -Z - W⁻¹ dS W⁻¹ is, in the scaled frame,
+    # D_z = M⁻¹ dZ M⁻† = -diag(v) - M† dS M, with no product of its own
+    gen = rng(2300)
+    for side in (2, 6, 24):
+        _, z, (w_inv, m, v), ds = random_scaled_pair(side, cond, gen)
+        d_z = -np.diag(v) - m.conj().T @ ds @ m
+        m_inv = np.linalg.inv(m)
+        ref = m_inv @ (-z - w_inv @ ds @ w_inv) @ m_inv.conj().T
+        assert np.linalg.norm(d_z - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_cholesky_inverse_factors_and_inverts():
@@ -431,14 +485,16 @@ def test_cholesky_inverse_rejects_indefinite():
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (4, 3), (3, 1)])
 def test_lower_certificate_matches_kron_form(dims):
-    # the factor L† of Z3 = L L† gives the value at rho = Z3 / tr Z3, here
-    # against (sqrt(rho) ⊗ I) C (sqrt(rho) ⊗ I) with sqrt(rho) from eigh
+    # the factor Ψ = diag(√v) M† of Z3 = M diag(v) M† gives the value at
+    # rho = Z3 / tr Z3, here against (sqrt(rho) ⊗ I) C (sqrt(rho) ⊗ I) with
+    # sqrt(rho) from eigh
     dim_in, dim_out = dims
     gen = rng(2600 + dim_in * dim_out)
     c = random_hermitian_choi(dim_in, dim_out, 2700 + dim_in).matrix
     rho = random_density(dim_in, gen)
-    lower, _ = _certificates(c, np.eye(dim_in),
-                             _cholesky_inverse(3.0 * rho)[0])
+    _, m3, v3 = _nt_scaling(*_cholesky_inverse(random_pd(dim_in, 1e2, gen)),
+                            3.0 * rho)
+    lower, _ = _certificates(c, np.eye(dim_in), m3, v3)
     w, u = np.linalg.eigh(rho)
     g = np.kron((u * np.sqrt(w)) @ u.conj().T, np.eye(dim_out))
     assert abs(lower - trace_norm(g @ c @ g)) <= 1e-12
@@ -464,26 +520,26 @@ def test_any_factor_gives_a_lower_bound(dims):
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
 def test_max_step_is_the_generalized_eigenvalue_bound(cond):
+    # the scaled step bound on D_x = M† dS M, -1 / lambda_min(V^{-1/2} D_x
+    # V^{-1/2}), is -1 / lambda_min(S⁻¹ dS)
     gen = rng(3000)
+
+    def least(v, m, d):
+        return _scaled_eigvalsh(v, m.conj().T @ d @ m).min()
+
     for side in (2, 6, 24):
-        s = random_pd(side, cond, gen)
-        _, chol_inv = _cholesky_inverse(s)
-        a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
-        d = hermitize(a + a.conj().T)
+        s, _, (_, m, v), d = random_scaled_pair(side, cond, gen)
         ref = -1.0 / scipy.linalg.eigh(d, s, eigvals_only=True).min()
-        assert _max_step(chol_inv, d) == pytest.approx(ref, rel=1e-9)
+        assert -1.0 / least(v, m, d) == pytest.approx(ref, rel=1e-9)
         # a positive semidefinite direction never leaves the cone
-        assert _max_step(chol_inv, a @ a.conj().T) == np.inf
-        assert _max_step(chol_inv, np.zeros((side, side))) == np.inf
+        assert least(v, m, d @ d) >= -1e-14
+        assert least(v, m, np.zeros((side, side))) == 0.0
         # a stacked pair gives the tighter of the two bounds
-        s2 = random_pd(side, cond, gen)
-        d2 = hermitize(gen.normal(size=(side, side)) + 0j)
+        s2, _, (_, m2, v2), d2 = random_scaled_pair(side, cond, gen)
         ref2 = -1.0 / scipy.linalg.eigh(d2, s2, eigvals_only=True).min()
-        pair = np.stack([chol_inv, _cholesky_inverse(s2)[1]])
-        assert _max_step(pair, np.stack([d, d2])) == pytest.approx(
-            min(ref, ref2), rel=1e-9)
-        assert _max_step(pair, d) == pytest.approx(
-            min(ref, _max_step(pair[1], d)), rel=1e-9)
+        pair = np.stack([m.conj().T @ d @ m, m2.conj().T @ d2 @ m2])
+        assert -1.0 / _scaled_eigvalsh(np.stack([v, v2]), pair).min() == (
+            pytest.approx(min(ref, ref2), rel=1e-9))
 
 
 # ------------------------------------------------------------------
@@ -518,19 +574,70 @@ def test_corrector_converges_in_few_iterations():
 def test_iterates_stay_dual_feasible(monkeypatch, seed):
     # the corrector's targets enter every dual direction; each dual iterate
     # must keep Z1_j + Z2_j = Z3 ⊗ I in every block j and tr Z3 = 1
-    factored = factored_matrices(monkeypatch)
+    duals = scaled_duals(monkeypatch)
     blocks = instrument_blocks(seed)
     result = diamond_norm(blocks, tol=1e-7)
-    per_iterate = 4 * len(blocks) + 2
-    assert len(factored) == per_iterate * (result.iterations + 1)
-    for i in range(0, len(factored), per_iterate):
-        # slacks Y_j - C_j, Y_j + C_j, the input block; duals likewise
-        duals = factored[i + per_iterate // 2:i + per_iterate]
-        z1, z2, z3 = duals[:len(blocks)], duals[len(blocks):-1], duals[-1]
+    assert len(duals) == 2 * (result.iterations + 1)
+    for (z1, z2), z3 in zip(duals[::2], duals[1::2]):
+        assert z1.shape == z2.shape == (len(blocks), 16, 16)
         lifted = np.kron(z3, np.eye(len(z1[0]) // len(z3)))  # Z3 ⊗ I
         for z1_j, z2_j in zip(z1, z2):
             assert np.abs(z1_j + z2_j - lifted).max() < 1e-7
         assert abs(np.trace(z3) - 1.0) < 1e-7
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_instrument_blocks_converge_at_a_tight_tolerance(dims):
+    # tol 1e-9 on the outcome blocks of a general instrument; a pencil built
+    # from the NT factors instead of from W1 + W2, or the dual updated as
+    # r - Z - W⁻¹ dS W⁻¹ in the original frame, stops short on linalg_error
+    D, E = dims
+    impl = random_general_implementation(D, E, 0)
+    blocks = [ChoiMatrix(D * E, D * E, b) for b in branch_differences(impl)]
+    res = diamond_norm(blocks, tol=1e-9)
+    assert res.gap <= 1e-9
+    assert res.iterations <= 20
+
+
+def corrupted_solver(seed, size):
+    """``_newton_solver`` whose every ``dY`` carries a seeded Hermitian
+    perturbation of the given relative size."""
+    gen = rng(seed)
+
+    def factorize(*args):
+        solve = _newton_solver(*args)
+
+        def corrupted(r_y, r_t):
+            dy, dt = solve(r_y, r_t)
+            noise = hermitize(gen.normal(size=dy.shape)
+                              + 1j * gen.normal(size=dy.shape))
+            return dy + size * np.linalg.norm(dy) / np.linalg.norm(
+                noise) * noise, dt
+
+        return corrupted
+
+    return factorize
+
+
+@pytest.mark.parametrize("size", [1e-8, 1e-6, 1e-3, 1.0])
+def test_corrupted_newton_direction_never_certifies_a_wrong_value(
+        monkeypatch, size):
+    # the bounds come from exactly feasible points, not from the direction:
+    # a wrong direction may slow or stop the solve, but every bracket it
+    # certifies still holds the clean value
+    cases = [random_hermitian_choi(2, 3, seed=67), instrument_blocks(2)]
+    clean = [diamond_norm(delta, tol=1e-9) for delta in cases]
+    monkeypatch.setattr("qimet.oracle._newton_solver",
+                        corrupted_solver(68, size))
+    for delta, ref in zip(cases, clean):
+        try:
+            res = diamond_norm(delta, tol=1e-9, max_iterations=40)
+        except Unconverged as err:
+            res = err.result
+            assert res.primal_bound <= ref.value + 1e-9
+            assert ref.value <= res.dual_bound + 1e-9
+        else:
+            assert_brackets_overlap(res, ref)
 
 
 # ------------------------------------------------------------------
@@ -605,6 +712,21 @@ def test_block_list_splits_along_the_common_partition(monkeypatch, patterns,
     assert stacks[0].shape == shape
     dense = diamond_norm([output_rotated(b) for b in blocks], tol=1e-7)
     assert stacks[1].shape == (2, 8, 8)
+    assert_brackets_overlap(result, dense)
+
+
+def test_untouched_outputs_and_zero_blocks_are_dropped(monkeypatch):
+    # the shipped counterexample's branch 0 is exactly zero, and branch 1
+    # touches only outputs 1 and 3: one side-8 block is left to solve
+    stacks = solved_stacks(monkeypatch)
+    model = shipped_counterexample_model()
+    blocks = [ChoiMatrix(4, 4, b)
+              for b in branch_differences(expand_nonuniform(model))]
+    result = diamond_norm(blocks, tol=1e-7)
+    assert stacks[-1].shape == (1, 8, 8)
+    assert abs(result.value - nonuniform_outcome_diamond(model)) <= 1e-7
+    dense = diamond_norm([output_rotated(b) for b in blocks], tol=1e-7)
+    assert stacks[-1].shape == (1, 16, 16)
     assert_brackets_overlap(result, dense)
 
 

@@ -83,15 +83,17 @@ def full_route_delta(impl):
             - choi_from_kraus(full_channel(ideal)))
 
 
+def haar_unitary(d, gen):
+    q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
 def output_rotated(choi, seed=7):
     """``(I ⊗ U) C (I ⊗ U)†`` for a seeded Haar unitary ``U`` on the output:
     the same diamond norm, with every output coupled to every other, so the
     oracle solves it as one dense block."""
-    gen = rng(seed)
-    d = choi.dim_out
-    q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
-    u = np.kron(np.eye(choi.dim_in), q * (np.diagonal(r) / abs(np.diagonal(r))))
-    return ChoiMatrix(choi.dim_in, d, u @ choi.matrix @ u.conj().T)
+    u = np.kron(np.eye(choi.dim_in), haar_unitary(choi.dim_out, rng(seed)))
+    return ChoiMatrix(choi.dim_in, choi.dim_out, u @ choi.matrix @ u.conj().T)
 
 
 def direct_sum(blocks):
@@ -148,6 +150,16 @@ def test_block_oracle_matches_the_full_channel_route(kind, seed):
                                 diamond_norm(output_rotated(full), tol=1e-7))
 
 
+def random_blocks(seed, count, dims):
+    """``count`` random Hermitian Choi blocks of one shape."""
+    dim_in, dim_out = dims
+    side = dim_in * dim_out
+    gen = rng(seed)
+    a = (gen.normal(size=(count, side, side))
+         + 1j * gen.normal(size=(count, side, side)))
+    return [ChoiMatrix(dim_in, dim_out, b) for b in hermitize(a) / side]
+
+
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(seed=SEEDS, count=st.integers(2, 4),
        dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
@@ -155,17 +167,63 @@ def test_block_oracle_matches_the_direct_sum(seed, count, dims):
     # random Hermitian blocks, solved as blocks, as one block-diagonal map
     # (which the oracle splits back into them) and as that map made dense
     dim_in, dim_out = dims
-    side = dim_in * dim_out
-    gen = rng(seed)
-    a = (gen.normal(size=(count, side, side))
-         + 1j * gen.normal(size=(count, side, side)))
-    stack = hermitize(a) / side
-    blocks = [ChoiMatrix(dim_in, dim_out, b) for b in stack]
-    full = ChoiMatrix(dim_in, dim_out * count, direct_sum(stack))
+    blocks = random_blocks(seed, count, dims)
+    full = ChoiMatrix(dim_in, dim_out * count,
+                      direct_sum(np.stack([b.matrix for b in blocks])))
     by_blocks = diamond_norm(blocks, tol=1e-7)
     assert_brackets_overlap(by_blocks, diamond_norm(full, tol=1e-7))
     assert_brackets_overlap(by_blocks,
                             diamond_norm(output_rotated(full), tol=1e-7))
+
+
+ORACLE = settings(derandomize=True, database=None, max_examples=10,
+                  deadline=None)
+BLOCKS = {"seed": SEEDS, "count": st.integers(1, 3),
+          "dims": st.sampled_from([(1, 3), (2, 1), (2, 2), (2, 3), (3, 2)])}
+
+
+@ORACLE
+@given(**BLOCKS, factor=st.floats(-8.0, 8.0).filter(lambda a: abs(a) > 1e-3))
+def test_oracle_is_absolutely_homogeneous(seed, count, dims, factor):
+    # ||aC||◇ = |a| ||C||◇: the scaled bracket overlaps the scaled solve's
+    blocks = random_blocks(seed, count, dims)
+    base = diamond_norm(blocks, tol=1e-7)
+    scaled = diamond_norm([ChoiMatrix(*dims, factor * b.matrix)
+                           for b in blocks], tol=1e-7)
+    slack = 1e-9 * max(1.0, abs(factor))
+    assert scaled.primal_bound <= abs(factor) * base.dual_bound + slack
+    assert abs(factor) * base.primal_bound <= scaled.dual_bound + slack
+
+
+@ORACLE
+@given(**BLOCKS)
+def test_oracle_obeys_the_triangle_inequality(seed, count, dims):
+    # the certified lower bound of ||C1 + C2||◇ never exceeds the certified
+    # upper bounds of ||C1||◇ + ||C2||◇
+    first = random_blocks(seed, count, dims)
+    second = random_blocks(seed + 1, count, dims)
+    total = [ChoiMatrix(*dims, a.matrix + b.matrix)
+             for a, b in zip(first, second)]
+    assert (diamond_norm(total, tol=1e-7).primal_bound
+            <= diamond_norm(first, tol=1e-7).dual_bound
+            + diamond_norm(second, tol=1e-7).dual_bound + 1e-9)
+
+
+@ORACLE
+@given(**BLOCKS)
+def test_oracle_is_invariant_under_local_unitaries(seed, count, dims):
+    # (U ⊗ V_j) C_j (U ⊗ V_j)†, one input unitary U and an output unitary
+    # V_j per block, leaves the norm of the direct sum unchanged
+    dim_in, dim_out = dims
+    blocks = random_blocks(seed, count, dims)
+    gen = rng(seed + 2)
+    u = haar_unitary(dim_in, gen)
+    rotated = []
+    for b in blocks:
+        w = np.kron(u, haar_unitary(dim_out, gen))
+        rotated.append(ChoiMatrix(dim_in, dim_out, w @ b.matrix @ w.conj().T))
+    assert_brackets_overlap(diamond_norm(blocks, tol=1e-7),
+                            diamond_norm(rotated, tol=1e-7))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
