@@ -36,6 +36,7 @@ system is solved on the ``n x n`` blocks (``n = dim_in * dim_out``) by an
 entrywise divide in each block's generalized eigenbasis, a Woodbury step
 for the partial trace they share and a scalar Schur step for ``t``
 (:func:`_newton_solver`), at ``O(dim_in**2 * B * n**3)`` per iteration.
+Each factorization is one call of NumPy's batched ``linalg`` per stack.
 
 Certification does not trust convergence.  Each iterate Cholesky-factorizes
 its slacks and scales every cone, then reads two *exactly feasible* bounds:
@@ -60,7 +61,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs, ztrtri
 
 from .channels import ChoiMatrix
 from .errors import DimensionMismatch, DimensionTooLarge, Unconverged
@@ -110,34 +110,32 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor ``L``, ``m = L L†``, of each matrix in a stack."""
+    chol = np.linalg.cholesky(m)  # raises LinAlgError unless m > 0
+    if not np.isfinite(chol).all():  # LAPACK passes a NaN without an error
+        raise np.linalg.LinAlgError("Cholesky factor is not finite")
+    return chol
+
+
 def _cholesky_inverse(m: np.ndarray):
-    """``(L, L⁻¹)`` with ``m = L L†``, for each matrix of a stack; raises
-    ``LinAlgError`` unless m > 0.  Calls LAPACK directly, one matrix at a
-    time: at the sides of the verify checks the argument handling of the
-    generic wrappers costs more than the factorization."""
-    if m.ndim > 2:
-        pairs = [_cholesky_inverse(a) for a in m.reshape(-1, *m.shape[-2:])]
-        return tuple(np.reshape(x, m.shape) for x in zip(*pairs))
-    chol, info = zpotrf(m, lower=True)
-    if info == 0:
-        chol_inv, info = ztrtri(chol, lower=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"Cholesky factorization or inversion failed (info {info})")
-    return chol, chol_inv
+    """``(L, L⁻¹)`` of each matrix in a stack, both exactly lower triangular:
+    the LU inverse of the upper triangular ``L†`` never swaps a row."""
+    chol = _cholesky(m)
+    return chol, _adjoint(np.linalg.inv(_adjoint(chol)))
 
 
-def _nt_scaling(chol: np.ndarray, chol_inv: np.ndarray, z: np.ndarray):
+def _nt_scaling(chol: np.ndarray, z: np.ndarray):
     """Nesterov-Todd scaling of each pair ``(S, Z)`` from the Cholesky factor
-    ``S = L L†``: with ``L† Z L = U Λ U†``, ``M = L⁻† U Λ^{1/4}`` maps both to
-    the same diagonal point, ``M† S M = M⁻¹ Z M⁻† = diag(v)``, ``v = λ^{1/2}``.
-    Returns ``(W⁻¹, M, v)``: ``W⁻¹ = M M† = L⁻† (L† Z L)^{1/2} L⁻¹`` solves
-    ``W Z W = S``.  Raises ``LinAlgError`` unless every ``Z`` > 0."""
+    ``S = L L†``: with ``L† Z L = U Λ U†``, ``M = L⁻† U Λ^{1/4}`` (solved with
+    ``L†``) maps both to one diagonal point, ``M† S M = M⁻¹ Z M⁻† = diag(v)``,
+    ``v = λ^{1/2}``.  Returns ``(W⁻¹, M, v)``, ``W⁻¹ = M M† = L⁻† (L† Z
+    L)^{1/2} L⁻¹`` solving ``W Z W = S``; raises ``LinAlgError`` unless Z>0."""
     wg, ug = np.linalg.eigh(_adjoint(chol) @ z @ chol)  # reads one triangle
     if not wg.min() > 0:
         raise np.linalg.LinAlgError("dual iterate is not positive definite")
     quarter = wg ** 0.25
-    m = _adjoint(chol_inv) @ (ug * quarter[..., None, :])
+    m = np.linalg.solve(_adjoint(chol), ug * quarter[..., None, :])
     return hermitize(m @ _adjoint(m)), m, quarter * quarter
 
 
@@ -196,9 +194,10 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
     entrywise divide by ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is
     ``U U*`` with ``U(A)_j = P*(M A M†)`` in every block, and is added back by
     the Woodbury identity with the Hermitian capacitance ``I + H``, ``H = U*
-    L0⁻¹ U`` (``dim_in**2`` square for any ``B``, Cholesky-factorized); the
-    ``t`` row is a scalar Schur step with ``G = U(M†M)``.  The returned
-    ``solve(r_y, r_t)`` gives ``(dY, dt)``; ``r_y = None`` stands for zero.
+    L0⁻¹ U`` (``dim_in**2`` square for any ``B``; with ``I + H = R R†``,
+    ``(I + H)⁻¹ b = R⁻† (R⁻¹ b)``); the ``t`` row is a scalar Schur step with
+    ``G = U(M†M)``.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``;
+    ``r_y = None`` stands for zero.
 
     :raises numpy.linalg.LinAlgError: if a factorization fails.
     """
@@ -214,19 +213,17 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
     vm = (_adjoint(m3) @ v.reshape(-1, dim_in, dim_out * n)).reshape(
         -1, dim_in, dim_out, n).swapaxes(0, 1)
     f = (_adjoint(vm)[:, None] @ vm[None]).reshape(dim_in * dim_in, -1) / root
-    cap, info = zpotrf(np.eye(dim_in * dim_in) + f.conj() @ f.T, lower=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"capacitance Cholesky failed ({info})")
+    _, cap = _cholesky_inverse(hermitize(np.eye(len(f)) + f.conj() @ f.T))
 
     def l_inv(b):
         g = (_adjoint(v) @ b @ v).reshape(-1) / root
-        g = g - zpotrs(cap, (f @ g.conj()).conj(), lower=True)[0] @ f
+        g = g - _adjoint(cap) @ (cap @ (f @ g.conj()).conj()) @ f
         return v @ (g / root).reshape(v.shape) @ _adjoint(v)
 
     # with A = M†M, by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ A and the
     # Schur complement tr(W3²) - sum_j <G, (L⁻¹ G)_j> is <A, (I + H)⁻¹ A>
     a = (_adjoint(m3) @ m3).reshape(-1)
-    c3 = zpotrs(cap, a, lower=True)[0]
+    c3 = _adjoint(cap) @ (cap @ a)
     l_g = v @ ((c3 @ f) / root).reshape(v.shape) @ _adjoint(v)
     schur = np.vdot(a, c3).real
 
@@ -246,7 +243,8 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     reason)``, ``reason`` one of ``converged``, ``max_iterations``,
     ``step_collapse`` (the complementarity measure or the step length fell
     to zero) or ``linalg_error`` (a slack, a pencil or the capacitance did
-    not factorize, or a dual has a nonpositive Nesterov-Todd eigenvalue).
+    not factorize, a dual has a nonpositive Nesterov-Todd eigenvalue, or a
+    factor or a step bound is not finite).
     Each iterate factorizes and scales every cone once, reads the bounds,
     and steps in the scaled frame: ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``."""
     n = dim_in * dim_out
@@ -257,7 +255,9 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
         return np.trace(x.sum(0).reshape(dim_in, dim_out, dim_in, dim_out),
                         axis1=1, axis2=3)
 
-    def step(lam_min, tau):  # tau times the way to the boundary, at most 1
+    def step(bounds, tau):  # tau times the way to the boundary, at most 1
+        if not np.isfinite(lam_min := np.min(bounds)):  # min() drops a NaN
+            raise np.linalg.LinAlgError("step bound is not finite")
         return 1.0 if lam_min >= -1e-14 else min(1.0, -tau / lam_min)
 
     # exactly feasible start: scaled identity blocks
@@ -278,7 +278,7 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
         ty = tr_out(y)
         s = [np.stack([y - c, y + c]), t * eye_in - ty]
         try:
-            w_invs, ms, vs = zip(*(_nt_scaling(*_cholesky_inverse(sk), zk)
+            w_invs, ms, vs = zip(*(_nt_scaling(_cholesky(sk), zk)
                                    for sk, zk in zip(s, z)))
             lower, upper = _certificates(c, ty, ms[1], vs[1])
             best_lower = max(best_lower, lower)
@@ -308,8 +308,8 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             _, _, d_x = newton(None, -1.0)
             d_z = [-dv - dx for dv, dx in zip(diag_v, d_x)]
             lams = [_scaled_eigvalsh(v, dx) for v, dx in zip(vs, d_x)]
-            alpha_p = step(min(lam.min() for lam in lams), 0.99)
-            alpha_d = step(-1.0 - max(lam.max() for lam in lams), 0.99)
+            alpha_p = step([lam.min() for lam in lams], 0.99)
+            alpha_d = step([-1.0 - lam.max() for lam in lams], 0.99)
             mu_affine = sum(np.vdot(dv + alpha_p * dx, dv + alpha_d * dz).real
                             for dv, dx, dz in zip(diag_v, d_x, d_z)) / n_total
             sigma = min(max((max(mu_affine, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
@@ -326,7 +326,7 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             lams = [_scaled_eigvalsh(v, np.stack([dx, dz]))
                     for v, dx, dz in zip(vs, d_x, d_z)]
             tau = 0.9 if mu > 1e-4 else 0.98
-            alpha_p, alpha_d = (step(min(lam[k].min() for lam in lams), tau)
+            alpha_p, alpha_d = (step([lam[k].min() for lam in lams], tau)
                                 for k in (0, 1))
             if min(alpha_p, alpha_d) < 1e-12:
                 reason = "step_collapse"

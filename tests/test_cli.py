@@ -359,3 +359,30 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy made unimportable, a
+    # fresh interpreter imports the CLI and verify and runs the oracle and a
+    # report, and a plain CLI import loads no scipy module
+    from qimet.channels import ChoiMatrix
+    v = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
+    delta = (choi_from_kraus(identity_channel(2)).matrix
+             - np.outer(v, v.conj()) / 2)
+    choi, model = tmp_path / "delta.json", tmp_path / "model.json"
+    choi.write_text(json.dumps(choi_to_json(ChoiMatrix(2, 2, delta))))
+    assert main(["gen", "general", "--seed", "3", "--out", str(model)]) == 0
+    argvs = [["oracle-diamond", str(choi), "--tol", "1e-7"],
+             ["metrics", str(model)]]
+    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    probe = ("import sys; sys.modules['scipy'] = None\n"
+             "import qimet.cli, qimet.verify\n"
+             f"print([qimet.cli.main(a) for a in {argvs!r}])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[0, 0]"
+    probe = ("import sys, qimet.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -16,7 +16,7 @@ from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
                           rng, trace_norm)
 from qimet.metrics import nonuniform_outcome_diamond
 from qimet.oracle import (DiamondNormResult, _adjoint, _certificates,
-                          _cholesky_inverse, _hillclimb, _lifted,
+                          _cholesky, _cholesky_inverse, _hillclimb, _lifted,
                           _newton_solver, _nt_scaling, _scaled_eigvalsh,
                           _second_order, _solve_sdp, diamond_lower_hillclimb,
                           diamond_norm, result_to_json)
@@ -265,16 +265,15 @@ def test_non_hermitian_rejected_at_the_type():
 
 
 def factored_matrices(monkeypatch):
-    """Every matrix the solver Cholesky-factorizes, one per cone or pencil: a
-    stack passed to ``_cholesky_inverse`` is recorded through its slices."""
+    """Every matrix the solver Cholesky-factorizes, one per cone, pencil or
+    capacitance: each slice of a stack passed to ``_cholesky``."""
     factored = []
 
     def spy(m):
-        if m.ndim == 2:
-            factored.append(m)
-        return _cholesky_inverse(m)
+        factored.extend(m.reshape(-1, *m.shape[-2:]))
+        return _cholesky(m)
 
-    monkeypatch.setattr("qimet.oracle._cholesky_inverse", spy)
+    monkeypatch.setattr("qimet.oracle._cholesky", spy)
     return factored
 
 
@@ -283,9 +282,9 @@ def scaled_duals(monkeypatch):
     the ``(2, B, n, n)`` stack ``Z1_j, Z2_j`` and the input block ``Z3``."""
     duals = []
 
-    def spy(chol, chol_inv, z):
+    def spy(chol, z):
         duals.append(z)
-        return _nt_scaling(chol, chol_inv, z)
+        return _nt_scaling(chol, z)
 
     monkeypatch.setattr("qimet.oracle._nt_scaling", spy)
     return duals
@@ -311,10 +310,11 @@ def test_iterates_stay_exactly_hermitian(monkeypatch):
         assert result.gap <= 1e-8
         # per iterate, the start and the converged one included, the slacks
         # Y_j ∓ C_j and t I - Tr_out sum_j Y_j, and per Newton step the B
-        # pencils W1_j + W2_j; the duals Z1_j, Z2_j and Z3 are scaled once
-        # per iterate
+        # pencils W1_j + W2_j and the one capacitance I + H; the duals Z1_j,
+        # Z2_j and Z3 are scaled once per iterate
         steps = result.iterations
-        assert len(factored) == (2 * blocks + 1) * (steps + 1) + blocks * steps
+        assert len(factored) == ((2 * blocks + 1) * (steps + 1)
+                                 + blocks * steps + steps)
         assert len(duals) == 2 * (steps + 1)
         for m in [*factored, *duals]:
             assert np.array_equal(m, _adjoint(m))
@@ -401,7 +401,7 @@ def test_nt_scaling_maps_z_to_s(cond):
     gen = rng(2000)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        w_inv, m, _ = _nt_scaling(*_cholesky_inverse(s), z)
+        w_inv, m, _ = _nt_scaling(_cholesky(s), z)
         assert (np.linalg.norm(w_inv @ s @ w_inv - z)
                 <= 1e-9 * np.linalg.norm(z))
         assert (np.linalg.norm(m @ m.conj().T - w_inv)
@@ -415,7 +415,7 @@ def test_nt_scaling_point_is_diagonal(cond):
     gen = rng(2100)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        _, m, v = _nt_scaling(*_cholesky_inverse(s), z)
+        _, m, v = _nt_scaling(_cholesky(s), z)
         assert (np.linalg.norm(m.conj().T @ s @ m - np.diag(v))
                 <= 1e-9 * np.linalg.norm(v))
         assert (np.linalg.norm((m * v) @ m.conj().T - z)
@@ -428,14 +428,14 @@ def test_nt_scaling_rejects_a_dual_off_the_cone():
     for z in (np.diag([1.0, 1.0, 1.0, -1e-3]).astype(complex),
               np.zeros((4, 4), dtype=complex)):
         with pytest.raises(np.linalg.LinAlgError):
-            _nt_scaling(*_cholesky_inverse(s), z)
+            _nt_scaling(_cholesky(s), z)
 
 
 def random_scaled_pair(side, cond, gen):
     """``(S, Z)``, their scaling ``(W⁻¹, M, v)`` and a Hermitian ``dS``."""
     s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
     a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
-    return s, z, _nt_scaling(*_cholesky_inverse(s), z), hermitize(a)
+    return s, z, _nt_scaling(_cholesky(s), z), hermitize(a)
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
@@ -473,6 +473,23 @@ def test_cholesky_inverse_factors_and_inverts():
         np.testing.assert_allclose(chol @ chol.conj().T, m, atol=1e-12)
         np.testing.assert_allclose(chol_inv @ chol, np.eye(side), atol=1e-9)
         assert not np.triu(chol, 1).any() and not np.triu(chol_inv, 1).any()
+    # a stack factors slice by slice
+    stack = np.stack([random_pd(6, 1e3, gen) for _ in range(3)])
+    chol, chol_inv = _cholesky_inverse(stack)
+    for m, c, c_inv in zip(stack, chol, chol_inv):
+        assert np.array_equal((c, c_inv), _cholesky_inverse(m))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cholesky_rejects_non_finite_entries(bad):
+    # LAPACK factors a NaN or +inf entry without an error and returns a
+    # factor that is not finite; the helpers raise instead
+    for pos in ((1, 1), (2, 0)):
+        m = np.eye(3, dtype=complex)
+        m[pos] = m[pos[::-1]] = bad
+        for helper in (_cholesky, _cholesky_inverse):
+            with pytest.raises(np.linalg.LinAlgError):
+                helper(m)
 
 
 def test_cholesky_inverse_rejects_indefinite():
@@ -492,8 +509,7 @@ def test_lower_certificate_matches_kron_form(dims):
     gen = rng(2600 + dim_in * dim_out)
     c = random_hermitian_choi(dim_in, dim_out, 2700 + dim_in).matrix
     rho = random_density(dim_in, gen)
-    _, m3, v3 = _nt_scaling(*_cholesky_inverse(random_pd(dim_in, 1e2, gen)),
-                            3.0 * rho)
+    _, m3, v3 = _nt_scaling(_cholesky(random_pd(dim_in, 1e2, gen)), 3.0 * rho)
     lower, _ = _certificates(c, np.eye(dim_in), m3, v3)
     w, u = np.linalg.eigh(rho)
     g = np.kron((u * np.sqrt(w)) @ u.conj().T, np.eye(dim_out))
@@ -638,6 +654,61 @@ def test_corrupted_newton_direction_never_certifies_a_wrong_value(
             assert ref.value <= res.dual_bound + 1e-9
         else:
             assert_brackets_overlap(res, ref)
+
+
+@pytest.mark.parametrize("part", ["dy", "dt"])
+def test_nan_direction_stops_the_solve_where_it_arises(monkeypatch, part):
+    # a NaN in the third Newton solve's dY or dt stops the step from iterate
+    # 2, as iteration 3, before any iterate takes the NaN, and the bracket
+    # certified so far holds the clean value
+    delta = random_hermitian_choi(2, 3, seed=69)
+    clean = diamond_norm(delta, tol=1e-9)
+    calls = []
+
+    def factorize(*args):
+        calls.append(None)
+        solve = _newton_solver(*args)
+        if len(calls) < 3:
+            return solve
+
+        def poisoned(r_y, r_t):
+            dy, dt = solve(r_y, r_t)
+            return (dy * np.nan, dt) if part == "dy" else (dy, np.nan)
+
+        return poisoned
+
+    monkeypatch.setattr("qimet.oracle._newton_solver", factorize)
+    with pytest.raises(Unconverged, match="linalg_error") as info:
+        diamond_norm(delta, tol=1e-9)
+    res = info.value.result
+    assert res.iterations == 3
+    assert res.primal_bound <= clean.value + 1e-9
+    assert clean.value <= res.dual_bound + 1e-9
+
+
+@pytest.mark.parametrize("call", [9, 10, 12])
+def test_nan_step_bound_stops_the_solve_where_it_arises(monkeypatch, call):
+    # eigvalsh may return NaN for a NaN entry instead of raising, and
+    # min(1, -tau / nan) is a full step; iteration 2's step bounds are calls
+    # 9-10 (predictor) and 11-12 (corrector), one per cone family
+    delta = random_hermitian_choi(2, 3, seed=69)
+    clean = diamond_norm(delta, tol=1e-9)
+    calls = []
+
+    def poisoned(v, d):
+        calls.append(None)
+        lam = _scaled_eigvalsh(v, d)
+        if len(calls) == call:
+            lam[..., 0] = np.nan
+        return lam
+
+    monkeypatch.setattr("qimet.oracle._scaled_eigvalsh", poisoned)
+    with pytest.raises(Unconverged, match="linalg_error") as info:
+        diamond_norm(delta, tol=1e-9)
+    res = info.value.result
+    assert res.iterations == 3
+    assert res.primal_bound <= clean.value + 1e-9
+    assert clean.value <= res.dual_bound + 1e-9
 
 
 # ------------------------------------------------------------------
