@@ -27,9 +27,13 @@ therefore solves, over a stack of ``B`` blocks of one shape,
 with a primal-dual path-following interior-point method; the cones ``Y_j ∓
 C_j`` form one ``(2, B, n, n)`` stack.  Each iteration is a Mehrotra
 predictor-corrector step (Mehrotra 1992) in the Nesterov-Todd scaled frame
-(Todd, Toh and Tütüncü 1998) ``M† S M = M⁻¹ Z M⁻† = V = diag(v)``: a
-direction ``D_x = M† dS M`` gives its dual ``D_z`` without further
-products, and the step bounds are eigenvalues of ``V^{-1/2} D V^{-1/2}``.
+(Todd, Toh and Tütüncü 1998) ``M† S M = M⁻¹ Z M⁻† = V = diag(v)``.  The
+scaling is inverse-free, the SDPT3 form with the roles of ``S`` and ``Z``
+swapped: with the dual's Cholesky factor ``Z = R R†`` and ``R† S R = U Λ
+U†``, ``M = R U Λ^{-1/4}`` and ``v = λ^{1/2}``, so no triangular solve is
+made.  A direction ``D_x = M† dS M`` gives its dual ``D_z`` without
+further products, and the step bounds are eigenvalues of ``V^{-1/2} D
+V^{-1/2}``.
 The predictor sets the centering ``sigma = (mu_aff / mu)**3``; the corrector
 aims at ``sigma*mu*V⁻¹ - X2``, ``X2`` the second-order term.  The Newton
 system is solved on the ``n x n`` blocks (``n = dim_in * dim_out``) by an
@@ -39,7 +43,9 @@ for the partial trace they share and a scalar Schur step for ``t``
 Each factorization is one call of NumPy's batched ``linalg`` per stack.
 
 Certification does not trust convergence.  Each iterate Cholesky-factorizes
-its slacks and scales every cone, then reads two *exactly feasible* bounds:
+its slacks ``Y_j ∓ C_j`` and scales the input block, then reads two *exactly
+feasible* bounds and tests their gap; only an iterate that goes on to step
+scales the ``(2, B, n, n)`` block stack:
 
 * upper bound — ``lambda_max(Tr_out sum_j Y_j)``, once every ``Y_j ∓ C_j``
   has factorized;
@@ -64,8 +70,7 @@ import numpy as np
 
 from .channels import ChoiMatrix
 from .errors import DimensionMismatch, DimensionTooLarge, Unconverged
-from .linalg import (_is_integer, col_vec, hermitize, random_pure_states, rng,
-                     trace_norm)
+from .linalg import _is_integer, col_vec, hermitize, random_pure_states, rng
 
 __all__ = [
     "DiamondNormResult",
@@ -77,7 +82,7 @@ __all__ = [
 #: Hard cap on the Choi side of each block accepted by the solver.
 MAX_CHOI_SIDE = 144
 #: Hard cap on the ``B * (dim_in * side)**2`` entries of the Newton solve's
-#: Woodbury factor for ``B`` blocks (671 MB peak for four 12 x 12 blocks).
+#: Woodbury factor for ``B`` blocks (463 MB peak for four 12 x 12 blocks).
 MAX_WOODBURY_ENTRIES = 3456 ** 2
 
 
@@ -125,25 +130,34 @@ def _cholesky_inverse(m: np.ndarray):
     return chol, _adjoint(np.linalg.inv(_adjoint(chol)))
 
 
-def _nt_scaling(chol: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd scaling of each pair ``(S, Z)`` from the Cholesky factor
-    ``S = L L†``: with ``L† Z L = U Λ U†``, ``M = L⁻† U Λ^{1/4}`` (solved with
-    ``L†``) maps both to one diagonal point, ``M† S M = M⁻¹ Z M⁻† = diag(v)``,
-    ``v = λ^{1/2}``.  Returns ``(W⁻¹, M, v)``, ``W⁻¹ = M M† = L⁻† (L† Z
-    L)^{1/2} L⁻¹`` solving ``W Z W = S``; raises ``LinAlgError`` unless Z>0."""
-    wg, ug = np.linalg.eigh(_adjoint(chol) @ z @ chol)  # reads one triangle
+def _nt_scaling(s: np.ndarray, z: np.ndarray):
+    """Nesterov-Todd scaling of each pair ``(S, Z)``, inverse-free from the
+    dual's Cholesky factor ``Z = R R†``: with ``R† S R = U Λ U†``, ``M = R U
+    Λ^{-1/4}`` maps both to one diagonal point, ``M† S M = M⁻¹ Z M⁻† =
+    diag(v)``, ``v = λ^{1/2}``.  Returns ``(W⁻¹, M, M†, v)``, ``W⁻¹ = M M† =
+    R (R† S R)^{-1/2} R†`` solving ``W Z W = S``; raises ``LinAlgError``
+    unless ``Z > 0`` and ``S > 0``."""
+    r = _cholesky(z)
+    wg, ug = np.linalg.eigh(_adjoint(r) @ s @ r)  # reads one triangle
     if not wg.min() > 0:
-        raise np.linalg.LinAlgError("dual iterate is not positive definite")
-    quarter = wg ** 0.25
-    m = np.linalg.solve(_adjoint(chol), ug * quarter[..., None, :])
-    return hermitize(m @ _adjoint(m)), m, quarter * quarter
+        raise np.linalg.LinAlgError("slack iterate is not positive definite")
+    m = r @ (ug * wg[..., None, :] ** -0.25)
+    mh = _adjoint(m)
+    return hermitize(m @ mh), m, mh, np.sqrt(wg)
 
 
-def _scaled_eigvalsh(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``V^{-1/2} D V^{-1/2}``, ``V = diag(v)``, for each matrix
-    of a stack: ``V + alpha*D``, and so ``S + alpha*dS`` for ``D = M† dS M``,
-    stays positive definite up to ``alpha = -1 / lambda_min``."""
-    return np.linalg.eigvalsh(d / np.sqrt(v[..., :, None] * v[..., None, :]))
+def _step_scale(v: np.ndarray) -> np.ndarray:
+    """``(v_i v_j)^{-1/2}`` of each ``v`` in a stack, the entrywise factor of
+    ``V^{-1/2} D V^{-1/2}``, ``V = diag(v)``."""
+    return 1.0 / np.sqrt(v[..., :, None] * v[..., None, :])
+
+
+def _scaled_eigvalsh(scale: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``V^{-1/2} D V^{-1/2}`` for each matrix of a stack, given
+    ``scale = _step_scale(v)``: ``V + alpha*D``, and so ``S + alpha*dS`` for
+    ``D = M† dS M``, stays positive definite up to ``alpha = -1 /
+    lambda_min``."""
+    return np.linalg.eigvalsh(d * scale)
 
 
 def _second_order(v: np.ndarray, d_x: np.ndarray,
@@ -164,18 +178,22 @@ def _lifted(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (psi.conj()[..., None, :, :] @ left).reshape(*left.shape[:-3], n, n)
 
 
-def _certificates(c: np.ndarray, ty: np.ndarray, m3: np.ndarray,
+def _certificates(c: np.ndarray, ty: np.ndarray, mh3: np.ndarray,
                   v3: np.ndarray):
     """Bounds certified by the current iterate, given the blocks ``C_j``,
-    ``Tr_out sum_j Y_j`` and the input block's scaling ``Z3 = M diag(v) M†``.
+    ``Tr_out sum_j Y_j`` and the input block's scaling ``Z3 = M diag(v) M†``
+    as ``M† = mh3``.
 
     Upper: ``lambda_max(Tr_out sum_j Y_j)``, valid once ``Y_j ∓ C_j`` have
     factorized.  Lower: ``sum_j ||(Ψ ⊗ I) C_j (Ψ ⊗ I)†||_1 / ||Ψ||_F²``, the
     value of the unit pure input ``Ψ / ||Ψ||_F`` for any nonzero ``Ψ``; ``Ψ
-    = diag(√v) M†`` (``Ψ†Ψ = Z3``) gives it at ``rho = Z3 / tr Z3``."""
-    psi = np.sqrt(v3)[:, None] * _adjoint(m3)
-    lower = trace_norm(_lifted(c, psi)) / np.vdot(psi, psi).real
-    return lower, float(np.linalg.eigvalsh(ty).max())
+    = diag(√v) M†`` (``Ψ†Ψ = Z3``) gives it at ``rho = Z3 / tr Z3``.  The
+    lifted blocks are Hermitian, so their trace norm is the sum of the
+    absolute eigenvalues."""
+    psi = np.sqrt(v3)[:, None] * mh3
+    spectra = np.linalg.eigvalsh(_lifted(c, psi))  # reads one triangle
+    lower = np.abs(spectra).sum() / np.vdot(psi, psi).real
+    return float(lower), float(np.linalg.eigvalsh(ty).max())
 
 
 def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
@@ -191,40 +209,51 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
     In block ``j``'s generalized eigenbasis ``V† (W1_j + W2_j) V = I``,
     ``V† W2_j V = diag(λ)`` (``W1_j + W2_j = K K†``, ``K⁻¹ W2_j K⁻† = Q
     diag(λ) Q†``, ``V = K⁻† Q``) its two Kronecker terms ``L0`` are an
-    entrywise divide by ``(1-λp)(1-λq) + λp λq``.  The partial-trace term is
-    ``U U*`` with ``U(A)_j = P*(M A M†)`` in every block, and is added back by
-    the Woodbury identity with the Hermitian capacitance ``I + H``, ``H = U*
+    entrywise divide by ``root² = (1-λp)(1-λq) + λp λq``, with ``λ`` kept in
+    its exact range ``[0, 1]``.  The partial-trace term is ``U U*`` with
+    ``U(A)_j = P*(M A M†)`` in every block, and is added back by the
+    Woodbury identity with the Hermitian capacitance ``I + H``, ``H = U*
     L0⁻¹ U`` (``dim_in**2`` square for any ``B``; with ``I + H = R R†``,
     ``(I + H)⁻¹ b = R⁻† (R⁻¹ b)``); the ``t`` row is a scalar Schur step with
     ``G = U(M†M)``.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``;
     ``r_y = None`` stands for zero.
 
-    :raises numpy.linalg.LinAlgError: if a factorization fails.
+    :raises numpy.linalg.LinAlgError: if a factorization fails or a pencil
+        gives ``root² <= 0``.
     """
     n = dim_in * dim_out
     _, k_inv = _cholesky_inverse(wi1 + wi2)
-    lam, q = np.linalg.eigh(k_inv @ wi2 @ _adjoint(k_inv))
-    v = _adjoint(k_inv) @ q
+    k_inv_h = _adjoint(k_inv)
+    lam, q = np.linalg.eigh(k_inv @ wi2 @ k_inv_h)
+    lam = np.clip(lam, 0.0, 1.0)
     rest = 1.0 - lam
-    root = np.sqrt(rest[..., :, None] * rest[..., None, :]
-                   + lam[..., :, None] * lam[..., None, :]).reshape(-1)
+    root2 = (rest[..., :, None] * rest[..., None, :]
+             + lam[..., :, None] * lam[..., None, :])
+    if not root2.min() > 0:  # {λp, λq} = {0, 1}, or a NaN
+        raise np.linalg.LinAlgError("pencil is singular")
+    inv_root = (1.0 / np.sqrt(root2)).reshape(-1)
+    v = k_inv_h @ q
+    vh = _adjoint(v)
+    m3h = _adjoint(m3)
     # row (k, l) of f is V† U(E_kl) V = Vm_k† Vm_l over the blocks, divided
     # by root, where Vm_k is row block k of (M† ⊗ I) V; then H = conj(f) @ f.T
-    vm = (_adjoint(m3) @ v.reshape(-1, dim_in, dim_out * n)).reshape(
+    vm = (m3h @ v.reshape(-1, dim_in, dim_out * n)).reshape(
         -1, dim_in, dim_out, n).swapaxes(0, 1)
-    f = (_adjoint(vm)[:, None] @ vm[None]).reshape(dim_in * dim_in, -1) / root
+    f = (_adjoint(vm)[:, None] @ vm[None]).reshape(dim_in * dim_in, -1)
+    f *= inv_root
     _, cap = _cholesky_inverse(hermitize(np.eye(len(f)) + f.conj() @ f.T))
+    cap_h = _adjoint(cap)
 
     def l_inv(b):
-        g = (_adjoint(v) @ b @ v).reshape(-1) / root
-        g = g - _adjoint(cap) @ (cap @ (f @ g.conj()).conj()) @ f
-        return v @ (g / root).reshape(v.shape) @ _adjoint(v)
+        g = (vh @ b @ v).reshape(-1) * inv_root
+        g -= cap_h @ (cap @ (f @ g.conj()).conj()) @ f
+        return v @ (g * inv_root).reshape(v.shape) @ vh
 
     # with A = M†M, by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ A and the
     # Schur complement tr(W3²) - sum_j <G, (L⁻¹ G)_j> is <A, (I + H)⁻¹ A>
-    a = (_adjoint(m3) @ m3).reshape(-1)
-    c3 = _adjoint(cap) @ (cap @ a)
-    l_g = v @ ((c3 @ f) / root).reshape(v.shape) @ _adjoint(v)
+    a = (m3h @ m3).reshape(-1)
+    c3 = cap_h @ (cap @ a)
+    l_g = v @ ((c3 @ f) * inv_root).reshape(v.shape) @ vh
     schur = np.vdot(a, c3).real
 
     def solve(r_y, r_t):
@@ -242,14 +271,19 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     ``(B, n, n)`` stack ``c``: certified ``(lower, upper, iterations,
     reason)``, ``reason`` one of ``converged``, ``max_iterations``,
     ``step_collapse`` (the complementarity measure or the step length fell
-    to zero) or ``linalg_error`` (a slack, a pencil or the capacitance did
-    not factorize, a dual has a nonpositive Nesterov-Todd eigenvalue, or a
-    factor or a step bound is not finite).
-    Each iterate factorizes and scales every cone once, reads the bounds,
-    and steps in the scaled frame: ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``."""
+    to zero) or ``linalg_error`` (a slack, a dual, a pencil or the
+    capacitance did not factorize, a slack has a nonpositive Nesterov-Todd
+    eigenvalue, a pencil is singular, or a factor or a step bound is not
+    finite).
+    Each iterate Cholesky-factorizes the slacks ``Y_j ∓ C_j`` and scales the
+    input block, reads the bounds and tests the gap; only then does it scale
+    the block stack, so the converged iterate scales no block.  It steps in
+    the scaled frame: ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``."""
     n = dim_in * dim_out
     n_total = 2 * len(c) * n + dim_in
     eye_in = np.eye(dim_in, dtype=complex)
+    eye_out = np.eye(dim_out)
+    eyes = [np.eye(n), np.eye(dim_in)]
 
     def tr_out(x):  # of the block sum
         return np.trace(x.sum(0).reshape(dim_in, dim_out, dim_in, dim_out),
@@ -276,11 +310,11 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     # matrix products and eigen-reconstructions are passed through hermitize.
     for iterations in range(max_iterations + 1):
         ty = tr_out(y)
-        s = [np.stack([y - c, y + c]), t * eye_in - ty]
+        s = np.stack([y - c, y + c])
         try:
-            w_invs, ms, vs = zip(*(_nt_scaling(_cholesky(sk), zk)
-                                   for sk, zk in zip(s, z)))
-            lower, upper = _certificates(c, ty, ms[1], vs[1])
+            _cholesky(s)  # certifies Y_j ∓ C_j > 0 for the upper bound
+            scaled3 = _nt_scaling(t * eye_in - ty, z[1])
+            lower, upper = _certificates(c, ty, *scaled3[2:])
             best_lower = max(best_lower, lower)
             best_upper = min(best_upper, upper)
             if best_upper - best_lower <= tol:
@@ -288,26 +322,27 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             if iterations == max_iterations:
                 break
 
+            w_invs, ms, mhs, vs = zip(_nt_scaling(s, z[0]), scaled3)
             mu = sum(np.dot(v.ravel(), v.ravel()) for v in vs) / n_total
             if mu <= 0:
                 reason = "step_collapse"
                 break
 
             solve = _newton_solver(*w_invs[0], ms[1], dim_in, dim_out)
-            eyes = [np.eye(v.shape[-1]) for v in vs]
             diag_v = [v[..., None] * e for v, e in zip(vs, eyes)]
+            scales = [_step_scale(v) for v in vs]
 
             def newton(r_y, r_t):  # dY, dt and D_x = M† dS M per cone
                 # with dZ_k + W_k⁻¹ dS_k W_k⁻¹ = r_k - Z_k, so that D_z =
                 # M⁻¹ r_k M⁻† - V - D_x; both Y_j ∓ C_j move by dY_j
                 dy, dt = solve(r_y, r_t)
                 ds = [dy, dt * eye_in - tr_out(dy)]
-                return dy, dt, [_adjoint(m) @ d @ m for m, d in zip(ms, ds)]
+                return dy, dt, [mh @ d @ m for m, mh, d in zip(ms, mhs, ds)]
 
             # affine predictor (r = 0): one spectrum bounds both steps
             _, _, d_x = newton(None, -1.0)
             d_z = [-dv - dx for dv, dx in zip(diag_v, d_x)]
-            lams = [_scaled_eigvalsh(v, dx) for v, dx in zip(vs, d_x)]
+            lams = [_scaled_eigvalsh(sc, dx) for sc, dx in zip(scales, d_x)]
             alpha_p = step([lam.min() for lam in lams], 0.99)
             alpha_d = step([-1.0 - lam.max() for lam in lams], 0.99)
             mu_affine = sum(np.vdot(dv + alpha_p * dx, dv + alpha_d * dz).real
@@ -319,12 +354,16 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             targets = [(sigma * mu / v)[..., None] * e
                        - _second_order(v, dx, dz)
                        for v, e, dx, dz in zip(vs, eyes, d_x, d_z)]
-            r = [hermitize(m @ tk @ _adjoint(m)) for m, tk in zip(ms, targets)]
-            dy, dt, d_x = newton(r[0].sum(0) - np.kron(r[1], np.eye(dim_out)),
+            r = [hermitize(m @ tk @ mh)
+                 for m, mh, tk in zip(ms, mhs, targets)]
+            r_y = (r[0].sum(0).reshape(-1, dim_in, dim_out, dim_in, dim_out)
+                   - r[1][:, None, :, None] * eye_out[:, None])  # r3 ⊗ I
+            dy, dt, d_x = newton(r_y.reshape(-1, n, n),
                                  float(np.trace(r[1]).real) - 1.0)
+            del solve  # the next factor is built without this one alive
             d_z = [tk - dv - dx for tk, dv, dx in zip(targets, diag_v, d_x)]
-            lams = [_scaled_eigvalsh(v, np.stack([dx, dz]))
-                    for v, dx, dz in zip(vs, d_x, d_z)]
+            lams = [_scaled_eigvalsh(sc, np.stack([dx, dz]))
+                    for sc, dx, dz in zip(scales, d_x, d_z)]
             tau = 0.9 if mu > 1e-4 else 0.98
             alpha_p, alpha_d = (step([lam[k].min() for lam in lams], tau)
                                 for k in (0, 1))
@@ -334,8 +373,8 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
 
             y = y + alpha_p * dy
             t = t + alpha_p * dt
-            z = [zk + alpha_d * hermitize(m @ dz @ _adjoint(m))
-                 for zk, m, dz in zip(z, ms, d_z)]
+            z = [zk + alpha_d * hermitize(m @ dz @ mh)
+                 for zk, m, mh, dz in zip(z, ms, mhs, d_z)]
         except np.linalg.LinAlgError:
             reason = "linalg_error"
             break

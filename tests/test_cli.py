@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,32 @@ def test_oracle_diamond_rejects_nan(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "positive" in err
+
+
+def test_oracle_diamond_deep_tolerance_stops_without_warnings(tmp_path):
+    # a side-24 map solved toward a gap at machine precision: a pencil
+    # eigenvalue rounded outside [0, 1] once printed NumPy's sqrt and divide
+    # RuntimeWarnings before a NaN stopped the solve; a fresh process shows
+    # what a user sees on stderr
+    from qimet.channels import ChoiMatrix
+    g = np.random.default_rng(3)
+    m = g.normal(size=(24, 24)) + 1j * g.normal(size=(24, 24))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(choi_to_json(
+        ChoiMatrix(4, 6, (m + m.conj().T) / 48))))
+    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    for tol in ("1e-11", "1e-12"):
+        run = subprocess.run([sys.executable, "-m", "qimet.cli",
+                              "oracle-diamond", str(path), "--tol", tol],
+                             env=env, capture_output=True, text=True)
+        assert "Warning" not in run.stderr
+        result = json.loads(run.stdout)
+        if run.returncode == 0:
+            assert result["gap"] <= float(tol)
+        else:
+            assert run.returncode == 1
+            assert re.search(r"stopped: (max_iterations|step_collapse"
+                             r"|linalg_error)\)$", run.stderr.strip())
 
 
 def test_oracle_diamond_malformed(capsys, tmp_path):

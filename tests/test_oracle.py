@@ -18,8 +18,9 @@ from qimet.metrics import nonuniform_outcome_diamond
 from qimet.oracle import (DiamondNormResult, _adjoint, _certificates,
                           _cholesky, _cholesky_inverse, _hillclimb, _lifted,
                           _newton_solver, _nt_scaling, _scaled_eigvalsh,
-                          _second_order, _solve_sdp, diamond_lower_hillclimb,
-                          diamond_norm, result_to_json)
+                          _second_order, _solve_sdp, _step_scale,
+                          diamond_lower_hillclimb, diamond_norm,
+                          result_to_json)
 from qimet.verify import shipped_counterexample_model
 
 
@@ -265,8 +266,8 @@ def test_non_hermitian_rejected_at_the_type():
 
 
 def factored_matrices(monkeypatch):
-    """Every matrix the solver Cholesky-factorizes, one per cone, pencil or
-    capacitance: each slice of a stack passed to ``_cholesky``."""
+    """Every matrix the solver Cholesky-factorizes, one per slack, dual,
+    pencil or capacitance: each slice of a stack passed to ``_cholesky``."""
     factored = []
 
     def spy(m):
@@ -279,12 +280,13 @@ def factored_matrices(monkeypatch):
 
 def scaled_duals(monkeypatch):
     """The dual ``Z`` of every Nesterov-Todd scaling, one per cone family:
-    the ``(2, B, n, n)`` stack ``Z1_j, Z2_j`` and the input block ``Z3``."""
+    the input block ``Z3`` of every iterate, then the ``(2, B, n, n)`` stack
+    ``Z1_j, Z2_j`` of every iterate that steps."""
     duals = []
 
-    def spy(chol, z):
+    def spy(s, z):
         duals.append(z)
-        return _nt_scaling(chol, z)
+        return _nt_scaling(s, z)
 
     monkeypatch.setattr("qimet.oracle._nt_scaling", spy)
     return duals
@@ -309,15 +311,27 @@ def test_iterates_stay_exactly_hermitian(monkeypatch):
         result = diamond_norm(delta, tol=1e-8)
         assert result.gap <= 1e-8
         # per iterate, the start and the converged one included, the slacks
-        # Y_j ∓ C_j and t I - Tr_out sum_j Y_j, and per Newton step the B
-        # pencils W1_j + W2_j and the one capacitance I + H; the duals Z1_j,
-        # Z2_j and Z3 are scaled once per iterate
+        # Y_j ∓ C_j and the dual Z3 of the input block's scaling; per Newton
+        # step the duals Z1_j, Z2_j of the block scaling, the B pencils
+        # W1_j + W2_j and the one capacitance I + H
         steps = result.iterations
         assert len(factored) == ((2 * blocks + 1) * (steps + 1)
-                                 + blocks * steps + steps)
-        assert len(duals) == 2 * (steps + 1)
+                                 + (3 * blocks + 1) * steps)
+        assert len(duals) == 2 * steps + 1
         for m in [*factored, *duals]:
             assert np.array_equal(m, _adjoint(m))
+
+
+def test_converged_iterate_scales_no_block_stack(monkeypatch):
+    # the bounds and the stop test need only the slack Cholesky and the
+    # input block's scaling; the block stack is scaled by iterates that step
+    duals = scaled_duals(monkeypatch)
+    for delta in (random_hermitian_choi(2, 3, seed=166), instrument_blocks(1)):
+        duals.clear()
+        result = diamond_norm(delta, tol=1e-7)
+        # Z3, then the (2, B, n, n) stack, per step; Z3 alone at the end
+        assert result.iterations > 0
+        assert [z.ndim for z in duals] == [2, 4] * result.iterations + [2]
 
 
 def test_rejects_bad_tolerance():
@@ -396,16 +410,27 @@ def test_newton_solve_matches_dense_system(dim_in, dim_out):
         assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
 
 
+def test_singular_pencil_stops_without_nan():
+    # W1 + W2 = I with W2 = diag(1, 0): the pencil eigenvalues are exactly 0
+    # and 1, so (1-λp)(1-λq) + λp λq is 0 for p != q; the factorization raises
+    # instead of dividing by zero (a rounded λ just outside [0, 1] made the
+    # sum negative and its square root NaN)
+    wi2 = np.diag([1.0, 0.0]).astype(complex)[None]
+    with pytest.raises(np.linalg.LinAlgError, match="pencil"):
+        _newton_solver(np.eye(2) - wi2, wi2, np.eye(2, dtype=complex), 2, 1)
+
+
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
 def test_nt_scaling_maps_z_to_s(cond):
     gen = rng(2000)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        w_inv, m, _ = _nt_scaling(_cholesky(s), z)
+        w_inv, m, mh, _ = _nt_scaling(s, z)
         assert (np.linalg.norm(w_inv @ s @ w_inv - z)
                 <= 1e-9 * np.linalg.norm(z))
         assert (np.linalg.norm(m @ m.conj().T - w_inv)
                 <= 1e-12 * np.linalg.norm(w_inv))
+        assert np.array_equal(mh, m.conj().T)
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
@@ -415,27 +440,29 @@ def test_nt_scaling_point_is_diagonal(cond):
     gen = rng(2100)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        _, m, v = _nt_scaling(_cholesky(s), z)
+        _, m, _, v = _nt_scaling(s, z)
         assert (np.linalg.norm(m.conj().T @ s @ m - np.diag(v))
                 <= 1e-9 * np.linalg.norm(v))
         assert (np.linalg.norm((m * v) @ m.conj().T - z)
                 <= 1e-9 * np.linalg.norm(z))
 
 
-def test_nt_scaling_rejects_a_dual_off_the_cone():
-    # a dual that is not positive definite has a nonpositive NT eigenvalue
-    s = random_pd(4, 10.0, rng(2150))
-    for z in (np.diag([1.0, 1.0, 1.0, -1e-3]).astype(complex),
-              np.zeros((4, 4), dtype=complex)):
-        with pytest.raises(np.linalg.LinAlgError):
-            _nt_scaling(_cholesky(s), z)
+def test_nt_scaling_rejects_a_pair_off_the_cone():
+    # a dual that is not positive definite has no Cholesky factor, and a
+    # slack that is not has a nonpositive NT eigenvalue
+    pd = random_pd(4, 10.0, rng(2150))
+    for bad in (np.diag([1.0, 1.0, 1.0, -1e-3]).astype(complex),
+                np.zeros((4, 4), dtype=complex)):
+        for s, z in ((pd, bad), (bad, pd)):
+            with pytest.raises(np.linalg.LinAlgError):
+                _nt_scaling(s, z)
 
 
 def random_scaled_pair(side, cond, gen):
-    """``(S, Z)``, their scaling ``(W⁻¹, M, v)`` and a Hermitian ``dS``."""
+    """``(S, Z)``, their scaling ``(W⁻¹, M, M†, v)`` and a Hermitian ``dS``."""
     s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
     a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
-    return s, z, _nt_scaling(_cholesky(s), z), hermitize(a)
+    return s, z, _nt_scaling(s, z), hermitize(a)
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
@@ -443,7 +470,7 @@ def test_second_order_term_solves_the_scaled_lyapunov_equation(cond):
     # diag(v) X + X diag(v) = D_x D_z + D_z D_x, X exactly Hermitian
     gen = rng(2200)
     for side in (2, 6, 24):
-        _, _, (_, _, v), d_x = random_scaled_pair(side, cond, gen)
+        _, _, (_, _, _, v), d_x = random_scaled_pair(side, cond, gen)
         d_z = random_hermitian_choi(1, side, side).matrix
         x = _second_order(v, d_x, d_z)
         assert np.array_equal(x, x.conj().T)
@@ -458,8 +485,8 @@ def test_predictor_dual_direction_in_the_scaled_frame(cond):
     # D_z = M⁻¹ dZ M⁻† = -diag(v) - M† dS M, with no product of its own
     gen = rng(2300)
     for side in (2, 6, 24):
-        _, z, (w_inv, m, v), ds = random_scaled_pair(side, cond, gen)
-        d_z = -np.diag(v) - m.conj().T @ ds @ m
+        _, z, (w_inv, m, mh, v), ds = random_scaled_pair(side, cond, gen)
+        d_z = -np.diag(v) - mh @ ds @ m
         m_inv = np.linalg.inv(m)
         ref = m_inv @ (-z - w_inv @ ds @ w_inv) @ m_inv.conj().T
         assert np.linalg.norm(d_z - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -509,8 +536,8 @@ def test_lower_certificate_matches_kron_form(dims):
     gen = rng(2600 + dim_in * dim_out)
     c = random_hermitian_choi(dim_in, dim_out, 2700 + dim_in).matrix
     rho = random_density(dim_in, gen)
-    _, m3, v3 = _nt_scaling(_cholesky(random_pd(dim_in, 1e2, gen)), 3.0 * rho)
-    lower, _ = _certificates(c, np.eye(dim_in), m3, v3)
+    _, _, mh3, v3 = _nt_scaling(random_pd(dim_in, 1e2, gen), 3.0 * rho)
+    lower, _ = _certificates(c, np.eye(dim_in), mh3, v3)
     w, u = np.linalg.eigh(rho)
     g = np.kron((u * np.sqrt(w)) @ u.conj().T, np.eye(dim_out))
     assert abs(lower - trace_norm(g @ c @ g)) <= 1e-12
@@ -541,20 +568,21 @@ def test_max_step_is_the_generalized_eigenvalue_bound(cond):
     gen = rng(3000)
 
     def least(v, m, d):
-        return _scaled_eigvalsh(v, m.conj().T @ d @ m).min()
+        return _scaled_eigvalsh(_step_scale(v), m.conj().T @ d @ m).min()
 
     for side in (2, 6, 24):
-        s, _, (_, m, v), d = random_scaled_pair(side, cond, gen)
+        s, _, (_, m, _, v), d = random_scaled_pair(side, cond, gen)
         ref = -1.0 / scipy.linalg.eigh(d, s, eigvals_only=True).min()
         assert -1.0 / least(v, m, d) == pytest.approx(ref, rel=1e-9)
         # a positive semidefinite direction never leaves the cone
         assert least(v, m, d @ d) >= -1e-14
         assert least(v, m, np.zeros((side, side))) == 0.0
         # a stacked pair gives the tighter of the two bounds
-        s2, _, (_, m2, v2), d2 = random_scaled_pair(side, cond, gen)
+        s2, _, (_, m2, _, v2), d2 = random_scaled_pair(side, cond, gen)
         ref2 = -1.0 / scipy.linalg.eigh(d2, s2, eigvals_only=True).min()
         pair = np.stack([m.conj().T @ d @ m, m2.conj().T @ d2 @ m2])
-        assert -1.0 / _scaled_eigvalsh(np.stack([v, v2]), pair).min() == (
+        assert -1.0 / _scaled_eigvalsh(_step_scale(np.stack([v, v2])),
+                                       pair).min() == (
             pytest.approx(min(ref, ref2), rel=1e-9))
 
 
@@ -593,8 +621,9 @@ def test_iterates_stay_dual_feasible(monkeypatch, seed):
     duals = scaled_duals(monkeypatch)
     blocks = instrument_blocks(seed)
     result = diamond_norm(blocks, tol=1e-7)
-    assert len(duals) == 2 * (result.iterations + 1)
-    for (z1, z2), z3 in zip(duals[::2], duals[1::2]):
+    assert len(duals) == 2 * result.iterations + 1
+    assert abs(np.trace(duals[-1]) - 1.0) < 1e-7
+    for z3, (z1, z2) in zip(duals[::2], duals[1::2]):
         assert z1.shape == z2.shape == (len(blocks), 16, 16)
         lifted = np.kron(z3, np.eye(len(z1[0]) // len(z3)))  # Z3 ⊗ I
         for z1_j, z2_j in zip(z1, z2):
@@ -695,9 +724,9 @@ def test_nan_step_bound_stops_the_solve_where_it_arises(monkeypatch, call):
     clean = diamond_norm(delta, tol=1e-9)
     calls = []
 
-    def poisoned(v, d):
+    def poisoned(scale, d):
         calls.append(None)
-        lam = _scaled_eigvalsh(v, d)
+        lam = _scaled_eigvalsh(scale, d)
         if len(calls) == call:
             lam[..., 0] = np.nan
         return lam

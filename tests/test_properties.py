@@ -12,19 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
-                            choi_from_kraus, identity_channel)
-from qimet.instruments import (branch_differences, expand_nonuniform,
-                               expand_uniform, full_channel, ideal_instrument,
-                               model_from_json, model_to_json,
-                               random_general_implementation,
+                            choi_from_json, choi_from_kraus, choi_to_json,
+                            identity_channel)
+from qimet.instruments import (NonUniformStochasticModel, branch_differences,
+                               expand_nonuniform, expand_uniform, full_channel,
+                               ideal_instrument, model_from_json,
+                               model_to_json, random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
 from qimet.linalg import (col_vec, hermitize, random_density, random_pure,
                           rng, trace_norm)
 from qimet.metrics import (_probe_values, build_report,
                            diamond_identity_stochastic,
                            instrument_diamond_lower_max,
-                           instrument_diamond_upper)
-from qimet.oracle import diamond_norm
+                           instrument_diamond_upper,
+                           nonuniform_outcome_diamond, uniform_diamond_exact)
+from qimet.oracle import DiamondNormResult, diamond_norm, result_to_json
 from qimet.verify import _phi_plus_bound
 
 #: model kind -> (generator, expansion to an implementation)
@@ -224,6 +226,73 @@ def test_oracle_is_invariant_under_local_unitaries(seed, count, dims):
         rotated.append(ChoiMatrix(dim_in, dim_out, w @ b.matrix @ w.conj().T))
     assert_brackets_overlap(diamond_norm(blocks, tol=1e-7),
                             diamond_norm(rotated, tol=1e-7))
+
+
+def outcome_dependent_model(D, E, seed):
+    """A model with only ``(0, 0, j)`` errors: a seeded trace-preserving
+    stochastic channel on the unmeasured register per outcome, the class
+    :func:`nonuniform_outcome_diamond` solves in closed form."""
+    gen = rng(seed)
+    table = {(0, 0, j): StochasticChannel.from_weights(E, {
+        (k // E, k % E): w for k, w in enumerate(gen.dirichlet(np.ones(E * E)))})
+        for j in range(D)}
+    return NonUniformStochasticModel(D, E, table)
+
+
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(seed=SEEDS)
+def test_closed_forms_lie_in_the_oracle_bracket(seed):
+    # the uniform closed form 2(1 - nu00 lambda00) and the outcome-resolved
+    # max_j 2(1 - lambda_j) against the certified bracket on the blocks
+    for D, E in ((2, 1), (2, 2), (3, 2), (3, 3)):
+        uniform = random_uniform_model(D, E, seed=seed)
+        outcome = outcome_dependent_model(D, E, seed)
+        for closed, impl in (
+                (2.0 * uniform_diamond_exact(uniform), expand_uniform(uniform)),
+                (nonuniform_outcome_diamond(outcome),
+                 expand_nonuniform(outcome))):
+            blocks = [ChoiMatrix(D * E, D * E, b)
+                      for b in branch_differences(impl)]
+            res = diamond_norm(blocks, tol=1e-7)
+            assert res.primal_bound - 1e-9 <= closed <= res.dual_bound + 1e-9
+
+
+@st.composite
+def choi_matrices(draw):
+    """Hermitian Choi matrices up to side 12, entries spread over many
+    binades, exact zeros included."""
+    dim_in, dim_out = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    side = dim_in * dim_out
+    gen = rng(draw(SEEDS))
+    a = (gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side)))
+    a *= 10.0 ** gen.integers(-300, 300, size=(side, side))
+    a[gen.random((side, side)) < 0.2] = 0.0
+    a = np.tril(a, -1) + np.diag(a.diagonal().real)
+    return ChoiMatrix(dim_in, dim_out, a + np.tril(a, -1).conj().T)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(choi_matrices())
+def test_choi_json_round_trips_exactly(choi):
+    text = json.dumps(choi_to_json(choi))
+    back = choi_from_json(json.loads(text))
+    assert (back.dim_in, back.dim_out) == (choi.dim_in, choi.dim_out)
+    assert np.array_equal(back.matrix, choi.matrix)
+    assert json.dumps(choi_to_json(back)) == text
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(value=FINITE, primal=FINITE, dual=FINITE, gap=FINITE,
+       iterations=st.integers(0, 10**6))
+def test_oracle_result_json_round_trips_exactly(value, primal, dual, gap,
+                                                iterations):
+    result = DiamondNormResult(value, primal, dual, gap, iterations)
+    obj = json.loads(json.dumps(result_to_json(result)))
+    assert type(obj["iterations"]) is int
+    assert DiamondNormResult(**obj) == result
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
