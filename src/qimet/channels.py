@@ -23,6 +23,7 @@ equal to the entanglement fidelity with the identity scaled by ``nu``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -31,8 +32,9 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import (_checked_hermitian, _is_integer, _json_float, _json_int,
-                     matrix_from_json, matrix_to_json, numerical_rank, rng)
+from .linalg import (_as_float, _checked_hermitian, _is_integer, _json_float,
+                     _json_int, matrix_from_json, matrix_to_json,
+                     numerical_rank, rng)
 
 __all__ = [
     "KrausChannel",
@@ -217,10 +219,11 @@ def _label(value) -> int:
 
 def _real(value, what: str) -> float:
     """A finite ``int``, ``float`` or NumPy real as ``float``; else raise."""
-    if not ((isinstance(value, (float, np.floating)) or _is_integer(value))
-            and np.isfinite(value)):
-        raise InvalidModel(f"{what} must be a finite real number: {value!r}")
-    return float(value)
+    if isinstance(value, (float, np.floating)) or _is_integer(value):
+        if math.isfinite(real := _as_float(value)):
+            return real
+        value = real  # an int beyond the float range shows as inf
+    raise InvalidModel(f"{what} must be a finite real number: {value!r}")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ class Tolerances:
     :param trace_preserving: allowed max-abs deviation of ``sum_k K_k† K_k``
         from the identity.
     :param trace_one: allowed deviation of a density matrix trace from 1.
-    :param projector: max-abs deviation allowed for projector idempotency and
-        for support containment ``pi rho = rho``.
     :param weight_sum: allowed deviation of stochastic-channel weight sums
         from the stored total.
     """
@@ -32,7 +30,6 @@ class Tolerances:
     rank_rel: float = 1e-10
     trace_preserving: float = 1e-9
     trace_one: float = 1e-9
-    projector: float = 1e-9
     weight_sum: float = 1e-9
 
 

@@ -28,11 +28,6 @@ class InvalidModel(QimetError):
     missing entries, wrong dimensions, non-trace-preserving tables...)."""
 
 
-class InvalidProjector(QimetError):
-    """A projector fails idempotency/Hermiticity, or does not contain the
-    support of the state it is supposed to cover."""
-
-
 class UnsupportedDimension(QimetError):
     """A dimension outside the supported range was requested."""
 

@@ -13,12 +13,13 @@ All functions accept array-likes and return plain ``numpy`` arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, InvalidProjector, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NotHermitian, NotPSD
 
 __all__ = [
     "col_vec",
@@ -30,7 +31,6 @@ __all__ = [
     "partial_trace",
     "check_density",
     "support_projector",
-    "check_projector",
     "random_pure",
     "random_pure_states",
     "random_density",
@@ -210,18 +210,6 @@ def support_projector(rho: np.ndarray) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def check_projector(pi: np.ndarray) -> np.ndarray:
-    """Validate an orthogonal projector (Hermitian and idempotent)."""
-    pi = np.asarray(pi, dtype=complex)
-    if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {pi.shape}")
-    if np.max(np.abs(pi - pi.conj().T)) > TOL.projector:
-        raise InvalidProjector("projector is not Hermitian")
-    if np.max(np.abs(pi @ pi - pi)) > TOL.projector:
-        raise InvalidProjector("projector is not idempotent")
-    return pi
-
-
 # ==================================================================
 # randomness
 # ==================================================================
@@ -298,24 +286,38 @@ def _json_int(obj: dict, key: str) -> int:
 _JSON_NUMBERS = frozenset((int, float))
 
 
+def _as_float(value) -> float:
+    """``float(value)``, but an integer beyond the float range is ``±inf``,
+    as ``json`` reads ``1e400``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _json_float(obj: dict, key: str) -> float:
-    """``obj[key]`` as a float if it is a JSON number; a string, boolean,
-    null or list raises ``TypeError`` instead of being converted."""
+    """``obj[key]`` as a float (:func:`_as_float`) if it is a JSON number; a
+    string, boolean, null or list raises ``TypeError`` instead of being
+    converted."""
     value = obj[key]
     if type(value) not in _JSON_NUMBERS:
         raise TypeError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+    return _as_float(value)
 
 
 def _json_rows(obj: dict, key: str) -> np.ndarray:
     """``obj[key]`` as a float array if it is a list of rows of JSON numbers;
-    a string, boolean or null in a row raises ``TypeError`` likewise."""
+    a string, boolean or null in a row raises ``TypeError`` likewise, and an
+    integer beyond the float range ``ValueError``."""
     rows = obj[key]
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and _JSON_NUMBERS.issuperset(map(type, row))
             for row in rows)):
         raise TypeError(f"{key!r} must be a list of rows of numbers")
-    return np.array(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:
+        raise ValueError("matrix entries must be finite numbers") from None
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

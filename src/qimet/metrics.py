@@ -25,12 +25,12 @@ import numpy as np
 from .channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
                        nu_lambda)
 from .config import TOL
-from .errors import DimensionMismatch, InvalidModel, InvalidProjector
+from .errors import DimensionMismatch, InvalidModel
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
                           UniformStochasticModel, branch_differences,
                           expand_nonuniform, expand_uniform, ideal_instrument)
-from .linalg import (_is_integer, check_density, check_projector, psd_sqrt,
-                     random_pure_states, rng, support_projector, trace_norm)
+from .linalg import (_is_integer, check_density, psd_sqrt, random_pure_states,
+                     rng, support_projector, trace_norm)
 
 __all__ = [
     "MetricsReport",
@@ -239,31 +239,21 @@ def instrument_diamond_upper(impl: InstrumentImplementation) -> float:
 # Fuchs-van de Graaf bounds
 # ==================================================================
 
-def fvg_bounds(rho: np.ndarray, sigma: np.ndarray,
-               pi: np.ndarray | None = None) -> tuple:
+def fvg_bounds(rho: np.ndarray, sigma: np.ndarray) -> tuple:
     """Sharpened Fuchs-van de Graaf bracket around the trace distance.
 
-    Returns ``(lower, middle, upper)`` with ``lower = 1 - tr(pi sigma)``,
+    Returns ``(lower, middle, upper)`` with ``lower = 1 - tr(Pi sigma)``,
     ``middle = (1/2)||rho - sigma||_1`` and
-    ``upper = sqrt(1 - ||sqrt(rho) sqrt(sigma)||_1^2)``, where ``pi`` is any
-    projector fixing ``rho`` (default: the support projector of ``rho``).
-    The chain ``lower <= middle <= upper`` holds for every valid input.
+    ``upper = sqrt(1 - ||sqrt(rho) sqrt(sigma)||_1^2)``, where ``Pi`` is the
+    support projector of ``rho``; every other projector fixing ``rho``
+    contains it, so gives a lower bound no larger.  The chain ``lower <=
+    middle <= upper`` holds for every valid input.
 
-    :raises InvalidProjector: if ``pi`` is supplied but ``pi rho != rho``.
-    :raises DimensionMismatch: if ``sigma`` or ``pi`` does not match ``rho``.
+    :raises DimensionMismatch: if ``sigma`` does not match ``rho``.
     """
     rho = check_density(rho)
     sigma = check_density(sigma, rho.shape[0])
-    if pi is None:
-        pi = support_projector(rho)
-    else:
-        pi = check_projector(pi)
-        if pi.shape != rho.shape:
-            raise DimensionMismatch(f"projector {pi.shape}, state {rho.shape}")
-        dev = float(np.max(np.abs(pi @ rho - rho)))
-        if dev > TOL.projector:
-            raise InvalidProjector(
-                f"projector does not fix rho: max |pi rho - rho| = {dev:.3e}")
+    pi = support_projector(rho)
     lower = 1.0 - float(np.trace(pi @ sigma).real)
     middle = 0.5 * trace_norm(rho - sigma)
     root = trace_norm(psd_sqrt(rho) @ psd_sqrt(sigma))

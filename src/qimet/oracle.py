@@ -39,8 +39,9 @@ aims at ``sigma*mu*V⁻¹ - X2``, ``X2`` the second-order term.  The Newton
 system is solved on the ``n x n`` blocks (``n = dim_in * dim_out``) by an
 entrywise divide in each block's generalized eigenbasis, a Woodbury step
 for the partial trace they share and a scalar Schur step for ``t``
-(:func:`_newton_solver`), at ``O(dim_in**2 * B * n**3)`` per iteration.
-Each factorization is one call of NumPy's batched ``linalg`` per stack.
+(:func:`_newton_solver`), at ``O(dim_in**2 * B * n**3)`` per iteration;
+only that build forms ``W⁻¹ = M M†``, and only for the block stack.  Each
+factorization is one call of NumPy's batched ``linalg`` per stack.
 
 Certification does not trust convergence.  Each iterate Cholesky-factorizes
 its slacks ``Y_j ∓ C_j`` and scales the input block, then reads two *exactly
@@ -82,7 +83,8 @@ __all__ = [
 #: Hard cap on the Choi side of each block accepted by the solver.
 MAX_CHOI_SIDE = 144
 #: Hard cap on the ``B * (dim_in * side)**2`` entries of the Newton solve's
-#: Woodbury factor for ``B`` blocks (463 MB peak for four 12 x 12 blocks).
+#: Woodbury factor for ``B`` blocks (two iterations peak at about 450 MB RSS
+#: for four 12 x 12 blocks, 430 MB for one 24 x 6 map).
 MAX_WOODBURY_ENTRIES = 3456 ** 2
 
 
@@ -123,27 +125,26 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _cholesky_inverse(m: np.ndarray):
-    """``(L, L⁻¹)`` of each matrix in a stack, both exactly lower triangular:
-    the LU inverse of the upper triangular ``L†`` never swaps a row."""
-    chol = _cholesky(m)
-    return chol, _adjoint(np.linalg.inv(_adjoint(chol)))
+def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
+    """``L⁻¹`` for the Cholesky factor ``L`` of each matrix in a stack,
+    exactly lower triangular: the LU inverse of the upper triangular ``L†``
+    never swaps a row."""
+    return _adjoint(np.linalg.inv(_adjoint(_cholesky(m))))
 
 
 def _nt_scaling(s: np.ndarray, z: np.ndarray):
     """Nesterov-Todd scaling of each pair ``(S, Z)``, inverse-free from the
     dual's Cholesky factor ``Z = R R†``: with ``R† S R = U Λ U†``, ``M = R U
     Λ^{-1/4}`` maps both to one diagonal point, ``M† S M = M⁻¹ Z M⁻† =
-    diag(v)``, ``v = λ^{1/2}``.  Returns ``(W⁻¹, M, M†, v)``, ``W⁻¹ = M M† =
-    R (R† S R)^{-1/2} R†`` solving ``W Z W = S``; raises ``LinAlgError``
-    unless ``Z > 0`` and ``S > 0``."""
+    diag(v)``, ``v = λ^{1/2}``, and ``W⁻¹ = M M†`` solves ``W Z W = S``.
+    Returns ``(M, M†, v)``; raises ``LinAlgError`` unless ``Z > 0`` and ``S >
+    0``."""
     r = _cholesky(z)
     wg, ug = np.linalg.eigh(_adjoint(r) @ s @ r)  # reads one triangle
     if not wg.min() > 0:
         raise np.linalg.LinAlgError("slack iterate is not positive definite")
     m = r @ (ug * wg[..., None, :] ** -0.25)
-    mh = _adjoint(m)
-    return hermitize(m @ mh), m, mh, np.sqrt(wg)
+    return m, _adjoint(m), np.sqrt(wg)
 
 
 def _step_scale(v: np.ndarray) -> np.ndarray:
@@ -196,12 +197,12 @@ def _certificates(c: np.ndarray, ty: np.ndarray, mh3: np.ndarray,
     return float(lower), float(np.linalg.eigvalsh(ty).max())
 
 
-def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
-                   dim_in: int, dim_out: int):
+def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int):
     """Factorize one iteration's Newton system on B blocks; return its solver.
 
-    With ``P = Tr_out``, ``W3 = M M†`` (``M = m3``) and
-    ``G = P*(W3²) = W3² ⊗ I``, the system on the blocks ``dY_j`` is
+    With ``P = Tr_out``, ``W1_j, W2_j = M M†`` for the NT factors ``M = m``
+    of the block stack, ``W3 = M3 M3†`` (``M3 = m3``) and ``G = P*(W3²) = W3²
+    ⊗ I``, the system on the blocks ``dY_j`` is
 
         L(dY)_j - dt * G = R_j,    -sum_j <G, dY_j> + dt * tr(W3²) = r_t,
         L(X)_j = W1_j X_j W1_j + W2_j X_j W2_j + P*(W3 P(sum_k X_k) W3).
@@ -211,18 +212,19 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
     diag(λ) Q†``, ``V = K⁻† Q``) its two Kronecker terms ``L0`` are an
     entrywise divide by ``root² = (1-λp)(1-λq) + λp λq``, with ``λ`` kept in
     its exact range ``[0, 1]``.  The partial-trace term is ``U U*`` with
-    ``U(A)_j = P*(M A M†)`` in every block, and is added back by the
+    ``U(A)_j = P*(M3 A M3†)`` in every block, and is added back by the
     Woodbury identity with the Hermitian capacitance ``I + H``, ``H = U*
     L0⁻¹ U`` (``dim_in**2`` square for any ``B``; with ``I + H = R R†``,
     ``(I + H)⁻¹ b = R⁻† (R⁻¹ b)``); the ``t`` row is a scalar Schur step with
-    ``G = U(M†M)``.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``;
+    ``G = U(M3†M3)``.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``;
     ``r_y = None`` stands for zero.
 
     :raises numpy.linalg.LinAlgError: if a factorization fails or a pencil
         gives ``root² <= 0``.
     """
     n = dim_in * dim_out
-    _, k_inv = _cholesky_inverse(wi1 + wi2)
+    wi1, wi2 = hermitize(m @ _adjoint(m))
+    k_inv = _cholesky_inverse(wi1 + wi2)
     k_inv_h = _adjoint(k_inv)
     lam, q = np.linalg.eigh(k_inv @ wi2 @ k_inv_h)
     lam = np.clip(lam, 0.0, 1.0)
@@ -241,7 +243,7 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
         -1, dim_in, dim_out, n).swapaxes(0, 1)
     f = (_adjoint(vm)[:, None] @ vm[None]).reshape(dim_in * dim_in, -1)
     f *= inv_root
-    _, cap = _cholesky_inverse(hermitize(np.eye(len(f)) + f.conj() @ f.T))
+    cap = _cholesky_inverse(hermitize(np.eye(len(f)) + f.conj() @ f.T))
     cap_h = _adjoint(cap)
 
     def l_inv(b):
@@ -249,7 +251,7 @@ def _newton_solver(wi1: np.ndarray, wi2: np.ndarray, m3: np.ndarray,
         g -= cap_h @ (cap @ (f @ g.conj()).conj()) @ f
         return v @ (g * inv_root).reshape(v.shape) @ vh
 
-    # with A = M†M, by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ A and the
+    # with A = M3†M3, by push-through L⁻¹ G = L0⁻¹ U (I + H)⁻¹ A and the
     # Schur complement tr(W3²) - sum_j <G, (L⁻¹ G)_j> is <A, (I + H)⁻¹ A>
     a = (m3h @ m3).reshape(-1)
     c3 = cap_h @ (cap @ a)
@@ -278,7 +280,8 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     Each iterate Cholesky-factorizes the slacks ``Y_j ∓ C_j`` and scales the
     input block, reads the bounds and tests the gap; only then does it scale
     the block stack, so the converged iterate scales no block.  It steps in
-    the scaled frame: ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``."""
+    the scaled frame, ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``, by an inner
+    function, so nothing of a step outlives it."""
     n = dim_in * dim_out
     n_total = 2 * len(c) * n + dim_in
     eye_in = np.eye(dim_in, dtype=complex)
@@ -293,6 +296,55 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
         if not np.isfinite(lam_min := np.min(bounds)):  # min() drops a NaN
             raise np.linalg.LinAlgError("step bound is not finite")
         return 1.0 if lam_min >= -1e-14 else min(1.0, -tau / lam_min)
+
+    def predictor_corrector(y, t, z, ms, mhs, vs):
+        """The iterate after one step from ``(y, t, z)``, whose cones ``M_k``
+        (``ms``; ``mhs = M_k†``) scale to ``diag(v_k)`` (``vs``); ``None``
+        if ``mu`` or a step length collapses."""
+        mu = sum(np.dot(v.ravel(), v.ravel()) for v in vs) / n_total
+        if mu <= 0:
+            return None
+        solve = _newton_solver(ms[0], ms[1], dim_in, dim_out)
+        diag_v = [v[..., None] * e for v, e in zip(vs, eyes)]
+        scales = [_step_scale(v) for v in vs]
+
+        def newton(r_y, r_t):  # dY, dt and D_x = M† dS M per cone
+            # with dZ_k + W_k⁻¹ dS_k W_k⁻¹ = r_k - Z_k, so that D_z =
+            # M⁻¹ r_k M⁻† - V - D_x; both Y_j ∓ C_j move by dY_j
+            dy, dt = solve(r_y, r_t)
+            ds = [dy, dt * eye_in - tr_out(dy)]
+            return dy, dt, [mh @ d @ m for m, mh, d in zip(ms, mhs, ds)]
+
+        # affine predictor (r = 0): one spectrum bounds both steps
+        _, _, d_x = newton(None, -1.0)
+        d_z = [-dv - dx for dv, dx in zip(diag_v, d_x)]
+        lams = [_scaled_eigvalsh(sc, dx) for sc, dx in zip(scales, d_x)]
+        alpha_p = step([lam.min() for lam in lams], 0.99)
+        alpha_d = step([-1.0 - lam.max() for lam in lams], 0.99)
+        mu_affine = sum(np.vdot(dv + alpha_p * dx, dv + alpha_d * dz).real
+                        for dv, dx, dz in zip(diag_v, d_x, d_z)) / n_total
+        sigma = min(max((max(mu_affine, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
+
+        # Mehrotra corrector toward r_k = M (sigma mu V⁻¹ - X2_k) M†;
+        # R_j = r1_j + r2_j - r3 ⊗ I, r_t = tr r3 - 1 keep Z feasible
+        targets = [(sigma * mu / v)[..., None] * e - _second_order(v, dx, dz)
+                   for v, e, dx, dz in zip(vs, eyes, d_x, d_z)]
+        r = [hermitize(m @ tk @ mh) for m, mh, tk in zip(ms, mhs, targets)]
+        r_y = (r[0].sum(0).reshape(-1, dim_in, dim_out, dim_in, dim_out)
+               - r[1][:, None, :, None] * eye_out[:, None])  # r3 ⊗ I
+        dy, dt, d_x = newton(r_y.reshape(-1, n, n),
+                             float(np.trace(r[1]).real) - 1.0)
+        d_z = [tk - dv - dx for tk, dv, dx in zip(targets, diag_v, d_x)]
+        lams = [_scaled_eigvalsh(sc, np.stack([dx, dz]))
+                for sc, dx, dz in zip(scales, d_x, d_z)]
+        tau = 0.9 if mu > 1e-4 else 0.98
+        alpha_p, alpha_d = (step([lam[k].min() for lam in lams], tau)
+                            for k in (0, 1))
+        if min(alpha_p, alpha_d) < 1e-12:
+            return None
+        return (y + alpha_p * dy, t + alpha_p * dt,
+                [zk + alpha_d * hermitize(m @ dz @ mh)
+                 for zk, m, mh, dz in zip(z, ms, mhs, d_z)])
 
     # exactly feasible start: scaled identity blocks
     eta = 1.25  # > ||C||_2 = 1 after normalization
@@ -314,7 +366,7 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
         try:
             _cholesky(s)  # certifies Y_j ∓ C_j > 0 for the upper bound
             scaled3 = _nt_scaling(t * eye_in - ty, z[1])
-            lower, upper = _certificates(c, ty, *scaled3[2:])
+            lower, upper = _certificates(c, ty, *scaled3[1:])
             best_lower = max(best_lower, lower)
             best_upper = min(best_upper, upper)
             if best_upper - best_lower <= tol:
@@ -322,59 +374,12 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
             if iterations == max_iterations:
                 break
 
-            w_invs, ms, mhs, vs = zip(_nt_scaling(s, z[0]), scaled3)
-            mu = sum(np.dot(v.ravel(), v.ravel()) for v in vs) / n_total
-            if mu <= 0:
+            stepped = predictor_corrector(
+                y, t, z, *zip(_nt_scaling(s, z[0]), scaled3))
+            if stepped is None:
                 reason = "step_collapse"
                 break
-
-            solve = _newton_solver(*w_invs[0], ms[1], dim_in, dim_out)
-            diag_v = [v[..., None] * e for v, e in zip(vs, eyes)]
-            scales = [_step_scale(v) for v in vs]
-
-            def newton(r_y, r_t):  # dY, dt and D_x = M† dS M per cone
-                # with dZ_k + W_k⁻¹ dS_k W_k⁻¹ = r_k - Z_k, so that D_z =
-                # M⁻¹ r_k M⁻† - V - D_x; both Y_j ∓ C_j move by dY_j
-                dy, dt = solve(r_y, r_t)
-                ds = [dy, dt * eye_in - tr_out(dy)]
-                return dy, dt, [mh @ d @ m for m, mh, d in zip(ms, mhs, ds)]
-
-            # affine predictor (r = 0): one spectrum bounds both steps
-            _, _, d_x = newton(None, -1.0)
-            d_z = [-dv - dx for dv, dx in zip(diag_v, d_x)]
-            lams = [_scaled_eigvalsh(sc, dx) for sc, dx in zip(scales, d_x)]
-            alpha_p = step([lam.min() for lam in lams], 0.99)
-            alpha_d = step([-1.0 - lam.max() for lam in lams], 0.99)
-            mu_affine = sum(np.vdot(dv + alpha_p * dx, dv + alpha_d * dz).real
-                            for dv, dx, dz in zip(diag_v, d_x, d_z)) / n_total
-            sigma = min(max((max(mu_affine, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
-
-            # Mehrotra corrector toward r_k = M (sigma mu V⁻¹ - X2_k) M†;
-            # R_j = r1_j + r2_j - r3 ⊗ I, r_t = tr r3 - 1 keep Z feasible
-            targets = [(sigma * mu / v)[..., None] * e
-                       - _second_order(v, dx, dz)
-                       for v, e, dx, dz in zip(vs, eyes, d_x, d_z)]
-            r = [hermitize(m @ tk @ mh)
-                 for m, mh, tk in zip(ms, mhs, targets)]
-            r_y = (r[0].sum(0).reshape(-1, dim_in, dim_out, dim_in, dim_out)
-                   - r[1][:, None, :, None] * eye_out[:, None])  # r3 ⊗ I
-            dy, dt, d_x = newton(r_y.reshape(-1, n, n),
-                                 float(np.trace(r[1]).real) - 1.0)
-            del solve  # the next factor is built without this one alive
-            d_z = [tk - dv - dx for tk, dv, dx in zip(targets, diag_v, d_x)]
-            lams = [_scaled_eigvalsh(sc, np.stack([dx, dz]))
-                    for sc, dx, dz in zip(scales, d_x, d_z)]
-            tau = 0.9 if mu > 1e-4 else 0.98
-            alpha_p, alpha_d = (step([lam[k].min() for lam in lams], tau)
-                                for k in (0, 1))
-            if min(alpha_p, alpha_d) < 1e-12:
-                reason = "step_collapse"
-                break
-
-            y = y + alpha_p * dy
-            t = t + alpha_p * dt
-            z = [zk + alpha_d * hermitize(m @ dz @ mh)
-                 for zk, m, mh, dz in zip(z, ms, mhs, d_z)]
+            y, t, z = stepped
         except np.linalg.LinAlgError:
             reason = "linalg_error"
             break

@@ -14,6 +14,7 @@ which the bracket is violated (zero when the chain holds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,8 +27,7 @@ from .instruments import (NonUniformStochasticModel, branch_differences,
                           expand_nonuniform, expand_uniform,
                           random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
-from .linalg import (_is_integer, random_density, random_pure, rng,
-                     support_projector, trace_norm)
+from .linalg import _is_integer, random_density, random_pure, rng, trace_norm
 from .oracle import diamond_norm
 
 __all__ = [
@@ -68,6 +68,13 @@ def _phi_plus_bound(blocks: np.ndarray, E: int) -> float:
     r = blocks[0].reshape(E, D, E * D, E, D, E * D)[:, 0, :, :, 0]
     r = r.reshape(E * E * D, -1)
     return D * (trace_norm(r) - np.trace(r).real)
+
+
+def _stack_diamond(blocks: np.ndarray, tol: float) -> float:
+    """Certified diamond norm of a :func:`branch_differences` stack."""
+    side = math.isqrt(blocks.shape[-1])  # D*E
+    return diamond_norm([ChoiMatrix(side, side, b) for b in blocks],
+                        tol=tol).value
 
 
 def _trace_fidelity(impl) -> float:
@@ -122,8 +129,7 @@ def _check_instrument_bounds(seed, D, E, tol):
     impl = random_general_implementation(D, E, seed=seed)
     lower = metrics.instrument_diamond_lower_max(impl, restarts=8, seed=seed)
     upper = metrics.instrument_diamond_upper(impl)
-    oracle = diamond_norm([ChoiMatrix(D * E, D * E, b)
-                           for b in branch_differences(impl)], tol=1e-7).value
+    oracle = _stack_diamond(branch_differences(impl), 1e-7)
     violation = max(lower - oracle, 0.0) + max(oracle - upper, 0.0)
     return _make("thm-instrument-bounds", seed, lower, oracle, violation, tol)
 
@@ -135,8 +141,7 @@ def _check_uniform_diamond(seed, D, E, tol):
     model = random_uniform_model(D, E, seed=seed)
     closed = 2.0 * metrics.uniform_diamond_exact(model)
     blocks = branch_differences(expand_uniform(model))
-    oracle = diamond_norm([ChoiMatrix(D * E, D * E, b) for b in blocks],
-                          tol=1e-6).value
+    oracle = _stack_diamond(blocks, 1e-6)
     saturated = _phi_plus_bound(blocks, E)
     err = max(abs(closed - oracle), abs(saturated - oracle))
     return _make("thm-uniform-diamond", seed, closed, oracle, err, tol)
@@ -156,9 +161,7 @@ def _check_sec7(seed, D, E, tol):
     model = shipped_counterexample_model()
     closed = metrics.nonuniform_outcome_diamond(model)
     blocks = branch_differences(expand_nonuniform(model))
-    side = model.D * model.E
-    oracle = diamond_norm([ChoiMatrix(side, side, b) for b in blocks],
-                          tol=1e-6).value
+    oracle = _stack_diamond(blocks, 1e-6)
     err = abs(closed - oracle)
     fidelity_route = 1.0 - metrics.fidelity_nonuniform_closed(model)
     separated = abs(0.5 * closed - fidelity_route) >= 0.01
@@ -176,7 +179,7 @@ def _check_fvg(seed, D, E, tol):
     else:
         rho = random_density(dim, gen, rank=1 + int(gen.integers(dim)))
     sigma = random_density(dim, gen)
-    lo, mid, up = metrics.fvg_bounds(rho, sigma, support_projector(rho))
+    lo, mid, up = metrics.fvg_bounds(rho, sigma)
     violation = max(lo - mid, 0.0) + max(mid - up, 0.0)
     return _make("fvg-appendix", seed, lo, up, violation, tol)
 

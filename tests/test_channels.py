@@ -318,11 +318,13 @@ def test_stochastic_channel_validation():
             ch.StochasticChannel(2, nu, {(0, 0): 0.5, (1, 1): weight})
 
 
-@pytest.mark.parametrize("bad", ["1.0", True, np.bool_(True), 1 + 0j, None,
-                                 [1.0]])
+@pytest.mark.parametrize("bad", [
+    "1.0", True, np.bool_(True), 1 + 0j, None, [1.0],
+    pytest.param(10 ** 400, id="1e400"), pytest.param(-10 ** 400, id="-1e400"),
+    pytest.param(10 ** 5000, id="1e5000")])
 def test_stochastic_channel_rejects_non_real_numbers(bad):
-    # a string or bool weight was converted by float(), and nu="1.0" escaped
-    # as a bare TypeError from np.isfinite
+    # a string or bool weight was converted by float(), and nu="1.0" or an
+    # int beyond the float range escaped as a bare TypeError from np.isfinite
     with pytest.raises(InvalidModel, match="finite real number"):
         ch.StochasticChannel(2, 1.0, {(0, 0): bad})
     with pytest.raises(InvalidModel, match="finite real number"):
@@ -332,6 +334,17 @@ def test_stochastic_channel_rejects_non_real_numbers(bad):
         ch.StochasticChannel.from_weights(2, {(0, 0): bad})
     with pytest.raises(InvalidModel, match="finite real number"):
         ch.random_stochastic_channel(2, bad, seed=0)
+
+
+def test_stochastic_from_json_reads_huge_integers_as_inf():
+    # an int beyond the float range reads as the float literal 1e400 does
+    obj = {"dim": 2, "nu": 1.0, "weights": [{"a": 0, "b": 0, "w": 1.0}]}
+    for big, shown in ((10 ** 400, "inf"), (-10 ** 400, "-inf")):
+        for bad in ({**obj, "nu": big},
+                    {**obj, "weights": [{"a": 0, "b": 0, "w": big}]}):
+            with pytest.raises(InvalidModel,
+                               match=f"finite real number: {shown}$"):
+                ch.stochastic_from_json(bad)
 
 
 def test_stochastic_channel_stores_numpy_reals_as_float():

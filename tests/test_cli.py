@@ -351,6 +351,22 @@ def test_non_number_floats_exit_2(capsys, tmp_path):
         assert "malformed" in err
 
 
+def test_integers_too_large_for_a_float_exit_2(capsys, tmp_path):
+    # an integer beyond the float range escaped as an OverflowError
+    # traceback with exit code 1, the code of a failed check
+    choi = {"dim_in": 1, "dim_out": 1, "matrix": {
+        "rows": 1, "cols": 1, "re": [[10 ** 400]], "im": [[0]]}}
+    model = model_to_json(UniformStochasticModel(2, 1, {
+        (0, 0): StochasticChannel(1, 1.0, {(0, 0): 1.0})}))
+    model["table"][0]["channel"]["nu"] = 10 ** 400
+    for command, obj in (("oracle-diamond", choi), ("metrics", model)):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "finite" in err
+
+
 # ------------------------------------------------------------------
 # package surface
 # ------------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
                             choi_from_kraus, identity_channel, nu_lambda,
                             random_stochastic_channel, weyl_operators)
-from qimet.errors import (DimensionMismatch, InvalidModel, InvalidProjector,
-                          NotPSD)
+from qimet.errors import DimensionMismatch, InvalidModel, NotPSD
 from qimet.instruments import (InstrumentImplementation,
                                NonUniformStochasticModel,
                                UniformStochasticModel, expand_nonuniform,
@@ -449,37 +448,6 @@ def test_fvg_chain_on_random_pairs():
         lo, mid, up = fvg_bounds(rho, sigma)
         assert lo <= mid + 1e-10
         assert mid <= up + 1e-10
-
-
-def test_fvg_explicit_projector_accepted():
-    gen = rng(3)
-    rho = random_density(3, gen, rank=2)
-    from qimet.linalg import support_projector
-    pi = support_projector(rho)
-    sigma = random_density(3, gen)
-    assert fvg_bounds(rho, sigma, pi) == fvg_bounds(rho, sigma)
-
-
-def test_fvg_rejects_non_fixing_projector():
-    gen = rng(6)
-    rho = random_density(2, gen)  # full rank
-    pi = np.outer([1, 0], [1, 0]).astype(complex)
-    with pytest.raises(InvalidProjector):
-        fvg_bounds(rho, np.eye(2) / 2, pi)
-
-
-def test_fvg_rejects_projector_of_another_size():
-    # a 3x3 projector for a qubit state escaped as numpy's matmul ValueError
-    rho = np.outer([1, 0], [1, 0]).astype(complex)
-    for pi in (np.eye(3), np.eye(1)):
-        with pytest.raises(DimensionMismatch):
-            fvg_bounds(rho, np.eye(2) / 2, pi)
-
-
-def test_fvg_rejects_non_projector():
-    rho = np.outer([1, 0], [1, 0]).astype(complex)
-    with pytest.raises(InvalidProjector):
-        fvg_bounds(rho, np.eye(2) / 2, 0.5 * np.eye(2))
 
 
 # ------------------------------------------------------------------

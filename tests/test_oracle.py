@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,8 +394,12 @@ def test_newton_solve_matches_dense_system(dim_in, dim_out):
         r_y = np.stack([random_hermitian_choi(dim_in, dim_out, seed=n + k)
                         .matrix for k in range(blocks)])
         r_t = float(gen.normal())
-        m3 = np.linalg.cholesky(w3)  # any factor with w3 = M M†
-        solve = _newton_solver(w1, w2, m3, dim_in, dim_out)
+        # any factors with W = M M†; the system is the one they give
+        m = np.linalg.cholesky(np.stack([w1, w2]))
+        m3 = np.linalg.cholesky(w3)
+        w1, w2 = hermitize(m @ _adjoint(m))
+        w3 = hermitize(m3 @ _adjoint(m3))
+        solve = _newton_solver(m, m3, dim_in, dim_out)
         dense = dense_newton_system(w1, w2, w3, dim_in, dim_out)
         ref = np.linalg.solve(dense, np.append(col_vec(np.hstack(r_y)), r_t))
         dy, dt = solve(r_y, r_t)
@@ -415,9 +420,9 @@ def test_singular_pencil_stops_without_nan():
     # and 1, so (1-λp)(1-λq) + λp λq is 0 for p != q; the factorization raises
     # instead of dividing by zero (a rounded λ just outside [0, 1] made the
     # sum negative and its square root NaN)
-    wi2 = np.diag([1.0, 0.0]).astype(complex)[None]
+    m = np.stack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]).astype(complex)
     with pytest.raises(np.linalg.LinAlgError, match="pencil"):
-        _newton_solver(np.eye(2) - wi2, wi2, np.eye(2, dtype=complex), 2, 1)
+        _newton_solver(m[:, None], np.eye(2, dtype=complex), 2, 1)
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
@@ -425,11 +430,10 @@ def test_nt_scaling_maps_z_to_s(cond):
     gen = rng(2000)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        w_inv, m, mh, _ = _nt_scaling(s, z)
+        m, mh, _ = _nt_scaling(s, z)
+        w_inv = m @ mh
         assert (np.linalg.norm(w_inv @ s @ w_inv - z)
                 <= 1e-9 * np.linalg.norm(z))
-        assert (np.linalg.norm(m @ m.conj().T - w_inv)
-                <= 1e-12 * np.linalg.norm(w_inv))
         assert np.array_equal(mh, m.conj().T)
 
 
@@ -440,7 +444,7 @@ def test_nt_scaling_point_is_diagonal(cond):
     gen = rng(2100)
     for side in (2, 6, 24):
         s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
-        _, m, _, v = _nt_scaling(s, z)
+        m, _, v = _nt_scaling(s, z)
         assert (np.linalg.norm(m.conj().T @ s @ m - np.diag(v))
                 <= 1e-9 * np.linalg.norm(v))
         assert (np.linalg.norm((m * v) @ m.conj().T - z)
@@ -459,7 +463,7 @@ def test_nt_scaling_rejects_a_pair_off_the_cone():
 
 
 def random_scaled_pair(side, cond, gen):
-    """``(S, Z)``, their scaling ``(W⁻¹, M, M†, v)`` and a Hermitian ``dS``."""
+    """``(S, Z)``, their scaling ``(M, M†, v)`` and a Hermitian ``dS``."""
     s, z = random_pd(side, cond, gen), random_pd(side, cond, gen)
     a = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
     return s, z, _nt_scaling(s, z), hermitize(a)
@@ -470,7 +474,7 @@ def test_second_order_term_solves_the_scaled_lyapunov_equation(cond):
     # diag(v) X + X diag(v) = D_x D_z + D_z D_x, X exactly Hermitian
     gen = rng(2200)
     for side in (2, 6, 24):
-        _, _, (_, _, _, v), d_x = random_scaled_pair(side, cond, gen)
+        _, _, (_, _, v), d_x = random_scaled_pair(side, cond, gen)
         d_z = random_hermitian_choi(1, side, side).matrix
         x = _second_order(v, d_x, d_z)
         assert np.array_equal(x, x.conj().T)
@@ -481,11 +485,13 @@ def test_second_order_term_solves_the_scaled_lyapunov_equation(cond):
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
 def test_predictor_dual_direction_in_the_scaled_frame(cond):
-    # the affine direction dZ = -Z - W⁻¹ dS W⁻¹ is, in the scaled frame,
-    # D_z = M⁻¹ dZ M⁻† = -diag(v) - M† dS M, with no product of its own
+    # the affine direction dZ = -Z - W⁻¹ dS W⁻¹, W⁻¹ = M M†, is, in the
+    # scaled frame, D_z = M⁻¹ dZ M⁻† = -diag(v) - M† dS M, with no product
+    # of its own
     gen = rng(2300)
     for side in (2, 6, 24):
-        _, z, (w_inv, m, mh, v), ds = random_scaled_pair(side, cond, gen)
+        _, z, (m, mh, v), ds = random_scaled_pair(side, cond, gen)
+        w_inv = m @ mh
         d_z = -np.diag(v) - mh @ ds @ m
         m_inv = np.linalg.inv(m)
         ref = m_inv @ (-z - w_inv @ ds @ w_inv) @ m_inv.conj().T
@@ -496,15 +502,14 @@ def test_cholesky_inverse_factors_and_inverts():
     gen = rng(2500)
     for side in (1, 3, 8):
         m = random_pd(side, 1e3, gen)
-        chol, chol_inv = _cholesky_inverse(m)
+        chol, chol_inv = _cholesky(m), _cholesky_inverse(m)
         np.testing.assert_allclose(chol @ chol.conj().T, m, atol=1e-12)
         np.testing.assert_allclose(chol_inv @ chol, np.eye(side), atol=1e-9)
         assert not np.triu(chol, 1).any() and not np.triu(chol_inv, 1).any()
     # a stack factors slice by slice
     stack = np.stack([random_pd(6, 1e3, gen) for _ in range(3)])
-    chol, chol_inv = _cholesky_inverse(stack)
-    for m, c, c_inv in zip(stack, chol, chol_inv):
-        assert np.array_equal((c, c_inv), _cholesky_inverse(m))
+    for m, c_inv in zip(stack, _cholesky_inverse(stack)):
+        assert np.array_equal(c_inv, _cholesky_inverse(m))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -536,7 +541,7 @@ def test_lower_certificate_matches_kron_form(dims):
     gen = rng(2600 + dim_in * dim_out)
     c = random_hermitian_choi(dim_in, dim_out, 2700 + dim_in).matrix
     rho = random_density(dim_in, gen)
-    _, _, mh3, v3 = _nt_scaling(random_pd(dim_in, 1e2, gen), 3.0 * rho)
+    _, mh3, v3 = _nt_scaling(random_pd(dim_in, 1e2, gen), 3.0 * rho)
     lower, _ = _certificates(c, np.eye(dim_in), mh3, v3)
     w, u = np.linalg.eigh(rho)
     g = np.kron((u * np.sqrt(w)) @ u.conj().T, np.eye(dim_out))
@@ -571,14 +576,14 @@ def test_max_step_is_the_generalized_eigenvalue_bound(cond):
         return _scaled_eigvalsh(_step_scale(v), m.conj().T @ d @ m).min()
 
     for side in (2, 6, 24):
-        s, _, (_, m, _, v), d = random_scaled_pair(side, cond, gen)
+        s, _, (m, _, v), d = random_scaled_pair(side, cond, gen)
         ref = -1.0 / scipy.linalg.eigh(d, s, eigvals_only=True).min()
         assert -1.0 / least(v, m, d) == pytest.approx(ref, rel=1e-9)
         # a positive semidefinite direction never leaves the cone
         assert least(v, m, d @ d) >= -1e-14
         assert least(v, m, np.zeros((side, side))) == 0.0
         # a stacked pair gives the tighter of the two bounds
-        s2, _, (_, m2, _, v2), d2 = random_scaled_pair(side, cond, gen)
+        s2, _, (m2, _, v2), d2 = random_scaled_pair(side, cond, gen)
         ref2 = -1.0 / scipy.linalg.eigh(d2, s2, eigvals_only=True).min()
         pair = np.stack([m.conj().T @ d @ m, m2.conj().T @ d2 @ m2])
         assert -1.0 / _scaled_eigvalsh(_step_scale(np.stack([v, v2])),
@@ -642,6 +647,29 @@ def test_instrument_blocks_converge_at_a_tight_tolerance(dims):
     res = diamond_norm(blocks, tol=1e-9)
     assert res.gap <= 1e-9
     assert res.iterations <= 20
+
+
+def test_memory_before_each_newton_build_stays_flat(monkeypatch):
+    # a step's directions, targets and Newton factor are freed with the
+    # step, so the memory held just before each Newton build does not grow
+    # from iterate to iterate; it grew by about five (2, B, n, n) stacks
+    # while the previous step's directions and targets stayed bound
+    held = []
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return _newton_solver(*args)
+
+    monkeypatch.setattr("qimet.oracle._newton_solver", spy)
+    blocks = [random_hermitian_choi(6, 6, seed=71 + k) for k in range(2)]
+    tracemalloc.start()
+    try:
+        result = diamond_norm(blocks, tol=1e-7)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == result.iterations >= 3
+    stack = 2 * len(blocks) * 36 ** 2 * 16  # bytes of one (2, B, n, n) stack
+    assert max(held) - min(held) < stack
 
 
 def corrupted_solver(seed, size):
