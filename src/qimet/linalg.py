@@ -30,7 +30,6 @@ __all__ = [
     "psd_sqrt",
     "partial_trace",
     "check_density",
-    "support_projector",
     "random_pure",
     "random_pure_states",
     "random_density",
@@ -135,7 +134,11 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     ``[-psd_clamp * max(1, ||A||), 0)`` to zero, and raises ``NotPSD`` for
     anything genuinely negative.
     """
-    vals, vecs = _clamped_psd_eig(mat)
+    return _psd_root(*_clamped_psd_eig(mat))
+
+
+def _psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``V diag(sqrt(w)) V†`` from a clamped eigendecomposition ``(w, V)``."""
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -175,14 +178,19 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int],
 
 
 # ==================================================================
-# states and projectors
+# states
 # ==================================================================
 
-def check_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Validate a density matrix and return it as a complex array.
+def check_density(rho: np.ndarray, dim: int | None = None) -> tuple:
+    """Validate a density matrix.
 
     Checks Hermiticity (``TOL.herm``), positivity up to the clamp band, and
     unit trace (``TOL.trace_one``).
+
+    :return: ``(rho, vals, vecs)``: the input as a complex array, and the
+        clamped eigendecomposition of its Hermitian part that the positivity
+        check computed (:func:`_clamped_psd_eig`: ascending eigenvalues,
+        eigenvectors as columns), so no caller decomposes it again.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -190,24 +198,11 @@ def check_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatch(
             f"expected a {dim}x{dim} density matrix, got {rho.shape}")
-    _clamped_psd_eig(rho)  # raises NotHermitian / NotPSD
+    vals, vecs = _clamped_psd_eig(rho)  # raises NotHermitian / NotPSD
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > TOL.trace_one:
         raise ValueError(f"trace {tr!r} deviates from 1 beyond {TOL.trace_one}")
-    return rho
-
-
-def support_projector(rho: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD matrix.
-
-    Eigenvalues below ``rank_rel * w_max`` count as zero.
-    """
-    vals, vecs = _clamped_psd_eig(rho)
-    top = float(vals[-1]) if vals.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(np.asarray(rho, dtype=complex))
-    cols = vecs[:, vals > TOL.rank_rel * top]
-    return cols @ cols.conj().T
+    return rho, vals, vecs
 
 
 # ==================================================================

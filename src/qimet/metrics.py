@@ -29,8 +29,8 @@ from .errors import DimensionMismatch, InvalidModel
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
                           UniformStochasticModel, branch_differences,
                           expand_nonuniform, expand_uniform, ideal_instrument)
-from .linalg import (_is_integer, check_density, psd_sqrt, random_pure_states,
-                     rng, support_projector, trace_norm)
+from .linalg import (_is_integer, _psd_root, check_density, psd_sqrt,
+                     random_pure_states, rng, trace_norm)
 
 __all__ = [
     "MetricsReport",
@@ -194,7 +194,7 @@ def instrument_diamond_lower(impl: InstrumentImplementation,
     if not (_is_integer(j) and 0 <= j < impl.D):
         raise ValueError(f"outcome index {j!r} must be an integer in "
                          f"0..{impl.D - 1}")
-    sigma = check_density(sigma, impl.E)
+    sigma = check_density(sigma, impl.E)[0]
     return float(_probe_values(branch_differences(impl), sigma[None], j)[0])
 
 
@@ -251,12 +251,15 @@ def fvg_bounds(rho: np.ndarray, sigma: np.ndarray) -> tuple:
 
     :raises DimensionMismatch: if ``sigma`` does not match ``rho``.
     """
-    rho = check_density(rho)
-    sigma = check_density(sigma, rho.shape[0])
-    pi = support_projector(rho)
-    lower = 1.0 - float(np.trace(pi @ sigma).real)
+    rho, rho_vals, rho_vecs = check_density(rho)
+    sigma, sigma_vals, sigma_vecs = check_density(sigma, rho.shape[0])
+    # the support of rho: eigenvalues above rank_rel * w_max (w_max > 0,
+    # since the clamped eigenvalues of a unit-trace state sum to about 1)
+    cols = rho_vecs[:, rho_vals > TOL.rank_rel * rho_vals[-1]]
+    lower = 1.0 - float(np.trace((cols @ cols.conj().T) @ sigma).real)
     middle = 0.5 * trace_norm(rho - sigma)
-    root = trace_norm(psd_sqrt(rho) @ psd_sqrt(sigma))
+    root = trace_norm(_psd_root(rho_vals, rho_vecs)
+                      @ _psd_root(sigma_vals, sigma_vecs))
     upper = float(np.sqrt(max(1.0 - root * root, 0.0)))
     return lower, middle, upper
 

@@ -106,19 +106,17 @@ def test_numerical_rank():
 # ------------------------------------------------------------------
 
 def test_herm_eig_rejects_non_hermitian():
-    # the eigendecomposition behind psd_sqrt, check_density and
-    # support_projector checks shape, finiteness and Hermiticity
+    # the eigendecomposition behind psd_sqrt and check_density checks
+    # shape, finiteness and Hermiticity
     non_hermitian = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for call in (linalg.psd_sqrt, linalg.check_density,
-                 linalg.support_projector):
+    for call in (linalg.psd_sqrt, linalg.check_density):
         with pytest.raises(NotHermitian):
             call(non_hermitian)
         with pytest.raises(DimensionMismatch):
             call(np.zeros((2, 3)))
     # NaN fails every "deviation > tol" comparison, so it is rejected first
     nan = np.array([[1.0, 0.0], [0.0, np.nan]])
-    for call in (linalg.psd_sqrt, linalg.check_density,
-                 linalg.support_projector):
+    for call in (linalg.psd_sqrt, linalg.check_density):
         with pytest.raises(ValueError, match="finite"):
             call(nan)
 
@@ -229,7 +227,7 @@ def test_partial_trace_shape_mismatch():
 
 
 # ------------------------------------------------------------------
-# states, projectors
+# states
 # ------------------------------------------------------------------
 
 def test_check_density_accepts_valid():
@@ -248,18 +246,20 @@ def test_check_density_rejects_negative():
         linalg.check_density(np.diag([1.1, -0.1]))
 
 
-def test_support_projector():
+def test_check_density_returns_its_decomposition():
+    # the state as a complex array and the clamped eigendecomposition of the
+    # PSD check, which reconstructs it; a rank-1 state's roundoff negatives
+    # are clamped to zero
     gen = linalg.rng(141)
     v = linalg.random_pure(4, gen)
     rho = np.outer(v, v.conj())
-    pi = linalg.support_projector(rho)
-    assert np.max(np.abs(pi - pi.conj().T)) <= 1e-9  # Hermitian
-    assert np.max(np.abs(pi @ pi - pi)) <= 1e-9  # idempotent
-    assert abs(np.trace(pi).real - 1.0) < 1e-10
-    assert np.max(np.abs(pi @ rho - rho)) < 1e-12
-    # full-rank state -> identity projector
-    np.testing.assert_allclose(linalg.support_projector(np.eye(3) / 3),
-                               np.eye(3), atol=1e-12)
+    out, vals, vecs = linalg.check_density(rho, 4)
+    assert out.dtype == complex
+    np.testing.assert_array_equal(out, rho)
+    assert np.all(vals >= 0.0) and np.all(np.diff(vals) >= 0.0)
+    np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, rho, atol=1e-12)
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-12)
+    assert abs(vals[-1] - 1.0) < 1e-12
 
 
 def test_random_pure_and_density_reproducible():

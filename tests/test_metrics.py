@@ -450,6 +450,45 @@ def test_fvg_chain_on_random_pairs():
         assert mid <= up + 1e-10
 
 
+def test_fvg_full_rank_rho_has_a_zero_lower_bound():
+    # the support projector of a full-rank state is the identity
+    gen = rng(22)
+    for dim in (2, 3, 4):
+        rho, sigma = random_density(dim, gen), random_density(dim, gen)
+        assert abs(fvg_bounds(rho, sigma)[0]) <= 1e-12
+    assert abs(fvg_bounds(np.eye(3) / 3, random_density(3, gen))[0]) <= 1e-12
+
+
+def test_fvg_lower_bound_on_a_known_rank_two_support():
+    # rho = U diag(0.7, 0.3, 0) U† in dimension 3: its support projector is
+    # built here from the first two columns of U
+    gen = rng(23)
+    g = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+    u, _ = np.linalg.qr(g)
+    rho = (u * np.array([0.7, 0.3, 0.0])) @ u.conj().T
+    pi = u[:, :2] @ u[:, :2].conj().T
+    for _ in range(5):
+        sigma = random_density(3, gen)
+        expected = 1.0 - np.trace(pi @ sigma).real
+        assert abs(fvg_bounds(rho, sigma)[0] - expected) <= 1e-12
+
+
+def test_fvg_decomposes_each_state_once(monkeypatch):
+    # one eigendecomposition each of rho and sigma serves the density
+    # checks, the support projector and both square roots
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    gen = rng(24)
+    fvg_bounds(random_density(3, gen, rank=2), random_density(3, gen))
+    assert calls == [(3, 3), (3, 3)]
+
+
 # ------------------------------------------------------------------
 # aggregated report
 # ------------------------------------------------------------------
