@@ -36,9 +36,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import (KrausChannel, StochasticChannel, _label, _store_dims,
-                       channel_from_json, channel_to_json, choi_from_kraus,
-                       stochastic_from_json, stochastic_to_json)
+from .channels import (_MAX_MODEL_DIM, KrausChannel, StochasticChannel,
+                       _label, _store_dims, channel_from_json, channel_to_json,
+                       choi_from_kraus, stochastic_from_json,
+                       stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
 from .linalg import _is_integer, _json_int, rng
@@ -66,11 +67,17 @@ __all__ = [
 
 def _check_dims(obj):
     """Store ``obj.D`` and ``obj.E`` as ``int``s (the integer rule of
-    ``channels._store_dims``); need D >= 2 and E >= 1."""
+    ``channels._store_dims``); need 2 <= D <= 5 and 1 <= E <= 5, checked
+    before anything loops over or allocates by them (the bound and its cost
+    are at ``channels._MAX_MODEL_DIM``)."""
     _store_dims(obj, ("D", "E"), UnsupportedDimension)
     if obj.D < 2:
         raise UnsupportedDimension(
             f"need D >= 2 and E >= 1, got D={obj.D}, E={obj.E}")
+    if max(obj.D, obj.E) > _MAX_MODEL_DIM:
+        raise UnsupportedDimension(
+            f"models support D and E up to {_MAX_MODEL_DIM}, "
+            f"got D={obj.D}, E={obj.E}")
 
 
 @dataclass(frozen=True)

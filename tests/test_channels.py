@@ -146,6 +146,15 @@ def test_stochastic_dimension_must_be_a_positive_integer(bad):
         ch.StochasticChannel(bad, 1.0, {(0, 0): 1.0})
 
 
+def test_stochastic_dimension_is_bounded():
+    # a 200-level channel used to construct, and its Kraus operators then
+    # asked for a 25.6 GB Weyl basis
+    for dim in (6, 200, 10 ** 400):
+        with pytest.raises(UnsupportedDimension, match="up to 5"):
+            ch.StochasticChannel(dim, 1.0, {(0, 0): 1.0})
+    assert len(ch.StochasticChannel(5, 1.0, {(4, 4): 1.0}).kraus_ops()) == 1
+
+
 def test_choi_reproduces_action_via_partial_trace():
     # E(rho) = dim_in * Tr_in[ (rho^T ⊗ I) J ]
     gen = linalg.rng(205)

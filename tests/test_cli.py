@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,52 @@ def test_integers_too_large_for_a_float_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, command, str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "finite" in err
+
+
+def _oversized_models(capsys):
+    """``qimet gen uniform`` output with its dimensions past the model bound:
+    D = 10**6 hung in the branch expansion, D = 30 asked for a 3600-side
+    Choi matrix, and a 200-level channel for a 25.6 GB Weyl basis."""
+    code, out, _ = run_cli(capsys, "gen", "uniform")
+    assert code == 0
+    docs = {}
+    for name, D in (("D=10**6", 10 ** 6), ("D=10**400", 10 ** 400),
+                    ("D=30", 30)):
+        docs[name] = dict(json.loads(out), D=D)
+    wide = json.loads(out)
+    wide["E"] = 200
+    for entry in wide["table"]:
+        entry["channel"]["dim"] = 200
+    docs["channel dim=200"] = wide
+    return docs
+
+
+def test_oversized_models_exit_2_at_once(capsys, tmp_path):
+    for name, doc in _oversized_models(capsys).items():
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "metrics", str(path))
+        assert time.perf_counter() - start < 1.0, name
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: model validation failed: ") \
+            and "up to 5" in err, name
+
+
+def test_a_model_at_the_dimension_bound_reports(capsys, tmp_path):
+    # (5, 5), the largest model a file may hold: about 1.3 s
+    model = UniformStochasticModel(5, 5, {
+        (0, 0): StochasticChannel(5, 0.9, {(0, 0): 0.9}),
+        (1, 0): StochasticChannel(5, 0.1, {(1, 2): 0.1})})
+    path = tmp_path / "model.json"
+    write_model(path, model)
+    code, out, _ = run_cli(capsys, "metrics", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["diamond_exact"] - 0.2) < 1e-12
+    assert (report["diamond_lower"] - 1e-9 <= report["diamond_exact"]
+            <= report["diamond_upper"] + 1e-9)
+    assert len(report["per_branch_trace_distances"]) == 5
 
 
 # ------------------------------------------------------------------

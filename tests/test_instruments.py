@@ -76,6 +76,28 @@ def test_dimension_guards():
         inst.ideal_instrument(2, 0)
 
 
+@pytest.mark.parametrize("D, E", [(6, 1), (2, 6), (10 ** 6, 2),
+                                  (10 ** 400, 1)])
+def test_instrument_dimensions_are_bounded(D, E):
+    # D = 10**6 used to construct, and the report then hung in the D² slot
+    # lookups of every branch; the bound holds before any loop over D
+    branches = inst.ideal_instrument(2, 1).branches
+    for build in (lambda D, E: inst.InstrumentImplementation(D, E, branches),
+                  lambda D, E: inst.UniformStochasticModel(D, E, {}),
+                  lambda D, E: inst.NonUniformStochasticModel(D, E, {})):
+        with pytest.raises(UnsupportedDimension, match="up to 5"):
+            build(D, E)
+    assert inst.ideal_instrument(5, 5).D == 5
+
+
+def test_model_json_past_the_bound_names_the_cause():
+    doc = inst.model_to_json(inst.random_uniform_model(2, 2, 0))
+    for D in (30, 10 ** 6, 10 ** 400):
+        with pytest.raises(InvalidModel, match="up to 5") as info:
+            inst.model_from_json(dict(doc, D=D))
+        assert isinstance(info.value.__cause__, UnsupportedDimension)
+
+
 @pytest.mark.parametrize("D, E", [(2.0, 1), (2, 1.0), (2, True), (True, 1),
                                   ("2", 1)])
 def test_instrument_dimensions_must_be_integers(D, E):
