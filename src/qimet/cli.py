@@ -156,13 +156,26 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("--out", default=None)
     met.set_defaults(func=_cmd_metrics)
 
-    ver = sub.add_parser("verify", help="randomized theorem verification")
+    ver = sub.add_parser(
+        "verify", help="randomized theorem verification",
+        epilog="thm-uniform-diamond and thm-instrument-bounds need D*E <= 12: "
+               "the oracle takes Choi blocks of side (D*E)**2 <= 144, so at "
+               "D = E = 4 they exit 2 with 'Choi side 256 exceeds the solver "
+               "limit 144'.")
     ver.add_argument("theorem_id", choices=THEOREM_IDS, metavar="theorem_id",
                      help=f"one of: {', '.join(THEOREM_IDS)}")
-    ver.add_argument("--trials", type=int, default=20)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--dim-d", type=int, default=None)
-    ver.add_argument("--dim-e", type=int, default=None)
+    ver.add_argument("--trials", type=int, default=20,
+                     help="number of trials (default 20)")
+    ver.add_argument("--seed", type=int, default=0,
+                     help="seed of the first trial; trial i uses seed + i "
+                          "(default 0)")
+    ver.add_argument("--dim-d", type=int, default=None,
+                     help="measured register dimension D (default 2)")
+    ver.add_argument("--dim-e", type=int, default=None,
+                     help="unmeasured register dimension E (default 2; 3 for "
+                          "kraus-rank, 6 for lemma-orthogonality; "
+                          "fvg-appendix and sec7-counterexample draw their "
+                          "own sizes)")
     ver.add_argument("--tol", type=float, default=None,
                      help="override the per-check pass tolerance")
     ver.add_argument("--format", choices=("json", "csv"), default="json")

@@ -218,6 +218,21 @@ def test_verify_solves_three_by_three_instruments(capsys, theorem):
     assert json.loads(out.splitlines()[-1])["passed"] == 1
 
 
+def test_verify_help_states_defaults_and_the_solver_limit(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # undo the line wrap
+    for phrase in ("number of trials (default 20)", "seed + i (default 0)",
+                   "dimension D (default 2)", "dimension E (default 2;",
+                   "need D*E <= 12", "'Choi side 256 exceeds the solver"):
+        assert phrase in text
+    for theorem in ("thm-uniform-diamond", "thm-instrument-bounds"):
+        code, _, err = run_cli(capsys, "verify", theorem, "--trials", "1",
+                               "--dim-d", "4", "--dim-e", "4")
+        assert code == 2
+        assert "Choi side 256 exceeds the solver limit 144" in err
+
+
 def test_verify_unknown_theorem(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "no-such-theorem"])
