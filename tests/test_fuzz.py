@@ -40,7 +40,7 @@ import contextlib, io, json, resource, signal, sys
 resource.setrlimit(resource.RLIMIT_AS, ({CHILD_BYTES}, {CHILD_BYTES}))
 from qimet.cli import main
 
-class TimedOut(BaseException):
+class TimedOut(BaseException):  # no handler in qimet can swallow it
     pass
 
 def alarm(*_):
@@ -56,7 +56,7 @@ for line in sys.stdin:
             outcome = main([command, path])
     except TimedOut:
         outcome = "timed out"
-    except BaseException as exc:
+    except Exception as exc:
         outcome = f"{{type(exc).__name__}}: {{exc}}"[:300]
     finally:
         signal.alarm(0)
@@ -100,7 +100,9 @@ def _seed_documents():
 
 
 def _explicit_documents():
-    """Model files whose size used to hang the report or exhaust memory."""
+    """Model files past the dimension bound, which used to hang the report
+    (D = 10**6, D = 10**400) or exhaust memory (D = 30, a 200-level
+    channel); each must exit 2."""
     doc = model_to_json(random_uniform_model(2, 2, 0))
     wide = json.loads(json.dumps(doc))
     wide["E"] = 200
@@ -137,6 +139,7 @@ def test_mutated_documents_exit_cleanly(tmp_path):
     assert child.returncode == 0, child.stderr[-2000:]
     outcomes = [json.loads(line) for line in child.stdout.splitlines()]
     assert len(outcomes) == len(lines)
+    assert [outcome for _, outcome in outcomes[:4]] == [2] * 4
     bad = [(path, outcome) for path, outcome in outcomes
            if outcome not in (0, 1, 2)]
     assert not bad, [(Path(path).read_text()[:200], outcome)
