@@ -224,6 +224,37 @@ def _label(value) -> int:
     return int(value)
 
 
+def _entries(entries, arity: int, bound: int, what: str, where: str,
+             value) -> dict:
+    """The ``(label, item)`` pairs of a mapping or an iterable of pairs, as a
+    dict sorted by label.  A label is ``arity`` integers (:func:`_label`) in
+    ``0..bound-1`` and is not repeated; ``value(label, item)`` checks and
+    returns each item.  A failure raises :class:`InvalidModel`, naming the
+    label as ``what`` and the bound as ``where``."""
+    pairs = entries.items() if isinstance(entries, Mapping) else entries
+    clean = {}
+    for key, item in pairs:
+        if len(key) != arity:
+            raise InvalidModel(f"{what} {key} must have {arity} indices")
+        key = tuple(map(_label, key))
+        for k in key:  # a loop: min() and max() cost 4x as much
+            if not 0 <= k < bound:
+                raise InvalidModel(f"{what} {key} out of range for {where}")
+        item = value(key, item)
+        if key in clean:
+            raise InvalidModel(f"duplicate {what} {key}")
+        clean[key] = item
+    return dict(sorted(clean.items()))
+
+
+def _weight(key, w) -> float:
+    """A mixture weight: a finite real number ``>= 0``, as ``float``."""
+    w = _real(w, f"weight at {key}")
+    if w < 0.0:
+        raise InvalidModel(f"negative weight {w!r} at {key}")
+    return w
+
+
 def _real(value, what: str) -> float:
     """A finite ``int``, ``float`` or NumPy real as ``float``; else raise."""
     if isinstance(value, (float, np.floating)) or _is_integer(value):
@@ -255,27 +286,13 @@ class StochasticChannel:
             raise UnsupportedDimension(f"stochastic channels support dimensions "
                                        f"up to {_MAX_MODEL_DIM}, got {self.dim}")
         object.__setattr__(self, "nu", _real(self.nu, "nu"))
-        pairs = self.weights.items() if isinstance(self.weights, Mapping) \
-            else self.weights
-        clean = {}
-        for key, w in pairs:
-            if len(key) != 2:
-                raise InvalidModel(f"weight label {key} must have 2 indices")
-            a, b = map(_label, key)
-            if not (0 <= a < self.dim and 0 <= b < self.dim):
-                raise InvalidModel(f"weight label {key} out of range for "
-                                   f"dimension {self.dim}")
-            w = _real(w, f"weight at {key}")
-            if w < 0.0:
-                raise InvalidModel(f"negative weight {w!r} at {key}")
-            if (a, b) in clean:
-                raise InvalidModel(f"duplicate weight label {(a, b)}")
-            clean[(a, b)] = w
-        total = sum(clean.values())
+        weights = _entries(self.weights, 2, self.dim, "weight label",
+                           f"dimension {self.dim}", _weight)
+        total = sum(weights.values())
         if abs(total - self.nu) > TOL.weight_sum:
             raise InvalidModel(
                 f"weights sum to {total!r}, but nu = {self.nu!r}")
-        object.__setattr__(self, "weights", dict(sorted(clean.items())))
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_weights(cls, dim: int, weights: Mapping) -> "StochasticChannel":
@@ -334,11 +351,15 @@ def random_stochastic_channel(dim: int, nu: float,
             f"random stochastic channels support dimensions 1..4, got {dim!r}")
     if _real(nu, "nu") < 0.0:
         raise InvalidModel(f"nu must be nonnegative, got {nu!r}")
-    gen = rng(seed)
+    return StochasticChannel(dim, nu, _mixture_weights(rng(seed), dim, nu))
+
+
+def _mixture_weights(gen, dim: int, nu) -> dict:
+    """``nu`` times a flat Dirichlet draw from ``gen`` (uniform on the
+    simplex) over the ``dim**2`` labels ``(a, b)``."""
     probs = gen.dirichlet(np.ones(dim * dim))
-    weights = {(a, b): nu * probs[a * dim + b]
-               for a in range(dim) for b in range(dim)}
-    return StochasticChannel(dim, nu, weights)
+    return {(a, b): nu * probs[a * dim + b]
+            for a in range(dim) for b in range(dim)}
 
 
 # ==================================================================

@@ -26,9 +26,8 @@ from .instruments import (model_from_json, model_to_json,
                           random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
 from .metrics import MetricsReport, build_report, report_to_json
-from .oracle import diamond_norm, result_to_json
-from .verify import (THEOREM_IDS, VerificationRecord, record_to_json,
-                     run_trials, summarize)
+from .oracle import diamond_norm
+from .verify import THEOREM_IDS, VerificationRecord, run_trials, summarize
 
 __all__ = ["main"]
 
@@ -102,7 +101,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_verify(args) -> int:
     records = run_trials(args.theorem_id, args.trials, args.seed,
                          dim_d=args.dim_d, dim_e=args.dim_e, tol=args.tol)
-    rows = [record_to_json(r) for r in records]
+    rows = [dataclasses.asdict(r) for r in records]
     summary = dict(summarize(records), theorem_id=args.theorem_id)
     if args.format == "csv":
         body = _csv_lines(_RECORD_FIELDS, rows)
@@ -121,10 +120,10 @@ def _cmd_oracle(args) -> int:
     try:
         result = diamond_norm(choi, tol=args.tol)
     except Unconverged as exc:
-        _emit(_dumps(result_to_json(exc.result)), args.out)
+        _emit(_dumps(dataclasses.asdict(exc.result)), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(_dumps(result_to_json(result)), args.out)
+    _emit(_dumps(dataclasses.asdict(result)), args.out)
     return 0
 
 
@@ -161,7 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="thm-uniform-diamond and thm-instrument-bounds need D*E <= 12: "
                "the oracle takes Choi blocks of side (D*E)**2 <= 144, so at "
                "D = E = 4 they exit 2 with 'Choi side 256 exceeds the solver "
-               "limit 144'.")
+               "limit 144'.  kraus-rank needs D, E >= 1 and D*E <= 144, "
+               "lemma-orthogonality 1 <= E <= 256; outside these they exit 2 "
+               "before drawing anything.")
     ver.add_argument("theorem_id", choices=THEOREM_IDS, metavar="theorem_id",
                      help=f"one of: {', '.join(THEOREM_IDS)}")
     ver.add_argument("--trials", type=int, default=20,

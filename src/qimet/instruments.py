@@ -37,9 +37,9 @@ from typing import Mapping
 import numpy as np
 
 from .channels import (_MAX_MODEL_DIM, KrausChannel, StochasticChannel,
-                       _label, _store_dims, channel_from_json, channel_to_json,
-                       choi_from_kraus, stochastic_from_json,
-                       stochastic_to_json)
+                       _entries, _mixture_weights, _store_dims,
+                       channel_from_json, channel_to_json, choi_from_kraus,
+                       stochastic_from_json, stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
 from .linalg import _is_integer, _json_int, rng
@@ -118,26 +118,17 @@ class InstrumentImplementation:
 # ==================================================================
 
 def _validate_table(table, D: int, E: int, labels: int) -> dict:
-    """Common table validation: key arity/range, channel dimensions and
-    repeated keys (``table`` is a mapping or an iterable of
-    ``(key, channel)`` pairs)."""
-    pairs = table.items() if isinstance(table, Mapping) else table
-    clean = {}
-    for key, channel in pairs:
-        key = tuple(map(_label, key))
-        if len(key) != labels:
-            raise InvalidModel(f"table key {key} must have {labels} indices")
-        if any(not 0 <= k < D for k in key):
-            raise InvalidModel(f"table key {key} out of range for D={D}")
+    """``table`` (a mapping or an iterable of ``(key, channel)`` pairs) as a
+    sorted dict: keys of ``labels`` indices in ``0..D-1``, no key repeated,
+    and each entry a stochastic channel on the E-dimensional register."""
+    def channel_at(key, channel):
         if not isinstance(channel, StochasticChannel):
             raise InvalidModel(f"table entry {key} is not a StochasticChannel")
         if channel.dim != E:
             raise InvalidModel(
                 f"table entry {key} acts on dimension {channel.dim}, expected E={E}")
-        if key in clean:
-            raise InvalidModel(f"duplicate table key {key}")
-        clean[key] = channel
-    return dict(sorted(clean.items()))
+        return channel
+    return _entries(table, labels, D, "table key", f"D={D}", channel_at)
 
 
 @dataclass(frozen=True)
@@ -286,10 +277,8 @@ def random_uniform_model(D: int, E: int, seed: int) -> UniformStochasticModel:
     table = {}
     for a in range(D):
         for b in range(D):
-            probs = gen.dirichlet(np.ones(E * E))
-            weights = {(x, y): nus[a * D + b] * probs[x * E + y]
-                       for x in range(E) for y in range(E)}
-            table[(a, b)] = StochasticChannel.from_weights(E, weights)
+            table[(a, b)] = StochasticChannel.from_weights(
+                E, _mixture_weights(gen, E, nus[a * D + b]))
     return UniformStochasticModel(D, E, table)
 
 
@@ -306,11 +295,8 @@ def random_nonuniform_model(D: int, E: int, seed: int) -> NonUniformStochasticMo
         for b in range(D):
             splits = gen.dirichlet(np.ones(D))  # over a
             for a in range(D):
-                nu = mu[b] * splits[a]
-                probs = gen.dirichlet(np.ones(E * E))
-                weights = {(x, y): nu * probs[x * E + y]
-                           for x in range(E) for y in range(E)}
-                table[(a, b, j)] = StochasticChannel.from_weights(E, weights)
+                table[(a, b, j)] = StochasticChannel.from_weights(
+                    E, _mixture_weights(gen, E, mu[b] * splits[a]))
     return NonUniformStochasticModel(D, E, table)
 
 

@@ -65,7 +65,7 @@ independent lower bound used as a solver sanity check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ __all__ = [
     "DiamondNormResult",
     "diamond_norm",
     "diamond_lower_hillclimb",
-    "result_to_json",
 ]
 
 #: Hard cap on the Choi side of each block accepted by the solver.
@@ -102,10 +101,6 @@ class DiamondNormResult:
     dual_bound: float
     gap: float
     iterations: int
-
-
-def result_to_json(result: DiamondNormResult) -> dict:
-    return asdict(result)
 
 
 # ==================================================================

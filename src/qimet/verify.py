@@ -15,7 +15,8 @@ which the bracket is violated (zero when the chain holds).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from . import metrics
 from .channels import (ChoiMatrix, KrausChannel, StochasticChannel,
                        choi_from_kraus, identity_channel, kraus_rank,
                        random_stochastic_channel)
+from .errors import UnsupportedDimension
 from .instruments import (NonUniformStochasticModel, branch_differences,
                           expand_nonuniform, expand_uniform,
                           random_general_implementation,
@@ -33,7 +35,6 @@ from .oracle import diamond_norm
 __all__ = [
     "THEOREM_IDS",
     "VerificationRecord",
-    "record_to_json",
     "run_trial",
     "run_trials",
     "shipped_counterexample_model",
@@ -48,15 +49,6 @@ class VerificationRecord:
     oracle_value: float
     abs_error: float
     passed: bool
-
-
-def record_to_json(record: VerificationRecord) -> dict:
-    return asdict(record)
-
-
-def _make(theorem_id, seed, closed, oracle, err, tol) -> VerificationRecord:
-    return VerificationRecord(theorem_id, seed, float(closed), float(oracle),
-                              float(err), bool(err <= tol))
 
 
 def _phi_plus_bound(blocks: np.ndarray, E: int) -> float:
@@ -88,10 +80,10 @@ def _trace_fidelity(impl) -> float:
 
 
 # ------------------------------------------------------------------
-# individual checks
+# individual checks: each maps (seed, D, E) to (closed, oracle, abs_error)
 # ------------------------------------------------------------------
 
-def _check_stochastic_diamond(seed, D, E, tol):
+def _check_stochastic_diamond(seed, D, E):
     # halved diamond distance of T to the identity: closed form vs SDP
     gen = rng(seed)
     nu = 0.2 + 0.8 * float(gen.uniform())
@@ -99,42 +91,28 @@ def _check_stochastic_diamond(seed, D, E, tol):
     closed = metrics.diamond_identity_stochastic(t)
     delta = t.choi() - choi_from_kraus(identity_channel(E))
     oracle = 0.5 * diamond_norm(delta, tol=1e-7).value
-    return _make("t-stochastic-diamond-identity", seed, closed, oracle,
-                 abs(closed - oracle), tol)
+    return closed, oracle, abs(closed - oracle)
 
 
-def _check_fidelity(theorem_id, generate, closed_form, expand,
-                    seed, D, E, tol):
+def _check_fidelity(generate, closed_form, expand, seed, D, E):
     # closed-form model fidelity vs the Kraus route on the expanded model
     model = generate(D, E, seed=seed)
     closed = closed_form(model)
     oracle = _trace_fidelity(expand(model))
-    return _make(theorem_id, seed, closed, oracle, abs(closed - oracle), tol)
+    return closed, oracle, abs(closed - oracle)
 
 
-def _check_uniform_fidelity(seed, D, E, tol):
-    return _check_fidelity("cor-uniform-fidelity", random_uniform_model,
-                           metrics.fidelity_uniform_closed, expand_uniform,
-                           seed, D, E, tol)
+def _check_instrument_bounds(seed, D, E):
+    # sandwich: lower_max <= ||Delta||_dia <= upper; abs_error = violation.
+    # One stack serves both bounds and the SDP, as in metrics.build_report.
+    stack = branch_differences(random_general_implementation(D, E, seed=seed))
+    lower = metrics._lower_max(stack, E, 8, seed)
+    upper = metrics._upper_bound(stack, E)[0]
+    oracle = _stack_diamond(stack, 1e-7)
+    return lower, oracle, max(lower - oracle, 0.0) + max(oracle - upper, 0.0)
 
 
-def _check_nonuniform_fidelity(seed, D, E, tol):
-    return _check_fidelity("cor-nonuniform-fidelity", random_nonuniform_model,
-                           metrics.fidelity_nonuniform_closed,
-                           expand_nonuniform, seed, D, E, tol)
-
-
-def _check_instrument_bounds(seed, D, E, tol):
-    # sandwich: lower_max <= ||Delta||_dia <= upper; abs_error = violation
-    impl = random_general_implementation(D, E, seed=seed)
-    lower = metrics.instrument_diamond_lower_max(impl, restarts=8, seed=seed)
-    upper = metrics.instrument_diamond_upper(impl)
-    oracle = _stack_diamond(branch_differences(impl), 1e-7)
-    violation = max(lower - oracle, 0.0) + max(oracle - upper, 0.0)
-    return _make("thm-instrument-bounds", seed, lower, oracle, violation, tol)
-
-
-def _check_uniform_diamond(seed, D, E, tol):
+def _check_uniform_diamond(seed, D, E):
     # closed form 2(1 - nu00*lambda00) vs SDP, plus saturation of the probe
     # lower bound at Phi+ on (reference x E), by covariance the optimal input
     # of T00, a mixture of shift-and-phase unitaries
@@ -143,8 +121,7 @@ def _check_uniform_diamond(seed, D, E, tol):
     blocks = branch_differences(expand_uniform(model))
     oracle = _stack_diamond(blocks, 1e-6)
     saturated = _phi_plus_bound(blocks, E)
-    err = max(abs(closed - oracle), abs(saturated - oracle))
-    return _make("thm-uniform-diamond", seed, closed, oracle, err, tol)
+    return closed, oracle, max(abs(closed - oracle), abs(saturated - oracle))
 
 
 def shipped_counterexample_model() -> NonUniformStochasticModel:
@@ -155,21 +132,20 @@ def shipped_counterexample_model() -> NonUniformStochasticModel:
     return NonUniformStochasticModel(2, 2, {(0, 0, 0): t0, (0, 0, 1): t1})
 
 
-def _check_sec7(seed, D, E, tol):
+def _check_sec7(seed, D, E):
     # fixed counterexample: outcome-resolved closed form vs SDP, and the
-    # uniform-theory fidelity route must disagree by at least 0.01
+    # uniform-theory fidelity route must disagree by at least 0.01 (else
+    # the error is infinite, which fails at every finite tolerance)
     model = shipped_counterexample_model()
     closed = metrics.nonuniform_outcome_diamond(model)
     blocks = branch_differences(expand_nonuniform(model))
     oracle = _stack_diamond(blocks, 1e-6)
-    err = abs(closed - oracle)
     fidelity_route = 1.0 - metrics.fidelity_nonuniform_closed(model)
     separated = abs(0.5 * closed - fidelity_route) >= 0.01
-    return VerificationRecord("sec7-counterexample", seed, closed, oracle,
-                              float(err), bool(err <= tol and separated))
+    return closed, oracle, abs(closed - oracle) if separated else math.inf
 
 
-def _check_fvg(seed, D, E, tol):
+def _check_fvg(seed, D, E):
     # chain lower <= middle <= upper; abs_error = total violation
     gen = rng(seed)
     dim = 2 + int(gen.integers(3))
@@ -180,11 +156,10 @@ def _check_fvg(seed, D, E, tol):
         rho = random_density(dim, gen, rank=1 + int(gen.integers(dim)))
     sigma = random_density(dim, gen)
     lo, mid, up = metrics.fvg_bounds(rho, sigma)
-    violation = max(lo - mid, 0.0) + max(mid - up, 0.0)
-    return _make("fvg-appendix", seed, lo, up, violation, tol)
+    return lo, up, max(lo - mid, 0.0) + max(mid - up, 0.0)
 
 
-def _check_orthogonality(seed, D, E, tol):
+def _check_orthogonality(seed, D, E):
     # Hermitian blocks with orthogonal supports: ||sum|| _1 == sum ||.||_1
     gen = rng(seed)
     dim = max(E, 2)
@@ -199,11 +174,10 @@ def _check_orthogonality(seed, D, E, tol):
         parts.append(block @ h @ block.conj().T)
     closed = sum(trace_norm(p) for p in parts)
     oracle = trace_norm(sum(parts))
-    return _make("lemma-orthogonality", seed, closed, oracle,
-                 abs(closed - oracle), tol)
+    return closed, oracle, abs(closed - oracle)
 
 
-def _check_kraus_rank(seed, D, E, tol):
+def _check_kraus_rank(seed, D, E):
     # generic channels: number of independent Kraus operators == Choi rank
     gen = rng(seed)
     din, dout = D, E
@@ -211,22 +185,37 @@ def _check_kraus_rank(seed, D, E, tol):
     g = gen.normal(size=(r, 2, dout, din))  # per operator: real, imaginary
     channel = KrausChannel(din, dout, g[:, 0] + 1j * g[:, 1])
     measured = kraus_rank(channel)
-    return _make("kraus-rank", seed, float(r), float(measured),
-                 abs(r - measured), tol)
+    return r, measured, abs(r - measured)
 
 
-#: theorem id -> (runner, pass tolerance, default (D, E)); the tolerances
-#: are the acceptance thresholds.
+#: theorem id -> (runner, pass tolerance, default (D, E), dimension limit);
+#: the tolerances are the acceptance thresholds.  A limit is ``(text,
+#: test)``, checked before any draw.  One kraus-rank trial takes 0.007 s
+#: at D*E = 144 and 0.2 s at 576; one lemma-orthogonality trial 0.08 s at
+#: E = 256 and 3.7 s at 1024 (2 cores, one OpenBLAS thread).  The
+#: generators bound the other checks' D and E, or they draw their own sizes.
 _CHECKS = {
-    "t-stochastic-diamond-identity": (_check_stochastic_diamond, 1e-5, (2, 2)),
-    "cor-uniform-fidelity": (_check_uniform_fidelity, 1e-8, (2, 2)),
-    "cor-nonuniform-fidelity": (_check_nonuniform_fidelity, 1e-8, (2, 2)),
-    "thm-instrument-bounds": (_check_instrument_bounds, 1e-6, (2, 2)),
-    "thm-uniform-diamond": (_check_uniform_diamond, 1e-4, (2, 2)),
-    "sec7-counterexample": (_check_sec7, 1e-4, (2, 2)),
-    "fvg-appendix": (_check_fvg, 1e-10, (2, 3)),
-    "lemma-orthogonality": (_check_orthogonality, 1e-10, (2, 6)),
-    "kraus-rank": (_check_kraus_rank, 0.0, (2, 3)),
+    "t-stochastic-diamond-identity":
+        (_check_stochastic_diamond, 1e-5, (2, 2), None),
+    "cor-uniform-fidelity":
+        (partial(_check_fidelity, random_uniform_model,
+                 metrics.fidelity_uniform_closed, expand_uniform),
+         1e-8, (2, 2), None),
+    "cor-nonuniform-fidelity":
+        (partial(_check_fidelity, random_nonuniform_model,
+                 metrics.fidelity_nonuniform_closed, expand_nonuniform),
+         1e-8, (2, 2), None),
+    "thm-instrument-bounds": (_check_instrument_bounds, 1e-6, (2, 2), None),
+    "thm-uniform-diamond": (_check_uniform_diamond, 1e-4, (2, 2), None),
+    "sec7-counterexample": (_check_sec7, 1e-4, (2, 2), None),
+    "fvg-appendix": (_check_fvg, 1e-10, (2, 3), None),
+    "lemma-orthogonality":
+        (_check_orthogonality, 1e-10, (2, 6),
+         ("1 <= E <= 256", lambda D, E: 1 <= E <= 256)),
+    "kraus-rank":
+        (_check_kraus_rank, 0.0, (2, 3),
+         ("D, E >= 1 and D*E <= 144",
+          lambda D, E: min(D, E) >= 1 and D * E <= 144)),
 }
 
 THEOREM_IDS = tuple(_CHECKS)
@@ -243,19 +232,24 @@ def run_trial(theorem_id: str, trial_seed: int, dim_d: int | None = None,
 
     :raises ValueError: for an unknown id, or a ``tol`` that is not a
         number ``>= 0``.
+    :raises UnsupportedDimension: for dimensions outside the check's limit
+        (see ``qimet verify --help``), before anything is drawn.
     """
     if theorem_id not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"choose one of {', '.join(THEOREM_IDS)}")
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
-    runner, default_tol, (d_default, e_default) = _CHECKS[theorem_id]
-    return runner(
-        trial_seed,
-        d_default if dim_d is None else dim_d,
-        e_default if dim_e is None else dim_e,
-        default_tol if tol is None else tol,
-    )
+    runner, default_tol, (D, E), limit = _CHECKS[theorem_id]
+    D = D if dim_d is None else dim_d
+    E = E if dim_e is None else dim_e
+    if limit is not None and not limit[1](D, E):
+        raise UnsupportedDimension(
+            f"{theorem_id} needs {limit[0]}, got D={D!r}, E={E!r}")
+    closed, oracle, err = runner(trial_seed, D, E)
+    return VerificationRecord(
+        theorem_id, trial_seed, float(closed), float(oracle), float(err),
+        bool(err <= (default_tol if tol is None else tol)))
 
 
 def run_trials(theorem_id: str, trials: int, seed: int,

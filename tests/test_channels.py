@@ -310,6 +310,11 @@ def test_stochastic_zero_channel_lambda_convention():
     nu, lam = ch.nu_lambda(t)
     assert nu == 0.0
     assert lam == 1.0
+    # no Kraus operators: as_channel stands in one zero operator
+    assert len(t.kraus_ops()) == 0
+    choi = t.choi()
+    assert (choi.dim_in, choi.dim_out) == (2, 2)
+    np.testing.assert_array_equal(choi.matrix, np.zeros((4, 4)))
 
 
 def test_stochastic_channel_validation():

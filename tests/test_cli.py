@@ -223,13 +223,26 @@ def test_verify_help_states_defaults_and_the_solver_limit(capsys):
     text = " ".join(capsys.readouterr().out.split())  # undo the line wrap
     for phrase in ("number of trials (default 20)", "seed + i (default 0)",
                    "dimension D (default 2)", "dimension E (default 2;",
-                   "need D*E <= 12", "'Choi side 256 exceeds the solver"):
+                   "need D*E <= 12", "'Choi side 256 exceeds the solver",
+                   "kraus-rank needs D, E >= 1 and D*E <= 144",
+                   "lemma-orthogonality 1 <= E <= 256"):
         assert phrase in text
     for theorem in ("thm-uniform-diamond", "thm-instrument-bounds"):
         code, _, err = run_cli(capsys, "verify", theorem, "--trials", "1",
                                "--dim-d", "4", "--dim-e", "4")
         assert code == 2
         assert "Choi side 256 exceeds the solver limit 144" in err
+
+
+@pytest.mark.parametrize("theorem, dims", [
+    ("kraus-rank", ("--dim-d", "1000000", "--dim-e", "1000000")),
+    ("lemma-orthogonality", ("--dim-e", "0"))])
+def test_verify_dimensions_past_the_limit_exit_2(capsys, theorem, dims):
+    # kraus-rank at (10**6, 10**6) died with a NumPy memory error (exit 1)
+    code, out, err = run_cli(capsys, "verify", theorem, "--trials", "1",
+                             *dims)
+    assert (code, out) == (2, "")
+    assert f"error: {theorem} needs " in err
 
 
 def test_verify_unknown_theorem(capsys):
@@ -328,6 +341,25 @@ def test_oracle_diamond_deep_tolerance_stops_without_warnings(tmp_path):
             assert run.returncode == 1
             assert re.search(r"stopped: (max_iterations|step_collapse"
                              r"|linalg_error)\)$", run.stderr.strip())
+
+
+def test_oracle_diamond_unconverged_exits_1_with_its_bracket(capsys,
+                                                            tmp_path):
+    # a tolerance no solve can reach: the partial, still certified bracket
+    # goes to stdout and the reason the solver stopped to stderr
+    from qimet.channels import ChoiMatrix
+    g = np.random.default_rng(0)
+    m = g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(choi_to_json(
+        ChoiMatrix(2, 2, (m + m.conj().T) / 2))))
+    code, out, err = run_cli(capsys, "oracle-diamond", str(path),
+                             "--tol", "1e-30")
+    assert code == 1
+    result = json.loads(out)
+    assert result["primal_bound"] <= result["dual_bound"]
+    assert result["gap"] > 1e-30
+    assert re.search(r"stopped: \w+\)$", err.strip())
 
 
 def test_oracle_diamond_malformed(capsys, tmp_path):

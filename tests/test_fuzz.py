@@ -1,13 +1,14 @@
 """Fuzz test of the JSON readers behind ``qimet metrics`` and
-``qimet oracle-diamond``.
+``qimet oracle-diamond``, and of ``qimet verify``'s dimensions.
 
 Valid ``qimet gen`` and ``choi_to_json`` documents are mutated one value at
 a time: a key is deleted, or a value becomes ``None``, a bool, a string, a
-list, a huge or negative integer, or ``1e308``.  Every document goes through
-``qimet.cli.main`` in one child process, one document after another, under
-an address-space limit and a per-document alarm, so that a hang or a failed
-allocation can neither stall nor exhaust the suite.  Each must exit 0, 1 or
-2, with no other exception and no time-out.
+list, a huge or negative integer, or ``1e308``.  ``qimet verify`` runs each
+theorem id with ``--dim-d`` or ``--dim-e`` set to 0, -1, 10**6 or 10**400.
+Every command goes through ``qimet.cli.main`` in one child process, one
+after another, under an address-space limit and a per-command alarm, so
+that a hang or a failed allocation can neither stall nor exhaust the suite.
+Each must exit 0, 1 or 2, with no other exception and no time-out.
 """
 
 import json
@@ -23,13 +24,16 @@ from qimet.channels import (choi_from_kraus, choi_to_json, identity_channel,
                             random_stochastic_channel)
 from qimet.instruments import (model_to_json, random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
+from qimet.verify import THEOREM_IDS
 
 #: Values swapped in at a mutated position; ``DELETE`` removes a key.
 DELETE = object()
 REPLACEMENTS = (None, True, False, "1", [], [1], 10 ** 400, 10 ** 6, -1,
                 1e308)
+#: ``qimet verify`` dimension values; each id runs one trial.
+VERIFY_DIMS = (0, -1, 10 ** 6, 10 ** 400)
 #: Address-space limit of the child (it needs about 150 MB) and its alarm
-#: per document, in seconds.
+#: per command, in seconds.
 CHILD_BYTES = 1 << 30
 ALARM_S = 2
 #: How many of the enumerated mutations run, drawn with a fixed seed.
@@ -48,19 +52,19 @@ def alarm(*_):
 
 signal.signal(signal.SIGALRM, alarm)
 for line in sys.stdin:
-    command, path = json.loads(line)
+    argv = json.loads(line)
     signal.alarm({ALARM_S})
     try:
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
-            outcome = main([command, path])
+            outcome = main(argv)
     except TimedOut:
         outcome = "timed out"
     except Exception as exc:
         outcome = f"{{type(exc).__name__}}: {{exc}}"[:300]
     finally:
         signal.alarm(0)
-    print(json.dumps([path, outcome]), flush=True)
+    print(json.dumps([argv, outcome]), flush=True)
 """
 
 
@@ -125,12 +129,22 @@ def _documents():
         for command, doc, path, value in (mutations[i] for i in sorted(picks))]
 
 
+def _verify_argvs():
+    """``qimet verify`` with one dimension out of the ordinary; kraus-rank
+    at 10**6 used to die with a NumPy memory error."""
+    return [["verify", theorem, "--trials", "1", option, str(value)]
+            for theorem in THEOREM_IDS
+            for option in ("--dim-d", "--dim-e")
+            for value in VERIFY_DIMS]
+
+
 def test_mutated_documents_exit_cleanly(tmp_path):
     lines = []
     for i, (command, doc) in enumerate(_documents()):
         path = tmp_path / f"doc-{i}.json"
         path.write_text(json.dumps(doc))
         lines.append(json.dumps([command, str(path)]))
+    lines += [json.dumps(argv) for argv in _verify_argvs()]
     child = subprocess.run(
         [sys.executable, "-c", CHILD], input="\n".join(lines) + "\n",
         capture_output=True, text=True, timeout=120,
@@ -140,7 +154,8 @@ def test_mutated_documents_exit_cleanly(tmp_path):
     outcomes = [json.loads(line) for line in child.stdout.splitlines()]
     assert len(outcomes) == len(lines)
     assert [outcome for _, outcome in outcomes[:4]] == [2] * 4
-    bad = [(path, outcome) for path, outcome in outcomes
+    bad = [(argv, outcome) for argv, outcome in outcomes
            if outcome not in (0, 1, 2)]
-    assert not bad, [(Path(path).read_text()[:200], outcome)
-                     for path, outcome in bad[:5]]
+    assert not bad, [(Path(argv[-1]).read_text()[:200]
+                      if argv[0] != "verify" else argv, outcome)
+                     for argv, outcome in bad[:5]]

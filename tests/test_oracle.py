@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -20,8 +21,7 @@ from qimet.oracle import (DiamondNormResult, _adjoint, _certificates,
                           _cholesky, _cholesky_inverse, _hillclimb, _lifted,
                           _newton_solver, _nt_scaling, _scaled_eigvalsh,
                           _second_order, _solve_sdp, _step_scale,
-                          diamond_lower_hillclimb, diamond_norm,
-                          result_to_json)
+                          diamond_lower_hillclimb, diamond_norm)
 from qimet.verify import shipped_counterexample_model
 
 
@@ -344,7 +344,7 @@ def test_rejects_bad_tolerance():
 
 def test_result_json_roundtrip():
     res = diamond_norm(unitary_difference(2, 0, 1), tol=1e-7)
-    obj = result_to_json(res)
+    obj = dataclasses.asdict(res)
     assert set(obj) == {"value", "primal_bound", "dual_bound", "gap",
                         "iterations"}
     assert obj["value"] == res.value

@@ -4,6 +4,7 @@ Examples are derandomized and no example database is kept, so every run
 draws the same inputs and writes nothing to the working tree.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from qimet.metrics import (_probe_values, build_report,
                            instrument_diamond_lower_max,
                            instrument_diamond_upper,
                            nonuniform_outcome_diamond, uniform_diamond_exact)
-from qimet.oracle import DiamondNormResult, diamond_norm, result_to_json
+from qimet.oracle import DiamondNormResult, diamond_norm
 from qimet.verify import _phi_plus_bound
 
 #: model kind -> (generator, expansion to an implementation)
@@ -290,7 +291,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_oracle_result_json_round_trips_exactly(value, primal, dual, gap,
                                                 iterations):
     result = DiamondNormResult(value, primal, dual, gap, iterations)
-    obj = json.loads(json.dumps(result_to_json(result)))
+    obj = json.loads(json.dumps(dataclasses.asdict(result)))
     assert type(obj["iterations"]) is int
     assert DiamondNormResult(**obj) == result
 

@@ -5,6 +5,7 @@ import pytest
 import qimet.metrics
 import qimet.verify
 from qimet.channels import StochasticChannel
+from qimet.errors import UnsupportedDimension
 from qimet.instruments import (UniformStochasticModel, branch_differences,
                                expand_uniform)
 from qimet.verify import run_trial
@@ -47,6 +48,47 @@ def test_instrument_checks_build_no_full_channel(theorem_id, monkeypatch):
     monkeypatch.setattr(qimet.metrics, "ideal_instrument", refuse)
     for seed in range(2):
         assert run_trial(theorem_id, seed).passed
+
+
+def test_instrument_bounds_build_one_stack_per_trial(monkeypatch):
+    # the lower bound, the upper bound and the SDP read one stack; the
+    # check used to build it three times
+    calls = []
+
+    def counted(impl):
+        calls.append(impl)
+        return branch_differences(impl)
+
+    for module in (qimet.verify, qimet.metrics):
+        monkeypatch.setattr(module, "branch_differences", counted)
+    for seed in range(3):
+        assert run_trial("thm-instrument-bounds", seed).passed
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("theorem_id, D, E", [
+    ("kraus-rank", 10**6, 10**6), ("kraus-rank", 10**400, 1),
+    ("kraus-rank", 12, 13), ("kraus-rank", 0, 3), ("kraus-rank", 2, -1),
+    ("lemma-orthogonality", 2, 0), ("lemma-orthogonality", 2, -5),
+    ("lemma-orthogonality", 2, 257)],
+    ids=lambda v: "10**400" if v == 10**400 else None)
+def test_verify_dimensions_are_bounded_before_any_draw(theorem_id, D, E,
+                                                       monkeypatch):
+    # kraus-rank at (10**6, 10**6) died with a NumPy memory error, and
+    # lemma-orthogonality ran E <= 1 silently at dimension 2
+    def refuse(*args):
+        raise AssertionError("drew before checking the dimensions")
+
+    monkeypatch.setattr(qimet.verify, "rng", refuse)
+    with pytest.raises(UnsupportedDimension, match=f"^{theorem_id} needs "):
+        run_trial(theorem_id, 0, D, E)
+
+
+@pytest.mark.parametrize("theorem_id, D, E", [
+    ("kraus-rank", 12, 12), ("kraus-rank", 144, 1), ("kraus-rank", 1, 1),
+    ("lemma-orthogonality", 2, 256), ("lemma-orthogonality", 10**6, 1)])
+def test_verify_dimensions_at_their_limits_run(theorem_id, D, E):
+    assert run_trial(theorem_id, 0, D, E).passed
 
 
 @pytest.mark.parametrize("bad", [2.5, True, 0])
