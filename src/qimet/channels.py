@@ -59,19 +59,34 @@ __all__ = [
 # core types
 # ==================================================================
 
-#: Largest dimension of a model's registers and of a stochastic channel.  A
+#: Largest model register, stochastic channel and Weyl basis dimension.  A
 #: report on a (5, 5) model takes 1.2-1.4 s and 147 MB peak RSS (uniform or
 #: nonuniform) or 4.8 s and 106 MB (general); at (6, 6) a uniform one takes
 #: 12.7 s and 573 MB (2 cores, one OpenBLAS thread).
 _MAX_MODEL_DIM = 5
 
 
-def _store_dims(obj, names, error):
+def _model_dims(what: str, **dims) -> tuple:
+    """The values of ``dims``, a name -> ``(value, low)`` map, as ``int``s:
+    each must be an ``int`` or NumPy integer (never a ``bool`` or float) in
+    ``low.._MAX_MODEL_DIM``, checked before anything draws, loops over or
+    allocates by it; else :class:`UnsupportedDimension` names ``what``."""
+    if all(_is_integer(v) and low <= v <= _MAX_MODEL_DIM
+           for v, low in dims.values()):
+        return tuple(int(v) for v, _ in dims.values())
+    need = " and ".join(f"{name} >= {low}" for name, (_, low) in dims.items())
+    got = ", ".join(f"{name}={v!r}" for name, (v, _) in dims.items())
+    raise UnsupportedDimension(
+        f"{what} need {need} as integers up to {_MAX_MODEL_DIM}; got {got}")
+
+
+def _store_dims(obj, names):
     """Store the dimension fields ``names`` of ``obj`` as ``int``s; each must
     be a positive ``int`` or NumPy integer (never a ``bool`` or float)."""
     dims = tuple(getattr(obj, name) for name in names)
     if not all(_is_integer(d) and d >= 1 for d in dims):
-        raise error(f"dimensions must be positive integers, got {dims}")
+        raise DimensionMismatch(
+            f"dimensions must be positive integers, got {dims}")
     for name, dim in zip(names, dims):
         object.__setattr__(obj, name, int(dim))
 
@@ -92,7 +107,7 @@ class KrausChannel:
     kraus_ops: np.ndarray
 
     def __post_init__(self):
-        _store_dims(self, ("dim_in", "dim_out"), DimensionMismatch)
+        _store_dims(self, ("dim_in", "dim_out"))
         try:
             ops = np.stack(self.kraus_ops, dtype=complex)  # a fresh array
         except ValueError as exc:  # empty, or operators of unequal shapes
@@ -135,7 +150,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _store_dims(self, ("dim_in", "dim_out"), DimensionMismatch)
+        _store_dims(self, ("dim_in", "dim_out"))
         side = self.dim_in * self.dim_out
         shape = np.shape(self.matrix)
         if shape != (side, side):
@@ -190,13 +205,10 @@ def weyl_operators(dim: int) -> np.ndarray:
 
     :return: one read-only ``(dim**2, dim, dim)`` array with ``U_(a,b)`` at
         index ``a * dim + b``; built once per ``dim``.
-    :raises UnsupportedDimension: unless ``dim`` is a positive integer,
+    :raises UnsupportedDimension: unless ``_model_dims`` accepts ``dim``,
         checked before the cache (where ``2.0`` and ``2`` are one key).
     """
-    if not (_is_integer(dim) and dim >= 1):
-        raise UnsupportedDimension(
-            f"dimension must be an integer >= 1, got {dim!r}")
-    return _weyl_operators(int(dim))
+    return _weyl_operators(*_model_dims("Weyl bases", dim=(dim, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -281,10 +293,8 @@ class StochasticChannel:
     weights: Mapping
 
     def __post_init__(self):
-        _store_dims(self, ("dim",), UnsupportedDimension)
-        if self.dim > _MAX_MODEL_DIM:
-            raise UnsupportedDimension(f"stochastic channels support dimensions "
-                                       f"up to {_MAX_MODEL_DIM}, got {self.dim}")
+        dim, = _model_dims("stochastic channels", dim=(self.dim, 1))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "nu", _real(self.nu, "nu"))
         weights = _entries(self.weights, 2, self.dim, "weight label",
                            f"dimension {self.dim}", _weight)
@@ -344,11 +354,10 @@ def random_stochastic_channel(dim: int, nu: float,
     over all ``dim**2`` labels.  Deterministic in ``seed`` (counter-based
     generator).
 
-    :raises UnsupportedDimension: unless ``dim`` is an integer in 1..4.
+    :raises UnsupportedDimension: unless ``dim`` is an integer in
+        ``1.._MAX_MODEL_DIM``, checked before the draw.
     """
-    if not (_is_integer(dim) and 1 <= dim <= 4):
-        raise UnsupportedDimension(
-            f"random stochastic channels support dimensions 1..4, got {dim!r}")
+    dim, = _model_dims("stochastic channels", dim=(dim, 1))
     if _real(nu, "nu") < 0.0:
         raise InvalidModel(f"nu must be nonnegative, got {nu!r}")
     return StochasticChannel(dim, nu, _mixture_weights(rng(seed), dim, nu))

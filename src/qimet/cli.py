@@ -25,9 +25,10 @@ from .errors import QimetError, Unconverged
 from .instruments import (model_from_json, model_to_json,
                           random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
-from .metrics import MetricsReport, build_report, report_to_json
+from .metrics import MetricsReport, build_report
 from .oracle import diamond_norm
-from .verify import THEOREM_IDS, VerificationRecord, run_trials, summarize
+from .verify import (_CHECKS, THEOREM_IDS, VerificationRecord, run_trials,
+                     summarize)
 
 __all__ = ["main"]
 
@@ -89,7 +90,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_metrics(args) -> int:
     model = model_from_json(_load_json(args.model))
-    report = report_to_json(build_report(model, seed=args.seed))
+    report = dict(dataclasses.asdict(build_report(model, seed=args.seed)),
+                  conventions={"diamond": "full-norm"})
     if args.format == "csv":
         text = _csv_lines(_REPORT_FIELDS, [report])
     else:
@@ -131,6 +133,22 @@ def _cmd_oracle(args) -> int:
 # argument parsing
 # ------------------------------------------------------------------
 
+def _limits_text() -> str:
+    """The verify checks' dimension limits, one clause per limit text; a
+    clause leaves out a verb that repeats the one before it."""
+    ids = {}
+    for theorem_id in sorted(_CHECKS):
+        if (limit := _CHECKS[theorem_id][3]) is not None:
+            ids.setdefault(limit[0], []).append(theorem_id)
+    clauses, last = [], None
+    for text, group in ids.items():
+        verb = "need" if len(group) > 1 else "needs"
+        shown = "" if verb == last else verb + " "
+        clauses.append(f"{' and '.join(group)} {shown}{text}")
+        last = verb
+    return ", ".join(clauses) + "; outside these they exit 2 before drawing."
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qimet",
@@ -157,12 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify", help="randomized theorem verification",
-        epilog="thm-uniform-diamond and thm-instrument-bounds need D*E <= 12: "
-               "the oracle takes Choi blocks of side (D*E)**2 <= 144, so at "
-               "D = E = 4 they exit 2 with 'Choi side 256 exceeds the solver "
-               "limit 144'.  kraus-rank needs D, E >= 1 and D*E <= 144, "
-               "lemma-orthogonality 1 <= E <= 256; outside these they exit 2 "
-               "before drawing anything.")
+        epilog=_limits_text())
     ver.add_argument("theorem_id", choices=THEOREM_IDS, metavar="theorem_id",
                      help=f"one of: {', '.join(THEOREM_IDS)}")
     ver.add_argument("--trials", type=int, default=20,

@@ -32,10 +32,6 @@ class UnsupportedDimension(QimetError):
     """A dimension outside the supported range was requested."""
 
 
-class DimensionTooLarge(QimetError):
-    """A Choi block's side or the oracle's Woodbury factor is over its cap."""
-
-
 class Unconverged(QimetError):
     """The SDP oracle stopped with a certified gap above the requested
     tolerance.  The message names why it stopped (``max_iterations``,

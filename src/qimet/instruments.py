@@ -36,13 +36,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import (_MAX_MODEL_DIM, KrausChannel, StochasticChannel,
-                       _entries, _mixture_weights, _store_dims,
-                       channel_from_json, channel_to_json, choi_from_kraus,
-                       stochastic_from_json, stochastic_to_json)
+from .channels import (KrausChannel, StochasticChannel, _entries,
+                       _mixture_weights, _model_dims, channel_from_json,
+                       channel_to_json, choi_from_kraus, stochastic_from_json,
+                       stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import _is_integer, _json_int, rng
+from .linalg import _json_int, rng
 
 __all__ = [
     "InstrumentImplementation",
@@ -65,19 +65,14 @@ __all__ = [
 # measurement and implementation types
 # ==================================================================
 
-def _check_dims(obj):
-    """Store ``obj.D`` and ``obj.E`` as ``int``s (the integer rule of
-    ``channels._store_dims``); need 2 <= D <= 5 and 1 <= E <= 5, checked
-    before anything loops over or allocates by them (the bound and its cost
-    are at ``channels._MAX_MODEL_DIM``)."""
-    _store_dims(obj, ("D", "E"), UnsupportedDimension)
-    if obj.D < 2:
-        raise UnsupportedDimension(
-            f"need D >= 2 and E >= 1, got D={obj.D}, E={obj.E}")
-    if max(obj.D, obj.E) > _MAX_MODEL_DIM:
-        raise UnsupportedDimension(
-            f"models support D and E up to {_MAX_MODEL_DIM}, "
-            f"got D={obj.D}, E={obj.E}")
+def _check_dims(D, E) -> tuple:
+    """A model's dimensions ``(D, E)`` as ``int``s, by ``_model_dims``."""
+    return _model_dims("models", D=(D, 2), E=(E, 1))
+
+
+def _store_model_dims(obj):
+    for name, dim in zip("DE", _check_dims(obj.D, obj.E)):
+        object.__setattr__(obj, name, dim)
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class InstrumentImplementation:
     branches: tuple
 
     def __post_init__(self):
-        _check_dims(self)
+        _store_model_dims(self)
         branches = tuple(self.branches)
         if len(branches) != self.D:
             raise InvalidModel(
@@ -141,7 +136,7 @@ class UniformStochasticModel:
     table: Mapping
 
     def __post_init__(self):
-        _check_dims(self)
+        _store_model_dims(self)
         table = _validate_table(self.table, self.D, self.E, labels=2)
         total = sum(t.nu for t in table.values())
         if abs(total - 1.0) > TOL.weight_sum:
@@ -160,7 +155,7 @@ class NonUniformStochasticModel:
     table: Mapping
 
     def __post_init__(self):
-        _check_dims(self)
+        _store_model_dims(self)
         table = _validate_table(self.table, self.D, self.E, labels=3)
         for j in range(self.D):
             total = sum(t.nu for (a, b, jj), t in table.items() if jj == j)
@@ -261,17 +256,10 @@ def branch_differences(impl: InstrumentImplementation) -> np.ndarray:
 # random model generation
 # ==================================================================
 
-def _check_generator_dims(D: int, E: int):
-    if not (_is_integer(D) and 2 <= D <= 4):
-        raise UnsupportedDimension(f"random models support D in 2..4, got {D!r}")
-    if not (_is_integer(E) and 1 <= E <= 4):
-        raise UnsupportedDimension(f"random models support E in 1..4, got {E!r}")
-
-
 def random_uniform_model(D: int, E: int, seed: int) -> UniformStochasticModel:
     """Random uniform model: flat Dirichlet weights ``nu`` over the D² table
     slots and an independent random stochastic channel in each slot."""
-    _check_generator_dims(D, E)
+    _check_dims(D, E)
     gen = rng(seed)
     nus = gen.dirichlet(np.ones(D * D))
     table = {}
@@ -287,7 +275,7 @@ def random_nonuniform_model(D: int, E: int, seed: int) -> NonUniformStochasticMo
     marginals: ``sum_a nu_(a,b,j) = mu_b`` for every ``j``, which makes the
     expanded instrument trace preserving while the channels and the
     ``a``-splits remain outcome dependent."""
-    _check_generator_dims(D, E)
+    _check_dims(D, E)
     gen = rng(seed)
     mu = gen.dirichlet(np.ones(D))  # report-flip marginal over b
     table = {}
@@ -310,7 +298,7 @@ def random_general_implementation(D: int, E: int,
     normalized globally (right multiplication by ``(sum K†K)^{-1/2}``) so the
     total channel is exactly trace preserving.
     """
-    _check_generator_dims(D, E)
+    _check_dims(D, E)
     gen = rng(seed)
     side = E * D
     # per branch j, in draw order: Re g0, Im g0, Re g1, Im g1

@@ -46,7 +46,6 @@ __all__ = [
     "nonuniform_outcome_diamond",
     "fvg_bounds",
     "build_report",
-    "report_to_json",
 ]
 
 
@@ -299,19 +298,6 @@ class MetricsReport:
         object.__setattr__(self, "per_branch_trace_distances",
                            tuple(float(x) for x in
                                  self.per_branch_trace_distances))
-
-
-def report_to_json(report: MetricsReport) -> dict:
-    return {
-        "fidelity": report.fidelity,
-        "diamond_lower": report.diamond_lower,
-        "diamond_upper": report.diamond_upper,
-        "diamond_exact": report.diamond_exact,
-        "nu00": report.nu00,
-        "lambda00": report.lambda00,
-        "per_branch_trace_distances": list(report.per_branch_trace_distances),
-        "conventions": {"diamond": "full-norm"},
-    }
 
 
 def build_report(obj, seed: int = 0) -> MetricsReport:

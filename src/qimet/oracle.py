@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiMatrix
-from .errors import DimensionMismatch, DimensionTooLarge, Unconverged
+from .errors import DimensionMismatch, Unconverged, UnsupportedDimension
 from .linalg import _is_integer, col_vec, hermitize, random_pure_states, rng
 
 __all__ = [
@@ -426,7 +426,7 @@ def diamond_norm(delta, tol: float = 1e-6,
     :raises DimensionMismatch: if ``delta`` is not of either form.
     :raises ValueError: if ``tol`` is not positive or ``max_iterations`` is
         not a nonnegative integer.
-    :raises DimensionTooLarge: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
+    :raises UnsupportedDimension: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
         ``B`` blocks times ``(dim_in * side)**2`` exceed the Woodbury limit,
         both checked on the input as given, before any sector split.
     :raises Unconverged: if the certified gap is still above ``tol`` when
@@ -441,10 +441,10 @@ def diamond_norm(delta, tol: float = 1e-6,
     (dim_in, dim_out), = shapes
     n = dim_in * dim_out
     if n > MAX_CHOI_SIDE:
-        raise DimensionTooLarge(
+        raise UnsupportedDimension(
             f"Choi side {n} exceeds the solver limit {MAX_CHOI_SIDE}")
     if len(blocks) * (dim_in * n) ** 2 > MAX_WOODBURY_ENTRIES:
-        raise DimensionTooLarge(
+        raise UnsupportedDimension(
             f"{len(blocks)} block(s) at dim_in {dim_in}, side {n} exceed the "
             f"solver limit of {MAX_WOODBURY_ENTRIES} Woodbury entries")
     if not tol > 0:  # also rejects NaN

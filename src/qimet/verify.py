@@ -22,15 +22,14 @@ import numpy as np
 
 from . import metrics
 from .channels import (ChoiMatrix, KrausChannel, StochasticChannel,
-                       choi_from_kraus, identity_channel, kraus_rank,
-                       random_stochastic_channel)
+                       choi_from_kraus, kraus_rank, random_stochastic_channel)
 from .errors import UnsupportedDimension
 from .instruments import (NonUniformStochasticModel, branch_differences,
                           expand_nonuniform, expand_uniform,
                           random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
 from .linalg import _is_integer, random_density, random_pure, rng, trace_norm
-from .oracle import diamond_norm
+from .oracle import MAX_CHOI_SIDE, diamond_norm
 
 __all__ = [
     "THEOREM_IDS",
@@ -85,11 +84,13 @@ def _trace_fidelity(impl) -> float:
 
 def _check_stochastic_diamond(seed, D, E):
     # halved diamond distance of T to the identity: closed form vs SDP
+    identity = choi_from_kraus(  # checks E before the draw
+        StochasticChannel(E, 1.0, {(0, 0): 1.0}).as_channel())
     gen = rng(seed)
     nu = 0.2 + 0.8 * float(gen.uniform())
     t = random_stochastic_channel(E, nu=nu, seed=seed)
     closed = metrics.diamond_identity_stochastic(t)
-    delta = t.choi() - choi_from_kraus(identity_channel(E))
+    delta = t.choi() - identity
     oracle = 0.5 * diamond_norm(delta, tol=1e-7).value
     return closed, oracle, abs(closed - oracle)
 
@@ -188,12 +189,17 @@ def _check_kraus_rank(seed, D, E):
     return r, measured, abs(r - measured)
 
 
+#: The SDP checks pass the oracle D blocks of Choi side (D*E)**2; with the
+#: model bound D <= 5 their D*(D*E)**6 Woodbury entries fit its cap too.
+_SDP_LIMIT = (f"D*E <= {math.isqrt(MAX_CHOI_SIDE)}",
+              lambda D, E: (D * E) ** 2 <= MAX_CHOI_SIDE)
+
 #: theorem id -> (runner, pass tolerance, default (D, E), dimension limit);
 #: the tolerances are the acceptance thresholds.  A limit is ``(text,
 #: test)``, checked before any draw.  One kraus-rank trial takes 0.007 s
 #: at D*E = 144 and 0.2 s at 576; one lemma-orthogonality trial 0.08 s at
-#: E = 256 and 3.7 s at 1024 (2 cores, one OpenBLAS thread).  The
-#: generators bound the other checks' D and E, or they draw their own sizes.
+#: E = 256 and 3.7 s at 1024 (2 cores, one OpenBLAS thread).  The model
+#: bound holds the other checks' D and E, or they draw their own sizes.
 _CHECKS = {
     "t-stochastic-diamond-identity":
         (_check_stochastic_diamond, 1e-5, (2, 2), None),
@@ -205,8 +211,9 @@ _CHECKS = {
         (partial(_check_fidelity, random_nonuniform_model,
                  metrics.fidelity_nonuniform_closed, expand_nonuniform),
          1e-8, (2, 2), None),
-    "thm-instrument-bounds": (_check_instrument_bounds, 1e-6, (2, 2), None),
-    "thm-uniform-diamond": (_check_uniform_diamond, 1e-4, (2, 2), None),
+    "thm-instrument-bounds":
+        (_check_instrument_bounds, 1e-6, (2, 2), _SDP_LIMIT),
+    "thm-uniform-diamond": (_check_uniform_diamond, 1e-4, (2, 2), _SDP_LIMIT),
     "sec7-counterexample": (_check_sec7, 1e-4, (2, 2), None),
     "fvg-appendix": (_check_fvg, 1e-10, (2, 3), None),
     "lemma-orthogonality":

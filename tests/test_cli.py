@@ -62,9 +62,10 @@ def test_gen_writes_stdout_by_default(capsys):
 
 
 def test_gen_unsupported_dimension(capsys):
-    code, _, err = run_cli(capsys, "gen", "uniform", "--dim-e", "5")
+    # the generators share the model bound: E = 5 runs, E = 6 exits 2
+    code, _, err = run_cli(capsys, "gen", "uniform", "--dim-e", "6")
     assert code == 2
-    assert "E in 1..4" in err
+    assert "up to 5; got D=2, E=6" in err
 
 
 def test_gen_rejects_unknown_kind(capsys):
@@ -86,6 +87,9 @@ def test_metrics_perfect_model(capsys, tmp_path):
     assert abs(report["fidelity"] - 1.0) < 1e-12
     assert abs(report["diamond_exact"]) < 1e-12
     assert report["conventions"] == {"diamond": "full-norm"}
+    assert set(report) == {"fidelity", "diamond_lower", "diamond_upper",
+                           "diamond_exact", "nu00", "lambda00",
+                           "per_branch_trace_distances", "conventions"}
 
 
 def test_metrics_worked_example(capsys, tmp_path):
@@ -210,7 +214,7 @@ def test_verify_zero_trials(capsys):
                                      "thm-uniform-diamond"])
 def test_verify_solves_three_by_three_instruments(capsys, theorem):
     # three side-81 outcome blocks; the zero-padded side-243 delta was
-    # refused with DimensionTooLarge (exit 2)
+    # refused as too large (exit 2)
     code, out, _ = run_cli(capsys, "verify", theorem, "--trials", "1",
                            "--dim-d", "3", "--dim-e", "3")
     assert code == 0
@@ -223,7 +227,7 @@ def test_verify_help_states_defaults_and_the_solver_limit(capsys):
     text = " ".join(capsys.readouterr().out.split())  # undo the line wrap
     for phrase in ("number of trials (default 20)", "seed + i (default 0)",
                    "dimension D (default 2)", "dimension E (default 2;",
-                   "need D*E <= 12", "'Choi side 256 exceeds the solver",
+                   "need D*E <= 12",
                    "kraus-rank needs D, E >= 1 and D*E <= 144",
                    "lemma-orthogonality 1 <= E <= 256"):
         assert phrase in text
@@ -231,7 +235,7 @@ def test_verify_help_states_defaults_and_the_solver_limit(capsys):
         code, _, err = run_cli(capsys, "verify", theorem, "--trials", "1",
                                "--dim-d", "4", "--dim-e", "4")
         assert code == 2
-        assert "Choi side 256 exceeds the solver limit 144" in err
+        assert f"{theorem} needs D*E <= 12, got D=4, E=4" in err
 
 
 @pytest.mark.parametrize("theorem, dims", [

@@ -21,7 +21,7 @@ from qimet.metrics import (MetricsReport, build_report,
                            instrument_diamond_upper,
                            instrument_fidelity_branchwise,
                            nonuniform_outcome_diamond, process_fidelity,
-                           report_to_json, uniform_diamond_exact)
+                           uniform_diamond_exact)
 from qimet.verify import _trace_fidelity
 
 
@@ -551,15 +551,6 @@ def test_report_upper_is_sum_of_branch_distances():
         assert rep.diamond_upper == (impl.D * impl.E
                                      * sum(rep.per_branch_trace_distances))
         assert instrument_diamond_upper(impl) == rep.diamond_upper
-
-
-def test_report_json_shape():
-    rep = build_report(readout_flip_model(), seed=0)
-    obj = report_to_json(rep)
-    assert obj["conventions"] == {"diamond": "full-norm"}
-    assert set(obj) == {"fidelity", "diamond_lower", "diamond_upper",
-                        "diamond_exact", "nu00", "lambda00",
-                        "per_branch_trace_distances", "conventions"}
 
 
 def test_report_rejects_inverted_bracket():

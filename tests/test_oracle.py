@@ -9,8 +9,8 @@ import scipy.linalg
 from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
                             nu_lambda, random_stochastic_channel,
                             weyl_operators)
-from qimet.errors import (DimensionMismatch, DimensionTooLarge, NotHermitian,
-                          QimetError, Unconverged)
+from qimet.errors import (DimensionMismatch, NotHermitian, QimetError,
+                          Unconverged, UnsupportedDimension)
 from qimet.instruments import (branch_differences, expand_nonuniform,
                                full_channel, ideal_instrument,
                                random_general_implementation)
@@ -230,12 +230,12 @@ def test_dimension_cap():
     # factor exceeds MAX_WOODBURY_ENTRIES
     for dim_in, dim_out in ((29, 5), (36, 4)):
         side = dim_in * dim_out
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(UnsupportedDimension):
             diamond_norm(ChoiMatrix(dim_in, dim_out, np.eye(side) / side))
     # four side-144 blocks at dim_in 12 (a D=4, E=3 instrument) sit at the
     # Woodbury limit, and a fifth block exceeds it
     block = ChoiMatrix(12, 12, np.eye(144) / 144)
-    with pytest.raises(DimensionTooLarge, match="5 block"):
+    with pytest.raises(UnsupportedDimension, match="5 block"):
         diamond_norm([block] * 5)
 
 
@@ -865,7 +865,7 @@ def test_limits_apply_before_the_split():
     delta = (choi_from_kraus(full_channel(impl))
              - choi_from_kraus(full_channel(ideal_instrument(3, 3))))
     assert delta.matrix.shape == (243, 243)
-    with pytest.raises(DimensionTooLarge, match="243"):
+    with pytest.raises(UnsupportedDimension, match="243"):
         diamond_norm(delta)
 
 
