@@ -87,9 +87,6 @@ def test_metrics_perfect_model(capsys, tmp_path):
     assert abs(report["fidelity"] - 1.0) < 1e-12
     assert abs(report["diamond_exact"]) < 1e-12
     assert report["conventions"] == {"diamond": "full-norm"}
-    assert set(report) == {"fidelity", "diamond_lower", "diamond_upper",
-                           "diamond_exact", "nu00", "lambda00",
-                           "per_branch_trace_distances", "conventions"}
 
 
 def test_metrics_worked_example(capsys, tmp_path):

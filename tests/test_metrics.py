@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,12 +8,13 @@ import pytest
 from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
                             choi_from_kraus, identity_channel, nu_lambda,
                             random_stochastic_channel, weyl_operators)
+from qimet.cli import main
 from qimet.errors import DimensionMismatch, InvalidModel, NotPSD
 from qimet.instruments import (InstrumentImplementation,
                                NonUniformStochasticModel,
                                UniformStochasticModel, expand_nonuniform,
                                expand_uniform, full_channel, ideal_instrument,
-                               random_general_implementation,
+                               model_to_json, random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
 from qimet.linalg import rng, random_density, random_pure, trace_norm
 from qimet.metrics import (MetricsReport, build_report,
@@ -551,6 +555,20 @@ def test_report_upper_is_sum_of_branch_distances():
         assert rep.diamond_upper == (impl.D * impl.E
                                      * sum(rep.per_branch_trace_distances))
         assert instrument_diamond_upper(impl) == rep.diamond_upper
+
+
+def test_report_json_shape(capsys, tmp_path):
+    # qimet metrics writes the report's fields plus the conventions stamp
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps(model_to_json(readout_flip_model())))
+    assert main(["metrics", str(path), "--seed", "0"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["conventions"] == {"diamond": "full-norm"}
+    assert set(obj) == {"fidelity", "diamond_lower", "diamond_upper",
+                        "diamond_exact", "nu00", "lambda00",
+                        "per_branch_trace_distances", "conventions"}
+    rep = dataclasses.asdict(build_report(readout_flip_model(), seed=0))
+    assert {k: obj[k] for k in rep} == json.loads(json.dumps(rep))
 
 
 def test_report_rejects_inverted_bracket():
