@@ -40,7 +40,6 @@ __all__ = [
     "KrausChannel",
     "ChoiMatrix",
     "StochasticChannel",
-    "identity_channel",
     "choi_from_kraus",
     "kraus_rank",
     "weyl_operators",
@@ -166,11 +165,6 @@ class ChoiMatrix:
                 f"Choi matrices on different spaces: "
                 f"({self.dim_in},{self.dim_out}) vs ({other.dim_in},{other.dim_out})")
         return ChoiMatrix(self.dim_in, self.dim_out, self.matrix - other.matrix)
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    """The identity map on a ``dim``-dimensional system."""
-    return KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
 
 
 # ==================================================================

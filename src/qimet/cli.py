@@ -134,19 +134,11 @@ def _cmd_oracle(args) -> int:
 # ------------------------------------------------------------------
 
 def _limits_text() -> str:
-    """The verify checks' dimension limits, one clause per limit text; a
-    clause leaves out a verb that repeats the one before it."""
-    ids = {}
-    for theorem_id in sorted(_CHECKS):
-        if (limit := _CHECKS[theorem_id][3]) is not None:
-            ids.setdefault(limit[0], []).append(theorem_id)
-    clauses, last = [], None
-    for text, group in ids.items():
-        verb = "need" if len(group) > 1 else "needs"
-        shown = "" if verb == last else verb + " "
-        clauses.append(f"{' and '.join(group)} {shown}{text}")
-        last = verb
-    return ", ".join(clauses) + "; outside these they exit 2 before drawing."
+    """The verify checks' dimension limits, one clause per limited check."""
+    clauses = [f"{theorem_id} needs {limit[0]}"
+               for theorem_id, (*_, limit) in _CHECKS.items()
+               if limit is not None]
+    return "; ".join(clauses + ["outside these they exit 2 before drawing."])
 
 
 def _build_parser() -> argparse.ArgumentParser:

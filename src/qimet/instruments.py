@@ -22,11 +22,13 @@ Structured error models:
 Normalization of the non-uniform weights: this package enforces
 ``sum_(a,b) nu_(a,b,j) = 1`` for every outcome ``j``.  Note that per-outcome
 normalization alone does not make the total channel trace preserving when
-weight sits on off-diagonal report flips ``b != 0`` non-uniformly in ``j``;
-``expand_nonuniform`` therefore additionally validates the trace-preserving
-condition and rejects tables that violate it.  The random model generator
-samples tables whose ``b``-marginals are outcome independent, which satisfies
-both conditions.
+weight sits on off-diagonal report flips ``b != 0`` non-uniformly in ``j``:
+the expansion has ``sum_k K_k† K_k = ⊕_c (sum_(a,b,j): j+b = c nu_(a,b,j))
+I_E`` over basis columns ``c``, so the ``InstrumentImplementation``
+constructor, which checks every implementation's trace preservation, rejects
+such a table when ``expand_nonuniform`` builds it.  The random model
+generator samples tables whose ``b``-marginals are outcome independent, which
+satisfies both conditions.
 """
 
 from __future__ import annotations
@@ -206,16 +208,10 @@ def expand_nonuniform(model: NonUniformStochasticModel) -> InstrumentImplementat
     """Same construction with outcome-dependent channels ``T_(a,b,j)``.
 
     :raises InvalidModel: if the weights fail the trace-preserving condition
-        ``sum_(a,b) nu_(a,b,(c-b) mod D) = 1`` for every basis column ``c``
-        (per-outcome normalization alone does not imply it).
+        ``sum_(a,b) nu_(a,b,(c-b) mod D) = 1`` for a basis column ``c``
+        (per-outcome normalization alone does not imply it), from the
+        ``InstrumentImplementation`` constructor.
     """
-    for c in range(model.D):
-        total = sum(t.nu for (a, b, j), t in model.table.items()
-                    if (j + b) % model.D == c)
-        if abs(total - 1.0) > TOL.weight_sum:
-            raise InvalidModel(
-                f"weights are not trace preserving: basis column {c} receives "
-                f"total weight {total!r} (must be 1)")
     return InstrumentImplementation(
         model.D, model.E,
         _expand_branches(model.D, model.E,

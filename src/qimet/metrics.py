@@ -9,9 +9,9 @@ Diamond-norm conventions in this module:
 * :func:`diamond_identity_stochastic` and :func:`uniform_diamond_exact`
   return the *halved* norm ``(1/2)||.||_diamond`` (the natural [0, 1]
   error rate);
-* :func:`instrument_diamond_lower`, :func:`instrument_diamond_lower_max`,
-  :func:`instrument_diamond_upper`, :func:`nonuniform_outcome_diamond`
-  and every field of :class:`MetricsReport` use the *full* norm.
+* :func:`instrument_diamond_lower_max`, :func:`instrument_diamond_upper`,
+  :func:`nonuniform_outcome_diamond` and every field of
+  :class:`MetricsReport` use the *full* norm.
 
 Each docstring restates the convention of its function.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "fidelity_uniform_closed",
     "fidelity_nonuniform_closed",
     "diamond_identity_stochastic",
-    "instrument_diamond_lower",
     "instrument_diamond_lower_max",
     "instrument_diamond_upper",
     "uniform_diamond_exact",
@@ -179,24 +178,6 @@ def _probe_values(stack: np.ndarray, sigmas: np.ndarray, j: int) -> np.ndarray:
             - np.trace(out, axis1=1, axis2=2).real)
 
 
-def instrument_diamond_lower(impl: InstrumentImplementation,
-                             sigma: np.ndarray, j: int) -> float:
-    """Lower bound on the full diamond distance between an implementation and
-    the ideal measurement, from a single probe state:
-    ``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1`` with
-    ``sigma_j = sigma ⊗ |j><j|``.
-
-    :param sigma: density matrix on the unmeasured register (dimension E).
-    :param j: outcome whose branch is probed, an integer in ``0..D-1``
-        (else ``ValueError``).
-    """
-    if not (_is_integer(j) and 0 <= j < impl.D):
-        raise ValueError(f"outcome index {j!r} must be an integer in "
-                         f"0..{impl.D - 1}")
-    sigma = check_density(sigma, impl.E)[0]
-    return float(_probe_values(branch_differences(impl), sigma[None], j)[0])
-
-
 def _lower_max(stack: np.ndarray, E: int, restarts: int, seed: int) -> float:
     """:func:`instrument_diamond_lower_max` over a branch-difference stack."""
     eye = np.eye(E, dtype=complex)
@@ -210,9 +191,12 @@ def _lower_max(stack: np.ndarray, E: int, restarts: int, seed: int) -> float:
 
 def instrument_diamond_lower_max(impl: InstrumentImplementation,
                                  restarts: int = 20, seed: int = 0) -> float:
-    """Best probe-state lower bound over all outcomes and a candidate set of
-    states: the maximally mixed state, every computational basis state, and
-    ``restarts`` random pure states.  Full-norm convention.
+    """Lower bound on the full diamond distance between an implementation and
+    the ideal measurement: the largest probe value ``1 - tr M_j(sigma_j) +
+    ||M_j(sigma_j) - sigma_j||_1``, ``sigma_j = sigma ⊗ |j><j|``, over all
+    outcomes ``j`` and a candidate set of states ``sigma``: the maximally
+    mixed state, every computational basis state, and ``restarts`` random
+    pure states.
 
     Deterministic per seed and monotone nondecreasing in ``restarts``.
     """

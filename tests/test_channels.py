@@ -34,7 +34,7 @@ def _random_kraus_set(gen, dim_in, dim_out, count):
 
 def test_identity_choi_is_maximally_entangled():
     for dim in [2, 3, 4]:
-        choi = ch.choi_from_kraus(ch.identity_channel(dim))
+        choi = ch.StochasticChannel(dim, 1.0, {(0, 0): 1.0}).choi()
         v = np.eye(dim).reshape(-1, order="F")  # column-stacked identity
         np.testing.assert_allclose(choi.matrix, np.outer(v, v) / dim,
                                    atol=1e-14)
@@ -205,12 +205,12 @@ def test_choi_matrix_stores_exactly_hermitian_part():
 
 
 def test_choi_difference_arithmetic():
-    a = ch.choi_from_kraus(ch.identity_channel(2))
+    a = ch.StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi()
     b = ch.choi_from_kraus(ch.KrausChannel(2, 2, (X,)))
     delta = a - b
     np.testing.assert_allclose(delta.matrix, a.matrix - b.matrix)
     with pytest.raises(DimensionMismatch):
-        a - ch.choi_from_kraus(ch.identity_channel(3))
+        a - ch.StochasticChannel(3, 1.0, {(0, 0): 1.0}).choi()
 
 
 # ------------------------------------------------------------------
@@ -398,10 +398,10 @@ def test_nu_lambda_matches_stored_weights():
 
 def test_nu_lambda_on_plain_channel():
     # only stochastic channels carry (nu, lambda); a plain map is refused
-    nu, lam = ch.nu_lambda(ch.StochasticChannel(3, 1.0, {(0, 0): 1.0}))
+    identity = ch.StochasticChannel(3, 1.0, {(0, 0): 1.0})
+    nu, lam = ch.nu_lambda(identity)
     assert abs(nu - 1.0) < 1e-14 and abs(lam - 1.0) < 1e-14
-    identity = ch.identity_channel(3)
-    for plain in (identity, ch.choi_from_kraus(identity)):
+    for plain in (identity.as_channel(), identity.choi()):
         with pytest.raises(TypeError):
             ch.nu_lambda(plain)
 
@@ -456,7 +456,7 @@ def test_stochastic_json_roundtrip_bit_exact():
 
 
 def test_choi_json_roundtrip():
-    choi = ch.choi_from_kraus(ch.identity_channel(2))
+    choi = ch.StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi()
     back = ch.choi_from_json(json.loads(json.dumps(ch.choi_to_json(choi))))
     np.testing.assert_array_equal(back.matrix, choi.matrix)
     assert (back.dim_in, back.dim_out) == (2, 2)
@@ -515,8 +515,9 @@ def test_channel_from_json_malformed():
 @pytest.mark.parametrize("bad", [4.5, 2.0, "2", True])
 def test_from_json_rejects_non_integer_fields(bad):
     # dimensions and weight labels are JSON integers, never truncated
-    channel = ch.channel_to_json(ch.identity_channel(2))
-    choi = ch.choi_to_json(ch.choi_from_kraus(ch.identity_channel(2)))
+    identity = ch.StochasticChannel(2, 1.0, {(0, 0): 1.0})
+    channel = ch.channel_to_json(identity.as_channel())
+    choi = ch.choi_to_json(identity.choi())
     stochastic = ch.stochastic_to_json(ch.random_stochastic_channel(2, 1.0, 5))
     cases = [(ch.channel_from_json, channel, "dim_in"),
              (ch.channel_from_json, channel, "dim_out"),

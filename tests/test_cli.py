@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qimet.channels import (StochasticChannel, choi_from_kraus, choi_to_json,
-                            identity_channel, weyl_operators)
+from qimet.channels import StochasticChannel, choi_to_json, weyl_operators
 import qimet
 from qimet.cli import main
 from qimet.instruments import (UniformStochasticModel, model_from_json,
                                model_to_json)
+from qimet.verify import _CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +158,20 @@ def test_metrics_rejects_nan_weight(capsys, tmp_path):
     assert "finite" in err
 
 
+def test_metrics_rejects_a_nonuniform_table_that_is_not_trace_preserving(
+        capsys, tmp_path):
+    # each outcome's weights sum to 1, but outcome 0 reports flipped and
+    # outcome 1 does not, so basis column 0 receives no weight
+    path = tmp_path / "non_tp.json"
+    table = [{**_flip_entry(0, 1, 1.0), "j": 0},
+             {**_flip_entry(0, 0, 1.0), "j": 1}]
+    path.write_text(json.dumps({"type": "nonuniform", "D": 2, "E": 1,
+                                "table": table}))
+    code, out, err = run_cli(capsys, "metrics", str(path))
+    assert (code, out) == (2, "")
+    assert "not trace preserving" in err
+
+
 def test_metrics_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "metrics", str(tmp_path / "nope.json"))
     assert code == 2
@@ -223,11 +237,11 @@ def test_verify_help_states_defaults_and_the_solver_limit(capsys):
         main(["verify", "--help"])
     text = " ".join(capsys.readouterr().out.split())  # undo the line wrap
     for phrase in ("number of trials (default 20)", "seed + i (default 0)",
-                   "dimension D (default 2)", "dimension E (default 2;",
-                   "need D*E <= 12",
-                   "kraus-rank needs D, E >= 1 and D*E <= 144",
-                   "lemma-orthogonality 1 <= E <= 256"):
+                   "dimension D (default 2)", "dimension E (default 2;"):
         assert phrase in text
+    for theorem, (*_, limit) in _CHECKS.items():
+        if limit is not None:
+            assert f"{theorem} needs {limit[0]}" in text
     for theorem in ("thm-uniform-diamond", "thm-instrument-bounds"):
         code, _, err = run_cli(capsys, "verify", theorem, "--trials", "1",
                                "--dim-d", "4", "--dim-e", "4")
@@ -277,7 +291,8 @@ def test_verify_rejects_bad_tolerance(capsys):
 
 def test_oracle_diamond_unitary_pair(capsys, tmp_path):
     v = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
-    delta = choi_from_kraus(identity_channel(2)).matrix - np.outer(v, v.conj()) / 2
+    identity = StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi()
+    delta = identity.matrix - np.outer(v, v.conj()) / 2
     from qimet.channels import ChoiMatrix
     path = tmp_path / "delta.json"
     path.write_text(json.dumps(choi_to_json(ChoiMatrix(2, 2, delta))))
@@ -474,7 +489,7 @@ def test_commands_run_without_scipy(tmp_path):
     # report, and a plain CLI import loads no scipy module
     from qimet.channels import ChoiMatrix
     v = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
-    delta = (choi_from_kraus(identity_channel(2)).matrix
+    delta = (StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi().matrix
              - np.outer(v, v.conj()) / 2)
     choi, model = tmp_path / "delta.json", tmp_path / "model.json"
     choi.write_text(json.dumps(choi_to_json(ChoiMatrix(2, 2, delta))))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import qimet
-from qimet.channels import (choi_from_kraus, choi_to_json, identity_channel,
+from qimet.channels import (StochasticChannel, choi_to_json,
                             random_stochastic_channel)
 from qimet.instruments import (model_to_json, random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
@@ -98,7 +98,7 @@ def _seed_documents():
     models = (random_uniform_model(2, 2, 0), random_nonuniform_model(2, 1, 1),
               random_general_implementation(2, 1, 2))
     delta = (random_stochastic_channel(2, 1.0, 3).choi()
-             - choi_from_kraus(identity_channel(2)))
+             - StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi())
     return ([("metrics", model_to_json(m)) for m in models]
             + [("oracle-diamond", choi_to_json(delta))])
 

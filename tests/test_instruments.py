@@ -10,6 +10,7 @@ from qimet import instruments as inst
 from qimet import linalg
 from qimet.errors import (DimensionMismatch, InvalidModel,
                           UnsupportedDimension)
+from qimet.verify import shipped_counterexample_model
 
 
 def outcome_probabilities(impl, rho):
@@ -195,14 +196,6 @@ def test_uniform_model_weight_validation():
 # non-uniform expansion
 # ------------------------------------------------------------------
 
-def outcome_dependent_model():
-    """The outcome-dependent idle-error model: only (a,b) = (0,0) entries."""
-    t0 = ch.StochasticChannel(2, 1.0, {(0, 0): 1.0})
-    t1 = ch.StochasticChannel(2, 1.0, {(0, 0): 0.8, (0, 1): 0.2})
-    return inst.NonUniformStochasticModel(2, 2, {
-        (0, 0, 0): t0, (0, 0, 1): t1})
-
-
 def test_constant_table_matches_uniform_expansion():
     gen = linalg.rng(303)
     D, E = 2, 2
@@ -219,7 +212,8 @@ def test_constant_table_matches_uniform_expansion():
 
 
 def test_outcome_dependent_model_branch_structure():
-    impl = inst.expand_nonuniform(outcome_dependent_model())
+    model = shipped_counterexample_model()
+    impl = inst.expand_nonuniform(model)
     # branch j acts as T_j ⊗ ad_{|j><j|}
     gen = linalg.rng(304)
     sigma = linalg.random_density(2, gen)
@@ -227,7 +221,7 @@ def test_outcome_dependent_model_branch_structure():
         basis = np.zeros((2, 2), dtype=complex)
         basis[j, j] = 1.0
         out = impl.branches[j].apply(linalg.kron(sigma, basis))
-        t_j = outcome_dependent_model().table[(0, 0, j)]
+        t_j = model.table[(0, 0, j)]
         expected = linalg.kron(t_j.as_channel().apply(sigma), basis)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -243,8 +237,33 @@ def test_nonuniform_non_tp_table_rejected_at_expansion():
     one = ch.StochasticChannel(1, 1.0, {(0, 0): 1.0})
     model = inst.NonUniformStochasticModel(2, 1, {
         (0, 1, 0): one, (0, 0, 1): one})
-    with pytest.raises(InvalidModel):
+    with pytest.raises(InvalidModel, match="not trace preserving"):
         inst.expand_nonuniform(model)
+    # sum K†K is diagonal, with sum_(a,b,j): j+b = c nu_(a,b,j) on basis
+    # column c, so a table expands exactly when every column gets weight 1;
+    # odd trials share one report-flip marginal over the outcomes (TP)
+    gen = linalg.rng(306)
+    verdicts = set()
+    for trial in range(40):
+        D, E = int(gen.integers(2, 4)), int(gen.integers(1, 3))
+        shared = gen.dirichlet(np.ones(D))
+        table, columns = {}, np.zeros(D)
+        for j in range(D):
+            mu = shared if trial % 2 else gen.dirichlet(np.ones(D))
+            for b in range(D):
+                a = int(gen.integers(D))
+                table[(a, b, j)] = ch.random_stochastic_channel(
+                    E, mu[b], seed=1000 * trial + D * j + b)
+                columns[(j + b) % D] += mu[b]
+        model = inst.NonUniformStochasticModel(D, E, table)
+        tp = bool(np.all(np.abs(columns - 1.0) <= 1e-9))
+        if tp:
+            inst.expand_nonuniform(model)
+        else:
+            with pytest.raises(InvalidModel, match="not trace preserving"):
+                inst.expand_nonuniform(model)
+        verdicts.add(tp)
+    assert verdicts == {True, False}
 
 
 def test_random_nonuniform_models_are_tp():

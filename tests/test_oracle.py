@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qimet.channels import (ChoiMatrix, choi_from_kraus, identity_channel,
+from qimet.channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
                             nu_lambda, random_stochastic_channel,
                             weyl_operators)
 from qimet.errors import (DimensionMismatch, NotHermitian, QimetError,
@@ -43,7 +43,7 @@ def output_rotated(choi, seed=7):
 
 
 def unitary_difference(dim, a, b):
-    ju = choi_from_kraus(identity_channel(dim))
+    ju = StochasticChannel(dim, 1.0, {(0, 0): 1.0}).choi()
     v = weyl_operators(dim)[a * dim + b].reshape(-1, order="F")
     jv = ChoiMatrix(dim, dim, np.outer(v, v.conj()) / dim)
     return ChoiMatrix(dim, dim, ju.matrix - jv.matrix)
@@ -70,17 +70,15 @@ def test_unitary_distance_is_two():
 
 
 def test_stochastic_closed_form_qubit():
-    from qimet.channels import StochasticChannel
     t = StochasticChannel(2, 1.0, {(0, 0): 0.9, (1, 0): 0.1})
-    delta = ChoiMatrix(2, 2, t.choi().matrix
-                       - choi_from_kraus(identity_channel(2)).matrix)
+    delta = t.choi() - StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi()
     res = diamond_norm(delta, tol=1e-8)
     assert abs(res.value - 0.2) < 1e-8
 
 
 def test_stochastic_closed_form_random():
-    ji2 = choi_from_kraus(identity_channel(2))
-    ji3 = choi_from_kraus(identity_channel(3))
+    ji2 = StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi()
+    ji3 = StochasticChannel(3, 1.0, {(0, 0): 1.0}).choi()
     for i in range(10):
         dim = 2 + i % 2
         t = random_stochastic_channel(dim, nu=0.2 + 0.08 * i, seed=800 + i)

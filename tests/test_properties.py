@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
-                            choi_from_json, choi_from_kraus, choi_to_json,
-                            identity_channel)
+                            choi_from_json, choi_from_kraus, choi_to_json)
 from qimet.instruments import (NonUniformStochasticModel, branch_differences,
                                expand_nonuniform, expand_uniform, full_channel,
                                ideal_instrument, model_from_json,
@@ -57,8 +56,8 @@ def test_stochastic_distance_to_identity_is_attained_at_phi_plus(t):
     # J(T) - J(id) is (T ⊗ I - I ⊗ I) applied to the maximally entangled
     # state, so its trace norm is the diamond distance exactly when that
     # state is an optimal input, as covariance makes it for these channels
-    at_phi_plus = trace_norm(t.choi().matrix
-                             - choi_from_kraus(identity_channel(t.dim)).matrix)
+    identity = StochasticChannel(t.dim, 1.0, {(0, 0): 1.0})
+    at_phi_plus = trace_norm((t.choi() - identity.choi()).matrix)
     assert np.isclose(at_phi_plus, 2.0 * diamond_identity_stochastic(t),
                       rtol=0.0, atol=1e-12)
 
