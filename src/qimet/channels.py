@@ -32,9 +32,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import (_as_float, _checked_hermitian, _is_integer, _json_float,
-                     _json_int, matrix_from_json, matrix_to_json,
-                     numerical_rank, rng)
+from .linalg import (_checked_hermitian, _is_integer, matrix_from_json,
+                     matrix_to_json, numerical_rank, rng)
 
 __all__ = [
     "KrausChannel",
@@ -264,9 +263,12 @@ def _weight(key, w) -> float:
 def _real(value, what: str) -> float:
     """A finite ``int``, ``float`` or NumPy real as ``float``; else raise."""
     if isinstance(value, (float, np.floating)) or _is_integer(value):
-        if math.isfinite(real := _as_float(value)):
-            return real
-        value = real  # an int beyond the float range shows as inf
+        try:
+            value = float(value)
+        except OverflowError:  # shown as inf, as json reads 1e400
+            value = math.inf if value > 0 else -math.inf
+        if math.isfinite(value):
+            return value
     raise InvalidModel(f"{what} must be a finite real number: {value!r}")
 
 
@@ -378,8 +380,11 @@ def channel_to_json(channel: KrausChannel) -> dict:
 
 
 def channel_from_json(obj: dict) -> KrausChannel:
+    """Decode :func:`channel_to_json` output.  A missing key or a wrong
+    container raises ``ValueError("malformed channel object: ...")``;
+    ``KrausChannel`` checks every value, and its error passes through."""
     try:
-        dim_in, dim_out = _json_int(obj, "dim_in"), _json_int(obj, "dim_out")
+        dim_in, dim_out = obj["dim_in"], obj["dim_out"]
         kraus = tuple(matrix_from_json(k) for k in obj["kraus"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc
@@ -395,8 +400,11 @@ def choi_to_json(choi: ChoiMatrix) -> dict:
 
 
 def choi_from_json(obj: dict) -> ChoiMatrix:
+    """Decode :func:`choi_to_json` output.  A missing key or a wrong
+    container raises ``ValueError("malformed Choi object: ...")``;
+    ``ChoiMatrix`` checks every value, and its error passes through."""
     try:
-        dim_in, dim_out = _json_int(obj, "dim_in"), _json_int(obj, "dim_out")
+        dim_in, dim_out = obj["dim_in"], obj["dim_out"]
         mat = matrix_from_json(obj["matrix"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Choi object: {exc}") from exc
@@ -413,11 +421,13 @@ def stochastic_to_json(channel: StochasticChannel) -> dict:
 
 
 def stochastic_from_json(obj: dict) -> StochasticChannel:
+    """Decode :func:`stochastic_to_json` output.  A missing key or a wrong
+    container raises ``ValueError("malformed stochastic channel object:
+    ...")``; ``StochasticChannel`` checks every value and raises
+    :class:`InvalidModel` (``UnsupportedDimension`` for ``dim``)."""
     try:
-        dim = _json_int(obj, "dim")
-        nu = _json_float(obj, "nu")
-        weights = [((_json_int(e, "a"), _json_int(e, "b")),
-                    _json_float(e, "w")) for e in obj["weights"]]
+        dim, nu = obj["dim"], obj["nu"]
+        weights = [((e["a"], e["b"]), e["w"]) for e in obj["weights"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed stochastic channel object: {exc}") from exc
     return StochasticChannel(dim, nu, weights)

@@ -44,7 +44,7 @@ from .channels import (KrausChannel, StochasticChannel, _entries,
                        stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import _json_int, rng
+from .linalg import rng
 
 __all__ = [
     "InstrumentImplementation",
@@ -339,15 +339,16 @@ def model_to_json(model) -> dict:
 
 
 def model_from_json(obj: dict):
-    """Decode and validate a model JSON object.
+    """Decode a model JSON object; the constructors check every value.
 
-    Malformed JSON structure raises ``ValueError``; the first model
-    validation failure raises :class:`InvalidModel`, its message prefixed
-    with ``model validation failed: ``.
+    ``ValueError`` means a malformed document: a missing key, a wrong
+    container, an unknown type or a bad matrix.  :class:`InvalidModel`
+    wraps the first refusal of a constructor: its message follows the prefix
+    ``model validation failed: ``, and the refusal is the ``__cause__``.
     """
     try:
         kind = obj["type"]
-        D, E = _json_int(obj, "D"), _json_int(obj, "E")
+        D, E = obj["D"], obj["E"]
         if kind == "general":
             return InstrumentImplementation(D, E, tuple(
                 channel_from_json(b) for b in obj["branches"]))
@@ -355,7 +356,7 @@ def model_from_json(obj: dict):
             labels = ("a", "b") if kind == "uniform" else ("a", "b", "j")
             cls = UniformStochasticModel if kind == "uniform" \
                 else NonUniformStochasticModel
-            return cls(D, E, [(tuple(_json_int(entry, k) for k in labels),
+            return cls(D, E, [(tuple(entry[k] for k in labels),
                                stochastic_from_json(entry["channel"]))
                               for entry in obj["table"]])
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,7 +13,6 @@ All functions accept array-likes and return plain ``numpy`` arrays.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "psd_sqrt",
     "partial_trace",
     "check_density",
-    "random_pure",
     "random_pure_states",
     "random_density",
     "rng",
@@ -193,12 +191,10 @@ def check_density(rho: np.ndarray, dim: int | None = None) -> tuple:
         eigenvectors as columns), so no caller decomposes it again.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {rho.shape}")
+    vals, vecs = _clamped_psd_eig(rho)  # square, Hermitian, PSD, or raise
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatch(
             f"expected a {dim}x{dim} density matrix, got {rho.shape}")
-    vals, vecs = _clamped_psd_eig(rho)  # raises NotHermitian / NotPSD
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > TOL.trace_one:
         raise ValueError(f"trace {tr!r} deviates from 1 beyond {TOL.trace_one}")
@@ -217,11 +213,6 @@ def rng(seed: int) -> np.random.Generator:
     results regardless of call order elsewhere.
     """
     return np.random.Generator(np.random.Philox(seed))
-
-
-def random_pure(dim: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vector of the given dimension."""
-    return random_pure_states(dim, 1, gen)[0]
 
 
 def random_pure_states(dim: int, count: int,
@@ -270,7 +261,9 @@ def _is_integer(value) -> bool:
 
 def _json_int(obj: dict, key: str) -> int:
     """``obj[key]`` if it is a JSON integer; a float, string or boolean
-    raises ``TypeError`` instead of being converted."""
+    raises ``TypeError`` instead of being converted.  Only a matrix's
+    ``rows`` and ``cols`` need it: no constructor sees them, and a ``True``
+    would pass the shape comparison, as ``(1, n) == (True, n)``."""
     value = obj[key]
     if not _is_integer(value):
         raise TypeError(f"{key!r} must be an integer, got {value!r}")
@@ -281,29 +274,10 @@ def _json_int(obj: dict, key: str) -> int:
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def _as_float(value) -> float:
-    """``float(value)``, but an integer beyond the float range is ``±inf``,
-    as ``json`` reads ``1e400``."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _json_float(obj: dict, key: str) -> float:
-    """``obj[key]`` as a float (:func:`_as_float`) if it is a JSON number; a
-    string, boolean, null or list raises ``TypeError`` instead of being
-    converted."""
-    value = obj[key]
-    if type(value) not in _JSON_NUMBERS:
-        raise TypeError(f"{key!r} must be a number, got {value!r}")
-    return _as_float(value)
-
-
 def _json_rows(obj: dict, key: str) -> np.ndarray:
     """``obj[key]`` as a float array if it is a list of rows of JSON numbers;
-    a string, boolean or null in a row raises ``TypeError`` likewise, and an
-    integer beyond the float range ``ValueError``."""
+    a string, boolean or null in a row raises ``TypeError``, and an integer
+    beyond the float range ``ValueError``."""
     rows = obj[key]
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and _JSON_NUMBERS.issuperset(map(type, row))
@@ -316,7 +290,13 @@ def _json_rows(obj: dict, key: str) -> np.ndarray:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode a matrix produced by :func:`matrix_to_json`."""
+    """Decode a matrix produced by :func:`matrix_to_json`.
+
+    A missing key, a size that is not a JSON integer or an entry that is
+    not a JSON number raises ``ValueError("malformed matrix object: ...")``,
+    and entries that do not fill ``rows x cols`` a plain ``ValueError``.
+    Entries may be ``inf`` or ``nan``: the ``KrausChannel`` and
+    ``ChoiMatrix`` constructors refuse them."""
     try:
         rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
         re, im = _json_rows(obj, "re"), _json_rows(obj, "im")
@@ -326,6 +306,5 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"matrix entries have shape {re.shape}/{im.shape}, "
             f"expected ({rows}, {cols})")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix entries must be finite numbers")
-    return re + 1j * im
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan+infj, quietly
+        return re + 1j * im

@@ -293,6 +293,10 @@ def build_report(obj, seed: int = 0) -> MetricsReport:
     the exact diamond distance ``2*(1 - nu00*lambda00)``).  The bounds are
     read from one branch-difference stack; ``seed`` seeds the lower bound's
     probe-state search (20 restarts, as in :func:`instrument_diamond_lower_max`).
+    For a stochastic model branch ``j``'s trace distance is ``2(1 - w_j)/D``,
+    ``w_j`` the identity weight of ``T_(0,0,j)`` (of ``T_(0,0)`` if uniform),
+    so on a uniform model the general upper bound is exactly ``D*E`` times
+    the exact distance.
     """
     diamond_exact = nu00 = lambda00 = None
     if isinstance(obj, UniformStochasticModel):

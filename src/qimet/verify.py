@@ -28,7 +28,8 @@ from .instruments import (NonUniformStochasticModel, branch_differences,
                           expand_nonuniform, expand_uniform,
                           random_general_implementation,
                           random_nonuniform_model, random_uniform_model)
-from .linalg import _is_integer, random_density, random_pure, rng, trace_norm
+from .linalg import (_is_integer, random_density, random_pure_states, rng,
+                     trace_norm)
 from .oracle import MAX_CHOI_SIDE, diamond_norm
 
 __all__ = [
@@ -151,7 +152,7 @@ def _check_fvg(seed, D, E):
     gen = rng(seed)
     dim = 2 + int(gen.integers(3))
     if seed % 5 == 0:
-        psi = random_pure(dim, gen)
+        psi = random_pure_states(dim, 1, gen)[0]
         rho = np.outer(psi, psi.conj())
     else:
         rho = random_density(dim, gen, rank=1 + int(gen.integers(dim)))

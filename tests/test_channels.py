@@ -471,13 +471,14 @@ def test_stochastic_from_json_rejects_repeated_labels():
 
 @pytest.mark.parametrize("bad", ["1.0", True, None, [1.0]])
 def test_stochastic_from_json_rejects_non_number_floats(bad):
-    # nu and weights are JSON numbers; "1.0" and true used to decode
+    # nu and weights are JSON numbers; "1.0" and true used to decode.  The
+    # constructor refuses them.
     obj = ch.stochastic_to_json(ch.StochasticChannel(2, 1.0, {(0, 0): 1.0}))
-    with pytest.raises(ValueError, match="^malformed stochastic"):
+    with pytest.raises(InvalidModel, match="^nu must be a finite real"):
         ch.stochastic_from_json({**obj, "nu": bad})
     obj = json.loads(json.dumps(obj))
     obj["weights"][0]["w"] = bad
-    with pytest.raises(ValueError, match="^malformed stochastic"):
+    with pytest.raises(InvalidModel, match=r"^weight at \(0, 0\) must be a"):
         ch.stochastic_from_json(obj)
 
 
@@ -524,11 +525,15 @@ def test_from_json_rejects_non_integer_fields(bad):
              (ch.choi_from_json, choi, "dim_in"),
              (ch.choi_from_json, choi, "dim_out"),
              (ch.stochastic_from_json, stochastic, "dim")]
+    # the constructors refuse them: KrausChannel and ChoiMatrix with
+    # DimensionMismatch, StochasticChannel by its dimension bound
     for decode, obj, key in cases:
-        with pytest.raises(ValueError, match="^malformed .* object"):
+        error = (UnsupportedDimension if key == "dim"
+                 else DimensionMismatch)
+        with pytest.raises(error, match="integers"):
             decode({**obj, key: bad})
     for key in ("a", "b"):
         obj = json.loads(json.dumps(stochastic))
         obj["weights"][1][key] = bad
-        with pytest.raises(ValueError, match="^malformed stochastic"):
+        with pytest.raises(InvalidModel, match="^label .* must be an integer"):
             ch.stochastic_from_json(obj)

@@ -406,12 +406,16 @@ def test_non_number_floats_exit_2(capsys, tmp_path):
     model = model_to_json(UniformStochasticModel(2, 1, {
         (0, 0): StochasticChannel(1, 1.0, {(0, 0): 1.0})}))
     model["table"][0]["channel"]["nu"] = "1.0"
-    for command, obj in (("oracle-diamond", choi), ("metrics", model)):
+    # the matrix reader refuses the entry, the StochasticChannel
+    # constructor the string nu
+    for command, obj, message in (
+            ("oracle-diamond", choi, "malformed matrix object"),
+            ("metrics", model, "nu must be a finite real number: '1.0'")):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj))
         code, out, err = run_cli(capsys, command, str(path))
         assert (code, out) == (2, "")
-        assert "malformed" in err
+        assert message in err
 
 
 def test_integers_too_large_for_a_float_exit_2(capsys, tmp_path):

@@ -462,8 +462,11 @@ def test_model_from_json_rejects_non_integer_fields(bad):
         obj = json.loads(json.dumps(obj))
         obj["table"][-1][key] = bad
         broken.append(obj)
+    # the model constructors refuse them: D and E by the dimension bound,
+    # labels as table keys
     for obj in broken:
-        with pytest.raises(ValueError, match="^malformed model object"):
+        with pytest.raises(InvalidModel,
+                           match="^model validation failed: .*integer"):
             inst.model_from_json(obj)
 
 
@@ -497,7 +500,10 @@ def test_model_from_json_rejects_non_number_floats(bad):
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = bad
-        broken.append(obj)
+        # the StochasticChannel constructor refuses nu and the weights
+        with pytest.raises(InvalidModel, match="^model validation failed: "
+                           ".* must be a finite real number"):
+            inst.model_from_json(obj)
     for part in ("re", "im"):
         obj = json.loads(json.dumps(general))
         obj["branches"][0]["kraus"][0][part][1][0] = bad

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qimet import linalg
+from qimet.channels import channel_from_json
 from qimet.errors import DimensionMismatch, NotHermitian, NotPSD
 
 
@@ -114,6 +115,10 @@ def test_herm_eig_rejects_non_hermitian():
             call(non_hermitian)
         with pytest.raises(DimensionMismatch):
             call(np.zeros((2, 3)))
+    # the square check comes before the size comparison, which would index
+    # the shape of a 0-d input
+    with pytest.raises(DimensionMismatch):
+        linalg.check_density(1.0, 1)
     # NaN fails every "deviation > tol" comparison, so it is rejected first
     nan = np.array([[1.0, 0.0], [0.0, np.nan]])
     for call in (linalg.psd_sqrt, linalg.check_density):
@@ -251,7 +256,7 @@ def test_check_density_returns_its_decomposition():
     # PSD check, which reconstructs it; a rank-1 state's roundoff negatives
     # are clamped to zero
     gen = linalg.rng(141)
-    v = linalg.random_pure(4, gen)
+    v = linalg.random_pure_states(4, 1, gen)[0]
     rho = np.outer(v, v.conj())
     out, vals, vecs = linalg.check_density(rho, 4)
     assert out.dtype == complex
@@ -263,8 +268,8 @@ def test_check_density_returns_its_decomposition():
 
 
 def test_random_pure_and_density_reproducible():
-    v1 = linalg.random_pure(3, linalg.rng(7))
-    v2 = linalg.random_pure(3, linalg.rng(7))
+    v1 = linalg.random_pure_states(3, 1, linalg.rng(7))[0]
+    v2 = linalg.random_pure_states(3, 1, linalg.rng(7))[0]
     np.testing.assert_array_equal(v1, v2)
     assert abs(np.linalg.norm(v1) - 1.0) < 1e-12
     r1 = linalg.random_density(3, linalg.rng(8))
@@ -283,8 +288,6 @@ def test_random_pure_states_match_sequential_normalized_draws():
         for count in (0, 1, 5, 12):
             rows = linalg.random_pure_states(dim, count, linalg.rng(9 + dim))
             np.testing.assert_array_equal(rows, ref[:count])
-        np.testing.assert_array_equal(
-            linalg.random_pure(dim, linalg.rng(9 + dim)), ref[0])
 
 
 # ------------------------------------------------------------------
@@ -311,14 +314,14 @@ def test_matrix_from_json_rejects_malformed():
         linalg.matrix_from_json({"rows": 2, "cols": 2, "re": [[1.0]], "im": [[0.0]]})
     with pytest.raises(ValueError):
         linalg.matrix_from_json({"rows": 2})
-    # an integer beyond the float range raised OverflowError
+    # an integer beyond the float range raised OverflowError; nan and inf
+    # decode, and the KrausChannel constructor refuses them
     for bad in [float("nan"), float("inf"), 10 ** 400, -10 ** 400]:
-        with pytest.raises(ValueError, match="finite"):
-            linalg.matrix_from_json(
-                {"rows": 1, "cols": 2, "re": [[1.0, bad]], "im": [[0.0, 0.0]]})
-        with pytest.raises(ValueError, match="finite"):
-            linalg.matrix_from_json(
-                {"rows": 1, "cols": 2, "re": [[1.0, 0.0]], "im": [[bad, 0.0]]})
+        for entries in ({"re": [[1.0, bad]], "im": [[0.0, 0.0]]},
+                        {"re": [[1.0, 0.0]], "im": [[bad, 0.0]]}):
+            obj = {"rows": 1, "cols": 2, **entries}
+            with pytest.raises(ValueError, match="finite"):
+                channel_from_json({"dim_in": 2, "dim_out": 1, "kraus": [obj]})
 
 
 @pytest.mark.parametrize("bad", [4.9, 2.0, "2", True])

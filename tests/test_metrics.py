@@ -16,7 +16,8 @@ from qimet.instruments import (InstrumentImplementation,
                                expand_uniform, full_channel, ideal_instrument,
                                model_to_json, random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
-from qimet.linalg import rng, random_density, random_pure, trace_norm
+from qimet.linalg import (rng, random_density, random_pure_states,
+                          trace_norm)
 from qimet.metrics import (MetricsReport, build_report,
                            diamond_identity_stochastic, fvg_bounds,
                            fidelity_nonuniform_closed, fidelity_uniform_closed,
@@ -413,7 +414,7 @@ def test_fvg_chain_on_random_pairs():
     for i in range(60):
         dim = 2 + i % 3
         if i % 3 == 0:
-            psi = random_pure(dim, gen)
+            psi = random_pure_states(dim, 1, gen)[0]
             rho = np.outer(psi, psi.conj())
         else:
             rho = random_density(dim, gen, rank=1 + i % dim)

@@ -223,6 +223,20 @@ def test_failed_factorization_counts_the_interrupted_iteration(monkeypatch):
     assert "linalg_error" in str(info.value)
 
 
+def test_collapsed_step_counts_the_interrupted_iteration(monkeypatch):
+    # every scaled step spectrum at -1e15 cuts the corrector's primal step
+    # to 0.9e-15, below the 1e-12 floor, inside the first step
+    monkeypatch.setattr("qimet.oracle._scaled_eigvalsh",
+                        lambda scale, d: np.full(d.shape[:-1], -1e15))
+    with pytest.raises(Unconverged,
+                       match=r"\(stopped: step_collapse\)$") as info:
+        diamond_norm(random_hermitian_choi(2, 3, seed=62), tol=1e-7)
+    partial = info.value.result
+    assert partial.iterations == 1
+    assert partial.primal_bound <= partial.value <= partial.dual_bound
+    assert partial.gap > 1e-7
+
+
 def test_dimension_cap():
     # side 145 exceeds MAX_CHOI_SIDE; 36 x 4 is side 144 but its Woodbury
     # factor exceeds MAX_WOODBURY_ENTRIES

@@ -5,6 +5,7 @@ draws the same inputs and writes nothing to the working tree.
 """
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -19,8 +20,8 @@ from qimet.instruments import (NonUniformStochasticModel, branch_differences,
                                ideal_instrument, model_from_json,
                                model_to_json, random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
-from qimet.linalg import (col_vec, hermitize, random_density, random_pure,
-                          rng, trace_norm)
+from qimet.linalg import (col_vec, hermitize, random_density,
+                          random_pure_states, rng, trace_norm)
 from qimet.metrics import (_probe_values, build_report,
                            diamond_identity_stochastic,
                            instrument_diamond_lower_max,
@@ -306,6 +307,26 @@ def test_report_upper_is_the_scaled_branch_distance_sum(kind, seed):
         assert instrument_diamond_upper(impl) == report.diamond_upper
 
 
+@pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+def test_stochastic_branch_distances_are_closed_forms(kind):
+    # d_j = 2 (1 - w_j) / D with w_j the identity weight of T_(0,0,j), or
+    # of T_(0,0) for every j of a uniform model; so a uniform report's
+    # upper bound is D*E * 2 (1 - w) = D*E times its exact distance
+    generate, _ = KINDS[kind]
+    for D, E, seed in itertools.product((2, 3, 4), (1, 2, 3, 4), (0, 1, 2)):
+        model = generate(D, E, seed=seed)
+        report = build_report(model)
+        for j, distance in enumerate(report.per_branch_trace_distances):
+            key = (0, 0) if kind == "uniform" else (0, 0, j)
+            t00 = model.table.get(key)
+            w = t00.weights.get((0, 0), 0.0) if t00 is not None else 0.0
+            assert distance == pytest.approx(2 * (1 - w) / D, rel=0,
+                                             abs=1e-12)
+        if kind == "uniform":
+            assert report.diamond_upper == pytest.approx(
+                D * E * report.diamond_exact, rel=0, abs=1e-12)
+
+
 def probe_by_apply(branch, sigma, j, D):
     """``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1`` with
     ``sigma_j = sigma ⊗ |j><j|``, from the branch's own action."""
@@ -322,7 +343,7 @@ def probe_by_apply(branch, sigma, j, D):
 def test_stack_probe_matches_the_branch_action(kind, seed):
     gen = rng(seed)
     for _, impl in implementations(kind, seed):
-        psi = random_pure(impl.E, gen)
+        psi = random_pure_states(impl.E, 1, gen)[0]
         sigmas = np.stack([np.outer(psi, psi.conj()),
                            random_density(impl.E, gen)])
         stack = branch_differences(impl)
