@@ -58,9 +58,9 @@ __all__ = [
 # ==================================================================
 
 #: Largest model register, stochastic channel and Weyl basis dimension.  A
-#: report on a (5, 5) model takes 1.2-1.4 s and 147 MB peak RSS (uniform or
-#: nonuniform) or 4.8 s and 106 MB (general); at (6, 6) a uniform one takes
-#: 12.7 s and 573 MB (2 cores, one OpenBLAS thread).
+#: report on a (5, 5) model takes 0.02-0.04 s and 38 MB peak RSS (uniform
+#: or nonuniform) or 3.2 s and 88 MB (general, nearly all of it the Choi
+#: route of its fidelity), 2 cores, one OpenBLAS thread.
 _MAX_MODEL_DIM = 5
 
 

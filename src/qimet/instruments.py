@@ -20,14 +20,15 @@ Structured error models:
   that may depend on the observed outcome ``j``.
 
 Normalization of the non-uniform weights: this package enforces
-``sum_(a,b) nu_(a,b,j) = 1`` for every outcome ``j``.  Note that per-outcome
+``sum_(a,b) nu_(a,b,j) = 1`` for every outcome ``j``.  Per-outcome
 normalization alone does not make the total channel trace preserving when
 weight sits on off-diagonal report flips ``b != 0`` non-uniformly in ``j``:
 the expansion has ``sum_k K_k† K_k = ⊕_c (sum_(a,b,j): j+b = c nu_(a,b,j))
-I_E`` over basis columns ``c``, so the ``InstrumentImplementation``
-constructor, which checks every implementation's trace preservation, rejects
-such a table when ``expand_nonuniform`` builds it.  The random model
-generator samples tables whose ``b``-marginals are outcome independent, which
+I_E`` over basis columns ``c``, so the ``NonUniformStochasticModel``
+constructor also checks that every basis column gets weight 1, in the same
+pass over the table.  No report expands a model, so the check cannot wait
+for the ``InstrumentImplementation`` constructor.  The random model generator
+samples tables whose ``b``-marginals are outcome independent, which
 satisfies both conditions.
 """
 
@@ -103,8 +104,9 @@ class InstrumentImplementation:
                 raise DimensionMismatch(
                     f"branch dims ({m.dim_in}, {m.dim_out}) do not match E*D = {side}")
         rows = np.concatenate([m.kraus_ops for m in branches]).reshape(-1, side)
-        dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(side))))
-        if dev > TOL.trace_preserving:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries
+            dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(side))))
+        if not dev <= TOL.trace_preserving:  # a NaN dev is refused too
             raise InvalidModel(
                 f"total channel is not trace preserving: max |sum K†K - I| = {dev:.3e}")
         object.__setattr__(self, "branches", branches)
@@ -150,7 +152,9 @@ class UniformStochasticModel:
 @dataclass(frozen=True)
 class NonUniformStochasticModel:
     """Outcome-dependent error table ``(a, b, j) -> T_(a,b,j)`` normalized
-    per outcome: ``sum_(a,b) nu_(a,b,j) = 1`` for each ``j``."""
+    per outcome, ``sum_(a,b) nu_(a,b,j) = 1`` for each ``j``, and per basis
+    column, ``sum_(a,b,j): j+b = c nu_(a,b,j) = 1`` for each ``c`` (mod D),
+    which makes its expansion trace preserving; both in one pass."""
 
     D: int
     E: int
@@ -159,20 +163,34 @@ class NonUniformStochasticModel:
     def __post_init__(self):
         _store_model_dims(self)
         table = _validate_table(self.table, self.D, self.E, labels=3)
-        for j in range(self.D):
-            total = sum(t.nu for (a, b, jj), t in table.items() if jj == j)
+        outcomes, columns = [0] * self.D, [0.0] * self.D
+        for (a, b, j), t in table.items():
+            outcomes[j] += t.nu
+            columns[(j + b) % self.D] += sum(t.weights.values())
+        for j, total in enumerate(outcomes):
             if abs(total - 1.0) > TOL.weight_sum:
                 raise InvalidModel(
                     f"outcome {j}: sum_(a,b) nu = {total!r} must be 1")
+        for c, total in enumerate(columns):
+            if abs(total - 1.0) > TOL.trace_preserving:
+                raise InvalidModel(
+                    f"not trace preserving: basis column {c} gets weight "
+                    f"{total!r} from the entries with j + b = {c} mod D, "
+                    f"expected 1")
         object.__setattr__(self, "table", table)
 
 
 def ideal_instrument(D: int, E: int) -> InstrumentImplementation:
-    """The ideal subsystem measurement as an implementation: the uniform model
-    whose one entry is ``T_(0,0) = id_E``, so branch ``j`` is the single-Kraus
-    map ``ad_{pi_j}`` with ``pi_j = I_E ⊗ |j><j|``."""
-    identity = StochasticChannel(E, 1.0, {(0, 0): 1.0})
-    return expand_uniform(UniformStochasticModel(D, E, {(0, 0): identity}))
+    """The ideal subsystem measurement as an implementation: branch ``j`` is
+    the single-Kraus map ``ad_{pi_j}`` with ``pi_j = I_E ⊗ |j><j|``, the
+    expansion of the uniform model whose one entry is ``T_(0,0) = id_E``."""
+    D, E = _check_dims(D, E)
+    side = E * D
+    diag = np.arange(side)
+    pis = np.zeros((D, 1, side, side), dtype=complex)
+    pis[diag % D, 0, diag, diag] = 1.0
+    return InstrumentImplementation(
+        D, E, tuple(KrausChannel(side, side, ops) for ops in pis))
 
 
 def _expand_branches(D: int, E: int, channel_at) -> tuple:
@@ -205,13 +223,9 @@ def expand_uniform(model: UniformStochasticModel) -> InstrumentImplementation:
 
 
 def expand_nonuniform(model: NonUniformStochasticModel) -> InstrumentImplementation:
-    """Same construction with outcome-dependent channels ``T_(a,b,j)``.
-
-    :raises InvalidModel: if the weights fail the trace-preserving condition
-        ``sum_(a,b) nu_(a,b,(c-b) mod D) = 1`` for a basis column ``c``
-        (per-outcome normalization alone does not imply it), from the
-        ``InstrumentImplementation`` constructor.
-    """
+    """Same construction with outcome-dependent channels ``T_(a,b,j)``;
+    the model's constructor has checked that the result is trace
+    preserving."""
     return InstrumentImplementation(
         model.D, model.E,
         _expand_branches(model.D, model.E,

@@ -87,7 +87,8 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
 
 def _checked_hermitian(mat: np.ndarray) -> np.ndarray:
     """The exactly Hermitian part ``hermitize(A)`` of a finite, square,
-    nearly Hermitian complex matrix ``A``.
+    nearly Hermitian complex matrix ``A``; finite too, even where ``A + A†``
+    would overflow.
 
     :raises DimensionMismatch: if ``A`` is not a square matrix.
     :raises ValueError: if an entry is not finite.
@@ -98,10 +99,16 @@ def _checked_hermitian(mat: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite numbers")
-    dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if dev > TOL.herm:
-        raise NotHermitian(f"max |A - A†| = {dev:.3e} exceeds {TOL.herm:.1e}")
-    return hermitize(mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # handled below
+        dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+        if dev > TOL.herm:
+            raise NotHermitian(
+                f"max |A - A†| = {dev:.3e} exceeds {TOL.herm:.1e}")
+        herm = hermitize(mat)
+    if np.isfinite(herm).all():
+        return herm
+    # A + A† overflowed; halving first is exact for entries this large
+    return 0.5 * mat + 0.5 * mat.conj().T
 
 
 def _clamped_psd_eig(mat: np.ndarray):

@@ -14,6 +14,22 @@ Diamond-norm conventions in this module:
   :class:`MetricsReport` use the *full* norm.
 
 Each docstring restates the convention of its function.
+
+How :func:`build_report` computes each field, from the model's own
+structure (no model is expanded and no branch-difference stack is built):
+
+* stochastic models: the fidelity, the exact distance, the per-branch trace
+  distances ``2(1 - w_j)/D`` and the upper bound ``D*E * sum_j d_j`` are
+  closed forms of the table; the probe lower bound applies the channels
+  ``T_(a,0,j)`` to the candidate states, blocks of side ``E``;
+* implementations: the per-branch trace distances, and with them the upper
+  bound, come from a QR factor of the branch's Kraus operators and
+  ``pi_j``, and the probe values from the Kraus operators' columns at the
+  measured index; the fidelity is the one field that takes the Choi route
+  (:func:`instrument_fidelity_branchwise`).
+
+:func:`instrument_diamond_lower_max` and :func:`instrument_diamond_upper`
+take the same routes, so each quantity has one.
 """
 
 from __future__ import annotations
@@ -23,12 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
-                       nu_lambda)
+                       nu_lambda, weyl_operators)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
-                          UniformStochasticModel, branch_differences,
-                          expand_nonuniform, expand_uniform, ideal_instrument)
+                          UniformStochasticModel, ideal_instrument)
 from .linalg import (_is_integer, _psd_root, check_density, psd_sqrt,
                      random_pure_states, rng, trace_norm)
 
@@ -164,33 +179,96 @@ def nonuniform_outcome_diamond(model: NonUniformStochasticModel) -> float:
 # diamond distances: general bounds
 # ==================================================================
 
-def _probe_values(stack: np.ndarray, sigmas: np.ndarray, j: int) -> np.ndarray:
-    """``||Delta_j(sigma_j)||_1 - tr Delta_j(sigma_j)``, which is
-    ``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1``, for each state
-    ``sigma`` of a stack, ``sigma_j = sigma ⊗ |j><j|``, from block ``B_j`` of
-    a branch-difference stack: ``Delta_j(sigma_j) = E*D * sum_ab sigma_ab
-    B_j[(a,j), :, (b,j), :]``.  The stacked SVD acts slice by slice, so no
-    value depends on the others."""
-    D, E = len(stack), sigmas.shape[-1]
-    rows = stack[j].reshape(E, D, E * D, E, D, E * D)[:, j, :, :, j]
-    out = E * D * np.tensordot(sigmas, rows, axes=([1, 2], [0, 2]))
-    return (np.sum(np.linalg.svd(out, compute_uv=False), axis=1)
-            - np.trace(out, axis1=1, axis2=2).real)
+def _branch_distances(obj) -> tuple:
+    """``d_j = ||J(M_j) - J(ad_pi_j)||_1`` for each outcome ``j``.
+
+    Stochastic model: the ``vec(U ⊗ |j+a><j+b|)`` of branch ``j``'s Kraus
+    operators are Hilbert-Schmidt orthogonal, and ``vec(pi_j)`` is the one
+    with ``(U, a, b) = (I, 0, 0)``, so the difference is diagonal in that
+    basis: ``d_j = (nu_j - w_j + |1 - w_j|)/D``, with ``nu_j`` the branch's
+    total weight and ``w_j`` the identity weight of ``T_(0,0,j)`` (of
+    ``T_(0,0)`` if uniform); that is ``2(1 - w_j)/D``, as ``nu_j = 1``.
+
+    Implementation: block ``j`` is ``W S W†``, with columns ``vec(K_jk)``
+    and ``vec(pi_j)`` of ``W``, scaled by ``1/sqrt(D*E)``, and ``S =
+    diag(1, ..., 1, -1)``; its trace norm is ``sum |eig(R S R†)|`` with
+    ``R`` the triangular factor of ``W``.
+    """
+    D, E = obj.D, obj.E
+    if not isinstance(obj, InstrumentImplementation):
+        uniform = isinstance(obj, UniformStochasticModel)
+        nus, ws = [0.0] * D, [0.0] * D
+        for key, t in obj.table.items():
+            for j in range(D) if uniform else key[2:]:
+                nus[j] += sum(t.weights.values())
+                if key[:2] == (0, 0):
+                    ws[j] = t.weights.get((0, 0), 0.0)
+        return tuple((nu - w + abs(1.0 - w)) / D for nu, w in zip(nus, ws))
+    side = D * E
+    diag = np.arange(side) * (side + 1)  # col_vec position of each |i><i|
+    out = []
+    for j, branch in enumerate(obj.branches):
+        ops = branch.kraus_ops
+        w = np.zeros((side * side, len(ops) + 1), dtype=complex)
+        w[:, :-1] = ops.swapaxes(1, 2).reshape(len(ops), -1).T
+        w[diag[j::D], -1] = 1.0
+        r = np.linalg.qr(w / np.sqrt(side), mode="r")
+        signs = np.ones(len(ops) + 1)
+        signs[-1] = -1.0
+        out.append(float(np.sum(np.abs(
+            np.linalg.eigvalsh((r * signs) @ r.conj().T)))))
+    return tuple(out)
 
 
-def _lower_max(stack: np.ndarray, E: int, restarts: int, seed: int) -> float:
-    """:func:`instrument_diamond_lower_max` over a branch-difference stack."""
-    eye = np.eye(E, dtype=complex)
-    psi = random_pure_states(E, restarts, rng(seed))
-    sigmas = np.concatenate([eye[None] / E,
-                             eye[:, :, None] * eye[:, None, :],
-                             psi[:, :, None] * psi[:, None, :].conj()])
-    return max(float(np.max(_probe_values(stack, sigmas, j)))
-               for j in range(len(stack)))
+def _probes(obj, sigmas: np.ndarray) -> np.ndarray:
+    """Probe values ``||Delta_j(sigma_j)||_1 - tr Delta_j(sigma_j)``, which
+    is ``1 - tr M_j(sigma_j) + ||M_j(sigma_j) - sigma_j||_1``, for each
+    outcome ``j`` (rows) and each state ``sigma`` of a stack (columns),
+    ``sigma_j = sigma ⊗ |j><j|``.
+
+    Stochastic model: only the ``b = 0`` operators see ``sigma_j``, so
+    ``Delta_j(sigma_j)`` is block diagonal over the shift ``a``, with blocks
+    ``T_(a,0,j)(sigma) - delta_a0 sigma`` (``T_(a,0)`` if uniform, the
+    same for every ``j``).  Implementation: ``Delta_j(sigma_j) = sum_k
+    K_k sigma K_k† - sigma_j`` with ``K_k`` the ``E`` input columns of
+    branch ``j`` at measured index ``j``.
+    """
+    D, E = obj.D, obj.E
+    if isinstance(obj, InstrumentImplementation):
+        deltas = []
+        for j, branch in enumerate(obj.branches):
+            cols = branch.kraus_ops[:, None, :, j::D]
+            out = np.sum(cols @ sigmas @ cols.conj().swapaxes(-1, -2), axis=0)
+            out[:, j::D, j::D] -= sigmas
+            deltas.append(out)
+        deltas = np.stack(deltas)
+    else:
+        # weights[j, a] of T_(a,0,j) over the Weyl labels, times the labels'
+        # superoperators U ⊗ conj(U) (row-major vec), act on every sigma in
+        # one product
+        uniform = isinstance(obj, UniformStochasticModel)
+        weights = np.zeros((1 if uniform else D, D, E * E))
+        for key, t in obj.table.items():
+            if key[1] == 0:
+                row = weights[0 if uniform else key[2], key[0]]
+                for (x, y), w in t.weights.items():
+                    row[x * E + y] = w
+        u = weyl_operators(E)
+        supers = np.einsum("kab,kcd->kacbd", u, u.conj()).reshape(E * E, -1)
+        maps = (weights @ supers).reshape(*weights.shape[:2], E * E, E * E)
+        n = len(sigmas)
+        deltas = (maps @ sigmas.reshape(n, -1).T).reshape(-1, D, E, E, n)
+        deltas = deltas.transpose(0, 4, 1, 2, 3)  # (j, sigma, a, E, E)
+        deltas[:, :, 0] -= sigmas
+    norms = np.sum(np.linalg.svd(deltas, compute_uv=False), axis=-1)
+    traces = np.trace(deltas, axis1=-2, axis2=-1).real
+    if deltas.ndim == 5:
+        norms, traces = norms.sum(axis=-1), traces.sum(axis=-1)
+    return np.broadcast_to(norms - traces, (D, len(sigmas)))
 
 
-def instrument_diamond_lower_max(impl: InstrumentImplementation,
-                                 restarts: int = 20, seed: int = 0) -> float:
+def instrument_diamond_lower_max(impl, restarts: int = 20,
+                                 seed: int = 0) -> float:
     """Lower bound on the full diamond distance between an implementation and
     the ideal measurement: the largest probe value ``1 - tr M_j(sigma_j) +
     ||M_j(sigma_j) - sigma_j||_1``, ``sigma_j = sigma ⊗ |j><j|``, over all
@@ -198,24 +276,26 @@ def instrument_diamond_lower_max(impl: InstrumentImplementation,
     mixed state, every computational basis state, and ``restarts`` random
     pure states.
 
+    ``impl`` is an :class:`InstrumentImplementation`, or a stochastic model,
+    whose probe values are read from its table (see :func:`build_report`).
     Deterministic per seed and monotone nondecreasing in ``restarts``.
     """
     if not (_is_integer(restarts) and restarts >= 0):
         raise ValueError(f"restarts must be an integer >= 0, got {restarts!r}")
-    return _lower_max(branch_differences(impl), impl.E, restarts, seed)
+    E = impl.E
+    eye = np.eye(E, dtype=complex)
+    psi = random_pure_states(E, restarts, rng(seed))
+    sigmas = np.concatenate([eye[None] / E,
+                             eye[:, :, None] * eye[:, None, :],
+                             psi[:, :, None] * psi[:, None, :].conj()])
+    return float(np.max(_probes(impl, sigmas)))
 
 
-def _upper_bound(stack: np.ndarray, E: int) -> tuple:
-    """``(D*E * sum_k d_k, (d_k)_k)`` over a branch-difference stack,
-    d_k = ``||J(M_k) - J(ad_pi_k)||_1``."""
-    distances = tuple(trace_norm(block) for block in stack)
-    return len(stack) * E * sum(distances), distances
-
-
-def instrument_diamond_upper(impl: InstrumentImplementation) -> float:
+def instrument_diamond_upper(impl) -> float:
     """Upper bound on the full diamond distance to the ideal measurement:
-    ``D*E * sum_k ||J(M_k) - J(ad_pi_k)||_1``."""
-    return _upper_bound(branch_differences(impl), impl.E)[0]
+    ``D*E * sum_k ||J(M_k) - J(ad_pi_k)||_1``, for an implementation or a
+    stochastic model (see :func:`build_report`)."""
+    return impl.D * impl.E * sum(_branch_distances(impl))
 
 
 # ==================================================================
@@ -286,42 +366,43 @@ class MetricsReport:
 
 def build_report(obj, seed: int = 0) -> MetricsReport:
     """Compute a :class:`MetricsReport` for a stochastic model or a general
-    implementation.
+    implementation, from the model's own structure; nothing is expanded.
 
-    Stochastic models are expanded to implementations for the bound
-    computations; closed forms supply the fidelity (and, for uniform models,
-    the exact diamond distance ``2*(1 - nu00*lambda00)``).  The bounds are
-    read from one branch-difference stack; ``seed`` seeds the lower bound's
-    probe-state search (20 restarts, as in :func:`instrument_diamond_lower_max`).
-    For a stochastic model branch ``j``'s trace distance is ``2(1 - w_j)/D``,
-    ``w_j`` the identity weight of ``T_(0,0,j)`` (of ``T_(0,0)`` if uniform),
-    so on a uniform model the general upper bound is exactly ``D*E`` times
-    the exact distance.
+    * ``fidelity``: the closed forms of a stochastic model; for an
+      implementation, the branch Choi states
+      (:func:`instrument_fidelity_branchwise` against the ideal).
+    * ``diamond_exact``, ``nu00``, ``lambda00`` (uniform models only): from
+      ``T_(0,0)``, with ``diamond_exact = 2*(1 - nu00*lambda00)``.
+    * ``per_branch_trace_distances`` and ``diamond_upper = D*E * sum_j
+      d_j``: for a stochastic model the closed form ``d_j = 2(1 - w_j)/D``,
+      ``w_j`` the identity weight of ``T_(0,0,j)`` (of ``T_(0,0)`` if
+      uniform), so on a uniform model the upper bound is exactly ``D*E``
+      times the exact distance; for an implementation, from the branch
+      Kraus operators.
+    * ``diamond_lower``: :func:`instrument_diamond_lower_max` with 20
+      restarts seeded by ``seed``; a stochastic model's probe values come
+      from its table, an implementation's from its branch Kraus operators.
     """
     diamond_exact = nu00 = lambda00 = None
     if isinstance(obj, UniformStochasticModel):
-        impl = expand_uniform(obj)
         fidelity = fidelity_uniform_closed(obj)
         diamond_exact = 2.0 * uniform_diamond_exact(obj)
         t00 = obj.table.get((0, 0))
         nu00, lambda00 = nu_lambda(t00) if t00 is not None else (0.0, 1.0)
     elif isinstance(obj, NonUniformStochasticModel):
-        impl = expand_nonuniform(obj)
         fidelity = fidelity_nonuniform_closed(obj)
     elif isinstance(obj, InstrumentImplementation):
-        impl = obj
         fidelity = instrument_fidelity_branchwise(
-            ideal_instrument(impl.D, impl.E), impl)
+            ideal_instrument(obj.D, obj.E), obj)
     else:
         raise TypeError(
             f"expected a stochastic model or an implementation, "
             f"got {type(obj).__name__}")
-    stack = branch_differences(impl)
-    upper, distances = _upper_bound(stack, impl.E)
+    distances = _branch_distances(obj)
     return MetricsReport(
         fidelity=float(fidelity),
-        diamond_lower=_lower_max(stack, impl.E, 20, seed),
-        diamond_upper=upper,
+        diamond_lower=instrument_diamond_lower_max(obj, 20, seed),
+        diamond_upper=obj.D * obj.E * sum(distances),
         diamond_exact=diamond_exact,
         nu00=nu00,
         lambda00=lambda00,

@@ -424,8 +424,8 @@ def diamond_norm(delta, tol: float = 1e-6,
         bracket of the starting point.
     :return: result with ``gap <= tol`` on success.
     :raises DimensionMismatch: if ``delta`` is not of either form.
-    :raises ValueError: if ``tol`` is not positive or ``max_iterations`` is
-        not a nonnegative integer.
+    :raises ValueError: if ``tol`` is not positive, ``max_iterations`` is
+        not a nonnegative integer, or ``dim_in * delta`` overflows.
     :raises UnsupportedDimension: if the Choi side exceeds ``MAX_CHOI_SIDE`` or
         ``B`` blocks times ``(dim_in * side)**2`` exceed the Woodbury limit,
         both checked on the input as given, before any sector split.
@@ -452,8 +452,11 @@ def diamond_norm(delta, tol: float = 1e-6,
     if not _is_integer(max_iterations) or max_iterations < 0:
         raise ValueError(f"max_iterations must be an integer >= 0, "
                          f"got {max_iterations!r}")
-    c, dim_out = _split_sectors(np.stack([b.matrix for b in blocks]) * dim_in,
-                                dim_in, dim_out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.stack([b.matrix for b in blocks]) * dim_in
+    if not np.isfinite(c).all():
+        raise ValueError("Choi entries too large: dim_in * delta overflows")
+    c, dim_out = _split_sectors(c, dim_in, dim_out)
 
     singular = np.linalg.svd(c, compute_uv=False)
     scale = float(singular.max())

@@ -106,11 +106,11 @@ def _check_fidelity(generate, closed_form, expand, seed, D, E):
 
 def _check_instrument_bounds(seed, D, E):
     # sandwich: lower_max <= ||Delta||_dia <= upper; abs_error = violation.
-    # One stack serves both bounds and the SDP, as in metrics.build_report.
-    stack = branch_differences(random_general_implementation(D, E, seed=seed))
-    lower = metrics._lower_max(stack, E, 8, seed)
-    upper = metrics._upper_bound(stack, E)[0]
-    oracle = _stack_diamond(stack, 1e-7)
+    # The bounds come from the Kraus operators, the SDP from the stack.
+    impl = random_general_implementation(D, E, seed=seed)
+    lower = metrics.instrument_diamond_lower_max(impl, 8, seed)
+    upper = metrics.instrument_diamond_upper(impl)
+    oracle = _stack_diamond(branch_differences(impl), 1e-7)
     return lower, oracle, max(lower - oracle, 0.0) + max(oracle - upper, 0.0)
 
 

@@ -172,6 +172,65 @@ def test_metrics_rejects_a_nonuniform_table_that_is_not_trace_preserving(
     assert "not trace preserving" in err
 
 
+def test_overflowing_entries_exit_2_with_one_error_line(tmp_path):
+    # finite entries whose products overflow: the trace-preservation check
+    # saw a NaN deviation as passing, and a Choi entry of 1e308 became inf
+    # in A + A†; each printed NumPy RuntimeWarnings first.  A fresh process
+    # with every warning shown sees what a user sees on stderr
+    from qimet.channels import ChoiMatrix
+    general = {"type": "general", "D": 2, "E": 1, "branches": [
+        {"dim_in": 2, "dim_out": 2, "kraus": [
+            {"rows": 2, "cols": 2, "re": re, "im": im}]}
+        for re, im in (([[0, 1e200], [-1e200, 1e200]],
+                        [[1e200, 0], [1e200, -1e200]]),
+                       ([[0, 0], [0, 0]], [[0, 0], [0, 0]]))]}
+    assert main(["gen", "general", "--out", str(tmp_path / "g.json")]) == 0
+    big = json.loads((tmp_path / "g.json").read_text())
+    big["branches"][0]["kraus"][0]["re"][0][0] = 1e308
+    choi = choi_to_json(ChoiMatrix(2, 1, np.eye(2) / 2))
+    argvs = []
+    for name, obj in (("nan.json", general), ("inf.json", big)):
+        (tmp_path / name).write_text(json.dumps(obj))
+        argvs.append(["metrics", str(tmp_path / name)])
+    for part in ("re", "im"):
+        obj = json.loads(json.dumps(choi))
+        obj["matrix"][part][0][0] = 1e308
+        (tmp_path / f"choi-{part}.json").write_text(json.dumps(obj))
+        argvs.append(["oracle-diamond", str(tmp_path / f"choi-{part}.json")])
+    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    probe = ("import sys, qimet.cli\n"
+             f"for argv in {argvs!r}:\n"
+             "    print(qimet.cli.main(argv))\n"
+             "    print('--', file=sys.stderr)\n")
+    run = subprocess.run([sys.executable, "-W", "always", "-c", probe],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["2"] * len(argvs)
+    for err in run.stderr.split("--\n")[:-1]:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_metrics_loads_no_module_past_the_cli(tmp_path):
+    # the set-up probe of the report benchmark ends with a report: whatever
+    # a report imports lands in its set-up time.  One `gen` pays the lazy
+    # loads every command shares (NumPy 2 loads numpy.random on first use,
+    # argparse loads locale); reports of all three kinds add none
+    paths = []
+    for kind in ("uniform", "nonuniform", "general"):
+        paths.append(str(tmp_path / f"{kind}.json"))
+        assert main(["gen", kind, "--out", paths[-1]]) == 0
+    out = ["--out", str(tmp_path / "report.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    probe = ("import sys, qimet.cli\n"
+             f"qimet.cli.main(['gen', 'uniform', *{out!r}])\n"
+             "loaded = set(sys.modules)\n"
+             f"for path in {paths!r}:\n"
+             f"    assert qimet.cli.main(['metrics', path, *{out!r}]) == 0\n"
+             "print(sorted(set(sys.modules) - loaded))\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 def test_metrics_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "metrics", str(tmp_path / "nope.json"))
     assert code == 2
@@ -435,7 +494,7 @@ def test_integers_too_large_for_a_float_exit_2(capsys, tmp_path):
 
 
 def test_a_model_at_the_dimension_bound_reports(capsys, tmp_path):
-    # (5, 5), the largest model a file may hold: about 1.3 s
+    # (5, 5), the largest model a file may hold
     model = UniformStochasticModel(5, 5, {
         (0, 0): StochasticChannel(5, 0.9, {(0, 0): 0.9}),
         (1, 0): StochasticChannel(5, 0.1, {(1, 2): 0.1})})

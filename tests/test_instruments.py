@@ -1,6 +1,7 @@
 """Tests for subsystem measurements and their implementations."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,19 @@ def test_readout_flip_born_probabilities():
     np.testing.assert_allclose(p1, [0.2, 0.8], atol=1e-12)
 
 
+def test_trace_preservation_check_refuses_nan_without_warnings():
+    # sum K†K overflows to inf - inf = NaN, and "NaN > tol" is false, so
+    # this model used to build, and its report failed later
+    huge = np.array([[1e200j, 1e200], [-1e200 + 1e200j, 1e200 - 1e200j]])
+    for kraus in (huge, np.array([[1e308, 0.0], [0.0, 0.0]])):
+        branches = (ch.KrausChannel(2, 2, [kraus]),
+                    ch.KrausChannel(2, 2, [np.zeros((2, 2))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidModel, match="not trace preserving"):
+                inst.InstrumentImplementation(2, 1, branches)
+
+
 def test_expanded_models_trace_preserving():
     gen = linalg.rng(302)
     for trial in range(10):
@@ -232,16 +246,15 @@ def test_nonuniform_per_outcome_normalization_enforced():
         inst.NonUniformStochasticModel(2, 1, {(0, 0, 0): t, (0, 0, 1): t})
 
 
-def test_nonuniform_non_tp_table_rejected_at_expansion():
+def test_nonuniform_non_tp_table_rejected_at_construction():
     # per-outcome sums are 1 but report-flip weights are outcome dependent
     one = ch.StochasticChannel(1, 1.0, {(0, 0): 1.0})
-    model = inst.NonUniformStochasticModel(2, 1, {
-        (0, 1, 0): one, (0, 0, 1): one})
     with pytest.raises(InvalidModel, match="not trace preserving"):
-        inst.expand_nonuniform(model)
+        inst.NonUniformStochasticModel(2, 1, {(0, 1, 0): one, (0, 0, 1): one})
     # sum K†K is diagonal, with sum_(a,b,j): j+b = c nu_(a,b,j) on basis
-    # column c, so a table expands exactly when every column gets weight 1;
-    # odd trials share one report-flip marginal over the outcomes (TP)
+    # column c, so a table is a model exactly when every column gets weight
+    # 1, and then it expands; odd trials share one report-flip marginal over
+    # the outcomes (TP)
     gen = linalg.rng(306)
     verdicts = set()
     for trial in range(40):
@@ -255,13 +268,13 @@ def test_nonuniform_non_tp_table_rejected_at_expansion():
                 table[(a, b, j)] = ch.random_stochastic_channel(
                     E, mu[b], seed=1000 * trial + D * j + b)
                 columns[(j + b) % D] += mu[b]
-        model = inst.NonUniformStochasticModel(D, E, table)
         tp = bool(np.all(np.abs(columns - 1.0) <= 1e-9))
         if tp:
-            inst.expand_nonuniform(model)
+            inst.expand_nonuniform(
+                inst.NonUniformStochasticModel(D, E, table))
         else:
             with pytest.raises(InvalidModel, match="not trace preserving"):
-                inst.expand_nonuniform(model)
+                inst.NonUniformStochasticModel(D, E, table)
         verdicts.add(tp)
     assert verdicts == {True, False}
 

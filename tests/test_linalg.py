@@ -4,6 +4,8 @@ Reference values are produced by deliberately naive implementations (index
 loops, eigenvalue detours) that share no code with the library routines.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,24 @@ def test_herm_eig_rejects_non_hermitian():
     for call in (linalg.psd_sqrt, linalg.check_density):
         with pytest.raises(ValueError, match="finite"):
             call(nan)
+
+
+def test_checked_hermitian_stays_finite_where_the_sum_overflows():
+    # A + A† overflows near the float maximum; the Hermitian part does not,
+    # and a ChoiMatrix once stored the inf after NumPy RuntimeWarnings
+    big = np.array([[1e308, 1e308 + 1e308j], [1e308 - 1e308j, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        herm = linalg._checked_hermitian(big)
+    assert np.array_equal(herm, big)
+    # elsewhere it is hermitize(A), bit for bit
+    gen = linalg.rng(121)
+    for scale in (1e-300, 1.0, 1e300):
+        a = _rand_complex(gen, 5, 5) * scale
+        a = a + a.conj().T
+        a[0, 1] += 1e-11  # nearly Hermitian at scale 1
+        assert np.array_equal(linalg._checked_hermitian(a),
+                              linalg.hermitize(a))
 
 
 def test_herm_eig_reconstructs():

@@ -370,8 +370,9 @@ def test_outcome_diamond_worked_example():
 def test_outcome_diamond_rejects_off_diagonal():
     t = StochasticChannel(2, 1.0, {(0, 0): 1.0})
     half = StochasticChannel(2, 0.5, {(0, 0): 0.5})
-    model = NonUniformStochasticModel(
-        2, 2, {(0, 0, 0): t, (0, 0, 1): half, (0, 1, 1): half})
+    model = NonUniformStochasticModel(  # every basis column gets weight 1
+        2, 2, {(0, 0, 0): half, (0, 1, 0): half,
+               (0, 0, 1): half, (0, 1, 1): half})
     with pytest.raises(InvalidModel):
         nonuniform_outcome_diamond(model)
 
@@ -515,7 +516,9 @@ def test_report_bracket_on_random_models():
 
 def test_report_upper_is_sum_of_branch_distances():
     # build_report derives the upper bound from the per-branch distances it
-    # reports; the sums run in the same order, so equality is exact
+    # reports; the sums run in the same order, so equality is exact.  A
+    # stochastic model's expansion takes the Kraus-factor route instead of
+    # the closed form, so it agrees to roundoff
     cases = [(random_uniform_model(2, 3, seed=31), expand_uniform),
              (random_nonuniform_model(3, 2, seed=32), expand_nonuniform),
              (random_general_implementation(2, 2, seed=33), lambda m: m)]
@@ -524,7 +527,9 @@ def test_report_upper_is_sum_of_branch_distances():
         impl = expand(model)
         assert rep.diamond_upper == (impl.D * impl.E
                                      * sum(rep.per_branch_trace_distances))
-        assert instrument_diamond_upper(impl) == rep.diamond_upper
+        assert instrument_diamond_upper(model) == rep.diamond_upper
+        assert instrument_diamond_upper(impl) == pytest.approx(
+            rep.diamond_upper, rel=0, abs=1e-12)
 
 
 def test_report_json_shape(capsys, tmp_path):

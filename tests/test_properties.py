@@ -22,7 +22,7 @@ from qimet.instruments import (NonUniformStochasticModel, branch_differences,
                                random_nonuniform_model, random_uniform_model)
 from qimet.linalg import (col_vec, hermitize, random_density,
                           random_pure_states, rng, trace_norm)
-from qimet.metrics import (_probe_values, build_report,
+from qimet.metrics import (_probes, build_report,
                            diamond_identity_stochastic,
                            instrument_diamond_lower_max,
                            instrument_diamond_upper,
@@ -300,11 +300,56 @@ def test_oracle_result_json_round_trips_exactly(value, primal, dual, gap,
 @INSTRUMENTS
 @given(seed=SEEDS)
 def test_report_upper_is_the_scaled_branch_distance_sum(kind, seed):
+    # the report and the public bound share one route per kind; a
+    # stochastic model's expansion takes the implementation route
     for model, impl in implementations(kind, seed):
         report = build_report(model)
         assert report.diamond_upper == (
             impl.D * impl.E * sum(report.per_branch_trace_distances))
-        assert instrument_diamond_upper(impl) == report.diamond_upper
+        assert instrument_diamond_upper(model) == report.diamond_upper
+        if kind == "general":
+            assert instrument_diamond_upper(impl) == report.diamond_upper
+        else:
+            assert instrument_diamond_upper(impl) == pytest.approx(
+                report.diamond_upper, rel=0, abs=1e-12)
+
+
+def stack_bounds(impl, restarts, seed):
+    """``(lower_max, upper, distances)`` from the branch-difference stack:
+    one SVD per block, and each probe ``Delta_j(sigma_j) = E*D * sum_ab
+    sigma_ab B_j[(a,j), :, (b,j), :]`` over the candidate states of
+    :func:`instrument_diamond_lower_max`."""
+    stack = branch_differences(impl)
+    D, E = impl.D, impl.E
+    distances = [trace_norm(block) for block in stack]
+    eye = np.eye(E, dtype=complex)
+    psi = random_pure_states(E, restarts, rng(seed))
+    sigmas = np.concatenate([eye[None] / E,
+                             eye[:, :, None] * eye[:, None, :],
+                             psi[:, :, None] * psi[:, None, :].conj()])
+    lower = -np.inf
+    for j, block in enumerate(stack):
+        rows = block.reshape(E, D, E * D, E, D, E * D)[:, j, :, :, j]
+        out = E * D * np.tensordot(sigmas, rows, axes=([1, 2], [0, 2]))
+        values = (np.sum(np.linalg.svd(out, compute_uv=False), axis=1)
+                  - np.trace(out, axis1=1, axis2=2).real)
+        lower = max(lower, float(np.max(values)))
+    return lower, D * E * sum(distances), distances
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_report_bounds_match_the_branch_difference_stack(kind):
+    # the report reads closed forms or Kraus factors; the stack is the
+    # dense route it replaced
+    generate, expand = KINDS[kind]
+    for D, E, seed in itertools.product((2, 3, 4), (1, 2, 3, 4), (0, 1, 2)):
+        model = generate(D, E, seed=seed)
+        report = build_report(model, seed=seed)
+        lower, upper, distances = stack_bounds(expand(model), 20, seed)
+        assert report.diamond_lower == pytest.approx(lower, rel=0, abs=1e-12)
+        assert report.diamond_upper == pytest.approx(upper, rel=0, abs=1e-12)
+        np.testing.assert_allclose(report.per_branch_trace_distances,
+                                   distances, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
@@ -341,15 +386,15 @@ def probe_by_apply(branch, sigma, j, D):
 @INSTRUMENTS
 @given(seed=SEEDS)
 def test_stack_probe_matches_the_branch_action(kind, seed):
+    # the probe values read from the table or the Kraus operators
     gen = rng(seed)
-    for _, impl in implementations(kind, seed):
+    for model, impl in implementations(kind, seed):
         psi = random_pure_states(impl.E, 1, gen)[0]
         sigmas = np.stack([np.outer(psi, psi.conj()),
                            random_density(impl.E, gen)])
-        stack = branch_differences(impl)
         for j, branch in enumerate(impl.branches):
             want = [probe_by_apply(branch, s, j, impl.D) for s in sigmas]
-            np.testing.assert_allclose(_probe_values(stack, sigmas, j), want,
+            np.testing.assert_allclose(_probes(model, sigmas)[j], want,
                                        rtol=0.0, atol=1e-13)
 
 
