@@ -56,6 +56,21 @@ scales the ``(2, B, n, n)`` block stack:
   block ``Z3 = M3 V3 M3†``, where ``Ψ = V3^{1/2} M3†`` is ``sqrt(Z3)`` up to
   a unitary.
 
+Before the first iterate, a second dual point is tried.  With ``C``
+normalized to ``||C||_2 = 1``, the one ``eigh`` of the stack that gives the
+scale and the cap ``||C||_1`` also gives ``Y_j = |C_j| + δI``, ``δ = 64 n
+u`` for the unit roundoff ``u``.  Its slacks ``Y_j ∓ C_j = 2 C_j^∓ + δI``
+are positive semidefinite plus the shift, which covers the roundoff of
+``|C_j|``; once they factorize, ``lambda_max(Tr_out sum_j Y_j)`` seeds the
+best upper bound, and otherwise the point is dropped.  The first iterate's
+lower bound, at ``rho = I / dim_in``, is the Choi trace norm ``sum_j
+||C_j||_1 / dim_in``, so the two meet, up to the shift, exactly when
+``Tr_out sum_j |C_j| ∝ I``.  That holds for every Weyl-stochastic ``T - I``
+and for the branch stack of every uniform stochastic instrument, whose
+diamond norm is reached at the maximally entangled input (Watrous,
+arXiv:1207.5726): these solves certify at iteration 0.  Every other solve
+steps from ``Y_j = 1.25 I``.
+
 The reported value is the midpoint of the best bounds; the call succeeds
 when their gap is at most the requested tolerance.
 
@@ -262,16 +277,19 @@ def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int):
     return solve
 
 
-def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
-               max_iterations: int):
+def _solve_sdp(c: np.ndarray, abs_c: np.ndarray, dim_in: int, dim_out: int,
+               tol: float, max_iterations: int):
     """Mehrotra predictor-corrector solve of the reduced program over the
-    ``(B, n, n)`` stack ``c``: certified ``(lower, upper, iterations,
-    reason)``, ``reason`` one of ``converged``, ``max_iterations``,
+    ``(B, n, n)`` stack ``c`` of spectral norm 1, given ``abs_c``, the
+    exactly Hermitian ``|C_j|`` of each block: certified ``(lower, upper,
+    iterations, reason)``, ``reason`` one of ``converged``, ``max_iterations``,
     ``step_collapse`` (the complementarity measure or the step length fell
     to zero) or ``linalg_error`` (a slack, a dual, a pencil or the
     capacitance did not factorize, a slack has a nonpositive Nesterov-Todd
     eigenvalue, a pencil is singular, or a factor or a step bound is not
     finite).
+    The start certificate ``Y_j = |C_j| + δI`` seeds the best upper bound
+    if its ``Y_j ∓ C_j`` factorize; otherwise it is left unset.
     Each iterate Cholesky-factorizes the slacks ``Y_j ∓ C_j`` and scales the
     input block, reads the bounds and tests the gap; only then does it scale
     the block stack, so the converged iterate scales no block.  It steps in
@@ -348,7 +366,15 @@ def _solve_sdp(c: np.ndarray, dim_in: int, dim_out: int, tol: float,
     z = [np.tile(np.eye(n, dtype=complex) / (2.0 * dim_in), (2, len(c), 1, 1)),
          eye_in / dim_in]
 
-    best_lower, best_upper = 0.0, np.inf
+    # the start certificate: Y_j ∓ C_j = 2 C_j^∓ + δI, whose shift covers
+    # the roundoff of |C_j|
+    y_abs = abs_c + 64 * n * np.finfo(float).eps * np.eye(n)
+    try:
+        _cholesky(np.stack([y_abs - c, y_abs + c]))
+        best_upper = float(np.linalg.eigvalsh(tr_out(y_abs)).max())
+    except np.linalg.LinAlgError:
+        best_upper = np.inf
+    best_lower = 0.0
     reason = "max_iterations"
 
     # C and every iterate stay exactly Hermitian without symmetrizing: sums,
@@ -421,7 +447,9 @@ def diamond_norm(delta, tol: float = 1e-6,
         split every block, with the same norm.
     :param tol: requested absolute certification gap on the returned value.
     :param max_iterations: Newton steps allowed; with 0 the result is the
-        bracket of the starting point.
+        starting bracket: the Choi trace norm from below and, from above,
+        the least of the start iterate's bound, the start certificate's
+        ``lambda_max(Tr_out sum_j |C_j|)`` plus its shift, and ``||C||_1``.
     :return: result with ``gap <= tol`` on success.
     :raises DimensionMismatch: if ``delta`` is not of either form.
     :raises ValueError: if ``tol`` is not positive, ``max_iterations`` is
@@ -458,16 +486,21 @@ def diamond_norm(delta, tol: float = 1e-6,
         raise ValueError("Choi entries too large: dim_in * delta overflows")
     c, dim_out = _split_sectors(c, dim_in, dim_out)
 
-    singular = np.linalg.svd(c, compute_uv=False)
+    # C is Hermitian: one eigh gives its singular values |λ|, so the scale
+    # and ||C||_1, and the |C_j| of the start certificate
+    eigvals, vecs = np.linalg.eigh(c)
+    singular = np.abs(eigvals)
     scale = float(singular.max())
     if c.shape[-1] == 1 or scale == 0.0:  # the norm is ||C||_1 = sum_j |c_j|
         v = float(np.sum(singular))
         return DiamondNormResult(v, v, v, 0.0, 0)
 
+    abs_c = hermitize((vecs * (singular / scale)[..., None, :])
+                      @ _adjoint(vecs))
     lower, upper, iterations, reason = _solve_sdp(
-        c / scale, dim_in, dim_out, tol / scale, max_iterations)
+        c / scale, abs_c, dim_in, dim_out, tol / scale, max_iterations)
     lower *= scale
-    # ||Delta||_diamond <= ||C||_1 always holds; one SVD gives it and the scale
+    # ||Delta||_diamond <= ||C||_1 always holds; the eigh gives it too
     upper = min(upper * scale, float(np.sum(singular)))
     lower = min(lower, upper)  # roundoff guard; bounds stay ordered
     gap = max(upper - lower, 0.0)

@@ -41,8 +41,12 @@ __all__ = [
     "summarize",
 ]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class VerificationRecord:
+    """One trial's outcome; slotted, since ``run_trials`` and the
+    ``verify`` command keep every record of a run."""
+
     theorem_id: str
     trial_seed: int
     closed_form: float

@@ -12,11 +12,14 @@ from qimet.channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
 from qimet.errors import (DimensionMismatch, NotHermitian, QimetError,
                           Unconverged, UnsupportedDimension)
 from qimet.instruments import (branch_differences, expand_nonuniform,
-                               full_channel, ideal_instrument,
-                               random_general_implementation)
+                               expand_uniform, full_channel, ideal_instrument,
+                               random_general_implementation,
+                               random_nonuniform_model, random_uniform_model)
 from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
                           rng, trace_norm)
-from qimet.metrics import nonuniform_outcome_diamond
+from qimet.metrics import (diamond_identity_stochastic,
+                           nonuniform_outcome_diamond,
+                           uniform_diamond_exact)
 from qimet.oracle import (DiamondNormResult, _adjoint, _certificates,
                           _cholesky, _cholesky_inverse, _hillclimb, _lifted,
                           _newton_solver, _nt_scaling, _scaled_eigvalsh,
@@ -178,18 +181,94 @@ def test_unconverged_keeps_valid_bounds():
 
 
 def test_zero_iterations_return_the_starting_bracket():
-    # the start Y = 1.25 I, Z3 = I / dim_in certifies ||J||_1 from below and
-    # min(1.25 dim_out ||C||_2, ||C||_1) from above, with C = dim_in J
+    # with C = dim_in J, the start Y = 1.25 I, Z3 = I / dim_in certifies
+    # ||J||_1 from below; from above, the least of its 1.25 dim_out ||C||_2,
+    # the start certificate Y = |C| + δ ||C||_2 I (δ = 64 n u), whose bound
+    # is lambda_max(Tr_out |C|) + dim_out δ ||C||_2, and ||C||_1.  Here the
+    # certificate is the least, and its shift is resolved: 2.6e-13 ||C||_2
+    # against a 1e-14 ||C||_2 tolerance
     delta = random_hermitian_choi(2, 3, seed=62)
     c = 2 * delta.matrix
+    norm = np.linalg.norm(c, 2)
+    w, v = scipy.linalg.eigh(c)
+    abs_tr = np.linalg.eigvalsh(
+        partial_trace((v * abs(w)) @ v.conj().T, (2, 3), [0])).max()
+    certificate = abs_tr + 3 * 64 * 6 * np.finfo(float).eps * norm
+    assert certificate < min(1.25 * 3 * norm, trace_norm(c))
     with pytest.raises(Unconverged) as info:
         diamond_norm(delta, tol=1e-7, max_iterations=0)
     start = info.value.result
     assert start.iterations == 0
     assert start.primal_bound == pytest.approx(trace_norm(delta.matrix),
                                                rel=1e-12)
-    assert start.dual_bound == pytest.approx(
-        min(1.25 * 3 * np.linalg.norm(c, 2), trace_norm(c)), rel=1e-12)
+    assert start.dual_bound == pytest.approx(certificate, abs=1e-14 * norm)
+
+
+def weyl_deltas():
+    """``T - I`` for Weyl-stochastic ``T``: E 2-5, three nu, seeds 0-3."""
+    for dim in (2, 3, 4, 5):
+        identity = StochasticChannel(dim, 1.0, {(0, 0): 1.0})
+        for nu, seed in itertools.product((0.2, 0.7, 1.0), range(4)):
+            t = random_stochastic_channel(dim, nu, seed)
+            yield t, t.choi() - identity.choi()
+
+
+def test_weyl_deltas_certify_at_iteration_zero():
+    # Tr_out |C| ∝ I for every Weyl-stochastic T - I, so the start
+    # certificate meets the lower bound at rho = I / dim_in
+    for t, delta in weyl_deltas():
+        result = diamond_norm(delta, tol=1e-9)
+        assert result.iterations == 0
+        assert result.gap <= 1e-9
+        assert abs(result.value - 2 * diamond_identity_stochastic(t)) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                  (3, 3)])
+def test_uniform_stacks_certify_at_iteration_zero(dims):
+    # the branch stack of a uniform stochastic instrument has
+    # Tr_out sum_j |C_j| ∝ I too
+    D, E = dims
+    for seed in (0, 1):
+        model = random_uniform_model(D, E, seed)
+        blocks = [ChoiMatrix(D * E, D * E, b)
+                  for b in branch_differences(expand_uniform(model))]
+        result = diamond_norm(blocks, tol=1e-9)
+        assert result.iterations == 0
+        assert result.gap <= 1e-9
+        assert abs(result.value - 2 * uniform_diamond_exact(model)) <= 1e-9
+
+
+def test_other_maps_still_take_newton_steps():
+    # a nonuniform stack and a random map leave the start certificate above
+    # the optimum, so their solves take Newton steps
+    for delta in ([ChoiMatrix(4, 4, b) for b in branch_differences(
+                      expand_nonuniform(random_nonuniform_model(2, 2, 0)))],
+                  random_hermitian_choi(2, 3, seed=62)):
+        result = diamond_norm(delta, tol=1e-7)
+        assert result.gap <= 1e-7
+        assert result.iterations >= 1
+
+
+def test_failed_start_certificate_leaves_the_newton_path(monkeypatch):
+    # the start certificate's Cholesky is the solve's first; when it fails
+    # the bound is left unset and the solve steps from Y = 1.25 I
+    _, delta = next(weyl_deltas())
+    clean = diamond_norm(delta, tol=1e-9)
+    calls = []
+
+    def failing_first(m):
+        calls.append(m.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return _cholesky(m)
+
+    monkeypatch.setattr("qimet.oracle._cholesky", failing_first)
+    result = diamond_norm(delta, tol=1e-9)
+    assert calls[0] == (2, 1, 4, 4)
+    assert result.gap <= 1e-9
+    assert result.iterations >= 1
+    assert_brackets_overlap(result, clean)
 
 
 def test_rejects_bad_max_iterations():
@@ -323,12 +402,13 @@ def test_iterates_stay_exactly_hermitian(monkeypatch):
         duals.clear()
         result = diamond_norm(delta, tol=1e-8)
         assert result.gap <= 1e-8
-        # per iterate, the start and the converged one included, the slacks
-        # Y_j ∓ C_j and the dual Z3 of the input block's scaling; per Newton
-        # step the duals Z1_j, Z2_j of the block scaling, the B pencils
-        # W1_j + W2_j and the one capacitance I + H
+        # the start certificate's |C_j| + δI ∓ C_j; per iterate, the start
+        # and the converged one included, the slacks Y_j ∓ C_j and the dual
+        # Z3 of the input block's scaling; per Newton step the duals Z1_j,
+        # Z2_j of the block scaling, the B pencils W1_j + W2_j and the one
+        # capacitance I + H
         steps = result.iterations
-        assert len(factored) == ((2 * blocks + 1) * (steps + 1)
+        assert len(factored) == (2 * blocks + (2 * blocks + 1) * (steps + 1)
                                  + (3 * blocks + 1) * steps)
         assert len(duals) == 2 * steps + 1
         for m in [*factored, *duals]:

@@ -1,5 +1,7 @@
 """Tests for the randomized verification runners."""
 
+import dataclasses
+
 import pytest
 
 import qimet.metrics
@@ -11,6 +13,15 @@ from qimet.instruments import (UniformStochasticModel, branch_differences,
 from qimet.verify import run_trial
 
 FIDELITY_IDS = ("cor-uniform-fidelity", "cor-nonuniform-fidelity")
+
+
+def test_records_are_slotted_and_frozen():
+    # a run keeps every record, so none carries an instance dict
+    record = run_trial("kraus-rank", 0)
+    assert not hasattr(record, "__dict__")
+    assert tuple(dataclasses.asdict(record)) == record.__slots__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.passed = False
 
 
 @pytest.mark.parametrize("theorem_id", FIDELITY_IDS)
