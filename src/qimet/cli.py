@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -141,7 +142,12 @@ def _limits_text() -> str:
     return "; ".join(clauses + ["outside these they exit 2 before drawing."])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the
+    process: ``parse_args`` keeps no state on it between calls (defaults,
+    ``func`` included, land in a fresh namespace, and help reads the
+    terminal width when it prints), so later ``main`` calls reuse it."""
     parser = argparse.ArgumentParser(
         prog="qimet",
         description="Error metrics for noisy quantum measurements.")

@@ -193,16 +193,16 @@ def ideal_instrument(D: int, E: int) -> InstrumentImplementation:
         D, E, tuple(KrausChannel(side, side, ops) for ops in pis))
 
 
-def _expand_branches(D: int, E: int, channel_at) -> tuple:
-    """Branch Kraus sets ``B ⊗ |j+a><j+b|`` for ``B`` in ``channel_at(a, b, j)``,
+def _expand_branches(D: int, E: int, kraus_at) -> tuple:
+    """Branch Kraus sets ``B ⊗ |j+a><j+b|`` for ``B`` in ``kraus_at(a, b, j)``,
     each written as the ``(j+a, j+b)`` block of an ``(E, D, E, D)`` zero
     operator; a branch with no Kraus operators gets one zero operator."""
     side = E * D
     branches = []
     for j in range(D):
-        blocks = [((j + a) % D, (j + b) % D, channel.kraus_ops())
+        blocks = [((j + a) % D, (j + b) % D, kraus)
                   for a in range(D) for b in range(D)
-                  if (channel := channel_at(a, b, j)) is not None]
+                  if (kraus := kraus_at(a, b, j)) is not None]
         ops = np.zeros((max(1, sum(len(kraus) for _, _, kraus in blocks)),
                         E, D, E, D), dtype=complex)
         start = 0
@@ -216,20 +216,22 @@ def _expand_branches(D: int, E: int, channel_at) -> tuple:
 def expand_uniform(model: UniformStochasticModel) -> InstrumentImplementation:
     """Build the instrument with branch-``j`` Kraus operators
     ``B ⊗ |j+a><j+b|`` over all table entries ``(a, b)`` (mod-D arithmetic)."""
+    kraus = {key: t.kraus_ops() for key, t in model.table.items()}
     return InstrumentImplementation(
         model.D, model.E,
         _expand_branches(model.D, model.E,
-                         lambda a, b, j: model.table.get((a, b))))
+                         lambda a, b, j: kraus.get((a, b))))
 
 
 def expand_nonuniform(model: NonUniformStochasticModel) -> InstrumentImplementation:
     """Same construction with outcome-dependent channels ``T_(a,b,j)``;
     the model's constructor has checked that the result is trace
     preserving."""
+    kraus = {key: t.kraus_ops() for key, t in model.table.items()}
     return InstrumentImplementation(
         model.D, model.E,
         _expand_branches(model.D, model.E,
-                         lambda a, b, j: model.table.get((a, b, j))))
+                         lambda a, b, j: kraus.get((a, b, j))))
 
 
 # ==================================================================

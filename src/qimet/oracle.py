@@ -425,7 +425,9 @@ def _split_sectors(c: np.ndarray, dim_in: int, dim_out: int):
     reach = reach | reach.T | np.eye(len(reach), dtype=bool)
     while not np.array_equal(reach, grown := reach @ reach):
         reach = grown  # boolean closure: paths double in length each round
-    sectors = reach[np.unique(reach.argmax(1))]
+    # the rows that are their sector's first output, one per sector in
+    # order (np.unique of argmax gives the same, but loads numpy.ma)
+    sectors = reach[reach.argmax(1) == np.arange(len(reach))]
     size = sectors.sum(1)
     if (size != size[0]).any():  # unequal sectors solve as one
         sectors = sectors.any(0, keepdims=True)

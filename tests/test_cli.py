@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -14,7 +15,7 @@ import qimet
 from qimet.cli import main
 from qimet.instruments import (UniformStochasticModel, model_from_json,
                                model_to_json)
-from qimet.verify import _CHECKS
+from qimet.verify import _CHECKS, THEOREM_IDS
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +31,19 @@ def write_model(path, model):
 def perfect_model():
     return UniformStochasticModel(
         2, 2, {(0, 0): StochasticChannel(2, 1.0, {(0, 0): 1.0})})
+
+
+def write_flip_delta(path):
+    """Choi file of id - ad_X on a qubit, whose diamond norm is 2."""
+    from qimet.channels import ChoiMatrix
+    v = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
+    identity = StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi()
+    delta = identity.matrix - np.outer(v, v.conj()) / 2
+    path.write_text(json.dumps(choi_to_json(ChoiMatrix(2, 2, delta))))
+
+
+def child_env():
+    return {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
 
 
 # ------------------------------------------------------------------
@@ -197,7 +211,7 @@ def test_overflowing_entries_exit_2_with_one_error_line(tmp_path):
         obj["matrix"][part][0][0] = 1e308
         (tmp_path / f"choi-{part}.json").write_text(json.dumps(obj))
         argvs.append(["oracle-diamond", str(tmp_path / f"choi-{part}.json")])
-    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    env = child_env()
     probe = ("import sys, qimet.cli\n"
              f"for argv in {argvs!r}:\n"
              "    print(qimet.cli.main(argv))\n"
@@ -209,26 +223,52 @@ def test_overflowing_entries_exit_2_with_one_error_line(tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+def modules_loaded_after_gen(tmp_path, steps):
+    """For each ``(label, statement)`` in ``steps``, the modules it loads in a
+    fresh interpreter that has imported the CLI and run one ``qimet gen``,
+    which pays the lazy loads every command shares (NumPy 2 loads
+    numpy.random on first use, argparse loads locale)."""
+    out = ["--out", str(tmp_path / "gen.json")]
+    probe = ["import json, sys, qimet.cli",
+             f"qimet.cli.main(['gen', 'uniform', *{out!r}])",
+             "new = {}"]
+    for label, statement in steps:
+        probe += ["loaded = set(sys.modules)", statement,
+                  f"new[{label!r}] = sorted(set(sys.modules) - loaded)"]
+    probe.append("print(json.dumps(new))")
+    run = subprocess.run([sys.executable, "-c", "\n".join(probe)],
+                         env=child_env(), capture_output=True, text=True,
+                         check=True)
+    return json.loads(run.stdout)
+
+
 def test_metrics_loads_no_module_past_the_cli(tmp_path):
     # the set-up probe of the report benchmark ends with a report: whatever
-    # a report imports lands in its set-up time.  One `gen` pays the lazy
-    # loads every command shares (NumPy 2 loads numpy.random on first use,
-    # argparse loads locale); reports of all three kinds add none
-    paths = []
-    for kind in ("uniform", "nonuniform", "general"):
-        paths.append(str(tmp_path / f"{kind}.json"))
-        assert main(["gen", kind, "--out", paths[-1]]) == 0
+    # a report imports lands in its set-up time; reports of all three kinds
+    # load nothing
+    steps = []
     out = ["--out", str(tmp_path / "report.json")]
-    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
-    probe = ("import sys, qimet.cli\n"
-             f"qimet.cli.main(['gen', 'uniform', *{out!r}])\n"
-             "loaded = set(sys.modules)\n"
-             f"for path in {paths!r}:\n"
-             f"    assert qimet.cli.main(['metrics', path, *{out!r}]) == 0\n"
-             "print(sorted(set(sys.modules) - loaded))\n")
-    run = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    for kind in ("uniform", "nonuniform", "general"):
+        path = str(tmp_path / f"{kind}.json")
+        assert main(["gen", kind, "--out", path]) == 0
+        steps.append((kind, f"assert qimet.cli.main("
+                            f"['metrics', {path!r}, *{out!r}]) == 0"))
+    new = modules_loaded_after_gen(tmp_path, steps)
+    assert new == {kind: [] for kind, _ in steps}
+
+
+def test_oracle_and_trials_load_no_module_past_the_cli(tmp_path):
+    # the oracle and verify set-up probes end with a solve or a trial; the
+    # first solve loaded numpy.ma (about 8 ms) through np.unique
+    delta = tmp_path / "delta.json"
+    write_flip_delta(delta)
+    out = ["--out", str(tmp_path / "result.json")]
+    steps = [("oracle-diamond", f"assert qimet.cli.main(['oracle-diamond', "
+                                f"{str(delta)!r}, *{out!r}]) == 0")]
+    steps += [(theorem, f"qimet.verify.run_trial({theorem!r}, 0)")
+              for theorem in THEOREM_IDS]
+    new = modules_loaded_after_gen(tmp_path, steps)
+    assert new == {label: [] for label, _ in steps}
 
 
 def test_metrics_missing_file(capsys, tmp_path):
@@ -349,12 +389,8 @@ def test_verify_rejects_bad_tolerance(capsys):
 # ------------------------------------------------------------------
 
 def test_oracle_diamond_unitary_pair(capsys, tmp_path):
-    v = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
-    identity = StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi()
-    delta = identity.matrix - np.outer(v, v.conj()) / 2
-    from qimet.channels import ChoiMatrix
     path = tmp_path / "delta.json"
-    path.write_text(json.dumps(choi_to_json(ChoiMatrix(2, 2, delta))))
+    write_flip_delta(path)
     code, out, _ = run_cli(capsys, "oracle-diamond", str(path),
                            "--tol", "1e-7")
     assert code == 0
@@ -403,7 +439,7 @@ def test_oracle_diamond_deep_tolerance_stops_without_warnings(tmp_path):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(choi_to_json(
         ChoiMatrix(4, 6, (m + m.conj().T) / 48))))
-    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    env = child_env()
     for tol in ("1e-11", "1e-12"):
         run = subprocess.run([sys.executable, "-m", "qimet.cli",
                               "oracle-diamond", str(path), "--tol", tol],
@@ -538,7 +574,7 @@ def test_every_public_name_resolves():
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # every command pays the CLI's imports; scipy.sparse alone costs tens of
     # milliseconds, and no command needs it
-    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    env = child_env()
     probe = ("import sys, qimet.cli; print(sorted(m for m in sys.modules "
              "if m.startswith('scipy.sparse')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -550,16 +586,12 @@ def test_commands_run_without_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy made unimportable, a
     # fresh interpreter imports the CLI and verify and runs the oracle and a
     # report, and a plain CLI import loads no scipy module
-    from qimet.channels import ChoiMatrix
-    v = weyl_operators(2)[2].reshape(-1, order="F")  # U_(1,0) = X
-    delta = (StochasticChannel(2, 1.0, {(0, 0): 1.0}).choi().matrix
-             - np.outer(v, v.conj()) / 2)
     choi, model = tmp_path / "delta.json", tmp_path / "model.json"
-    choi.write_text(json.dumps(choi_to_json(ChoiMatrix(2, 2, delta))))
+    write_flip_delta(choi)
     assert main(["gen", "general", "--seed", "3", "--out", str(model)]) == 0
     argvs = [["oracle-diamond", str(choi), "--tol", "1e-7"],
              ["metrics", str(model)]]
-    env = {**os.environ, "PYTHONPATH": str(Path(qimet.__file__).parents[1])}
+    env = child_env()
     probe = ("import sys; sys.modules['scipy'] = None\n"
              "import qimet.cli, qimet.verify\n"
              f"print([qimet.cli.main(a) for a in {argvs!r}])")
@@ -571,3 +603,80 @@ def test_commands_run_without_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# ------------------------------------------------------------------
+# repeated calls in one process
+# ------------------------------------------------------------------
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # a parser build takes about 1 ms, longer than a whole stochastic
+    # report, so only a process's first call may build one
+    model, delta = tmp_path / "model.json", tmp_path / "delta.json"
+    assert main(["gen", "uniform", "--out", str(model)]) == 0
+    write_flip_delta(delta)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["gen", "general", *out], ["metrics", str(model), *out],
+                 ["verify", "fvg-appendix", "--trials", "1", *out],
+                 ["oracle-diamond", str(delta), *out]):
+        assert main(argv) == 0
+    assert built == []
+
+
+#: help, usage errors, both formats, file input and output: what one
+#: process must print the same on every call as a fresh process does
+REUSE_SEQUENCE = [
+    ["verify", "--help"],
+    ["no-such-command"],
+    ["gen", "uniform", "--seed", "3"],
+    ["verify", "fvg-appendix", "--trials", "2"],
+    ["verify", "fvg-appendix", "--trials", "2", "--format", "csv"],
+    ["metrics", "missing.json"],
+    ["gen", "general", "--out", "general.json"],
+    ["metrics", "general.json"],
+    ["oracle-diamond", "delta.json", "--tol", "1e-7"],
+]
+
+IN_PROCESS = """\
+import contextlib, io, json, sys
+import qimet.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = qimet.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_repeated_calls_print_what_fresh_processes_print(tmp_path):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for directory in (fresh, reused):
+        directory.mkdir()
+        write_flip_delta(directory / "delta.json")
+    expected = []
+    for argv in REUSE_SEQUENCE:
+        run = subprocess.run([sys.executable, "-m", "qimet.cli", *argv],
+                             cwd=fresh, env=child_env(), capture_output=True)
+        expected.append([run.returncode, run.stdout.decode(),
+                         run.stderr.decode()])
+    assert [code for code, _, _ in expected] == [0, 2, 0, 0, 0, 2, 0, 0, 0]
+    run = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS, json.dumps(REUSE_SEQUENCE * 2)],
+        cwd=reused, env=child_env(), capture_output=True, text=True,
+        check=True)
+    assert json.loads(run.stdout) == expected * 2
+    assert ((reused / "general.json").read_bytes()
+            == (fresh / "general.json").read_bytes())
