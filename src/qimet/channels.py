@@ -337,7 +337,7 @@ def nu_lambda(channel: StochasticChannel) -> tuple:
         raise TypeError(
             f"cannot extract nu/lambda from {type(channel).__name__}")
     nu = float(sum(channel.weights.values()))
-    if nu <= TOL.weight_sum:
+    if nu == 0.0:
         return nu, 1.0
     return nu, channel.weights.get((0, 0), 0.0) / nu
 

@@ -4,7 +4,7 @@ Closed-form process fidelities and diamond distances for stochastic
 instrument implementations, certified bounds for general implementations,
 and sharpened Fuchs-van de Graaf inequalities.
 
-Diamond-norm conventions in this module:
+Diamond-norm conventions in this module, which each docstring restates:
 
 * :func:`diamond_identity_stochastic` and :func:`uniform_diamond_exact`
   return the *halved* norm ``(1/2)||.||_diamond`` (the natural [0, 1]
@@ -13,23 +13,17 @@ Diamond-norm conventions in this module:
   :func:`nonuniform_outcome_diamond` and every field of
   :class:`MetricsReport` use the *full* norm.
 
-Each docstring restates the convention of its function.
+Exact distances of stochastic models: with ``w_j`` the identity weight of
+``T_(0,0,j)`` (of ``T_(0,0)`` if uniform), ``||Delta||_diamond = max_j
+2(1 - w_j)``.  Pinching over the measured value splits ``Delta`` into
+sectors; each is Weyl covariant on E, so the maximally entangled input is
+optimal (Watrous, arXiv:1207.5726); orthogonal Kraus vectors and trace
+preservation give sector ``j`` the norm ``2(1 - w_j)``.  The uniform case
+is the paper's (arXiv:2306.07418); see :func:`nonuniform_outcome_diamond`.
 
-How :func:`build_report` computes each field, from the model's own
-structure (no model is expanded and no branch-difference stack is built):
-
-* stochastic models: the fidelity, the exact distance, the per-branch trace
-  distances ``2(1 - w_j)/D`` and the upper bound ``D*E * sum_j d_j`` are
-  closed forms of the table; the probe lower bound applies the channels
-  ``T_(a,0,j)`` to the candidate states, blocks of side ``E``;
-* implementations: the per-branch trace distances, and with them the upper
-  bound, come from a QR factor of the branch's Kraus operators and
-  ``pi_j``, and the probe values from the Kraus operators' columns at the
-  measured index; the fidelity is the one field that takes the Choi route
-  (:func:`instrument_fidelity_branchwise`).
-
-:func:`instrument_diamond_lower_max` and :func:`instrument_diamond_upper`
-take the same routes, so each quantity has one.
+:func:`build_report` gives each report field's route, from the model's own
+structure; :func:`instrument_diamond_lower_max` and
+:func:`instrument_diamond_upper` take the same, so each quantity has one.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ import numpy as np
 from .channels import (ChoiMatrix, StochasticChannel, choi_from_kraus,
                        nu_lambda, weyl_operators)
 from .config import TOL
-from .errors import DimensionMismatch, InvalidModel
+from .errors import DimensionMismatch
 from .instruments import (InstrumentImplementation, NonUniformStochasticModel,
                           UniformStochasticModel, ideal_instrument)
 from .linalg import (_is_integer, _psd_root, check_density, psd_sqrt,
@@ -152,27 +146,32 @@ def uniform_diamond_exact(model: UniformStochasticModel) -> float:
 
 
 def nonuniform_outcome_diamond(model: NonUniformStochasticModel) -> float:
-    """Full diamond distance for purely outcome-dependent unmeasured-register
-    errors: ``||Delta||_diamond = max_j ||T_j - I_E||_diamond
-    = max_j 2*(1 - lambda_j)``.
+    """Full diamond distance of an outcome-dependent stochastic model to the
+    ideal measurement, ``||Delta||_diamond = max_j 2(1 - w_j) = D * max_j
+    d_j``: ``w_j`` is the identity weight of ``T_(0,0,j)`` and ``d_j`` the
+    per-branch trace distance of :func:`build_report`.
 
-    Only models whose table has nothing but trace-preserving ``(0, 0, j)``
-    entries qualify.  Note the outcome-resolved error is *not* ``2*(1 - F)``
-    of the fidelity closed form; see :func:`fidelity_nonuniform_closed`.
+    Proof sketch: every Kraus operator ``B ⊗ |j+a><j+b|`` and every ``pi_j``
+    reads one measured value ``c = j + b``, so pinching over ``c`` gives
+    ``||Delta||_diamond = max_c ||Delta P_c||_diamond``; each sector is
+    covariant under the irreducible Weyl group on E, so the maximally
+    entangled input on E is optimal (Watrous, arXiv:1207.5726); its Kraus
+    vectors are Hilbert-Schmidt orthogonal, with weights that sum to 1 by
+    trace preservation, so its norm is ``2(1 - w_c)``.  The uniform case,
+    every ``w_j = nu_00*lambda_00``, is arXiv:2306.07418.
 
-    :raises InvalidModel: if off-``(0, 0)`` entries are present or a branch
-        channel is not trace preserving.
+    Every table the constructor accepts qualifies, entries off ``(0, 0, j)``
+    included (these were once refused).  This is *not* ``2*(1 - F)`` of
+    :func:`fidelity_nonuniform_closed`.
+
+    :raises TypeError: unless ``model`` is nonuniform: a uniform model has
+        :func:`uniform_diamond_exact`, and for an implementation ``D * max_j
+        d_j`` is not the distance.
     """
-    worst = 0.0
-    for (a, b, j), t in model.table.items():
-        if (a, b) != (0, 0):
-            raise InvalidModel(
-                f"entry {(a, b, j)}: only (0, 0, j) errors are supported")
-        nu, lam = nu_lambda(t)
-        if abs(nu - 1.0) > TOL.weight_sum:
-            raise InvalidModel(f"branch {j} has weight {nu!r}, expected 1")
-        worst = max(worst, 2.0 * (1.0 - lam))
-    return worst
+    if not isinstance(model, NonUniformStochasticModel):
+        raise TypeError(f"expected a nonuniform stochastic model, got "
+                        f"{type(model).__name__}")
+    return model.D * max(_branch_distances(model))
 
 
 # ==================================================================

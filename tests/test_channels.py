@@ -317,6 +317,14 @@ def test_stochastic_zero_channel_lambda_convention():
     np.testing.assert_array_equal(choi.matrix, np.zeros((4, 4)))
 
 
+def test_stochastic_small_channel_lambda_is_its_identity_share():
+    # nu = 1e-9 is small but not zero, so lambda = w_(0,0)/nu = 0; only
+    # nu == 0 takes the lambda = 1 convention
+    nu, lam = ch.nu_lambda(ch.StochasticChannel(2, 1e-9, {(0, 1): 1e-9}))
+    assert nu == 1e-9
+    assert nu * lam == 0.0
+
+
 def test_stochastic_channel_validation():
     with pytest.raises(InvalidModel):
         ch.StochasticChannel(2, 1.0, {(0, 0): 0.5})  # sum != nu

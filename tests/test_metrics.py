@@ -9,12 +9,13 @@ from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
                             choi_from_kraus, nu_lambda,
                             random_stochastic_channel, weyl_operators)
 from qimet.cli import main
-from qimet.errors import DimensionMismatch, InvalidModel, NotPSD
+from qimet.errors import DimensionMismatch, NotPSD
 from qimet.instruments import (InstrumentImplementation,
                                NonUniformStochasticModel,
-                               UniformStochasticModel, expand_nonuniform,
-                               expand_uniform, full_channel, ideal_instrument,
-                               model_to_json, random_general_implementation,
+                               UniformStochasticModel, branch_differences,
+                               expand_nonuniform, expand_uniform, full_channel,
+                               ideal_instrument, model_to_json,
+                               random_general_implementation,
                                random_nonuniform_model, random_uniform_model)
 from qimet.linalg import (rng, random_density, random_pure_states,
                           trace_norm)
@@ -26,6 +27,7 @@ from qimet.metrics import (MetricsReport, build_report,
                            instrument_fidelity_branchwise,
                            nonuniform_outcome_diamond, process_fidelity,
                            uniform_diamond_exact)
+from qimet.oracle import diamond_norm
 from qimet.verify import _trace_fidelity, shipped_counterexample_model
 
 
@@ -367,14 +369,25 @@ def test_outcome_diamond_worked_example():
     assert abs(nonuniform_outcome_diamond(model) - 0.4) < 1e-12
 
 
-def test_outcome_diamond_rejects_off_diagonal():
-    t = StochasticChannel(2, 1.0, {(0, 0): 1.0})
-    half = StochasticChannel(2, 0.5, {(0, 0): 0.5})
+def test_outcome_diamond_off_diagonal_table():
+    # entries off (0, 0, j) are in the closed form's domain: w_j = 1/2 on
+    # both outcomes, so the distance is 2 (1 - 1/2) = 1
+    t = StochasticChannel(2, 0.5, {(0, 0): 0.5})
     model = NonUniformStochasticModel(  # every basis column gets weight 1
-        2, 2, {(0, 0, 0): half, (0, 1, 0): half,
-               (0, 0, 1): half, (0, 1, 1): half})
-    with pytest.raises(InvalidModel):
-        nonuniform_outcome_diamond(model)
+        2, 2, {(0, 0, 0): t, (0, 1, 0): t, (0, 0, 1): t, (0, 1, 1): t})
+    assert nonuniform_outcome_diamond(model) == 1.0
+    blocks = [ChoiMatrix(4, 4, b)
+              for b in branch_differences(expand_nonuniform(model))]
+    res = diamond_norm(blocks, tol=1e-10)
+    assert res.primal_bound <= 1.0 <= res.dual_bound
+
+
+def test_outcome_diamond_rejects_other_models():
+    # a uniform model has uniform_diamond_exact; for an implementation
+    # D * max_j d_j is not the distance
+    for obj in (readout_flip_model(), random_general_implementation(2, 2, 0)):
+        with pytest.raises(TypeError):
+            nonuniform_outcome_diamond(obj)
 
 
 def test_outcome_diamond_vs_fidelity_route():
@@ -490,6 +503,21 @@ def test_report_uniform_worked_example():
     assert abs(rep.lambda00 - 0.9) < 1e-12
     assert rep.diamond_lower <= rep.diamond_exact <= rep.diamond_upper
     assert len(rep.per_branch_trace_distances) == 2
+
+
+def test_report_small_nu_without_identity_weight():
+    # T_(0,0) has weight 1e-9, none of it on the identity: w_(0,0) = 0, so
+    # the exact distance is 2, which the bracket's lower end nearly reaches
+    t00 = StochasticChannel(2, 1e-9, {(0, 1): 1e-9})
+    rest = StochasticChannel(2, 1 - 1e-9, {(0, 0): 1 - 1e-9})
+    model = UniformStochasticModel(2, 2, {(0, 0): t00, (1, 0): rest})
+    rep = build_report(model, seed=0)
+    assert rep.diamond_exact == 2 * max(rep.per_branch_trace_distances)
+    assert rep.diamond_exact == 2.0
+    assert rep.fidelity == 0.0 and rep.lambda00 == 0.0
+    half = StochasticChannel(2, 5e-10, {(0, 1): 5e-10})
+    assert diamond_identity_stochastic(half) == pytest.approx(
+        0.50000000025, rel=0, abs=1e-16)
 
 
 def test_report_nonuniform_has_no_exact_fields():

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qimet.channels import (ChoiMatrix, KrausChannel, StochasticChannel,
-                            choi_from_json, choi_from_kraus, choi_to_json)
+                            choi_from_json, choi_from_kraus, choi_to_json,
+                            nu_lambda)
 from qimet.instruments import (NonUniformStochasticModel, branch_differences,
                                expand_nonuniform, expand_uniform, full_channel,
                                ideal_instrument, model_from_json,
@@ -22,7 +23,7 @@ from qimet.instruments import (NonUniformStochasticModel, branch_differences,
                                random_nonuniform_model, random_uniform_model)
 from qimet.linalg import (col_vec, hermitize, random_density,
                           random_pure_states, rng, trace_norm)
-from qimet.metrics import (_probes, build_report,
+from qimet.metrics import (_branch_distances, _probes, build_report,
                            diamond_identity_stochastic,
                            instrument_diamond_lower_max,
                            instrument_diamond_upper,
@@ -231,8 +232,9 @@ def test_oracle_is_invariant_under_local_unitaries(seed, count, dims):
 
 def outcome_dependent_model(D, E, seed):
     """A model with only ``(0, 0, j)`` errors: a seeded trace-preserving
-    stochastic channel on the unmeasured register per outcome, the class
-    :func:`nonuniform_outcome_diamond` solves in closed form."""
+    stochastic channel on the unmeasured register per outcome.  On these
+    tables :func:`nonuniform_outcome_diamond` is also ``max_j 2(1 -
+    lambda_j)`` read channel by channel, ``max_j ||T_j - I_E||_diamond``."""
     gen = rng(seed)
     table = {(0, 0, j): StochasticChannel.from_weights(E, {
         (k // E, k % E): w for k, w in enumerate(gen.dirichlet(np.ones(E * E)))})
@@ -240,22 +242,53 @@ def outcome_dependent_model(D, E, seed):
     return NonUniformStochasticModel(D, E, table)
 
 
+def near_ideal_model(D, E, seed, eps):
+    """``eps`` times a random nonuniform table plus ``1 - eps`` times the
+    ideal one, an identity at each ``(0, 0, j)``: every kind of entry, at a
+    distance of about ``2*eps``."""
+    table = {}
+    for key, t in random_nonuniform_model(D, E, seed=seed).table.items():
+        weights = {label: eps * w for label, w in t.weights.items()}
+        if key[:2] == (0, 0):
+            weights[(0, 0)] = weights.get((0, 0), 0.0) + 1.0 - eps
+        table[key] = StochasticChannel.from_weights(E, weights)
+    return NonUniformStochasticModel(D, E, table)
+
+
 @settings(derandomize=True, database=None, max_examples=3, deadline=None)
 @given(seed=SEEDS)
 def test_closed_forms_lie_in_the_oracle_bracket(seed):
-    # the uniform closed form 2(1 - nu00 lambda00) and the outcome-resolved
-    # max_j 2(1 - lambda_j) against the certified bracket on the blocks
+    # the uniform closed form 2(1 - nu00 lambda00) and the nonuniform
+    # max_j 2(1 - w_j) = D max_j d_j against the certified bracket on the
+    # blocks; the random and near-ideal nonuniform tables, kept at D*E <= 6,
+    # are solved at tol 1e-10 (1e-12 below a distance of 1e-3)
+    cases = []
     for D, E in ((2, 1), (2, 2), (3, 2), (3, 3)):
         uniform = random_uniform_model(D, E, seed=seed)
+        exact = 2.0 * uniform_diamond_exact(uniform)
+        assert abs(D * max(_branch_distances(uniform)) - exact) <= 1e-15
         outcome = outcome_dependent_model(D, E, seed)
-        for closed, impl in (
-                (2.0 * uniform_diamond_exact(uniform), expand_uniform(uniform)),
-                (nonuniform_outcome_diamond(outcome),
-                 expand_nonuniform(outcome))):
-            blocks = [ChoiMatrix(D * E, D * E, b)
-                      for b in branch_differences(impl)]
-            res = diamond_norm(blocks, tol=1e-7)
-            assert res.primal_bound - 1e-9 <= closed <= res.dual_bound + 1e-9
+        closed = nonuniform_outcome_diamond(outcome)
+        walked = max(2.0 * (1.0 - nu_lambda(t)[1])
+                     for t in outcome.table.values())
+        assert abs(closed - walked) <= 1e-15
+        cases += [(exact, expand_uniform(uniform), 1e-7),
+                  (closed, expand_nonuniform(outcome), 1e-7)]
+    models = [random_nonuniform_model(D, E, seed=seed)
+              for D, E in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))]
+    models += [near_ideal_model(D, E, seed, eps)
+               for D, E in ((2, 2), (3, 2), (2, 3)) for eps in (1e-4, 0.05)]
+    for model in models:
+        closed = nonuniform_outcome_diamond(model)
+        cases.append((closed, expand_nonuniform(model),
+                      1e-12 if closed < 1e-3 else 1e-10))
+    for closed, impl, tol in cases:
+        side = impl.D * impl.E
+        blocks = [ChoiMatrix(side, side, b) for b in branch_differences(impl)]
+        res = diamond_norm(blocks, tol=tol)
+        # a stack certified at iteration 0 has a primal bound within
+        # rounding of the closed form, on either side
+        assert res.primal_bound - 1e-14 <= closed <= res.dual_bound + 1e-14
 
 
 @st.composite
