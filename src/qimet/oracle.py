@@ -25,31 +25,58 @@ therefore solves, over a stack of ``B`` blocks of one shape,
     subject to Y_j - C_j >= 0,  Y_j + C_j >= 0,  t*I - Tr_out(sum_j Y_j) >= 0
 
 with a primal-dual path-following interior-point method; the cones ``Y_j ∓
-C_j`` form one ``(2, B, n, n)`` stack.  Each iteration is a Mehrotra
-predictor-corrector step (Mehrotra 1992) in the Nesterov-Todd scaled frame
-(Todd, Toh and Tütüncü 1998) ``M† S M = M⁻¹ Z M⁻† = V = diag(v)``.  The
-scaling is inverse-free, the SDPT3 form with the roles of ``S`` and ``Z``
-swapped: with the dual's Cholesky factor ``Z = R R†`` and ``R† S R = U Λ
-U†``, ``M = R U Λ^{-1/4}`` and ``v = λ^{1/2}``, so no triangular solve is
-made.  A direction ``D_x = M† dS M`` gives its dual ``D_z`` without
-further products, and the step bounds are eigenvalues of ``V^{-1/2} D
-V^{-1/2}``.
+C_j`` form one ``(2, B, n, n)`` stack.
+
+Low-rank blocks are solved on their range.  Write ``C_j = V_j Λ_j V_j† +
+E_j``, where the ``n x r`` isometry ``V_j`` holds the eigenvectors of the
+``r`` largest ``|λ|`` of ``C_j``, ``r`` being the fewest, one for the whole
+stack, whose dropped tail ``sum_j ||E_j||_1`` is at most ``tol / 8``.  When
+``r <= n / 2``, a property of the input and ``tol`` and not an option, the
+iteration runs on the ``r x r`` blocks instead,
+
+    minimize   t
+    subject to Y_j - Λ_j >= 0,  Y_j + Λ_j >= 0,  t*I - sum_j Φ_j*(Y_j) >= 0
+
+with ``Φ_j*(Y) = Tr_out(V_j Y V_j†)``; its dual reads ``Z1_j + Z2_j =
+Φ_j(Z3) = V_j† (Z3 ⊗ I) V_j``.  It has the value of the full program on
+``C_j - E_j``: for a density ``rho`` and ``A_j = V_j† (rho ⊗ I) V_j`` the
+nonzero spectra of ``(sqrt(rho) ⊗ I) V_j Λ_j V_j† (sqrt(rho) ⊗ I)`` and of
+``A_j^{1/2} Λ_j A_j^{1/2}`` coincide, so both programs are ``max_rho sum_j
+||.||_1`` (the lower bound below); and dropping ``E_j`` moves that value by
+at most ``sum_j ||E_j||_1``.  A general (2,2) instrument's outcome blocks
+have rank 3 of 16, and a (3,3) one's 3 of 81.  Full-rank inputs, such as
+random maps and the rank-3-of-4 blocks of a (2,1) instrument, keep the
+program on the full blocks, with ``V_j = I``.
+
+Each iteration is a Mehrotra predictor-corrector step (Mehrotra 1992) in
+the Nesterov-Todd scaled frame (Todd, Toh and Tütüncü 1998) ``M† S M = M⁻¹
+Z M⁻† = V = diag(v)``.  The scaling is inverse-free, the SDPT3 form with
+the roles of ``S`` and ``Z`` swapped: with the dual's Cholesky factor ``Z =
+R R†`` and ``R† S R = U Λ U†``, ``M = R U Λ^{-1/4}`` and ``v = λ^{1/2}``,
+so no triangular solve is made.  A direction ``D_x = M† dS M`` gives its
+dual ``D_z`` without further products, and the step bounds are eigenvalues
+of ``V^{-1/2} D V^{-1/2}``.
 The predictor sets the centering ``sigma = (mu_aff / mu)**3``; the corrector
 aims at ``sigma*mu*V⁻¹ - X2``, ``X2`` the second-order term.  The Newton
-system is solved on the ``n x n`` blocks (``n = dim_in * dim_out``) by an
-entrywise divide in each block's generalized eigenbasis, a Woodbury step
-for the partial trace they share and a scalar Schur step for ``t``
-(:func:`_newton_solver`), at ``O(dim_in**2 * B * n**3)`` per iteration;
-only that build forms ``W⁻¹ = M M†``, and only for the block stack.  Each
-factorization is one call of NumPy's batched ``linalg`` per stack.
+system is solved on the ``r x r`` blocks (``r = n = dim_in * dim_out`` on
+the full blocks) by an entrywise divide in each block's generalized
+eigenbasis, a Woodbury step for the partial trace they share and a scalar
+Schur step for ``t`` (:func:`_newton_solver`), at ``O(dim_in**2 * B * r**2
+* (r + n))`` per iteration; only that build forms ``W⁻¹ = M M†``, and only
+for the block stack.  Each factorization is one call of NumPy's batched
+``linalg`` per stack.
 
-Certification does not trust convergence.  Each iterate Cholesky-factorizes
-its slacks ``Y_j ∓ C_j`` and scales the input block, then reads two *exactly
-feasible* bounds and tests their gap; only an iterate that goes on to step
-scales the ``(2, B, n, n)`` block stack:
+Certification does not trust convergence, nor the cut, and reads the full
+stack.  Each iterate Cholesky-factorizes its slacks ``Y_j ∓ C_j`` and scales
+the input block, then reads two *exactly feasible* bounds and tests their
+gap; only an iterate that goes on to step scales the block stack:
 
 * upper bound — ``lambda_max(Tr_out sum_j Y_j)``, once every ``Y_j ∓ C_j``
-  has factorized;
+  has factorized; an iterate ``Ỹ_j`` on the range is lifted to ``Y_j = V_j
+  Ỹ_j V_j† + |E_j| + δI``, with the start certificate's shift ``δ``
+  (below), whose slacks ``V_j (Ỹ_j ∓ Λ_j) V_j† + (|E_j| ∓ E_j) + δI`` are
+  checked on the ``(2, B, n, n)`` stack of ``C``, so a cut can slow a solve
+  but cannot certify a wrong value;
 * lower bound — for *any* density ``rho`` on the input factor,
   ``max { <C, X> : -rho ⊗ I <= X <= rho ⊗ I } = sum_j || (sqrt(rho) ⊗ I)
   C_j (sqrt(rho) ⊗ I) ||_1``; at ``rho = Z3 / tr Z3`` for the dual's input
@@ -69,7 +96,8 @@ lower bound, at ``rho = I / dim_in``, is the Choi trace norm ``sum_j
 and for the branch stack of every uniform stochastic instrument, whose
 diamond norm is reached at the maximally entangled input (Watrous,
 arXiv:1207.5726): these solves certify at iteration 0.  Every other solve
-steps from ``Y_j = 1.25 I``.
+steps from ``Y_j = 1.25 I`` and ``t`` one above ``lambda_max(sum_j
+Φ_j*(Y_j))``.
 
 The reported value is the midpoint of the best bounds; the call succeeds
 when their gap is at most the requested tolerance.
@@ -207,7 +235,8 @@ def _certificates(c: np.ndarray, ty: np.ndarray, mh3: np.ndarray,
     return float(lower), float(np.linalg.eigvalsh(ty).max())
 
 
-def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int):
+def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int,
+                   lift: np.ndarray | None = None):
     """Factorize one iteration's Newton system on B blocks; return its solver.
 
     With ``P = Tr_out``, ``W1_j, W2_j = M M†`` for the NT factors ``M = m``
@@ -229,10 +258,14 @@ def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int):
     ``G = U(M3†M3)``.  The returned ``solve(r_y, r_t)`` gives ``(dY, dt)``;
     ``r_y = None`` stands for zero.
 
+    On the range of the blocks, ``lift`` is the ``(B, n, r)`` stack of the
+    ``V_j``, the blocks are ``r x r``, ``P(X) = Tr_out sum_j V_j X_j V_j†``
+    and ``P*(A)_j = V_j† (A ⊗ I) V_j``; only the ``U(E_kl)`` images change,
+    read through ``V_j V`` instead of ``V``.
+
     :raises numpy.linalg.LinAlgError: if a factorization fails or a pencil
         gives ``root² <= 0``.
     """
-    n = dim_in * dim_out
     wi1, wi2 = hermitize(m @ _adjoint(m))
     k_inv = _cholesky_inverse(wi1 + wi2)
     k_inv_h = _adjoint(k_inv)
@@ -248,9 +281,12 @@ def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int):
     vh = _adjoint(v)
     m3h = _adjoint(m3)
     # row (k, l) of f is V† U(E_kl) V = Vm_k† Vm_l over the blocks, divided
-    # by root, where Vm_k is row block k of (M† ⊗ I) V; then H = conj(f) @ f.T
-    vm = (m3h @ v.reshape(-1, dim_in, dim_out * n)).reshape(
-        -1, dim_in, dim_out, n).swapaxes(0, 1)
+    # by root, where Vm_k is row block k of (M† ⊗ I) V, or of (M† ⊗ I) V_j V
+    # on the range; then H = conj(f) @ f.T
+    side = v.shape[-1]
+    vm = (m3h @ (v if lift is None else lift @ v).reshape(
+        -1, dim_in, dim_out * side)).reshape(
+        -1, dim_in, dim_out, side).swapaxes(0, 1)
     f = (_adjoint(vm)[:, None] @ vm[None]).reshape(dim_in * dim_in, -1)
     f *= inv_root
     cap = _cholesky_inverse(hermitize(np.eye(len(f)) + f.conj() @ f.T))
@@ -277,33 +313,72 @@ def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int):
     return solve
 
 
-def _solve_sdp(c: np.ndarray, abs_c: np.ndarray, dim_in: int, dim_out: int,
-               tol: float, max_iterations: int):
+def _solve_sdp(c: np.ndarray, eigvals: np.ndarray, vecs: np.ndarray,
+               dim_in: int, dim_out: int, tol: float, max_iterations: int):
     """Mehrotra predictor-corrector solve of the reduced program over the
-    ``(B, n, n)`` stack ``c`` of spectral norm 1, given ``abs_c``, the
-    exactly Hermitian ``|C_j|`` of each block: certified ``(lower, upper,
-    iterations, reason)``, ``reason`` one of ``converged``, ``max_iterations``,
-    ``step_collapse`` (the complementarity measure or the step length fell
-    to zero) or ``linalg_error`` (a slack, a dual, a pencil or the
-    capacitance did not factorize, a slack has a nonpositive Nesterov-Todd
-    eigenvalue, a pencil is singular, or a factor or a step bound is not
-    finite).
+    ``(B, n, n)`` stack ``c`` of spectral norm 1, given its eigenvalues
+    ``eigvals`` and eigenvectors ``vecs``: certified ``(lower, upper,
+    iterations, reason)``, ``reason`` one of ``converged``,
+    ``max_iterations``, ``step_collapse`` (the complementarity measure or
+    the step length fell to zero) or ``linalg_error`` (a slack, a dual, a
+    pencil or the capacitance did not factorize, a slack has a nonpositive
+    Nesterov-Todd eigenvalue, a pencil is singular, or a factor or a step
+    bound is not finite).
     The start certificate ``Y_j = |C_j| + δI`` seeds the best upper bound
     if its ``Y_j ∓ C_j`` factorize; otherwise it is left unset.
+    When the ``r`` largest ``|λ|`` of every block leave a trace-norm tail of
+    at most ``tol / 8`` over the stack and ``r <= n / 2``, the iteration
+    runs on the ``r x r`` blocks ``Λ_j`` of the range ``V_j`` instead, and
+    each iterate ``Ỹ_j`` is certified lifted, as ``V_j Ỹ_j V_j† + |E_j| +
+    δI``.
     Each iterate Cholesky-factorizes the slacks ``Y_j ∓ C_j`` and scales the
     input block, reads the bounds and tests the gap; only then does it scale
     the block stack, so the converged iterate scales no block.  It steps in
     the scaled frame, ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``, by an inner
     function, so nothing of a step outlives it."""
-    n = dim_in * dim_out
-    n_total = 2 * len(c) * n + dim_in
+    blocks, n = c.shape[:2]
     eye_in = np.eye(dim_in, dtype=complex)
     eye_out = np.eye(dim_out)
-    eyes = [np.eye(n), np.eye(dim_in)]
+    shift = 64 * n * np.finfo(float).eps * np.eye(n)
 
-    def tr_out(x):  # of the block sum
+    def full_tr_out(x):  # of the block sum
         return np.trace(x.sum(0).reshape(dim_in, dim_out, dim_in, dim_out),
                         axis1=1, axis2=3)
+
+    # the range: the fewest r largest |λ| per block whose dropped tail
+    # sum_j ||E_j||_1 stays within tol / 8; tail[k] drops the k + 1 least
+    tail = np.sort(np.abs(eigvals), -1).cumsum(-1).sum(0)
+    side = max(n - int(np.count_nonzero(tail <= tol / 8)), 1)
+    if 2 * side > n:  # the program on the full blocks
+        lift = None
+        program = c
+        side = n
+        load = dim_out * blocks  # lambda_max(Tr_out sum_j I)
+        tr_out = full_tr_out
+
+        def less_kron(x, a):  # x_j - a ⊗ I
+            return (x.reshape(-1, dim_in, dim_out, dim_in, dim_out)
+                    - a[:, None, :, None] * eye_out[:, None]).reshape(-1, n, n)
+    else:  # the program on the range, Φ_j*(X) = Tr_out V_j X V_j†
+        order = np.argsort(-np.abs(eigvals), -1, kind="stable")
+        ranked = np.take_along_axis(eigvals, order, -1)  # largest |λ| first
+        basis = np.take_along_axis(vecs, order[:, None, :], -1)
+        lift, rest = basis[..., :side], basis[..., side:]
+        lift_h = _adjoint(lift)
+        program = ranked[:, :side, None] * np.eye(side)  # Λ_j
+        y_tail = hermitize((rest * np.abs(ranked[:, None, side:]))
+                           @ _adjoint(rest)) + shift  # |E_j| + δI
+        load = float(np.linalg.eigvalsh(full_tr_out(lift @ lift_h)).max())
+
+        def tr_out(x):
+            return full_tr_out(hermitize(lift @ x @ lift_h))
+
+        def less_kron(x, a):  # x_j - Φ_j(a), Φ_j(a) = V_j† (a ⊗ I) V_j
+            return x - hermitize(lift_h @ (a @ lift.reshape(
+                blocks, dim_in, -1)).reshape(lift.shape))
+
+    n_total = 2 * blocks * side + dim_in
+    eyes = [np.eye(side), np.eye(dim_in)]
 
     def step(bounds, tau):  # tau times the way to the boundary, at most 1
         if not np.isfinite(lam_min := np.min(bounds)):  # min() drops a NaN
@@ -317,7 +392,7 @@ def _solve_sdp(c: np.ndarray, abs_c: np.ndarray, dim_in: int, dim_out: int,
         mu = sum(np.dot(v.ravel(), v.ravel()) for v in vs) / n_total
         if mu <= 0:
             return None
-        solve = _newton_solver(ms[0], ms[1], dim_in, dim_out)
+        solve = _newton_solver(ms[0], ms[1], dim_in, dim_out, lift)
         diag_v = [v[..., None] * e for v, e in zip(vs, eyes)]
         scales = [_step_scale(v) for v in vs]
 
@@ -343,9 +418,7 @@ def _solve_sdp(c: np.ndarray, abs_c: np.ndarray, dim_in: int, dim_out: int,
         targets = [(sigma * mu / v)[..., None] * e - _second_order(v, dx, dz)
                    for v, e, dx, dz in zip(vs, eyes, d_x, d_z)]
         r = [hermitize(m @ tk @ mh) for m, mh, tk in zip(ms, mhs, targets)]
-        r_y = (r[0].sum(0).reshape(-1, dim_in, dim_out, dim_in, dim_out)
-               - r[1][:, None, :, None] * eye_out[:, None])  # r3 ⊗ I
-        dy, dt, d_x = newton(r_y.reshape(-1, n, n),
+        dy, dt, d_x = newton(less_kron(r[0].sum(0), r[1]),
                              float(np.trace(r[1]).real) - 1.0)
         d_z = [tk - dv - dx for tk, dv, dx in zip(targets, diag_v, d_x)]
         lams = [_scaled_eigvalsh(sc, np.stack([dx, dz]))
@@ -361,17 +434,19 @@ def _solve_sdp(c: np.ndarray, abs_c: np.ndarray, dim_in: int, dim_out: int,
 
     # exactly feasible start: scaled identity blocks
     eta = 1.25  # > ||C||_2 = 1 after normalization
-    y = np.tile(eta * np.eye(n, dtype=complex), (len(c), 1, 1))
-    t = eta * dim_out * len(c) + 1.0
-    z = [np.tile(np.eye(n, dtype=complex) / (2.0 * dim_in), (2, len(c), 1, 1)),
+    y = np.tile(eta * np.eye(side, dtype=complex), (blocks, 1, 1))
+    t = eta * load + 1.0  # t*I - Tr_out sum_j Φ_j*(Y_j) >= I
+    z = [np.tile(np.eye(side, dtype=complex) / (2.0 * dim_in),
+                 (2, blocks, 1, 1)),
          eye_in / dim_in]
 
     # the start certificate: Y_j ∓ C_j = 2 C_j^∓ + δI, whose shift covers
     # the roundoff of |C_j|
-    y_abs = abs_c + 64 * n * np.finfo(float).eps * np.eye(n)
+    y_abs = hermitize((vecs * np.abs(eigvals)[..., None, :])
+                      @ _adjoint(vecs)) + shift
     try:
         _cholesky(np.stack([y_abs - c, y_abs + c]))
-        best_upper = float(np.linalg.eigvalsh(tr_out(y_abs)).max())
+        best_upper = float(np.linalg.eigvalsh(full_tr_out(y_abs)).max())
     except np.linalg.LinAlgError:
         best_upper = np.inf
     best_lower = 0.0
@@ -383,11 +458,18 @@ def _solve_sdp(c: np.ndarray, abs_c: np.ndarray, dim_in: int, dim_out: int,
     # matrix products and eigen-reconstructions are passed through hermitize.
     for iterations in range(max_iterations + 1):
         ty = tr_out(y)
-        s = np.stack([y - c, y + c])
+        s = np.stack([y - program, y + program])
         try:
-            _cholesky(s)  # certifies Y_j ∓ C_j > 0 for the upper bound
+            # certifies Y_j ∓ C_j > 0 for the upper bound, on the full stack
+            if lift is None:
+                _cholesky(s)
+                ty_full = ty
+            else:
+                y_full = hermitize(lift @ y @ lift_h) + y_tail
+                _cholesky(np.stack([y_full - c, y_full + c]))
+                ty_full = full_tr_out(y_full)
             scaled3 = _nt_scaling(t * eye_in - ty, z[1])
-            lower, upper = _certificates(c, ty, *scaled3[1:])
+            lower, upper = _certificates(c, ty_full, *scaled3[1:])
             best_lower = max(best_lower, lower)
             best_upper = min(best_upper, upper)
             if best_upper - best_lower <= tol:
@@ -450,8 +532,11 @@ def diamond_norm(delta, tol: float = 1e-6,
     :param tol: requested absolute certification gap on the returned value.
     :param max_iterations: Newton steps allowed; with 0 the result is the
         starting bracket: the Choi trace norm from below and, from above,
-        the least of the start iterate's bound, the start certificate's
-        ``lambda_max(Tr_out sum_j |C_j|)`` plus its shift, and ``||C||_1``.
+        the least of the start iterate's bound (``lambda_max(Tr_out sum_j
+        Y_j)`` at ``Y_j = 1.25 I``, or on a low-rank stack at the lift
+        ``1.25 V_j V_j† + |E_j| + δI`` of the range ``V_j`` that the solve
+        steps on), the start certificate's ``lambda_max(Tr_out sum_j
+        |C_j|)`` plus its shift, and ``||C||_1``.
     :return: result with ``gap <= tol`` on success.
     :raises DimensionMismatch: if ``delta`` is not of either form.
     :raises ValueError: if ``tol`` is not positive, ``max_iterations`` is
@@ -497,10 +582,9 @@ def diamond_norm(delta, tol: float = 1e-6,
         v = float(np.sum(singular))
         return DiamondNormResult(v, v, v, 0.0, 0)
 
-    abs_c = hermitize((vecs * (singular / scale)[..., None, :])
-                      @ _adjoint(vecs))
     lower, upper, iterations, reason = _solve_sdp(
-        c / scale, abs_c, dim_in, dim_out, tol / scale, max_iterations)
+        c / scale, eigvals / scale, vecs, dim_in, dim_out, tol / scale,
+        max_iterations)
     lower *= scale
     # ||Delta||_diamond <= ||C||_1 always holds; the eigh gives it too
     upper = min(upper * scale, float(np.sum(singular)))

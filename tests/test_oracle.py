@@ -453,21 +453,25 @@ def random_pd(side, cond, gen):
                      @ q.conj().T)
 
 
-def dense_newton_system(w1s, w2s, w3, dim_in, dim_out):
+def dense_newton_system(w1s, w2s, w3, dim_in, dim_out, lift=None):
     """The complex (B n**2 + 1) Newton matrix on ``(col_vec(dY_1), ...,
     col_vec(dY_B), dt)``: block-diagonal Kronecker terms, and the
-    partial-trace term and ``G`` shared by every pair of blocks."""
-    n, blocks = dim_in * dim_out, len(w1s)
-    traced = np.stack([col_vec(partial_trace(e.reshape(n, n, order="F"),
-                                             [dim_in, dim_out], [0]))
-                       for e in np.eye(n * n)], axis=1)
-    g = np.tile(col_vec(np.kron(w3 @ w3, np.eye(dim_out))), blocks)
+    partial-trace term and ``G`` that couple every pair of blocks.  With a
+    ``(B, dim_in * dim_out, n)`` stack ``lift`` of ``V_j``, block ``j``'s
+    partial trace is ``Tr_out(V_j dY_j V_j†)``."""
+    blocks, n = w1s.shape[:2]
+    if lift is None:
+        lift = np.tile(np.eye(n), (blocks, 1, 1))
+    traced = [np.stack([col_vec(partial_trace(
+        v @ e.reshape(n, n, order="F") @ v.conj().T, [dim_in, dim_out], [0]))
+        for e in np.eye(n * n)], axis=1) for v in lift]
+    g = np.concatenate([t.conj().T @ col_vec(w3 @ w3) for t in traced])
     m = np.empty((blocks * n * n + 1, blocks * n * n + 1), dtype=complex)
     m[:-1, :-1] = (scipy.linalg.block_diag(*(np.kron(w1.T, w1)
                                              + np.kron(w2.T, w2)
                                              for w1, w2 in zip(w1s, w2s)))
-                   + np.kron(np.ones((blocks, blocks)), traced.conj().T
-                             @ np.kron(w3.T, w3) @ traced))
+                   + np.block([[tj.conj().T @ np.kron(w3.T, w3) @ tk
+                                for tk in traced] for tj in traced]))
     m[:-1, -1] = -g
     m[-1, :-1] = -g.conj()
     m[-1, -1] = np.trace(w3 @ w3)
@@ -503,6 +507,35 @@ def test_newton_solve_matches_dense_system(dim_in, dim_out):
         ref = np.linalg.solve(dense, np.append(np.zeros(blocks * n * n), r_t))
         dy, dt = solve(None, r_t)
         ref_dy = ref[:-1].reshape(blocks, n, n).transpose(0, 2, 1)
+        assert np.linalg.norm(dy - ref_dy) <= 1e-9 * np.linalg.norm(ref_dy)
+        assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
+
+
+@pytest.mark.parametrize("dim_in, dim_out, side", [(2, 2, 2), (2, 3, 3),
+                                                   (3, 3, 1)])
+def test_newton_solve_on_the_range_matches_dense_system(dim_in, dim_out,
+                                                        side):
+    # on the range the blocks are side x side and the partial trace reads
+    # each through its own isometry V_j
+    gen = rng(1100 + side)
+    n = dim_in * dim_out
+    for blocks in (1, 2, 3):
+        w = np.stack([random_pd(side, 1e2, gen) for _ in range(2 * blocks)])
+        w3 = random_pd(dim_in, 1e2, gen)
+        lift = np.linalg.qr(gen.normal(size=(blocks, n, side))
+                            + 1j * gen.normal(size=(blocks, n, side)))[0]
+        r_y = np.stack([random_hermitian_choi(1, side, seed=side + k).matrix
+                        for k in range(blocks)])
+        r_t = float(gen.normal())
+        m = np.linalg.cholesky(w).reshape(2, blocks, side, side)
+        m3 = np.linalg.cholesky(w3)
+        w1, w2 = hermitize(m @ _adjoint(m))
+        dense = dense_newton_system(w1, w2, hermitize(m3 @ _adjoint(m3)),
+                                    dim_in, dim_out, lift)
+        dy, dt = _newton_solver(m, m3, dim_in, dim_out, lift)(r_y, r_t)
+        ref = np.linalg.solve(dense, np.append(col_vec(np.hstack(r_y)), r_t))
+        ref_dy = ref[:-1].reshape(blocks, side, side).transpose(0, 2, 1)
+        assert dy.shape == (blocks, side, side)
         assert np.linalg.norm(dy - ref_dy) <= 1e-9 * np.linalg.norm(ref_dy)
         assert abs(dt - ref[-1]) <= 1e-9 * abs(ref[-1])
 
@@ -711,21 +744,117 @@ def test_corrector_converges_in_few_iterations():
         assert res.iterations <= 12
 
 
+def newton_lifts(monkeypatch):
+    """The ``lift`` of every Newton build: the ``(B, n, r)`` range ``V_j``
+    of the blocks, or ``None`` on the full blocks."""
+    lifts = []
+
+    def spy(*args):
+        lifts.append(args[4])
+        return _newton_solver(*args)
+
+    monkeypatch.setattr("qimet.oracle._newton_solver", spy)
+    return lifts
+
+
 @pytest.mark.parametrize("seed", [1, 5])
 def test_iterates_stay_dual_feasible(monkeypatch, seed):
     # the corrector's targets enter every dual direction; each dual iterate
-    # must keep Z1_j + Z2_j = Z3 ⊗ I in every block j and tr Z3 = 1
+    # must keep Z1_j + Z2_j = V_j† (Z3 ⊗ I) V_j in every block j, on the
+    # range V_j of C_j that the program is solved on, and tr Z3 = 1
     duals = scaled_duals(monkeypatch)
+    lifts = newton_lifts(monkeypatch)
     blocks = instrument_blocks(seed)
     result = diamond_norm(blocks, tol=1e-7)
     assert len(duals) == 2 * result.iterations + 1
+    assert len(lifts) == result.iterations
     assert abs(np.trace(duals[-1]) - 1.0) < 1e-7
-    for z3, (z1, z2) in zip(duals[::2], duals[1::2]):
-        assert z1.shape == z2.shape == (len(blocks), 16, 16)
-        lifted = np.kron(z3, np.eye(len(z1[0]) // len(z3)))  # Z3 ⊗ I
-        for z1_j, z2_j in zip(z1, z2):
-            assert np.abs(z1_j + z2_j - lifted).max() < 1e-7
+    for z3, (z1, z2), lift in zip(duals[::2], duals[1::2], lifts):
+        assert lift.shape == (len(blocks), 16, 3)
+        assert z1.shape == z2.shape == (len(blocks), 3, 3)
+        lifted = np.kron(z3, np.eye(4))  # Z3 ⊗ I
+        for z1_j, z2_j, v in zip(z1, z2, lift):
+            assert (np.abs(z1_j + z2_j - v.conj().T @ lifted @ v).max()
+                    < 1e-7)
         assert abs(np.trace(z3) - 1.0) < 1e-7
+
+
+def test_low_rank_blocks_step_on_their_range(monkeypatch):
+    # a (2,2) instrument's outcome blocks have rank 3 of 16, so the program
+    # steps on 3 x 3 blocks; a random map is full rank, and a (2,1) stack
+    # has rank 3 of 4 > 4 / 2, so both keep the full (B, n, n) blocks
+    duals = scaled_duals(monkeypatch)
+    impl = random_general_implementation(2, 1, 0)
+    for delta, shape in (
+            (instrument_blocks(3), (2, 3, 3)),
+            (random_hermitian_choi(2, 3, seed=61), (1, 6, 6)),
+            ([ChoiMatrix(2, 2, b) for b in branch_differences(impl)],
+             (2, 4, 4))):
+        duals.clear()
+        result = diamond_norm(delta, tol=1e-7)
+        assert result.gap <= 1e-7 and result.iterations > 0
+        assert {z.shape[1:] for z in duals if z.ndim == 4} == {shape}
+
+
+def low_rank_choi(dim_in, dim_out, rank, seed):
+    """A random Hermitian Choi matrix of the given rank, with eigenvalues of
+    both signs and of order 1 / side."""
+    gen = rng(seed)
+    side = dim_in * dim_out
+    q = np.linalg.qr(gen.normal(size=(side, rank))
+                     + 1j * gen.normal(size=(side, rank)))[0]
+    signs = np.where(np.arange(rank) % 2, -1.0, 1.0)
+    lam = signs * (1.0 + gen.random(rank)) / side
+    return hermitize((q * lam) @ q.conj().T)
+
+
+def full_rank_tail(side, size, seed):
+    """A full-rank Hermitian matrix of trace norm ``size``."""
+    gen = rng(seed)
+    q = np.linalg.qr(gen.normal(size=(side, side))
+                     + 1j * gen.normal(size=(side, side)))[0]
+    lam = np.where(np.arange(side) % 2, -1.0, 1.0) * (1.0 + gen.random(side))
+    return hermitize((q * (size * lam / np.abs(lam).sum())) @ q.conj().T)
+
+
+def test_cut_agrees_with_the_full_program(monkeypatch):
+    # a rank-2 side-8 map solves on its range; a full-rank perturbation of
+    # trace norm eps (on C = dim_in * J) far above the tol / 8 budget keeps
+    # it on the full blocks; the two values differ by at most eps, and the
+    # midpoints by at most eps + tol
+    duals = scaled_duals(monkeypatch)
+    tol, eps = 1e-7, 1e-4
+    low = low_rank_choi(2, 4, 2, seed=81)
+    results = []
+    for mat, side in ((low, 2), (low + full_rank_tail(8, eps / 2, 82), 8)):
+        duals.clear()
+        results.append(diamond_norm(ChoiMatrix(2, 4, mat), tol=tol))
+        assert results[-1].gap <= tol
+        assert {z.shape[1:] for z in duals if z.ndim == 4} == {(1, side, side)}
+    ranged, full = results
+    assert abs(ranged.value - full.value) <= eps + 2 * tol
+    assert ranged.primal_bound <= full.dual_bound + eps
+    assert full.primal_bound <= ranged.dual_bound + eps
+
+
+def test_cut_tail_is_certified(monkeypatch):
+    # full-rank tails of trace norm 2e-9 (on C = dim_in * J) on two rank-3
+    # side-16 blocks: far above the certificate's shift, and within the
+    # tol / 8 budget, so the solve steps on 3 x 3 blocks, and only the
+    # lifted iterate's |E_j| lets the full-stack Cholesky pass; the value
+    # moves by at most the tails' total norm
+    duals = scaled_duals(monkeypatch)
+    tol, tail = 1e-7, 2e-9
+    clean = [low_rank_choi(4, 4, 3, seed=83 + k) for k in range(2)]
+    ref = diamond_norm([ChoiMatrix(4, 4, m) for m in clean], tol=1e-9)
+    duals.clear()
+    result = diamond_norm(
+        [ChoiMatrix(4, 4, m + full_rank_tail(16, tail, 85 + k) / 4)
+         for k, m in enumerate(clean)], tol=tol)
+    assert {z.shape[1:] for z in duals if z.ndim == 4} == {(2, 3, 3)}
+    assert result.gap <= tol and result.iterations > 0
+    assert result.primal_bound <= ref.dual_bound + 2 * tail
+    assert ref.primal_bound <= result.dual_bound + 2 * tail
 
 
 @pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
