@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -59,8 +60,9 @@ __all__ = [
 
 #: Largest model register, stochastic channel and Weyl basis dimension.  A
 #: report on a (5, 5) model takes 0.02-0.04 s and 38 MB peak RSS (uniform
-#: or nonuniform) or 3.2 s and 88 MB (general, nearly all of it the Choi
-#: route of its fidelity), 2 cores, one OpenBLAS thread.
+#: or nonuniform) or 3.2 s and 111 MB in a fresh process (general, nearly
+#: all of it the Choi route of its fidelity, with the ideal roots that
+#: ``metrics`` keeps), 2 cores, one OpenBLAS thread.
 _MAX_MODEL_DIM = 5
 
 
@@ -107,11 +109,17 @@ class KrausChannel:
     def __post_init__(self):
         _store_dims(self, ("dim_in", "dim_out"))
         try:
-            ops = np.stack(self.kraus_ops, dtype=complex)  # a fresh array
+            # one copy, from one array or a sequence alike; the same_kind
+            # cast below refuses strings and objects, which an unsafe
+            # complex cast would read as numbers
+            ops = np.array(self.kraus_ops)
+            if not (ops.ndim and len(ops)):
+                raise ValueError(f"got an array of shape {ops.shape}")
         except ValueError as exc:  # empty, or operators of unequal shapes
             raise DimensionMismatch(
                 f"Kraus operators must be a nonempty set of one shape: {exc}"
             ) from exc
+        ops = ops.astype(complex, casting="same_kind", copy=False)
         if ops.shape[1:] != (self.dim_out, self.dim_in):
             raise DimensionMismatch(
                 f"Kraus operator shape {ops.shape[1:]} does not match "
@@ -241,7 +249,7 @@ def _entries(entries, arity: int, bound: int, what: str, where: str,
     for key, item in pairs:
         if len(key) != arity:
             raise InvalidModel(f"{what} {key} must have {arity} indices")
-        key = tuple(map(_label, key))
+        key = tuple([k if type(k) is int else _label(k) for k in key])
         for k in key:  # a loop: min() and max() cost 4x as much
             if not 0 <= k < bound:
                 raise InvalidModel(f"{what} {key} out of range for {where}")
@@ -254,6 +262,8 @@ def _entries(entries, arity: int, bound: int, what: str, where: str,
 
 def _weight(key, w) -> float:
     """A mixture weight: a finite real number ``>= 0``, as ``float``."""
+    if type(w) is float and 0.0 <= w < math.inf:  # before the message
+        return w
     w = _real(w, f"weight at {key}")
     if w < 0.0:
         raise InvalidModel(f"negative weight {w!r} at {key}")
@@ -262,6 +272,8 @@ def _weight(key, w) -> float:
 
 def _real(value, what: str) -> float:
     """A finite ``int``, ``float`` or NumPy real as ``float``; else raise."""
+    if type(value) is float and abs(value) < math.inf:
+        return value
     if isinstance(value, (float, np.floating)) or _is_integer(value):
         try:
             value = float(value)
@@ -302,9 +314,12 @@ class StochasticChannel:
 
     @classmethod
     def from_weights(cls, dim: int, weights: Mapping) -> "StochasticChannel":
-        """Build a mixture with ``nu`` derived from the weight sum."""
-        total = sum(_real(w, "weight") for w in dict(weights).values())
-        return cls(dim, total, weights)
+        """Build a mixture with ``nu`` derived from the weight sum; each
+        weight is read once, so ``weights`` may be a one-shot iterable of
+        ``(label, weight)`` pairs."""
+        pairs = list(weights.items() if isinstance(weights, Mapping)
+                     else weights)
+        return cls(dim, sum(_real(w, "weight") for _, w in pairs), pairs)
 
     def kraus_ops(self) -> np.ndarray:
         """Kraus operators ``sqrt(w) U_(a,b)`` for the nonzero weights, as
@@ -363,8 +378,7 @@ def _mixture_weights(gen, dim: int, nu) -> dict:
     """``nu`` times a flat Dirichlet draw from ``gen`` (uniform on the
     simplex) over the ``dim**2`` labels ``(a, b)``."""
     probs = gen.dirichlet(np.ones(dim * dim))
-    return {(a, b): nu * probs[a * dim + b]
-            for a in range(dim) for b in range(dim)}
+    return dict(zip(product(range(dim), repeat=2), (nu * probs).tolist()))
 
 
 # ==================================================================

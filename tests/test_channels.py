@@ -91,6 +91,30 @@ def test_kraus_ops_stored_as_one_read_only_array():
     np.testing.assert_array_equal(again.kraus_ops, ops)
 
 
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_kraus_channel_copies_a_stacked_array(dtype):
+    # the 81 operators of a (3,3) expanded branch: the channel keeps a
+    # read-only copy, so writing to the source leaves it unchanged
+    source = np.random.default_rng(5).normal(size=(81, 9, 9)).astype(dtype)
+    channel = ch.KrausChannel(9, 9, source)
+    kept = channel.kraus_ops.copy()
+    source[0, 0, 0] = 99.0
+    np.testing.assert_array_equal(channel.kraus_ops, kept)
+    assert channel.kraus_ops.dtype == complex
+    assert not channel.kraus_ops.flags.writeable
+    assert not np.shares_memory(channel.kraus_ops, source)
+
+
+@pytest.mark.parametrize("bad", [
+    [[["1", "0"], ["0", "1"]]], [[[None, 0], [0, 1]]],
+    [np.eye(2, dtype=object)]])
+def test_kraus_channel_refuses_strings_and_objects(bad):
+    # the complex cast is same_kind: strings and objects are not read as
+    # numbers
+    with pytest.raises(TypeError, match="same_kind"):
+        ch.KrausChannel(2, 2, bad)
+
+
 def test_kraus_channel_rejects_ragged_and_empty_sets():
     with pytest.raises(DimensionMismatch):
         ch.KrausChannel(2, 2, [X, np.eye(3)])
@@ -294,6 +318,16 @@ def test_stochastic_channel_basics():
     nu, lam = ch.nu_lambda(t)
     assert abs(nu - 1.0) < 1e-12
     assert abs(lam - 0.9) < 1e-12
+
+
+def test_from_weights_reads_a_one_shot_iterable():
+    # the pairs are read once, so a generator gives the same channel as a
+    # dict; it used to be consumed by the sum, leaving nu = 0.5 and no
+    # weights
+    pairs = {(0, 0): 0.25, (1, 1): 0.5}
+    t = ch.StochasticChannel.from_weights(2, (item for item in pairs.items()))
+    assert t == ch.StochasticChannel.from_weights(2, pairs)
+    assert t.nu == 0.75
 
 
 def test_stochastic_channel_subnormalized():

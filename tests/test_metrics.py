@@ -26,7 +26,7 @@ from qimet.metrics import (MetricsReport, build_report,
                            instrument_diamond_upper,
                            instrument_fidelity_branchwise,
                            nonuniform_outcome_diamond, process_fidelity,
-                           uniform_diamond_exact)
+                           uniform_diamond_exact, _ideal_roots)
 from qimet.oracle import diamond_norm
 from qimet.verify import _trace_fidelity, shipped_counterexample_model
 
@@ -480,6 +480,49 @@ def test_fvg_decomposes_each_state_once(monkeypatch):
 # ------------------------------------------------------------------
 # aggregated report
 # ------------------------------------------------------------------
+
+def test_second_general_report_reuses_the_ideal_roots(monkeypatch):
+    # the ideal measurement's branch roots are built once per (D, E): a
+    # second report at the same dimensions makes D fewer eigendecompositions
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    impl = random_general_implementation(3, 2, 4)
+    _ideal_roots.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    first = build_report(impl)
+    cold = len(calls)
+    assert build_report(impl) == first
+    assert cold - (len(calls) - cold) == impl.D
+
+
+def test_ideal_roots_are_read_only():
+    roots = _ideal_roots(2, 2)
+    assert roots is _ideal_roots(2, 2)
+    assert len(roots) == 2
+    for root in roots:
+        assert root.shape == (16, 16)
+        assert not root.flags.writeable
+    with pytest.raises(ValueError):
+        roots[0][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_report_fidelity_is_the_branchwise_fidelity(dims):
+    # (2,3) and (3,2) share the Choi side 36 but not pi_j, so roots keyed by
+    # the side alone would fail here
+    _ideal_roots.cache_clear()
+    for seed in range(3):
+        impl = random_general_implementation(*dims, seed)
+        expected = instrument_fidelity_branchwise(ideal_instrument(*dims),
+                                                  impl)
+        for _ in range(2):  # a cold, then a warm cache
+            assert build_report(impl).fidelity == expected
+
 
 def test_report_perfect_model():
     perfect = UniformStochasticModel(
