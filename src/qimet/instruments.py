@@ -45,7 +45,7 @@ from .channels import (KrausChannel, StochasticChannel, _entries,
                        stochastic_to_json)
 from .config import TOL
 from .errors import DimensionMismatch, InvalidModel, UnsupportedDimension
-from .linalg import rng
+from .linalg import hermitize, rng
 
 __all__ = [
     "InstrumentImplementation",
@@ -322,7 +322,7 @@ def random_general_implementation(D: int, E: int,
     # rows would round differently and change the generated models' bytes
     acc = np.sum((raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, side, side),
                  axis=0)
-    vals, vecs = np.linalg.eigh(0.5 * (acc + acc.conj().T))
+    vals, vecs = np.linalg.eigh(hermitize(acc))
     inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
     branches = tuple(KrausChannel(side, side, ops) for ops in raw @ inv_root)
     return InstrumentImplementation(D, E, branches)

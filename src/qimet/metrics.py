@@ -101,7 +101,7 @@ def _branchwise_fidelity(roots, b: InstrumentImplementation) -> float:
     total = 0.0
     for root, mb in zip(roots, b.branches):
         f = trace_norm(root @ psd_sqrt(choi_from_kraus(mb).matrix))
-        total += np.sqrt(max(f * f, 0.0))
+        total += f
     return total * total
 
 

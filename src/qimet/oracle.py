@@ -67,16 +67,17 @@ for the block stack.  Each factorization is one call of NumPy's batched
 ``linalg`` per stack.
 
 Certification does not trust convergence, nor the cut, and reads the full
-stack.  Each iterate Cholesky-factorizes its slacks ``Y_j ∓ C_j`` and scales
-the input block, then reads two *exactly feasible* bounds and tests their
-gap; only an iterate that goes on to step scales the block stack:
+stack.  Each iterate certifies its point, scales the input block, reads two
+*exactly feasible* bounds and tests their gap; only an iterate that goes on
+to step scales the block stack:
 
-* upper bound — ``lambda_max(Tr_out sum_j Y_j)``, once every ``Y_j ∓ C_j``
-  has factorized; an iterate ``Ỹ_j`` on the range is lifted to ``Y_j = V_j
-  Ỹ_j V_j† + |E_j| + δI``, with the start certificate's shift ``δ``
-  (below), whose slacks ``V_j (Ỹ_j ∓ Λ_j) V_j† + (|E_j| ∓ E_j) + δI`` are
-  checked on the ``(2, B, n, n)`` stack of ``C``, so a cut can slow a solve
-  but cannot certify a wrong value;
+* upper bound — ``lambda_max(Tr_out sum_j Y_j)``, read by one routine
+  (:func:`_upper_bound`) only once the ``(2, B, n, n)`` stack ``Y_j ∓ C_j``
+  has Cholesky-factorized; an iterate ``Ỹ_j`` on the range is lifted to
+  ``Y_j = V_j Ỹ_j V_j† + |E_j| + δI``, with the start certificate's shift
+  ``δ`` (below), whose slacks ``V_j (Ỹ_j ∓ Λ_j) V_j† + (|E_j| ∓ E_j) + δI``
+  are checked like any other, so a cut can slow a solve but cannot certify
+  a wrong value;
 * lower bound — for *any* density ``rho`` on the input factor,
   ``max { <C, X> : -rho ⊗ I <= X <= rho ⊗ I } = sum_j || (sqrt(rho) ⊗ I)
   C_j (sqrt(rho) ⊗ I) ||_1``; at ``rho = Z3 / tr Z3`` for the dual's input
@@ -88,7 +89,7 @@ normalized to ``||C||_2 = 1``, the one ``eigh`` of the stack that gives the
 scale and the cap ``||C||_1`` also gives ``Y_j = |C_j| + δI``, ``δ = 64 n
 u`` for the unit roundoff ``u``.  Its slacks ``Y_j ∓ C_j = 2 C_j^∓ + δI``
 are positive semidefinite plus the shift, which covers the roundoff of
-``|C_j|``; once they factorize, ``lambda_max(Tr_out sum_j Y_j)`` seeds the
+``|C_j|``; once the same routine has factorized them, its bound seeds the
 best upper bound, and otherwise the point is dropped.  The first iterate's
 lower bound, at ``rho = I / dim_in``, is the Choi trace norm ``sum_j
 ||C_j||_1 / dim_in``, so the two meet, up to the shift, exactly when
@@ -217,22 +218,35 @@ def _lifted(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (psi.conj()[..., None, :, :] @ left).reshape(*left.shape[:-3], n, n)
 
 
-def _certificates(c: np.ndarray, ty: np.ndarray, mh3: np.ndarray,
-                  v3: np.ndarray):
-    """Bounds certified by the current iterate, given the blocks ``C_j``,
-    ``Tr_out sum_j Y_j`` and the input block's scaling ``Z3 = M diag(v) M†``
-    as ``M† = mh3``.
+def _tr_out(x: np.ndarray, dim_in: int) -> np.ndarray:
+    """``Tr_out sum_j X_j`` of a ``(B, n, n)`` stack, ``n = dim_in *
+    dim_out``."""
+    dim_out = x.shape[-1] // dim_in
+    return np.trace(x.sum(0).reshape(dim_in, dim_out, dim_in, dim_out),
+                    axis1=1, axis2=3)
 
-    Upper: ``lambda_max(Tr_out sum_j Y_j)``, valid once ``Y_j ∓ C_j`` have
-    factorized.  Lower: ``sum_j ||(Ψ ⊗ I) C_j (Ψ ⊗ I)†||_1 / ||Ψ||_F²``, the
-    value of the unit pure input ``Ψ / ||Ψ||_F`` for any nonzero ``Ψ``; ``Ψ
-    = diag(√v) M†`` (``Ψ†Ψ = Z3``) gives it at ``rho = Z3 / tr Z3``.  The
-    lifted blocks are Hermitian, so their trace norm is the sum of the
-    absolute eigenvalues."""
+
+def _upper_bound(c: np.ndarray, y: np.ndarray, dim_in: int) -> float:
+    """``lambda_max(Tr_out sum_j Y_j)`` of the dual point ``y``, a ``(B, n,
+    n)`` stack like the blocks ``c``: returned only once the ``(2, B, n, n)``
+    stack of its slacks ``Y_j ∓ C_j`` has Cholesky-factorized, so it bounds
+    the norm of ``C`` from above.
+
+    :raises numpy.linalg.LinAlgError: if a slack does not factorize."""
+    _cholesky(np.stack([y - c, y + c]))
+    return float(np.linalg.eigvalsh(_tr_out(y, dim_in)).max())
+
+
+def _lower_bound(c: np.ndarray, mh3: np.ndarray, v3: np.ndarray) -> float:
+    """``sum_j ||(Ψ ⊗ I) C_j (Ψ ⊗ I)†||_1 / ||Ψ||_F²`` for the blocks ``C_j``
+    and the input block's scaling ``Z3 = M diag(v) M†``, given as ``M† =
+    mh3`` and ``v = v3``: the value of the unit pure input ``Ψ / ||Ψ||_F``
+    for any nonzero ``Ψ``; ``Ψ = diag(√v) M†`` (``Ψ†Ψ = Z3``) gives it at
+    ``rho = Z3 / tr Z3``.  The lifted blocks are Hermitian, so their trace
+    norm is the sum of the absolute eigenvalues."""
     psi = np.sqrt(v3)[:, None] * mh3
     spectra = np.linalg.eigvalsh(_lifted(c, psi))  # reads one triangle
-    lower = np.abs(spectra).sum() / np.vdot(psi, psi).real
-    return float(lower), float(np.linalg.eigvalsh(ty).max())
+    return float(np.abs(spectra).sum() / np.vdot(psi, psi).real)
 
 
 def _newton_solver(m: np.ndarray, m3: np.ndarray, dim_in: int, dim_out: int,
@@ -324,37 +338,40 @@ def _solve_sdp(c: np.ndarray, eigvals: np.ndarray, vecs: np.ndarray,
     pencil or the capacitance did not factorize, a slack has a nonpositive
     Nesterov-Todd eigenvalue, a pencil is singular, or a factor or a step
     bound is not finite).
-    The start certificate ``Y_j = |C_j| + δI`` seeds the best upper bound
-    if its ``Y_j ∓ C_j`` factorize; otherwise it is left unset.
-    When the ``r`` largest ``|λ|`` of every block leave a trace-norm tail of
-    at most ``tol / 8`` over the stack and ``r <= n / 2``, the iteration
-    runs on the ``r x r`` blocks ``Λ_j`` of the range ``V_j`` instead, and
-    each iterate ``Ỹ_j`` is certified lifted, as ``V_j Ỹ_j V_j† + |E_j| +
-    δI``.
-    Each iterate Cholesky-factorizes the slacks ``Y_j ∓ C_j`` and scales the
-    input block, reads the bounds and tests the gap; only then does it scale
-    the block stack, so the converged iterate scales no block.  It steps in
-    the scaled frame, ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``, by an inner
-    function, so nothing of a step outlives it."""
+    One routine, :func:`_upper_bound`, certifies the start point ``Y_j =
+    |C_j| + δI`` and every iterate, full or lifted; the start point seeds the
+    best upper bound if its ``Y_j ∓ C_j`` factorize, and is otherwise left
+    unset.  When the ``r`` largest ``|λ|`` of every block leave a trace-norm
+    tail of at most ``tol / 8`` over the stack and ``r <= n / 2``, the
+    iteration runs on the ``r x r`` blocks ``Λ_j`` of the range ``V_j``
+    instead.  The two programs differ only in their setup: the blocks, an
+    ``embed`` and a ``tail`` that lift an iterate ``Ỹ_j`` to the point
+    ``embed(Ỹ)_j + tail_j`` it is certified at (``V_j Ỹ_j V_j† + |E_j| +
+    δI`` on the range, ``Ỹ_j + 0`` on the full blocks), the start's ``load``
+    and ``less_kron``.  Each iterate has its point certified and scales the
+    input block, reads the lower bound and tests the gap; only then does it
+    scale the block stack, so the converged iterate scales no block.  It
+    steps in the scaled frame, ``D_x = M† dS M``, ``D_z = M⁻¹ dZ M⁻†``, by
+    an inner function, so nothing of a step outlives it."""
     blocks, n = c.shape[:2]
     eye_in = np.eye(dim_in, dtype=complex)
     eye_out = np.eye(dim_out)
     shift = 64 * n * np.finfo(float).eps * np.eye(n)
 
-    def full_tr_out(x):  # of the block sum
-        return np.trace(x.sum(0).reshape(dim_in, dim_out, dim_in, dim_out),
-                        axis1=1, axis2=3)
+    def shifted_abs(vectors, values):  # |X_j| + δI from eigenpairs of X_j
+        return hermitize((vectors * np.abs(values)[..., None, :])
+                         @ _adjoint(vectors)) + shift
 
     # the range: the fewest r largest |λ| per block whose dropped tail
-    # sum_j ||E_j||_1 stays within tol / 8; tail[k] drops the k + 1 least
-    tail = np.sort(np.abs(eigvals), -1).cumsum(-1).sum(0)
-    side = max(n - int(np.count_nonzero(tail <= tol / 8)), 1)
+    # sum_j ||E_j||_1 stays within tol / 8; dropped[k] drops the k + 1 least
+    dropped = np.sort(np.abs(eigvals), -1).cumsum(-1).sum(0)
+    side = max(n - int(np.count_nonzero(dropped <= tol / 8)), 1)
     if 2 * side > n:  # the program on the full blocks
-        lift = None
-        program = c
-        side = n
+        lift, program, side, tail = None, c, n, 0.0
         load = dim_out * blocks  # lambda_max(Tr_out sum_j I)
-        tr_out = full_tr_out
+
+        def embed(x):
+            return x
 
         def less_kron(x, a):  # x_j - a ⊗ I
             return (x.reshape(-1, dim_in, dim_out, dim_in, dim_out)
@@ -366,16 +383,18 @@ def _solve_sdp(c: np.ndarray, eigvals: np.ndarray, vecs: np.ndarray,
         lift, rest = basis[..., :side], basis[..., side:]
         lift_h = _adjoint(lift)
         program = ranked[:, :side, None] * np.eye(side)  # Λ_j
-        y_tail = hermitize((rest * np.abs(ranked[:, None, side:]))
-                           @ _adjoint(rest)) + shift  # |E_j| + δI
-        load = float(np.linalg.eigvalsh(full_tr_out(lift @ lift_h)).max())
+        tail = shifted_abs(rest, ranked[:, side:])  # |E_j| + δI
+        load = float(np.linalg.eigvalsh(_tr_out(lift @ lift_h, dim_in)).max())
 
-        def tr_out(x):
-            return full_tr_out(hermitize(lift @ x @ lift_h))
+        def embed(x):  # V_j X_j V_j†
+            return hermitize(lift @ x @ lift_h)
 
         def less_kron(x, a):  # x_j - Φ_j(a), Φ_j(a) = V_j† (a ⊗ I) V_j
             return x - hermitize(lift_h @ (a @ lift.reshape(
                 blocks, dim_in, -1)).reshape(lift.shape))
+
+    def tr_out(x):  # of the block sum
+        return _tr_out(embed(x), dim_in)
 
     n_total = 2 * blocks * side + dim_in
     eyes = [np.eye(side), np.eye(dim_in)]
@@ -442,11 +461,8 @@ def _solve_sdp(c: np.ndarray, eigvals: np.ndarray, vecs: np.ndarray,
 
     # the start certificate: Y_j ∓ C_j = 2 C_j^∓ + δI, whose shift covers
     # the roundoff of |C_j|
-    y_abs = hermitize((vecs * np.abs(eigvals)[..., None, :])
-                      @ _adjoint(vecs)) + shift
     try:
-        _cholesky(np.stack([y_abs - c, y_abs + c]))
-        best_upper = float(np.linalg.eigvalsh(full_tr_out(y_abs)).max())
+        best_upper = _upper_bound(c, shifted_abs(vecs, eigvals), dim_in)
     except np.linalg.LinAlgError:
         best_upper = np.inf
     best_lower = 0.0
@@ -457,28 +473,20 @@ def _solve_sdp(c: np.ndarray, eigvals: np.ndarray, vecs: np.ndarray,
     # matrices round the (i, j) and (j, i) entries alike.  Only results of
     # matrix products and eigen-reconstructions are passed through hermitize.
     for iterations in range(max_iterations + 1):
-        ty = tr_out(y)
-        s = np.stack([y - program, y + program])
+        y_full = embed(y)
         try:
-            # certifies Y_j ∓ C_j > 0 for the upper bound, on the full stack
-            if lift is None:
-                _cholesky(s)
-                ty_full = ty
-            else:
-                y_full = hermitize(lift @ y @ lift_h) + y_tail
-                _cholesky(np.stack([y_full - c, y_full + c]))
-                ty_full = full_tr_out(y_full)
-            scaled3 = _nt_scaling(t * eye_in - ty, z[1])
-            lower, upper = _certificates(c, ty_full, *scaled3[1:])
-            best_lower = max(best_lower, lower)
+            # the iterate's bounds count once its input block has scaled
+            upper = _upper_bound(c, y_full + tail, dim_in)
+            scaled3 = _nt_scaling(t * eye_in - _tr_out(y_full, dim_in), z[1])
+            best_lower = max(best_lower, _lower_bound(c, *scaled3[1:]))
             best_upper = min(best_upper, upper)
             if best_upper - best_lower <= tol:
                 return best_lower, best_upper, iterations, "converged"
             if iterations == max_iterations:
                 break
 
-            stepped = predictor_corrector(
-                y, t, z, *zip(_nt_scaling(s, z[0]), scaled3))
+            stepped = predictor_corrector(y, t, z, *zip(_nt_scaling(
+                np.stack([y - program, y + program]), z[0]), scaled3))
             if stepped is None:
                 reason = "step_collapse"
                 break

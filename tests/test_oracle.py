@@ -20,10 +20,11 @@ from qimet.linalg import (col_vec, hermitize, partial_trace, random_density,
 from qimet.metrics import (diamond_identity_stochastic,
                            nonuniform_outcome_diamond,
                            uniform_diamond_exact)
-from qimet.oracle import (DiamondNormResult, _adjoint, _certificates,
-                          _cholesky, _cholesky_inverse, _hillclimb, _lifted,
-                          _newton_solver, _nt_scaling, _scaled_eigvalsh,
-                          _second_order, _solve_sdp, _step_scale,
+from qimet.oracle import (DiamondNormResult, _adjoint, _cholesky,
+                          _cholesky_inverse, _hillclimb, _lifted,
+                          _lower_bound, _newton_solver, _nt_scaling,
+                          _scaled_eigvalsh, _second_order, _solve_sdp,
+                          _step_scale, _upper_bound,
                           diamond_lower_hillclimb, diamond_norm)
 from qimet.verify import shipped_counterexample_model
 
@@ -667,10 +668,66 @@ def test_lower_certificate_matches_kron_form(dims):
     c = random_hermitian_choi(dim_in, dim_out, 2700 + dim_in).matrix
     rho = random_density(dim_in, gen)
     _, mh3, v3 = _nt_scaling(random_pd(dim_in, 1e2, gen), 3.0 * rho)
-    lower, _ = _certificates(c, np.eye(dim_in), mh3, v3)
+    lower = _lower_bound(c, mh3, v3)
     w, u = np.linalg.eigh(rho)
     g = np.kron((u * np.sqrt(w)) @ u.conj().T, np.eye(dim_out))
     assert abs(lower - trace_norm(g @ c @ g)) <= 1e-12
+
+
+def test_upper_bound_needs_both_slacks_to_factorize():
+    # at Y = |C| + 1e-3 I both slacks are positive definite and the bound is
+    # lambda_max(Tr_out Y); at Y = C + 1e-3 I the slack Y - C is, but Y + C
+    # = 2C + 1e-3 I is indefinite, and no bound is returned
+    c = 2 * random_hermitian_choi(2, 3, seed=2750).matrix[None]
+    w, v = np.linalg.eigh(c)
+    shift = 1e-3 * np.eye(6)
+    y = hermitize((v * abs(w)[..., None, :]) @ _adjoint(v)) + shift
+    tr_out = partial_trace(y[0], (2, 3), [0])
+    assert _upper_bound(c, y, 2) == pytest.approx(
+        np.linalg.eigvalsh(tr_out).max(), rel=1e-12)
+    assert np.linalg.eigvalsh(c[0]).min() < -1e-2
+    with pytest.raises(np.linalg.LinAlgError):
+        _upper_bound(c, c + shift, 2)
+
+
+@pytest.mark.parametrize("case", ["random-map", "general-2-2", "uniform-2-2"])
+def test_dual_bound_is_the_least_certified_point(monkeypatch, case):
+    # every (2, B, n, n) stack the solve factorizes whose halves differ by
+    # 2C is a dual point Y = (S0 + S1) / 2, and the upper bound it returns
+    # is lambda_max(Tr_out sum_j Y_j) at the least of these points: a
+    # side-24 map on the full blocks, a general stack stepping on its range,
+    # and a uniform stack closed by the start certificate at iteration 0
+    if case == "random-map":
+        delta = random_hermitian_choi(4, 6, seed=2760)
+    elif case == "general-2-2":
+        delta = instrument_blocks(2)
+    else:
+        delta = [ChoiMatrix(4, 4, b) for b in branch_differences(
+            expand_uniform(random_uniform_model(2, 2, 0)))]
+    factored, solves = [], []
+
+    def factor(m):
+        chol = _cholesky(m)
+        factored.append(m)  # only stacks that factorize
+        return chol
+
+    def solve(c, *args):
+        solves.append((c, args[2], _solve_sdp(c, *args)))
+        return solves[-1][2]
+
+    monkeypatch.setattr("qimet.oracle._cholesky", factor)
+    monkeypatch.setattr("qimet.oracle._solve_sdp", solve)
+    diamond_norm(delta, tol=1e-7)
+    (c, dim_in, (_, upper, iterations, reason)), = solves
+    assert reason == "converged"
+    assert (iterations == 0) == (case == "uniform-2-2")
+    dims = (dim_in, c.shape[-1] // dim_in)
+    values = [np.linalg.eigvalsh(partial_trace(
+                  (s[0] + s[1]).sum(0) / 2, dims, [0])).max()
+              for s in factored if s.shape == (2, *c.shape)
+              and np.abs(s[1] - s[0] - 2 * c).max() <= 1e-12]
+    assert len(values) >= iterations + 1
+    assert upper == pytest.approx(min(values), rel=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
